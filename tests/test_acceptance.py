@@ -12,6 +12,8 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the criterion lines.
 from __future__ import annotations
 
 import csv
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,21 +41,20 @@ from util import (bottleneck_profile, bottleneck_system, make_gen, make_profile,
 SEED = 7
 N_OOS = 100
 N_TRAINING = 48
+GOLDEN = Path(__file__).parent / "data" / "golden_case_study.json"
+POLICIES = ("proxy", "datadriven")
 
 
 def report(criterion: str, detail: str):
     print(f"ACCEPTANCE {criterion}: PASS ({detail})")
 
 
-@pytest.fixture(scope="session")
-def case_study(tmp_path_factory):
-    """Full pipeline on the bottleneck fixture: 48 training scenarios, 100
-    paired out-of-sample scenarios, both policies."""
-    root = tmp_path_factory.mktemp("case_study")
+def case_study_config(root) -> ExperimentConfig:
+    """The case-study configuration, with its inputs written under ``root``."""
     system_path = system_to_json(bottleneck_system(), root / "system.json")
     profile_dir = profile_to_dir(bottleneck_profile(), root / "day")
     out = root / "out"
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         system_file=str(system_path),
         profile_dir=str(profile_dir),
         output_dir=str(out),
@@ -65,8 +66,41 @@ def case_study(tmp_path_factory):
         nn_epochs=60,
         persist_training_data=False,
     )
+
+
+@pytest.fixture(scope="session")
+def case_study(tmp_path_factory):
+    """Full pipeline on the bottleneck fixture: 48 training scenarios, 100
+    paired out-of-sample scenarios, both policies."""
+    cfg = case_study_config(tmp_path_factory.mktemp("case_study"))
     run_pipeline(cfg)
-    return cfg, out
+    return cfg, Path(cfg.output_dir)
+
+
+def golden_snapshot(out) -> dict:
+    """The case study's awards, per-scenario results, clearing costs and
+    report, read back from a finished run's output directory."""
+    snap = {"awards": {}, "results": {}}
+    for policy in POLICIES:
+        awards: dict[str, dict[str, list[float]]] = {}
+        with open(out / f"awards_{policy}.csv", newline="") as fh:
+            for row in csv.DictReader(fh):
+                gen = awards.setdefault(row["generator"],
+                                        {k: [] for k in ("p", "u", "ur", "dr")})
+                for k in gen:
+                    gen[k].append(float(row[k]))
+        snap["awards"][policy] = awards
+        snap["results"][policy] = [
+            {k: float(v) for k, v in row.items() if k != "policy"}
+            for row in _read_results(out, policy)
+        ]
+    snap["fmm_costs"] = json.loads((out / "fmm_costs.json").read_text())
+    report = json.loads((out / "report.json").read_text())
+    snap["improvements"] = report["improvements"]
+    snap["per_policy"] = report["per_policy"]
+    with open(out / "cuts_datadriven.csv", newline="") as fh:
+        snap["cuts"] = len(list(csv.DictReader(fh)))
+    return snap
 
 
 def _read_results(out, policy):
@@ -374,6 +408,49 @@ def test_criterion_08_learner_verification(case_study):
     report("8 learner verification",
            f"gradient {worst:.2e}, linear R2 {r2:.3f}, "
            f"{len(stored)} factors in [-1,1], dim(3 solar)=70")
+
+
+def test_golden_case_study_outputs(case_study):
+    """The case study reproduces the recorded outputs: costs within five MIP
+    gaps, awards within 1e-6 MW, counts exactly.
+
+    ``tests/data/golden_case_study.json`` is ``golden_snapshot`` of the
+    case-study run; ``scripts/record_golden.py`` rewrites it.
+    """
+    cfg, out = case_study
+    got, want = golden_snapshot(out), json.loads(GOLDEN.read_text())
+    rtol = 5 * cfg.mip_rel_gap
+
+    def close(a, b, what):   # costs and energies: relative, floor at 1e-6
+        assert a == pytest.approx(b, rel=rtol, abs=1e-6), what
+
+    for policy in POLICIES:
+        for gen, cols in want["awards"][policy].items():
+            for k, vals in cols.items():
+                np.testing.assert_allclose(got["awards"][policy][gen][k], vals,
+                                           rtol=0, atol=1e-6,
+                                           err_msg=f"{policy} g{gen} {k}")
+        assert len(got["results"][policy]) == len(want["results"][policy])
+        for a, b in zip(got["results"][policy], want["results"][policy]):
+            assert a["scenario_id"] == b["scenario_id"]
+            assert a["fs_commitments"] == b["fs_commitments"]
+            for k in ("rt_cost_excl_violation", "total_violation_mwh", "total_cost"):
+                close(a[k], b[k], f"{policy} scenario {b['scenario_id']} {k}")
+        for k in ("cost", "violation_mwh"):
+            close(got["fmm_costs"][policy][k], want["fmm_costs"][policy][k],
+                  f"{policy} fmm {k}")
+        for metric, stats in want["per_policy"][policy].items():
+            for stat, val in stats.items():
+                if metric == "fs_commitments":
+                    assert got["per_policy"][policy][metric][stat] == val
+                else:
+                    close(got["per_policy"][policy][metric][stat], val,
+                          f"{policy} {metric}.{stat}")
+    assert got["improvements"] == want["improvements"]
+    assert got["cuts"] == want["cuts"]
+    report("golden case study",
+           f"awards, {len(want['results']['proxy'])} paired results, clearing "
+           f"costs, report and {want['cuts']} cuts as recorded")
 
 
 def test_criterion_09_validation_cap_semantics(case_study, bottleneck):
