@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .milp import GE, MilpModel, MilpSolution, SolveOptions, solve
-from .network import PowerSystem, PtdfMatrix
+from .milp import MilpModel, MilpSolution, SolveOptions, solve
+from .network import PowerSystem, PtdfMatrix, nodal_injections
 from .scenarios import HOURS_PER_DAY, ForecastProfile
 from .ucbase import FREE, UcModelBuilder, UnitInit, cold_start_state
 
@@ -67,17 +67,12 @@ def _hourly_view(system: PowerSystem) -> PowerSystem:
 class DaModelHandle:
     model: MilpModel
     builder: UcModelBuilder
-    hourly_system: PowerSystem
 
 
 def build_da_model(system: PowerSystem, ptdf: PtdfMatrix, profile: ForecastProfile,
-                   init: dict[int, UnitInit] | None = None, voll: float = 10000.0,
-                   reserve_requirement: np.ndarray | None = None) -> DaModelHandle:
-    """Hourly commitment model over the forecast day.
-
-    ``reserve_requirement`` optionally adds a system-wide spinning headroom
-    row per hour (off by default; not part of the core comparison).
-    """
+                   init: dict[int, UnitInit] | None = None,
+                   voll: float = 10000.0) -> DaModelHandle:
+    """Hourly commitment model over the forecast day."""
     hourly = _hourly_view(system)
     init = init or cold_start_state(hourly)
     builder = UcModelBuilder(hourly, HOURS_PER_DAY, 1.0, init, voll=voll, name="da")
@@ -85,31 +80,17 @@ def build_da_model(system: PowerSystem, ptdf: PtdfMatrix, profile: ForecastProfi
     builder.add_commitment(modes, min_updown_for={g.id for g in hourly.generators})
     builder.add_dispatch()
     builder.add_ramps()
-    loads = system.nodal_loads(profile.hourly_load)
-    solar = np.zeros((system.n_buses, HOURS_PER_DAY))
-    for u_idx, unit in enumerate(system.solar_units):
-        solar[unit.bus] += profile.solar_hourly[u_idx]
-    builder.add_network(loads, solar)
+    builder.add_network(*nodal_injections(system, profile.hourly_load,
+                                          profile.solar_hourly))
     builder.add_line_limits(ptdf)
-    if reserve_requirement is not None:
-        for h in range(HOURS_PER_DAY):
-            terms = []
-            for gen in hourly.generators:
-                terms.append((builder.u(gen.id, h), gen.p_max))
-                terms.append((builder.p(gen.id, h), -1.0))
-            builder.model.add_constr(
-                f"spin_reserve[t{h}]", terms, GE, float(reserve_requirement[h])
-            )
-    return DaModelHandle(model=builder.model, builder=builder, hourly_system=hourly)
+    return DaModelHandle(model=builder.model, builder=builder)
 
 
 def run_da(system: PowerSystem, ptdf: PtdfMatrix, profile: ForecastProfile,
-           options: SolveOptions | None = None, voll: float = 10000.0,
-           reserve_requirement: np.ndarray | None = None
+           options: SolveOptions | None = None, voll: float = 10000.0
            ) -> tuple[DaCommitments, MilpSolution, DaModelHandle]:
     """Solve the day-ahead market and extract the commitment schedule."""
-    handle = build_da_model(system, ptdf, profile, voll=voll,
-                            reserve_requirement=reserve_requirement)
+    handle = build_da_model(system, ptdf, profile, voll=voll)
     sol = solve(handle.model, options)
     if sol.status != "optimal":
         raise RuntimeError(f"day-ahead solve failed: {sol.status} ({sol.message})")

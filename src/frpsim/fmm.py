@@ -10,6 +10,9 @@ core from ucbase:
 * the data-driven model keeps the proxy structure but additionally forces
   awards onto predicted responders and, through lazily generated cuts, keeps
   post-deployment line flows within ratings for a set of deployment scenarios.
+
+``roll_day`` rolls any of these hour models, or the validation hour, over a
+day; the day-level runs here and in ``validation`` are thin wrappers on it.
 """
 
 from __future__ import annotations
@@ -22,8 +25,9 @@ import numpy as np
 from .dayahead import DaCommitments, initial_state_from_da
 from .learner import DispatchTrajectory, RampResponseFactors
 from .milp import CONTINUOUS, GE, LE, MilpModel, MilpSolution, SolveOptions, solve
-from .network import PowerSystem, PtdfMatrix
-from .scenarios import DEPLOYMENT, ForecastProfile, ProxyEnvelope, Scenario, ScenarioSet
+from .network import PowerSystem, PtdfMatrix, nodal_injections
+from .scenarios import (DEPLOYMENT, INTERVALS_PER_DAY, ForecastProfile, ProxyEnvelope,
+                        Scenario, ScenarioSet)
 from .ucbase import AT_LEAST, FIXED, UcModelBuilder, UnitInit, advance_state
 
 UP = "up"
@@ -162,32 +166,6 @@ def delta_netload(profile: ForecastProfile, scenario: Scenario,
     return out
 
 
-def _da_pattern(da, gen_id: int, start: int, length: int) -> np.ndarray:
-    return np.array(
-        [da.commitment_at(gen_id, start + t) for t in range(length)], dtype=float
-    )
-
-
-def _nodal_forecast(system: PowerSystem, profile: ForecastProfile,
-                    start: int, length: int) -> tuple[np.ndarray, np.ndarray]:
-    ts = np.arange(start, start + length)
-    loads = system.nodal_loads(profile.load_at(ts))
-    solar = np.zeros((system.n_buses, length))
-    for u_idx, unit in enumerate(system.solar_units):
-        solar[unit.bus] += profile.solar15[u_idx, np.clip(ts, 0, profile.solar15.shape[1] - 1)]
-    return loads, solar
-
-
-def _nodal_scenario(system: PowerSystem, scenario: Scenario,
-                    start: int, length: int) -> tuple[np.ndarray, np.ndarray]:
-    ts = np.arange(start, start + length)
-    loads = system.nodal_loads(scenario.load_at(ts))
-    solar = np.zeros((system.n_buses, length))
-    for u_idx, unit in enumerate(system.solar_units):
-        solar[unit.bus] += scenario.solar[u_idx, np.clip(ts, 0, scenario.solar.shape[1] - 1)]
-    return loads, solar
-
-
 # ----------------------------------------------------------------- handles
 
 @dataclass
@@ -200,7 +178,7 @@ class FmmHandle:
     ptdf: PtdfMatrix
     horizon: FmmHorizon
     cfg: FmmConfig
-    policy: str                      # proxy | training | datadriven
+    policy: str                      # proxy | training | datadriven | validation
     requirements: FrpRequirements | None = None
     ur: dict[tuple[int, int], int] = field(default_factory=dict)
     dr: dict[tuple[int, int], int] = field(default_factory=dict)
@@ -209,42 +187,33 @@ class FmmHandle:
     dnl: DeltaNetload | None = None
     aux_up: dict[tuple[int, int, int], int] = field(default_factory=dict)
     aux_dn: dict[tuple[int, int, int], int] = field(default_factory=dict)
-    flow_const_up: np.ndarray | None = None            # (K, length-1, S)
-    flow_const_dn: np.ndarray | None = None
+    flow_const: np.ndarray | None = None            # (K, length-1, S)
     cuts: list[PostDeploymentCut] = field(default_factory=list)
     _cut_keys: set[tuple[int, int, int, str]] = field(default_factory=set)
-
-    def award_values(self, sol: MilpSolution) -> tuple[dict, dict]:
-        length = self.horizon.length
-        ur = {g.id: np.array([sol.value(self.ur[g.id, t]) for t in range(length - 1)])
-              for g in self.system.generators}
-        dr = {g.id: np.array([sol.value(self.dr[g.id, t]) for t in range(length - 1)])
-              for g in self.system.generators}
-        return ur, dr
-
-    def frp_cost(self, sol: MilpSolution) -> np.ndarray:
-        """Per-move FRP award cost vector."""
-        out = np.zeros(self.horizon.length - 1)
-        for g in self.system.generators:
-            for t in range(self.horizon.length - 1):
-                out[t] += g.frp_up_cost * sol.value(self.ur[g.id, t])
-                out[t] += g.frp_down_cost * sol.value(self.dr[g.id, t])
-        return out
 
 
 # ------------------------------------------------------------------ builders
 
-def _base_builder(system: PowerSystem, profile_loads, profile_solar,
-                  da, horizon: FmmHorizon, cfg: FmmConfig, ptdf: PtdfMatrix,
-                  name: str) -> UcModelBuilder:
+def _base_builder(system: PowerSystem, ptdf: PtdfMatrix, realized, da,
+                  horizon: FmmHorizon, cfg: FmmConfig, name: str,
+                  move_caps: dict[int, tuple[np.ndarray, np.ndarray]] | None = None,
+                  down_budget=None) -> UcModelBuilder:
+    """The UC core of every 15-min hour model.
+
+    ``realized`` supplies the hour's system load and per-unit solar
+    (``load_at``/``solar_at``): the forecast or a scenario.  ``move_caps``
+    replaces the ramp rate per boundary (see ``add_ramps``) and
+    ``down_budget`` the ramp rate in the shutdown glidepath.
+    """
     builder = UcModelBuilder(
         system, horizon.length, cfg.interval_hours, horizon.init,
         voll=cfg.voll, name=name,
     )
+    ts = np.arange(horizon.start, horizon.start + horizon.length)
     modes = {}
     fs_ids = set()
     for gen in system.generators:
-        pattern = _da_pattern(da, gen.id, horizon.start, horizon.length)
+        pattern = np.array([da.commitment_at(gen.id, k) for k in ts], dtype=float)
         if gen.is_fast_start:
             modes[gen.id] = (AT_LEAST, pattern)
             fs_ids.add(gen.id)
@@ -252,14 +221,14 @@ def _base_builder(system: PowerSystem, profile_loads, profile_solar,
             modes[gen.id] = (FIXED, pattern)
     builder.add_commitment(modes, min_updown_for=fs_ids)
     builder.add_dispatch()
-    builder.add_ramps()
+    builder.add_ramps(move_caps=move_caps)
     rates = {g.id: g.ramp_15 for g in system.generators}
     builder.add_shutdown_glidepath(
-        horizon.start,
-        schedule=da.commitment_at,
-        down_budget=lambda gid, k: rates[gid],
+        horizon.start, schedule=da.commitment_at,
+        down_budget=down_budget or (lambda gid, k: rates[gid]),
     )
-    builder.add_network(profile_loads, profile_solar)
+    builder.add_network(*nodal_injections(system, realized.load_at(ts),
+                                          realized.solar_at(ts)))
     builder.add_line_limits(ptdf)
     return builder
 
@@ -342,8 +311,7 @@ def build_fmm_proxy(system: PowerSystem, ptdf: PtdfMatrix, profile: ForecastProf
                     cfg: FmmConfig | None = None) -> FmmHandle:
     """FMM with the system-wide proxy ramping product."""
     cfg = cfg or FmmConfig()
-    loads, solar = _nodal_forecast(system, profile, horizon.start, horizon.length)
-    builder = _base_builder(system, loads, solar, da, horizon, cfg, ptdf,
+    builder = _base_builder(system, ptdf, profile, da, horizon, cfg,
                             name=f"fmm_proxy@{horizon.start}")
     handle = FmmHandle(
         model=builder.model, builder=builder, system=system, ptdf=ptdf,
@@ -360,8 +328,7 @@ def build_fmm_training(system: PowerSystem, ptdf: PtdfMatrix, scenario: Scenario
                        cfg: FmmConfig | None = None) -> FmmHandle:
     """Energy-only FMM against one sampled scenario (no ramping product)."""
     cfg = cfg or FmmConfig()
-    loads, solar = _nodal_scenario(system, scenario, horizon.start, horizon.length)
-    builder = _base_builder(system, loads, solar, da, horizon, cfg, ptdf,
+    builder = _base_builder(system, ptdf, scenario, da, horizon, cfg,
                             name=f"fmm_training@{horizon.start}")
     return FmmHandle(
         model=builder.model, builder=builder, system=system, ptdf=ptdf,
@@ -435,8 +402,7 @@ def build_fmm_datadriven(system: PowerSystem, ptdf: PtdfMatrix,
 
     # constant flow shifts per (line, move, scenario): solar and load deltas
     k_count = len(system.lines)
-    handle.flow_const_up = np.zeros((k_count, length - 1, n_dep))
-    handle.flow_const_dn = np.zeros((k_count, length - 1, n_dep))
+    handle.flow_const = np.zeros((k_count, length - 1, n_dep))
     part = system.load_participation
     for s, scn in enumerate(deployment):
         for t in range(length - 1):
@@ -445,9 +411,7 @@ def build_fmm_datadriven(system: PowerSystem, ptdf: PtdfMatrix,
                 dsolar_bus[unit.bus] += (scn.solar_at(start + t + 1)[u_idx]
                                          - profile.solar_at(start + t)[u_idx])
             dload_bus = part * (scn.load_at(start + t + 1) - profile.load_at(start + t))
-            const = ptdf.values @ (dsolar_bus - dload_bus)
-            handle.flow_const_up[:, t, s] = const
-            handle.flow_const_dn[:, t, s] = const
+            handle.flow_const[:, t, s] = ptdf.values @ (dsolar_bus - dload_bus)
     return handle
 
 
@@ -465,7 +429,7 @@ def post_deployment_flows(handle: FmmHandle, sol: MilpSolution,
     base = handle.builder.base_flows(sol, handle.ptdf)  # (K, length)
     out = np.full((len(system.lines), length - 1), np.nan)
     aux = handle.aux_up if direction == UP else handle.aux_dn
-    const = handle.flow_const_up if direction == UP else handle.flow_const_dn
+    const = handle.flow_const
     sign = 1.0 if direction == UP else -1.0
     for t in range(length - 1):
         if handle.dnl is None:
@@ -513,7 +477,7 @@ def _add_cut(handle: FmmHandle, k: int, t: int, s: int, direction: str,
     line = system.lines[k]
     row = handle.ptdf.values[k]
     aux = handle.aux_up if direction == UP else handle.aux_dn
-    const = (handle.flow_const_up if direction == UP else handle.flow_const_dn)[k, t, s]
+    const = handle.flow_const[k, t, s]
     sign = 1.0 if direction == UP else -1.0
     terms: list[tuple[int, float]] = []
     for n in range(system.n_buses):
@@ -579,6 +543,87 @@ def solve_with_cuts(handle: FmmHandle, options: SolveOptions | None = None,
 
 # ---------------------------------------------------------------- day rolls
 
+class HourSolveError(RuntimeError):
+    """A rolled hour found no optimal solution."""
+
+    def __init__(self, policy: str, hour: int, scenario, detail: str):
+        super().__init__(f"{policy} hour {hour}, scenario {scenario}: {detail}")
+
+
+@dataclass
+class DayTrajectory:
+    """What a rolled day executed, per global 15-min interval.
+
+    Only binding intervals are kept.  ``ur``, ``dr`` and ``frp_cost`` stay
+    zero unless the hour models carry the ramping product; ``cuts`` pairs
+    each post-deployment cut with its hour.
+    """
+
+    p: dict[int, np.ndarray]
+    u: dict[int, np.ndarray]
+    v: dict[int, np.ndarray]
+    ur: dict[int, np.ndarray]
+    dr: dict[int, np.ndarray]
+    cost: np.ndarray            # commitment + energy $, excluding violation
+    violation_mwh: np.ndarray
+    frp_cost: np.ndarray
+    cuts: list[tuple[int, PostDeploymentCut]] = field(default_factory=list)
+
+
+def roll_day(system: PowerSystem, da: DaCommitments, build_hour, policy: str,
+             scenario="forecast", options: SolveOptions | None = None,
+             n_intervals: int = INTERVALS_PER_DAY) -> DayTrajectory:
+    """Roll hour models over the day, executing each hour's binding intervals.
+
+    ``build_hour(horizon)`` returns the hour's FmmHandle.  The day starts at
+    the hour-0 day-ahead schedule and each hour starts from the state its
+    predecessor's binding intervals left.  Hours with deployment scenarios
+    (the data-driven policy) are solved with the cut loop.  ``policy`` and
+    ``scenario`` only label a failed hour.
+    """
+    def zeros():
+        return {g.id: np.zeros(n_intervals) for g in system.generators}
+
+    traj = DayTrajectory(p=zeros(), u=zeros(), v=zeros(), ur=zeros(), dr=zeros(),
+                         cost=np.zeros(n_intervals),
+                         violation_mwh=np.zeros(n_intervals),
+                         frp_cost=np.zeros(n_intervals))
+    state = initial_state_from_da(system, da)
+    for hour in range(n_intervals // 4):
+        horizon = FmmHorizon(start=4 * hour, init=state)
+        handle = build_hour(horizon)
+        try:
+            if handle.deployment is not None:
+                sol, cuts = solve_with_cuts(handle, options)
+                traj.cuts.extend((hour, c) for c in cuts)
+            else:
+                sol = solve(handle.model, options)
+        except CutLoopError as exc:
+            raise HourSolveError(policy, hour, scenario, str(exc)) from exc
+        if sol.status != "optimal":
+            raise HourSolveError(policy, hour, scenario, f"solve ended {sol.status}")
+        nb = horizon.n_binding
+        now = slice(horizon.start, horizon.start + nb)
+        b = handle.builder
+        cost, viol = b.interval_costs(sol)
+        traj.cost[now] = cost[:nb]
+        traj.violation_mwh[now] = viol[:nb] * handle.cfg.interval_hours
+        for g in system.generators:
+            traj.u[g.id][now] = b.commitment_values(sol, g.id)[:nb]
+            traj.p[g.id][now] = b.dispatch_values(sol, g.id)[:nb]
+            traj.v[g.id][now] = [sol.value(b.v(g.id, t)) for t in range(nb)]
+            if handle.requirements is not None:
+                traj.ur[g.id][now] = [sol.value(handle.ur[g.id, t]) for t in range(nb)]
+                traj.dr[g.id][now] = [sol.value(handle.dr[g.id, t]) for t in range(nb)]
+                traj.frp_cost[now] += g.frp_up_cost * traj.ur[g.id][now]
+                traj.frp_cost[now] += g.frp_down_cost * traj.dr[g.id][now]
+        state = advance_state(system, state, {g: u[now] for g, u in traj.u.items()},
+                              {g: p[now] for g, p in traj.p.items()})
+        # free this hour's model before the next one is built
+        del handle, b, sol
+    return traj
+
+
 @dataclass
 class FmmDayRun:
     """Awards and cost accounting from rolling one policy over a trading day."""
@@ -596,89 +641,39 @@ def run_fmm_day(system: PowerSystem, ptdf: PtdfMatrix, profile: ForecastProfile,
                 factors: RampResponseFactors | None = None,
                 deployment: ScenarioSet | None = None,
                 options: SolveOptions | None = None,
-                n_intervals: int = 96) -> FmmDayRun:
-    """Clear every trading hour of the day under one FRP policy.
-
-    The initial state of each hour chains from the last binding interval of
-    the previous hour; the day starts at the hour-0 day-ahead schedule.
-    """
+                n_intervals: int = INTERVALS_PER_DAY) -> FmmDayRun:
+    """Clear every trading hour of the day under one FRP policy."""
     cfg = cfg or FmmConfig()
     if policy == "datadriven" and (factors is None or deployment is None):
         raise ValueError("data-driven clearing needs response factors and scenarios")
-    awards = FmmAwards.empty(system, n_intervals)
-    state = initial_state_from_da(system, da)
-    total_cost = 0.0
-    total_viol = 0.0
-    all_cuts: list[tuple[int, PostDeploymentCut]] = []
-    n_hours = n_intervals // 4
-    for hour in range(n_hours):
-        horizon = FmmHorizon(start=4 * hour, init=state)
+
+    def build_hour(horizon):
         if policy == "datadriven":
-            handle = build_fmm_datadriven(system, ptdf, profile, envelope, da,
-                                          horizon, factors, deployment, cfg)
-            sol, cuts = solve_with_cuts(handle, options)
-            all_cuts.extend((hour, c) for c in cuts)
-        else:
-            handle = build_fmm_proxy(system, ptdf, profile, envelope, da,
-                                     horizon, cfg)
-            sol = solve(handle.model, options)
-            if sol.status != "optimal":
-                raise RuntimeError(
-                    f"FMM solve failed at hour {hour} ({policy}): {sol.status}"
-                )
-        nb = horizon.n_binding
-        cost, viol = handle.builder.interval_costs(sol)
-        frp = handle.frp_cost(sol)
-        total_cost += float(cost[:nb].sum() + frp[:nb].sum())
-        total_viol += float(viol[:nb].sum()) * cfg.interval_hours
-        ur, dr = handle.award_values(sol)
-        for gen in system.generators:
-            u_arr = handle.builder.commitment_values(sol, gen.id)
-            p_arr = handle.builder.dispatch_values(sol, gen.id)
-            for t in range(nb):
-                g_idx = horizon.start + t
-                awards.p[gen.id][g_idx] = p_arr[t]
-                awards.u[gen.id][g_idx] = u_arr[t]
-                awards.ur[gen.id][g_idx] = ur[gen.id][t]
-                awards.dr[gen.id][g_idx] = dr[gen.id][t]
-        u_exec = {g.id: handle.builder.commitment_values(sol, g.id)[:nb]
-                  for g in system.generators}
-        p_exec = {g.id: handle.builder.dispatch_values(sol, g.id)[:nb]
-                  for g in system.generators}
-        state = advance_state(system, state, u_exec, p_exec)
-    return FmmDayRun(policy=policy, awards=awards, cost=total_cost,
-                     violation_mwh=total_viol, cuts=all_cuts)
+            return build_fmm_datadriven(system, ptdf, profile, envelope, da, horizon,
+                                        factors, deployment, cfg)
+        return build_fmm_proxy(system, ptdf, profile, envelope, da, horizon, cfg)
+    traj = roll_day(system, da, build_hour, policy, options=options,
+                    n_intervals=n_intervals)
+    awards = FmmAwards(gen_ids=[g.id for g in system.generators], p=traj.p,
+                       u=traj.u, ur=traj.ur, dr=traj.dr)
+    return FmmDayRun(policy=policy, awards=awards,
+                     cost=float(traj.cost.sum() + traj.frp_cost.sum()),
+                     violation_mwh=float(traj.violation_mwh.sum()), cuts=traj.cuts)
 
 
 def run_training_day(system: PowerSystem, ptdf: PtdfMatrix, scenario: Scenario,
                      da: DaCommitments, cfg: FmmConfig | None = None,
                      options: SolveOptions | None = None,
-                     n_intervals: int = 96) -> DispatchTrajectory:
+                     n_intervals: int = INTERVALS_PER_DAY) -> DispatchTrajectory:
     """Rolling energy-only market run against one training scenario.
 
-    Returns the executed day-long dispatch/commitment trajectory used to
-    build regression targets.
+    Returns the executed dispatch/commitment trajectory used to build
+    regression targets.
     """
     cfg = cfg or FmmConfig()
-    state = initial_state_from_da(system, da)
-    dispatch = {g.id: np.zeros(n_intervals) for g in system.generators}
-    commitment = {g.id: np.zeros(n_intervals) for g in system.generators}
-    n_hours = n_intervals // 4
-    for hour in range(n_hours):
-        horizon = FmmHorizon(start=4 * hour, init=state)
-        handle = build_fmm_training(system, ptdf, scenario, da, horizon, cfg)
-        sol = solve(handle.model, options)
-        if sol.status != "optimal":
-            raise RuntimeError(
-                f"training solve failed at hour {hour}: {sol.status}"
-            )
-        nb = horizon.n_binding
-        u_exec = {g.id: handle.builder.commitment_values(sol, g.id)[:nb]
-                  for g in system.generators}
-        p_exec = {g.id: handle.builder.dispatch_values(sol, g.id)[:nb]
-                  for g in system.generators}
-        for gen in system.generators:
-            dispatch[gen.id][horizon.start: horizon.start + nb] = p_exec[gen.id]
-            commitment[gen.id][horizon.start: horizon.start + nb] = u_exec[gen.id]
-        state = advance_state(system, state, u_exec, p_exec)
-    return DispatchTrajectory(dispatch=dispatch, commitment=commitment)
+    traj = roll_day(system, da,
+                    lambda horizon: build_fmm_training(system, ptdf, scenario, da,
+                                                       horizon, cfg),
+                    "training", scenario=scenario.seed_info, options=options,
+                    n_intervals=n_intervals)
+    return DispatchTrajectory(dispatch=traj.p, commitment=traj.u)

@@ -59,11 +59,6 @@ def feature_matrix(scenario) -> np.ndarray:
     return np.concatenate(blocks, axis=1)
 
 
-def extract_features(scenario, t: int) -> np.ndarray:
-    """Single feature vector for interval ``t``."""
-    return feature_matrix(scenario)[t]
-
-
 # ------------------------------------------------------------------ targets
 
 @dataclass(frozen=True)

@@ -38,8 +38,6 @@ class SolveOptions:
 
     mip_rel_gap: float = 1e-4
     time_limit: float | None = None
-    node_limit: int | None = None
-    presolve: bool = True
 
 
 class MilpModel:
@@ -99,19 +97,6 @@ class MilpModel:
             raise ModelError(f"variable index {var} out of range")
         return var
 
-    def var_kind(self, var: int | str) -> str:
-        return self._kinds[self.var_index(var)]
-
-    def var_bounds(self, var: int | str) -> tuple[float, float]:
-        i = self.var_index(var)
-        return self._lb[i], self._ub[i]
-
-    def fix_var(self, var: int | str, value: float) -> None:
-        """Pin a variable by collapsing its bounds."""
-        i = self.var_index(var)
-        self._lb[i] = float(value)
-        self._ub[i] = float(value)
-
     def add_to_objective(self, var: int | str, coef: float) -> None:
         i = self.var_index(var)
         self._obj[i] = self._obj.get(i, 0.0) + float(coef)
@@ -130,9 +115,6 @@ class MilpModel:
         self._constr_index[name] = len(self._constrs)
         self._constrs.append((name, idx, coefs, sense, float(rhs)))
         self._matrix_cache = None
-
-    def constraint_names(self) -> list[str]:
-        return [c[0] for c in self._constrs]
 
     # -------------------------------------------------------------- validation
     def validate(self) -> None:
@@ -239,11 +221,9 @@ def solve(model: MilpModel, options: SolveOptions | None = None) -> MilpSolution
     if model.n_constrs:
         a, lo, hi = model._matrix()
         constraints = LinearConstraint(a, lo, hi)
-    opts = {"mip_rel_gap": options.mip_rel_gap, "presolve": options.presolve}
+    opts = {"mip_rel_gap": options.mip_rel_gap, "presolve": True}
     if options.time_limit is not None:
         opts["time_limit"] = options.time_limit
-    if options.node_limit is not None:
-        opts["node_limit"] = options.node_limit
     res = _highs_milp(c=c, constraints=constraints, integrality=integrality,
                       bounds=bounds, options=opts)
     if res.status == 0:

@@ -100,6 +100,17 @@ class PowerSystem:
         return np.outer(self.load_participation, load)
 
 
+def nodal_injections(system: PowerSystem, load: np.ndarray,
+                     solar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodal load and solar, each (n_buses, T) MW, from the system load (T,)
+    and per-unit solar output (n_units, T)."""
+    loads = system.nodal_loads(load)
+    nodal_solar = np.zeros((system.n_buses, loads.shape[1]))
+    for u_idx, unit in enumerate(system.solar_units):
+        nodal_solar[unit.bus] += solar[u_idx]
+    return loads, nodal_solar
+
+
 @dataclass(frozen=True)
 class PtdfMatrix:
     """Dense line-by-bus sensitivity matrix for the designated slack bus."""

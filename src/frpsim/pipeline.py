@@ -21,12 +21,12 @@ from .dayahead import (DaCommitments, read_commitments_csv, run_da,
 from .fmm import FmmAwards, FmmConfig, run_fmm_day, run_training_day
 from .milp import SolveOptions
 from .network import PowerSystem, compute_ptdf, load_system
-from .scenarios import (OUT_OF_SAMPLE, TRAINING, UncertaintyConfig, load_profiles,
-                        proxy_envelopes, sample_scenarios,
+from .scenarios import (INTERVALS_PER_DAY, OUT_OF_SAMPLE, TRAINING, UncertaintyConfig,
+                        load_profiles, proxy_envelopes, sample_scenarios,
                         select_deployment_scenarios, write_scenarios_csv)
 from .validation import (DATADRIVEN, PROXY, MetricsReport, ScenarioResult,
                          ValidationConfig, aggregate_metrics, compare_policies,
-                         run_rtuc_validation, write_interval_csv,
+                         policy_aggregates, run_rtuc_validation, write_interval_csv,
                          write_results_csv)
 
 STAGES = ("prepare", "train", "clear", "validate", "report")
@@ -204,27 +204,24 @@ def stage_clear(ctx: PipelineContext, force: bool = False) -> None:
         if awards_path.exists() and not force:
             continue
         try:
+            factors = deployment = None
             if policy == DATADRIVEN:
                 ctx.load_deployment()
+                deployment = ctx.deployment
                 if cfg.persist_scenarios:
-                    write_scenarios_csv(ctx.deployment,
-                                        ctx.out / "deployment_scenarios.csv",
+                    write_scenarios_csv(deployment, ctx.out / "deployment_scenarios.csv",
                                         ctx.system.solar_units)
                 if ctx.models is None:
                     ctx.models = learner_mod.load_models(ctx.out / "models")
                     if not ctx.models:
                         raise StageError("clear", "no trained models; run train")
-                factors = learner_mod.predict_factors(ctx.models, ctx.deployment)
+                factors = learner_mod.predict_factors(ctx.models, deployment)
                 _write_factors_csv(factors, ctx.out / "response_factors.csv")
-                run = run_fmm_day(ctx.system, ctx.ptdf, ctx.profile, ctx.envelope,
-                                  ctx.da, policy, cfg.fmm, factors=factors,
-                                  deployment=ctx.deployment,
-                                  options=cfg.solve_options)
+            run = run_fmm_day(ctx.system, ctx.ptdf, ctx.profile, ctx.envelope, ctx.da,
+                              policy, cfg.fmm, factors=factors, deployment=deployment,
+                              options=cfg.solve_options)
+            if policy == DATADRIVEN:
                 _write_cuts_csv(run.cuts, ctx.out / "cuts_datadriven.csv")
-            else:
-                run = run_fmm_day(ctx.system, ctx.ptdf, ctx.profile, ctx.envelope,
-                                  ctx.da, policy, cfg.fmm,
-                                  options=cfg.solve_options)
         except StageError:
             raise
         except Exception as exc:
@@ -283,17 +280,7 @@ def stage_report(ctx: PipelineContext, force: bool = False) -> None:
         if results is None:
             results = _read_results(ctx.out, policy)
             ctx.results[policy] = results
-        vals = {
-            "rt_cost_excl_violation": [r.rt_cost_excl_violation for r in results],
-            "total_violation_mwh": [r.total_violation_mwh for r in results],
-            "fs_commitments": [r.fs_commitment_count for r in results],
-            "total_cost": [r.total_cost for r in results],
-        }
-        per_policy[policy] = {
-            k: {"avg": float(np.mean(v)), "sum": float(np.sum(v)),
-                "max": float(np.max(v))}
-            for k, v in vals.items()
-        }
+        per_policy[policy] = policy_aggregates(results)
     payload = {"config": asdict(cfg), "fmm_costs": fmm_costs,
                "per_policy": per_policy}
     if set(cfg.policies) == {PROXY, DATADRIVEN}:
@@ -440,24 +427,27 @@ def _write_dataset_csv(dataset, path) -> None:
 def _read_results(out_dir: Path, policy: str) -> list[ScenarioResult]:
     results_path = out_dir / f"results_{policy}.csv"
     intervals_path = out_dir / f"intervals_{policy}.csv"
-    if not results_path.exists():
-        raise StageError("report", f"results for {policy} missing; run validate")
+    for path in (results_path, intervals_path):
+        if not path.exists():
+            raise StageError("report", f"{path.name} missing; run validate")
     per_interval: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    if intervals_path.exists():
-        with open(intervals_path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                sid = int(row["scenario_id"])
-                cost, viol = per_interval.setdefault(
-                    sid, (np.zeros(96), np.zeros(96))
-                )
-                t = int(row["interval"])
-                cost[t] = float(row["cost"])
-                viol[t] = float(row["violation_mwh"])
+    with open(intervals_path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            sid = int(row["scenario_id"])
+            cost, viol = per_interval.setdefault(
+                sid, (np.zeros(INTERVALS_PER_DAY), np.zeros(INTERVALS_PER_DAY))
+            )
+            t = int(row["interval"])
+            cost[t] = float(row["cost"])
+            viol[t] = float(row["violation_mwh"])
     out = []
     with open(results_path, newline="") as fh:
         for row in csv.DictReader(fh):
             sid = int(row["scenario_id"])
-            cost, viol = per_interval.get(sid, (np.zeros(96), np.zeros(96)))
+            if sid not in per_interval:
+                raise StageError("report", f"{intervals_path.name} has no rows "
+                                           f"for scenario {sid}")
+            cost, viol = per_interval[sid]
             out.append(ScenarioResult(
                 scenario_id=sid,
                 policy=row["policy"],

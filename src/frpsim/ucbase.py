@@ -17,6 +17,7 @@ import numpy as np
 
 from .milp import BINARY, CONTINUOUS, EQ, GE, LE, MilpModel, MilpSolution
 from .network import PowerSystem, PtdfMatrix
+from .scenarios import INTERVALS_PER_DAY
 
 FIXED = "fixed"      # commitment pinned to a given 0/1 pattern
 FREE = "free"        # commitment decided by the model
@@ -110,17 +111,11 @@ class UcModelBuilder:
     def p(self, g: int, t: int) -> int:
         return self._p[g, t]
 
-    def pe(self, g: int, t: int, e: int) -> int:
-        return self._pe[g, t, e]
-
     def inj(self, n: int, t: int) -> int:
         return self._inj[n, t]
 
     def slack_short(self, t: int) -> int:
         return self._sl_short[t]
-
-    def slack_surplus(self, t: int) -> int:
-        return self._sl_surp[t]
 
     # ------------------------------------------------------------- commitment
     def add_commitment(self, modes: dict[int, tuple[str, np.ndarray | None]],
@@ -291,7 +286,7 @@ class UcModelBuilder:
                 if schedule(gen.id, g_t) != 1:
                     continue
                 # earliest scheduled off interval from here (none past day end)
-                s = next((k for k in range(g_t + 1, 96)
+                s = next((k for k in range(g_t + 1, INTERVALS_PER_DAY)
                           if schedule(gen.id, k) == 0), None)
                 if s is None:
                     continue
@@ -305,9 +300,8 @@ class UcModelBuilder:
                 )
 
     # ---------------------------------------------------------------- network
-    def add_network(self, nodal_load: np.ndarray, nodal_solar: np.ndarray,
-                    line_limits: bool = True) -> None:
-        """Nodal injections, VOLL-priced system balance, and line limits.
+    def add_network(self, nodal_load: np.ndarray, nodal_solar: np.ndarray) -> None:
+        """Nodal injections and the VOLL-priced system balance.
 
         ``nodal_load`` and ``nodal_solar`` are (n_buses, n_intervals) MW.
         """

@@ -15,24 +15,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dayahead import DaCommitments, initial_state_from_da
-from .fmm import FmmAwards
-from .milp import SolveOptions, solve
+from .dayahead import DaCommitments
+from .fmm import FmmAwards, FmmConfig, FmmHandle, FmmHorizon, _base_builder, roll_day
+from .milp import SolveOptions
 from .network import PowerSystem, PtdfMatrix
-from .scenarios import INTERVALS_PER_DAY, OUT_OF_SAMPLE, Scenario
-from .ucbase import AT_LEAST, FIXED, UcModelBuilder, advance_state
+from .scenarios import OUT_OF_SAMPLE, Scenario
 
 PROXY = "proxy"
 DATADRIVEN = "datadriven"
-POLICIES = (PROXY, DATADRIVEN)
 
 
 @dataclass(frozen=True)
 class ValidationConfig:
-    length: int = 7
-    n_binding: int = 4
     voll: float = 10000.0          # $/MWh
-    interval_hours: float = 0.25
     solve: SolveOptions = field(default_factory=SolveOptions)
 
 
@@ -53,22 +48,26 @@ class ScenarioResult:
     commitment: dict[int, np.ndarray] | None = None
     startup: dict[int, np.ndarray] | None = None
 
-    @classmethod
-    def from_intervals(cls, scenario_id: int, policy: str, cost: np.ndarray,
-                       violation_mwh: np.ndarray, fs_count: int,
-                       voll: float) -> "ScenarioResult":
-        excl = float(cost.sum())
-        viol = float(violation_mwh.sum())
-        return cls(
-            scenario_id=scenario_id,
-            policy=policy,
-            rt_cost_excl_violation=excl,
-            total_violation_mwh=viol,
-            fs_commitment_count=fs_count,
-            total_cost=excl + voll * viol,
-            interval_cost=cost,
-            interval_violation_mwh=violation_mwh,
-        )
+
+def build_rtuc_hour(system: PowerSystem, ptdf: PtdfMatrix, awards: FmmAwards,
+                    da: DaCommitments, scenario: Scenario, horizon: FmmHorizon,
+                    voll: float = 10000.0) -> FmmHandle:
+    """One validation hour against the realized scenario.
+
+    Must-run moves are capped by the awards sold at each boundary, and
+    scheduled shutdowns beyond the window must stay reachable within the
+    downward awards held along the way.
+    """
+    start, length = horizon.start, horizon.length
+    caps = {g.id: (np.array([awards.ur_at(g.id, start + t - 1) for t in range(length)]),
+                   np.array([awards.dr_at(g.id, start + t - 1) for t in range(length)]))
+            for g in system.must_run_generators()}
+    cfg = FmmConfig(voll=voll)
+    builder = _base_builder(system, ptdf, scenario, da, horizon, cfg,
+                            name=f"rtuc@{start}", move_caps=caps,
+                            down_budget=awards.dr_at)
+    return FmmHandle(model=builder.model, builder=builder, system=system, ptdf=ptdf,
+                     horizon=horizon, cfg=cfg, policy="validation")
 
 
 def run_rtuc_validation(system: PowerSystem, ptdf: PtdfMatrix, awards: FmmAwards,
@@ -79,81 +78,25 @@ def run_rtuc_validation(system: PowerSystem, ptdf: PtdfMatrix, awards: FmmAwards
     cfg = cfg or ValidationConfig()
     if scenario.kind != OUT_OF_SAMPLE:
         raise ValueError("validation expects an out-of-sample scenario")
-    n_hours = INTERVALS_PER_DAY // 4
-    state = initial_state_from_da(system, da)
-    cost = np.zeros(INTERVALS_PER_DAY)
-    violation = np.zeros(INTERVALS_PER_DAY)
-    fs_count = 0
-    fs_ids = {g.id for g in system.fast_start_generators()}
-    p_day = {g.id: np.zeros(INTERVALS_PER_DAY) for g in system.generators}
-    u_day = {g.id: np.zeros(INTERVALS_PER_DAY) for g in system.generators}
-    v_day = {g.id: np.zeros(INTERVALS_PER_DAY) for g in system.generators}
-    for hour in range(n_hours):
-        start = 4 * hour
-        builder = UcModelBuilder(
-            system, cfg.length, cfg.interval_hours, state, voll=cfg.voll,
-            name=f"rtuc_{policy}@{start}",
-        )
-        modes = {}
-        for gen in system.generators:
-            pattern = np.array(
-                [da.commitment_at(gen.id, start + t) for t in range(cfg.length)],
-                dtype=float,
-            )
-            modes[gen.id] = (AT_LEAST, pattern) if gen.id in fs_ids else (FIXED, pattern)
-        builder.add_commitment(modes, min_updown_for=fs_ids)
-        builder.add_dispatch()
-        # must-run moves are limited by the awards sold at each boundary
-        caps = {}
-        for gen in system.must_run_generators():
-            up = np.array([awards.ur_at(gen.id, start + t - 1) for t in range(cfg.length)])
-            dn = np.array([awards.dr_at(gen.id, start + t - 1) for t in range(cfg.length)])
-            caps[gen.id] = (up, dn)
-        builder.add_ramps(move_caps=caps)
-        # scheduled shutdowns beyond the window must stay reachable within
-        # the downward awards held along the way
-        builder.add_shutdown_glidepath(
-            start,
-            schedule=da.commitment_at,
-            down_budget=awards.dr_at,
-        )
-        ts = np.arange(start, start + cfg.length)
-        loads = system.nodal_loads(scenario.load_at(ts))
-        solar = np.zeros((system.n_buses, cfg.length))
-        for u_idx, unit in enumerate(system.solar_units):
-            solar[unit.bus] += scenario.solar_at(ts)[u_idx]
-        builder.add_network(loads, solar)
-        builder.add_line_limits(ptdf)
-        sol = solve(builder.model, cfg.solve)
-        if sol.status != "optimal":
-            raise RuntimeError(
-                f"validation solve failed at hour {hour} for scenario "
-                f"{scenario_id} ({policy}): {sol.status}"
-            )
-        hour_cost, hour_viol = builder.interval_costs(sol)
-        nb = cfg.n_binding
-        cost[start: start + nb] = hour_cost[:nb]
-        violation[start: start + nb] = hour_viol[:nb] * cfg.interval_hours
-        u_exec = {g.id: builder.commitment_values(sol, g.id)[:nb]
-                  for g in system.generators}
-        p_exec = {g.id: builder.dispatch_values(sol, g.id)[:nb]
-                  for g in system.generators}
-        fs_count += int(sum(u_exec[g].sum() for g in fs_ids))
-        for g in system.generators:
-            p_day[g.id][start: start + nb] = p_exec[g.id]
-            u_day[g.id][start: start + nb] = u_exec[g.id]
-            v_day[g.id][start: start + nb] = [
-                sol.value(builder.v(g.id, t)) for t in range(nb)
-            ]
-        state = advance_state(system, state, u_exec, p_exec)
-    result = ScenarioResult.from_intervals(
-        scenario_id, policy, cost, violation, fs_count, cfg.voll
+    traj = roll_day(system, da,
+                    lambda horizon: build_rtuc_hour(system, ptdf, awards, da, scenario,
+                                                    horizon, cfg.voll),
+                    policy, scenario=scenario_id, options=cfg.solve)
+    excl, viol = float(traj.cost.sum()), float(traj.violation_mwh.sum())
+    return ScenarioResult(
+        scenario_id=scenario_id,
+        policy=policy,
+        rt_cost_excl_violation=excl,
+        total_violation_mwh=viol,
+        fs_commitment_count=int(sum(traj.u[g.id].sum()
+                                    for g in system.fast_start_generators())),
+        total_cost=excl + cfg.voll * viol,
+        interval_cost=traj.cost,
+        interval_violation_mwh=traj.violation_mwh,
+        dispatch=traj.p if keep_dispatch else None,
+        commitment=traj.u if keep_dispatch else None,
+        startup=traj.v if keep_dispatch else None,
     )
-    if keep_dispatch:
-        result.dispatch = p_day
-        result.commitment = u_day
-        result.startup = v_day
-    return result
 
 
 # ------------------------------------------------------------------ metrics
@@ -184,6 +127,16 @@ _METRICS = {
 }
 
 
+def policy_aggregates(results: list[ScenarioResult]) -> dict[str, dict[str, float]]:
+    """avg/sum/max over scenarios of each per-scenario metric of one policy."""
+    out = {}
+    for name, getter in _METRICS.items():
+        vals = np.array([getter(r) for r in results])
+        out[name] = {"avg": float(vals.mean()), "sum": float(vals.sum()),
+                     "max": float(vals.max())}
+    return out
+
+
 def aggregate_metrics(proxy: list[ScenarioResult], datadriven: list[ScenarioResult],
                       fmm_cost: dict[str, float] | None = None) -> MetricsReport:
     """Pairwise comparison of the two policies on identical scenario sets."""
@@ -210,14 +163,9 @@ def aggregate_metrics(proxy: list[ScenarioResult], datadriven: list[ScenarioResu
             if b.fs_commitment_count < a.fs_commitment_count
         ),
     }
-    for name, getter in _METRICS.items():
-        for policy, results in ((PROXY, proxy), (DATADRIVEN, datadriven)):
-            vals = np.array([getter(r) for r in results])
-            report.aggregates[f"{policy}.{name}"] = {
-                "avg": float(vals.mean()),
-                "sum": float(vals.sum()),
-                "max": float(vals.max()),
-            }
+    for policy, results in ((PROXY, proxy), (DATADRIVEN, datadriven)):
+        for name, stats in policy_aggregates(results).items():
+            report.aggregates[f"{policy}.{name}"] = stats
     gains = np.stack([
         a.interval_cost - b.interval_cost for a, b in zip(proxy, datadriven)
     ])  # positive: data-driven cheaper at that interval

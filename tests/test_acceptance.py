@@ -32,7 +32,8 @@ from frpsim.scenarios import (OUT_OF_SAMPLE, TRAINING, UncertaintyConfig,
                               proxy_envelopes, sample_scenarios,
                               select_deployment_scenarios)
 from frpsim.ucbase import cold_start_state
-from frpsim.validation import (ValidationConfig, run_rtuc_validation)
+from frpsim.validation import (ValidationConfig, build_rtuc_hour,
+                               run_rtuc_validation)
 from test_fmm import build_dd_fixture, constant_da, two_gen_system
 from test_milp import solve_uc_milp
 from util import (bottleneck_profile, bottleneck_system, make_gen, make_profile,
@@ -145,32 +146,15 @@ def test_criterion_01_constraint_checker_soundness(bottleneck):
     dd, _ = build_dd_fixture(system, profile, start=68, ucfg=ucfg)
     dd_sol, _ = solve_with_cuts(dd)
     checked.append(("fmm-datadriven", dd.model, dd_sol))
-    # one validation-phase hourly model, built and checked directly
-    from frpsim.fmm import run_fmm_day
-    from frpsim.ucbase import AT_LEAST, FIXED, UcModelBuilder
+    # one validation-phase hour under the proxy day's awards
     from frpsim.dayahead import initial_state_from_da
+    from frpsim.fmm import run_fmm_day
 
     run = run_fmm_day(system, ptdf, profile, env, da, "proxy")
     scn_oos = sample_scenarios(system, profile, ucfg, 1, OUT_OF_SAMPLE)[0]
-    fs_ids = {g.id for g in system.fast_start_generators()}
-    builder = UcModelBuilder(system, 7, 0.25, initial_state_from_da(system, da))
-    modes = {}
-    for g in system.generators:
-        pattern = np.array([da.commitment_at(g.id, t) for t in range(7)], dtype=float)
-        modes[g.id] = (AT_LEAST, pattern) if g.id in fs_ids else (FIXED, pattern)
-    builder.add_commitment(modes, min_updown_for=fs_ids)
-    builder.add_dispatch()
-    caps = {g.id: (np.array([run.awards.ur_at(g.id, t - 1) for t in range(7)]),
-                   np.array([run.awards.dr_at(g.id, t - 1) for t in range(7)]))
-            for g in system.must_run_generators()}
-    builder.add_ramps(move_caps=caps)
-    loads = system.nodal_loads(scn_oos.load_at(np.arange(7)))
-    solar = np.zeros((system.n_buses, 7))
-    for u_idx, unit in enumerate(system.solar_units):
-        solar[unit.bus] += scn_oos.solar_at(np.arange(7))[u_idx]
-    builder.add_network(loads, solar)
-    builder.add_line_limits(ptdf)
-    checked.append(("validation-rtuc", builder.model, solve(builder.model)))
+    rtuc = build_rtuc_hour(system, ptdf, run.awards, da, scn_oos,
+                           FmmHorizon(start=0, init=initial_state_from_da(system, da)))
+    checked.append(("validation-rtuc", rtuc.model, solve(rtuc.model)))
     for name, model, sol in checked:
         assert sol.status == "optimal", name
         rep = check_solution(model, sol, tol=1e-6)

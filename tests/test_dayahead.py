@@ -3,9 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from frpsim.dayahead import (DaCommitments, build_da_model, read_commitments_csv,
-                             run_da, write_commitments_csv)
-from frpsim.milp import SolveOptions, check_solution, solve
+from frpsim.dayahead import (DaCommitments, read_commitments_csv, run_da,
+                             write_commitments_csv)
+from frpsim.milp import SolveOptions, check_solution
 from frpsim.network import compute_ptdf
 from util import duck_profile, make_gen, make_profile, single_bus_system
 
@@ -70,20 +70,6 @@ class TestBuildAndRun:
         full_hours = sum(int(da_full.u_hourly[g.id].sum()) for g in gens)
         half_hours = sum(int(da_half.u_hourly[g.id].sum()) for g in gens)
         assert half_hours <= full_hours
-
-    def test_optional_reserve_requirement_row(self, flat_profile):
-        system = single_bus_system([make_gen(0, 0, 10.0, 120.0, 20.0, ramp=120.0)])
-        ptdf = compute_ptdf(system)
-        handle = build_da_model(system, ptdf, flat_profile,
-                                reserve_requirement=np.full(24, 20.0))
-        sol = solve(handle.model)
-        assert sol.status == "optimal"
-        assert check_solution(handle.model, sol).ok
-        # committed capacity must exceed dispatch by the requirement
-        for h in (0, 12, 23):
-            head = (120.0 * sol.value(handle.builder.u(0, h))
-                    - sol.value(handle.builder.p(0, h)))
-            assert head >= 20.0 - 1e-6
 
 
 class TestCommitmentMapping:

@@ -369,8 +369,7 @@ class TestPostDeploymentFlows:
         handle, _ = build_dd_fixture(system, profile, ucfg=ucfg, start=0)
         assert np.all(handle.dnl.values == 0.0)
         assert not handle.aux_up and not handle.aux_dn
-        np.testing.assert_array_equal(handle.flow_const_up, 0.0)
-        np.testing.assert_array_equal(handle.flow_const_dn, 0.0)
+        np.testing.assert_array_equal(handle.flow_const, 0.0)
         sol = solve(handle.model)
         for s in range(2):
             for direction in (UP, DOWN):
@@ -399,7 +398,7 @@ class TestPostDeploymentFlows:
         flows = post_deployment_flows(handle, sol, s_up, UP)
         aux0 = sol.value(handle.aux_up[0, 0, s_up])
         aux1 = sol.value(handle.aux_up[1, 0, s_up])
-        const = handle.flow_const_up[0, 0, s_up]
+        const = handle.flow_const[0, 0, s_up]
         # gen 0 sits on bus 1 (ptdf -1), gen 1 on the slack (ptdf 0)
         expected = base[0, 0] - aux0 + const
         assert flows[0, 0] == pytest.approx(expected, abs=1e-8)
@@ -595,3 +594,26 @@ class TestDayRoll:
         da, _, _ = run_da(system, ptdf, profile)
         with pytest.raises(ValueError, match="response factors"):
             run_fmm_day(system, ptdf, profile, env, da, "datadriven")
+
+
+class TestRollDay:
+    def test_failed_hour_names_policy_hour_and_scenario(self):
+        from frpsim.fmm import HourSolveError, roll_day
+        from frpsim.milp import GE
+
+        system = two_gen_system()
+        ptdf = compute_ptdf(system)
+        da = constant_da(system, {0, 1}, {0: 40.0, 1: 20.0})
+        scenario = Scenario(kind="training", system_load=np.full(96, 60.0),
+                            solar=np.zeros((0, 96)), seed_info="t")
+
+        def build_hour(horizon):
+            handle = build_fmm_training(system, ptdf, scenario, da, horizon)
+            if horizon.start == 8:   # hour 2 demands more than unit 0 can make
+                handle.model.add_constr("over_pmax", [(handle.builder.p(0, 0), 1.0)],
+                                        GE, 1000.0)
+            return handle
+
+        with pytest.raises(HourSolveError, match="training hour 2, scenario s7: "
+                                                 "solve ended infeasible"):
+            roll_day(system, da, build_hour, "training", scenario="s7")

@@ -5,7 +5,7 @@ import pytest
 
 from frpsim.learner import (DispatchTrajectory, Mlp, RampResponseFactors,
                             RegressionModel, TrainConfig, TrainingDataset,
-                            build_targets, extract_features, feature_dim,
+                            build_targets, feature_dim,
                             feature_matrix, gradient_check, load_models,
                             predict_factors, save_models, train)
 from frpsim.scenarios import DEPLOYMENT, Scenario, ScenarioSet, UncertaintyConfig
@@ -23,7 +23,7 @@ class TestFeatures:
         rng = np.random.default_rng(0)
         scn = scenario_from(rng.uniform(500, 700, 96), rng.uniform(0, 50, (3, 96)))
         assert feature_matrix(scn).shape == (96, 70)
-        assert extract_features(scn, 10).shape == (70,)
+        assert feature_matrix(scn)[10].shape == (70,)
 
     def test_dimension_one_solar_unit(self):
         assert feature_dim(1) == 42
@@ -46,7 +46,7 @@ class TestFeatures:
     def test_first_interval_edge_padding(self):
         load = np.arange(96, dtype=float) + 100.0
         scn = scenario_from(load, np.zeros((1, 96)))
-        row = extract_features(scn, 0)
+        row = feature_matrix(scn)[0]
         # left window slots replicate interval 0's level values
         for w in range(4):  # offsets -3..0
             assert row[w * 6 + 1] == pytest.approx(100.0)

@@ -215,3 +215,18 @@ class TestCli:
             "policy": "proxy",
         }))
         assert cli_main(["all", "--config", str(path)]) == 3
+
+
+def test_report_refuses_missing_interval_file(completed, toy_inputs, tmp_path):
+    """A report rerun over results without their per-interval file fails
+    instead of filling the quartile table with zeros."""
+    import shutil
+
+    _, out, _ = completed
+    system_path, profile_dir = toy_inputs
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    (copy / "intervals_proxy.csv").unlink()
+    with pytest.raises(StageError, match=r"\[report\] intervals_proxy\.csv missing"):
+        run_pipeline(toy_config(system_path, profile_dir, copy),
+                     stages=["report"], force=True)

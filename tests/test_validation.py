@@ -69,14 +69,13 @@ class TestRtucValidation:
         # move caps equal to the full ramp rate must reproduce the standard
         # ramp-constrained model exactly (two different builder code paths)
         from frpsim.milp import solve
+        from frpsim.network import nodal_injections
         from frpsim.ucbase import FREE, UcModelBuilder, cold_start_state
 
         system, ptdf, profile, cfg, da, _ = cleared_day
         scn = sample_scenarios(system, profile, cfg, 3, OUT_OF_SAMPLE)[2]
-        loads = system.nodal_loads(scn.load_at(np.arange(12)))
-        solar = np.zeros((system.n_buses, 12))
-        for u_idx, unit in enumerate(system.solar_units):
-            solar[unit.bus] += scn.solar_at(np.arange(12))[u_idx]
+        loads, solar = nodal_injections(system, scn.load_at(np.arange(12)),
+                                        scn.solar_at(np.arange(12)))
 
         def build(caps):
             b = UcModelBuilder(system, 12, 0.25, cold_start_state(system))
