@@ -24,11 +24,11 @@ import numpy as np
 
 from .dayahead import DaCommitments, initial_state_from_da
 from .learner import DispatchTrajectory, RampResponseFactors
-from .milp import CONTINUOUS, GE, LE, MilpModel, MilpSolution, SolveOptions, solve
+from .milp import CONTINUOUS, MilpModel, MilpSolution, SolveOptions, solve
 from .network import PowerSystem, PtdfMatrix, nodal_injections
 from .scenarios import (DEPLOYMENT, INTERVALS_PER_DAY, ForecastProfile, ProxyEnvelope,
                         Scenario, ScenarioSet)
-from .ucbase import AT_LEAST, FIXED, UcModelBuilder, UnitInit, advance_state
+from .ucbase import AT_LEAST, FIXED, LINE_COEF_EPS, UcModelBuilder, UnitInit, advance_state
 
 UP = "up"
 DOWN = "down"
@@ -145,7 +145,7 @@ def compute_frp_requirements(envelope: ProxyEnvelope, profile: ForecastProfile,
     fr_up = np.zeros(n)
     fr_dn = np.zeros(n)
     for t in range(n):
-        cur = profile.load_at(start + t) - profile.total_solar_at(start + t)
+        cur = profile.netload_at(start + t)
         up_next = envelope.load_max_at(start + t + 1) - envelope.solar_min_at(start + t + 1).sum()
         dn_next = envelope.load_min_at(start + t + 1) - envelope.solar_max_at(start + t + 1).sum()
         fr_up[t] = max(up_next - cur, 0.0)
@@ -158,12 +158,8 @@ def delta_netload(profile: ForecastProfile, scenario: Scenario,
     """Scenario netload at each next interval minus forecast netload now."""
     if scenario.kind != DEPLOYMENT:
         raise ValueError("delta_netload expects a deployment scenario")
-    out = np.zeros(length - 1)
-    for t in range(length - 1):
-        nxt = scenario.load_at(start + t + 1) - scenario.total_solar_at(start + t + 1)
-        cur = profile.load_at(start + t) - profile.total_solar_at(start + t)
-        out[t] = nxt - cur
-    return out
+    return np.array([scenario.netload_at(start + t + 1) - profile.netload_at(start + t)
+                     for t in range(length - 1)])
 
 
 # ----------------------------------------------------------------- handles
@@ -260,38 +256,38 @@ def _add_frp_block(handle: FmmHandle) -> None:
             m.add_constr(
                 f"cap_ur[g{gen.id},t{t}]",
                 [(p_t, 1.0), (uri, 1.0), (u_t, -gen.p_max), (v_n, -gen.p_max)],
-                LE, 0.0,
+                hi=0.0,
             )
             # footroom: energy minus downward award above minimum (or shutdown)
             m.add_constr(
                 f"floor_dr[g{gen.id},t{t}]",
                 [(p_t, 1.0), (dri, -1.0), (u_t, -gen.p_min), (w_n, gen.ramp_sd)],
-                GE, 0.0,
+                lo=0.0,
             )
             # awards within ramping capability given commitment transitions
             m.add_constr(
                 f"ur_ramp[g{gen.id},t{t}]",
-                [(uri, 1.0), (u_t, -gen.ramp_15), (v_n, -gen.ramp_su)], LE, 0.0,
+                [(uri, 1.0), (u_t, -gen.ramp_15), (v_n, -gen.ramp_su)], hi=0.0,
             )
             m.add_constr(
                 f"dr_ramp[g{gen.id},t{t}]",
-                [(dri, 1.0), (u_n, -gen.ramp_15), (w_n, -gen.ramp_sd)], LE, 0.0,
+                [(dri, 1.0), (u_n, -gen.ramp_15), (w_n, -gen.ramp_sd)], hi=0.0,
             )
             # no upward award unless on next interval; no downward unless on now
             m.add_constr(
-                f"ur_next_on[g{gen.id},t{t}]", [(uri, 1.0), (u_n, -gen.p_max)], LE, 0.0,
+                f"ur_next_on[g{gen.id},t{t}]", [(uri, 1.0), (u_n, -gen.p_max)], hi=0.0,
             )
             m.add_constr(
-                f"dr_on[g{gen.id},t{t}]", [(dri, 1.0), (u_t, -gen.p_max)], LE, 0.0,
+                f"dr_on[g{gen.id},t{t}]", [(dri, 1.0), (u_t, -gen.p_max)], hi=0.0,
             )
             # scheduled dispatch moves must stay within the awards
             m.add_constr(
                 f"disp_in_ur[g{gen.id},t{t}]",
-                [(p_n, 1.0), (p_t, -1.0), (uri, -1.0)], LE, 0.0,
+                [(p_n, 1.0), (p_t, -1.0), (uri, -1.0)], hi=0.0,
             )
             m.add_constr(
                 f"disp_in_dr[g{gen.id},t{t}]",
-                [(p_t, 1.0), (p_n, -1.0), (dri, -1.0)], LE, 0.0,
+                [(p_t, 1.0), (p_n, -1.0), (dri, -1.0)], hi=0.0,
             )
     for t in range(length - 1):
         short_up = m.add_var(f"fr_up_short[t{t}]", CONTINUOUS, 0.0, math.inf)
@@ -300,10 +296,10 @@ def _add_frp_block(handle: FmmHandle) -> None:
         m.add_to_objective(short_dn, penalty)
         terms = [(handle.ur[g.id, t], 1.0) for g in system.generators]
         terms.append((short_up, 1.0))
-        m.add_constr(f"fr_up_req[t{t}]", terms, GE, float(req.fr_up[t]))
+        m.add_constr(f"fr_up_req[t{t}]", terms, lo=float(req.fr_up[t]))
         terms = [(handle.dr[g.id, t], 1.0) for g in system.generators]
         terms.append((short_dn, 1.0))
-        m.add_constr(f"fr_dn_req[t{t}]", terms, GE, float(req.fr_down[t]))
+        m.add_constr(f"fr_dn_req[t{t}]", terms, lo=float(req.fr_down[t]))
 
 
 def build_fmm_proxy(system: PowerSystem, ptdf: PtdfMatrix, profile: ForecastProfile,
@@ -380,7 +376,7 @@ def build_fmm_datadriven(system: PowerSystem, ptdf: PtdfMatrix,
                 award = handle.ur[gen.id, t] if sign > 0 else handle.dr[gen.id, t]
                 m.add_constr(
                     f"aux_le_award_{tag}[g{gen.id},t{t},s{s}]",
-                    [(ai, 1.0), (award, -1.0)], LE, 0.0,
+                    [(ai, 1.0), (award, -1.0)], hi=0.0,
                 )
                 cover_terms.append((ai, 1.0))
                 if gen.id not in mr_ids:
@@ -393,25 +389,20 @@ def build_fmm_datadriven(system: PowerSystem, ptdf: PtdfMatrix,
                 if z > cfg.response_threshold and committed_both:
                     m.add_constr(
                         f"aux_qual_{tag}[g{gen.id},t{t},s{s}]",
-                        [(ai, 1.0)], GE, z * gen.ramp_15,
+                        [(ai, 1.0)], lo=z * gen.ramp_15,
                     )
             short = m.add_var(f"cover_{tag}_short[t{t},s{s}]", CONTINUOUS, 0.0, math.inf)
             m.add_to_objective(short, penalty)
             cover_terms.append((short, 1.0))
-            m.add_constr(f"cover_{tag}[t{t},s{s}]", cover_terms, GE, abs(move))
+            m.add_constr(f"cover_{tag}[t{t},s{s}]", cover_terms, lo=abs(move))
 
     # constant flow shifts per (line, move, scenario): solar and load deltas
-    k_count = len(system.lines)
-    handle.flow_const = np.zeros((k_count, length - 1, n_dep))
-    part = system.load_participation
+    ts = np.arange(start, start + length - 1)
+    handle.flow_const = np.zeros((len(system.lines), length - 1, n_dep))
     for s, scn in enumerate(deployment):
-        for t in range(length - 1):
-            dsolar_bus = np.zeros(system.n_buses)
-            for u_idx, unit in enumerate(system.solar_units):
-                dsolar_bus[unit.bus] += (scn.solar_at(start + t + 1)[u_idx]
-                                         - profile.solar_at(start + t)[u_idx])
-            dload_bus = part * (scn.load_at(start + t + 1) - profile.load_at(start + t))
-            handle.flow_const[:, t, s] = ptdf.values @ (dsolar_bus - dload_bus)
+        dload, dsolar = nodal_injections(system, scn.load_at(ts + 1) - profile.load_at(ts),
+                                         scn.solar_at(ts + 1) - profile.solar_at(ts))
+        handle.flow_const[:, :, s] = ptdf.values @ (dsolar - dload)
     return handle
 
 
@@ -467,7 +458,7 @@ def _violations(handle: FmmHandle, sol: MilpSolution, tol: float):
 
 def _add_cut(handle: FmmHandle, k: int, t: int, s: int, direction: str,
              bound: str, round_no: int) -> bool:
-    """Add the two-sided post-deployment flow constraint for (k, t, s, dir)."""
+    """Add the ranged post-deployment flow row for (k, t, s, dir)."""
     key = (k, t, s, direction)
     if key in handle._cut_keys:
         return False
@@ -479,18 +470,13 @@ def _add_cut(handle: FmmHandle, k: int, t: int, s: int, direction: str,
     aux = handle.aux_up if direction == UP else handle.aux_dn
     const = handle.flow_const[k, t, s]
     sign = 1.0 if direction == UP else -1.0
-    terms: list[tuple[int, float]] = []
-    for n in range(system.n_buses):
-        if abs(row[n]) > 1e-12:
-            terms.append((handle.builder.inj(n, t), float(row[n])))
+    terms = handle.builder.flow_terms(handle.ptdf, k, t)
     for gen in system.generators:
         akey = (gen.id, t, s)
-        if akey in aux and abs(row[gen.bus]) > 1e-12:
+        if akey in aux and abs(row[gen.bus]) > LINE_COEF_EPS:
             terms.append((aux[akey], sign * float(row[gen.bus])))
-    m.add_constr(f"dep_flow_ub[k{line.id},t{t},s{s},{direction}]",
-                 terms, LE, line.rating - const)
-    m.add_constr(f"dep_flow_lb[k{line.id},t{t},s{s},{direction}]",
-                 terms, GE, -line.rating - const)
+    m.add_constr(f"dep_flow[k{line.id},t{t},s{s},{direction}]", terms,
+                 lo=-line.rating - const, hi=line.rating - const)
     handle.cuts.append(PostDeploymentCut(
         line_id=line.id, t=t, scenario=s, direction=direction,
         bound=bound, round_added=round_no,

@@ -1,17 +1,18 @@
 """Solver-agnostic MILP container, solve entry point, and independent checks.
 
-The model is a plain declarative store of variables, linear constraints, and
-a linear minimization objective.  Solving is delegated to the HiGHS backend
-shipped with scipy; checking a solution never touches the solver and simply
-re-evaluates every constraint arithmetically.  A brute-force enumeration
-oracle for tiny unit-commitment instances lives here as well, so that the
-MILP path can be validated against an independent computation.
+The model is a plain declarative store of variables, ranged linear rows
+(``lo <= a.x <= hi``), and a linear minimization objective.  Solving is
+delegated to the HiGHS backend shipped with scipy; checking a solution never
+touches the solver and simply re-evaluates every row, column bound and
+binary arithmetically.  A brute-force enumeration oracle for tiny
+unit-commitment instances lives here as well, so that the MILP path can be
+validated against an independent computation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -21,15 +22,12 @@ from scipy.optimize import milp as _highs_milp
 CONTINUOUS = "continuous"
 BINARY = "binary"
 
-LE = "<="
-GE = ">="
-EQ = "=="
-
-_SENSES = (LE, GE, EQ)
+# scipy.optimize.milp status codes; 4 is also what an unbounded MILP reports
+_STATUS = {0: "optimal", 1: "limit", 2: "infeasible", 3: "unbounded", 4: "error"}
 
 
 class ModelError(ValueError):
-    """Raised for malformed models: duplicate names, unknown variables."""
+    """Raised for malformed models: duplicate names, unknown variables, empty ranges."""
 
 
 @dataclass
@@ -41,7 +39,11 @@ class SolveOptions:
 
 
 class MilpModel:
-    """Declarative MILP: named variables, named linear constraints, min objective."""
+    """Declarative MILP: named variables, named ranged rows, min objective.
+
+    Every row is ``lo <= a.x <= hi``: an equality has ``lo == hi`` and a
+    one-sided row leaves the other bound infinite.
+    """
 
     def __init__(self, name: str = "model"):
         self.name = name
@@ -51,8 +53,8 @@ class MilpModel:
         self._lb: list[float] = []
         self._ub: list[float] = []
         self._obj: dict[int, float] = {}
-        # each constraint: (name, index array, coefficient array, sense, rhs)
-        self._constrs: list[tuple[str, np.ndarray, np.ndarray, str, float]] = []
+        # each constraint: (name, index array, coefficient array, lo, hi)
+        self._constrs: list[tuple[str, np.ndarray, np.ndarray, float, float]] = []
         self._constr_index: dict[str, int] = {}
         self._matrix_cache: tuple[int, sp.csr_matrix, np.ndarray, np.ndarray] | None = None
 
@@ -101,11 +103,16 @@ class MilpModel:
         i = self.var_index(var)
         self._obj[i] = self._obj.get(i, 0.0) + float(coef)
 
-    def add_constr(self, name: str, terms, sense: str, rhs: float) -> None:
+    def add_constr(self, name: str, terms, lo: float = -math.inf,
+                   hi: float = math.inf) -> None:
+        """Add the row ``lo <= sum(coef * var for var, coef in terms) <= hi``."""
         if name in self._constr_index:
             raise ModelError(f"duplicate constraint name {name!r}")
-        if sense not in _SENSES:
-            raise ModelError(f"unknown sense {sense!r}")
+        lo, hi = float(lo), float(hi)
+        if not lo <= hi:
+            raise ModelError(f"constraint {name!r} has empty range [{lo}, {hi}]")
+        if math.isinf(lo) and math.isinf(hi):
+            raise ModelError(f"constraint {name!r} has no finite bound")
         acc: dict[int, float] = {}
         for var, coef in terms:
             i = self.var_index(var)
@@ -113,7 +120,7 @@ class MilpModel:
         idx = np.fromiter(acc.keys(), dtype=np.int64, count=len(acc))
         coefs = np.fromiter(acc.values(), dtype=np.float64, count=len(acc))
         self._constr_index[name] = len(self._constrs)
-        self._constrs.append((name, idx, coefs, sense, float(rhs)))
+        self._constrs.append((name, idx, coefs, lo, hi))
         self._matrix_cache = None
 
     # -------------------------------------------------------------- validation
@@ -128,24 +135,15 @@ class MilpModel:
         """Constraint matrix with per-row lower/upper bounds, cached per size."""
         if self._matrix_cache is not None and self._matrix_cache[0] == self.n_constrs:
             return self._matrix_cache[1:]
-        rows, cols, data = [], [], []
-        lo = np.empty(self.n_constrs)
-        hi = np.empty(self.n_constrs)
-        for r, (_, idx, coefs, sense, rhs) in enumerate(self._constrs):
-            rows.extend([r] * len(idx))
-            cols.extend(idx.tolist())
-            data.extend(coefs.tolist())
-            if sense == LE:
-                lo[r], hi[r] = -np.inf, rhs
-            elif sense == GE:
-                lo[r], hi[r] = rhs, np.inf
-            else:
-                lo[r], hi[r] = rhs, rhs
-        a = sp.csr_matrix(
-            (np.asarray(data), (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))),
-            shape=(self.n_constrs, self.n_vars),
-        )
-        self._matrix_cache = (self.n_constrs, a, lo, hi)
+        n = self.n_constrs
+        counts = np.fromiter((len(c[1]) for c in self._constrs), dtype=np.int64, count=n)
+        cols = np.concatenate([c[1] for c in self._constrs] + [np.empty(0, dtype=np.int64)])
+        data = np.concatenate([c[2] for c in self._constrs] + [np.empty(0)])
+        lo = np.fromiter((c[3] for c in self._constrs), dtype=np.float64, count=n)
+        hi = np.fromiter((c[4] for c in self._constrs), dtype=np.float64, count=n)
+        a = sp.csr_matrix((data, (np.repeat(np.arange(n, dtype=np.int64), counts), cols)),
+                          shape=(n, self.n_vars))
+        self._matrix_cache = (n, a, lo, hi)
         return a, lo, hi
 
     def objective_vector(self) -> np.ndarray:
@@ -154,45 +152,21 @@ class MilpModel:
             c[i] = coef
         return c
 
-    # --------------------------------------------------------------------- io
-    def write_lp(self, path) -> None:
-        """Dump the model as LP-format text for offline debugging."""
-        def _term(coef: float, name: str) -> str:
-            sign = "+" if coef >= 0 else "-"
-            return f"{sign} {abs(coef):.12g} {name}"
-
-        with open(path, "w") as fh:
-            fh.write(f"\\ {self.name}\nMinimize\n obj:")
-            for i, coef in sorted(self._obj.items()):
-                fh.write(" " + _term(coef, self._var_names[i]))
-            fh.write("\nSubject To\n")
-            for name, idx, coefs, sense, rhs in self._constrs:
-                op = {LE: "<=", GE: ">=", EQ: "="}[sense]
-                body = " ".join(_term(c, self._var_names[i]) for i, c in zip(idx, coefs))
-                fh.write(f" {name}: {body} {op} {rhs:.12g}\n")
-            fh.write("Bounds\n")
-            for i, name in enumerate(self._var_names):
-                fh.write(f" {self._lb[i]:.12g} <= {name} <= {self._ub[i]:.12g}\n")
-            binaries = [n for n, k in zip(self._var_names, self._kinds) if k == BINARY]
-            if binaries:
-                fh.write("Binaries\n " + " ".join(binaries) + "\n")
-            fh.write("End\n")
-
 
 @dataclass
 class MilpSolution:
     """Outcome of one solve; values indexed like the model's variables."""
 
-    status: str  # "optimal" | "infeasible" | "limit"
+    # "optimal" | "infeasible" | "unbounded" | "limit" (time or iteration
+    # limit) | "error" (anything else, e.g. an unbounded or infeasible MILP);
+    # ``message`` keeps the backend's explanation
+    status: str
     objective: float
     values: np.ndarray
     message: str = ""
     mip_gap: float = float("nan")
-    _name_index: dict[str, int] = field(default_factory=dict, repr=False)
 
-    def value(self, var: int | str) -> float:
-        if isinstance(var, str):
-            var = self._name_index[var]
+    def value(self, var: int) -> float:
         return float(self.values[var])
 
 
@@ -226,41 +200,44 @@ def solve(model: MilpModel, options: SolveOptions | None = None) -> MilpSolution
         opts["time_limit"] = options.time_limit
     res = _highs_milp(c=c, constraints=constraints, integrality=integrality,
                       bounds=bounds, options=opts)
-    if res.status == 0:
-        status = "optimal"
-    elif res.status == 2:
-        status = "infeasible"
-    else:
-        status = "limit"
     values = res.x if res.x is not None else np.full(model.n_vars, np.nan)
     gap = getattr(res, "mip_gap", float("nan"))
     if gap is None:
         gap = float("nan")
     return MilpSolution(
-        status=status,
+        status=_STATUS.get(res.status, "error"),
         objective=float(res.fun) if res.fun is not None else float("nan"),
         values=np.asarray(values, dtype=float),
         message=str(res.message),
         mip_gap=float(gap),
-        _name_index=dict(model._var_index),
     )
 
 
 def check_solution(model: MilpModel, solution: MilpSolution,
                    tol: float = 1e-6) -> ConstraintReport:
-    """Re-evaluate every constraint arithmetically, independent of the solver.
+    """Re-evaluate every row, column bound and binary, independent of the solver.
 
     Violations strictly greater than ``tol`` are reported; a violation exactly
-    at the tolerance is not.
+    at the tolerance is not.  Rows are named as built; a column outside its
+    bounds is reported as ``bound:<variable>`` and a binary away from 0 and 1
+    as ``binary:<variable>``.
     """
-    if solution.values.shape[0] != model.n_vars or np.isnan(solution.values).any():
+    x = solution.values
+    if x.shape[0] != model.n_vars or np.isnan(x).any():
         raise ModelError("solution does not provide a value for every variable")
     a, lo, hi = model._matrix()
-    ax = a @ solution.values
+    ax = a @ x
     below = np.where(lo > -np.inf, lo - ax, 0.0)
     above = np.where(hi < np.inf, ax - hi, 0.0)
     viol = np.maximum(below, above)
     out = [(model._constrs[i][0], float(viol[i])) for i in np.nonzero(viol > tol)[0]]
+    names = model._var_names
+    col_viol = np.maximum(np.array(model._lb) - x, x - np.array(model._ub))
+    out += [(f"bound:{names[i]}", float(col_viol[i]))
+            for i in np.nonzero(col_viol > tol)[0]]
+    binary = np.array([k == BINARY for k in model._kinds], dtype=bool)
+    frac = np.where(binary, np.minimum(np.abs(x), np.abs(x - 1.0)), 0.0)
+    out += [(f"binary:{names[i]}", float(frac[i])) for i in np.nonzero(frac > tol)[0]]
     return ConstraintReport(out)
 
 

@@ -8,10 +8,12 @@ the README).  All power quantities are MW; reactances are per unit.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 PARTICIPATION_TOL = 1e-9
 PTDF_ENTRY_TOL = 1e-9
@@ -338,12 +340,18 @@ def compute_ptdf(system: PowerSystem) -> PtdfMatrix:
     bf[np.arange(m), frm] += b_line
     bf[np.arange(m), to] -= b_line
 
-    try:
-        theta_sens = np.linalg.solve(reduced, np.eye(n - 1)) if n > 1 else np.zeros((0, 0))
-    except np.linalg.LinAlgError:
-        raise SystemDataError(
-            "network is disconnected: reduced susceptance matrix is singular"
-        ) from None
+    # np.linalg.solve's last bits varied with the BLAS thread count, an LU
+    # factor and solve's did not (1, 2 and 4 threads); those bits can decide
+    # which near-optimal commitment HiGHS returns.  scipy warns on a 0 pivot.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", LinAlgWarning)
+        try:
+            theta_sens = (lu_solve(lu_factor(reduced), np.eye(n - 1)) if n > 1
+                          else np.zeros((0, 0)))
+        except (LinAlgWarning, np.linalg.LinAlgError):
+            raise SystemDataError(
+                "network is disconnected: reduced susceptance matrix is singular"
+            ) from None
 
     values = np.zeros((m, n))
     if n > 1:

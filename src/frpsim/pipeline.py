@@ -377,7 +377,8 @@ def _write_awards_csv(awards: FmmAwards, path) -> None:
 
 
 def _read_awards_csv(path, system: PowerSystem) -> FmmAwards:
-    rows = list(csv.DictReader(open(path, newline="")))
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
     n = max(int(r["interval"]) for r in rows) + 1
     awards = FmmAwards.empty(system, n)
     for r in rows:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .milp import BINARY, CONTINUOUS, EQ, GE, LE, MilpModel, MilpSolution
+from .milp import BINARY, CONTINUOUS, MilpModel, MilpSolution
 from .network import PowerSystem, PtdfMatrix
 from .scenarios import INTERVALS_PER_DAY
 
@@ -165,34 +165,35 @@ class UcModelBuilder:
                 m.add_to_objective(wi, gen.shutdown_cost)
                 if t == 0:
                     m.add_constr(f"su_sd_link[g{gen.id},t0]",
-                                 [(vi, 1.0), (wi, -1.0), (ui, -1.0)], EQ, -u0)
+                                 [(vi, 1.0), (wi, -1.0), (ui, -1.0)], lo=-u0, hi=-u0)
                     # startup only from off, shutdown only from on
-                    m.add_constr(f"su_from_off[g{gen.id},t0]", [(vi, 1.0)], LE, 1.0 - u0)
-                    m.add_constr(f"sd_from_on[g{gen.id},t0]", [(wi, 1.0)], LE, float(u0))
+                    m.add_constr(f"su_from_off[g{gen.id},t0]", [(vi, 1.0)], hi=1.0 - u0)
+                    m.add_constr(f"sd_from_on[g{gen.id},t0]", [(wi, 1.0)], hi=float(u0))
                 else:
                     up = self._u[gen.id, t - 1]
                     m.add_constr(f"su_sd_link[g{gen.id},t{t}]",
-                                 [(vi, 1.0), (wi, -1.0), (ui, -1.0), (up, 1.0)], EQ, 0.0)
+                                 [(vi, 1.0), (wi, -1.0), (ui, -1.0), (up, 1.0)],
+                                 lo=0.0, hi=0.0)
                     m.add_constr(f"su_from_off[g{gen.id},t{t}]",
-                                 [(vi, 1.0), (up, 1.0)], LE, 1.0)
+                                 [(vi, 1.0), (up, 1.0)], hi=1.0)
                     m.add_constr(f"sd_from_on[g{gen.id},t{t}]",
-                                 [(wi, 1.0), (up, -1.0)], LE, 0.0)
-                m.add_constr(f"su_on[g{gen.id},t{t}]", [(vi, 1.0), (ui, -1.0)], LE, 0.0)
+                                 [(wi, 1.0), (up, -1.0)], hi=0.0)
+                m.add_constr(f"su_on[g{gen.id},t{t}]", [(vi, 1.0), (ui, -1.0)], hi=0.0)
                 m.add_constr(f"su_sd_excl[g{gen.id},t{t}]",
-                             [(vi, 1.0), (wi, 1.0)], LE, 1.0)
+                             [(vi, 1.0), (wi, 1.0)], hi=1.0)
             if gen.id in min_updown_for:
                 if gen.min_up > 1:
                     for t in range(T):
                         lo = max(0, t - gen.min_up + 1)
                         terms = [(self._v[gen.id, s], 1.0) for s in range(lo, t + 1)]
                         terms.append((self._u[gen.id, t], -1.0))
-                        m.add_constr(f"min_up[g{gen.id},t{t}]", terms, LE, 0.0)
+                        m.add_constr(f"min_up[g{gen.id},t{t}]", terms, hi=0.0)
                 if gen.min_down > 1:
                     for t in range(T):
                         lo = max(0, t - gen.min_down + 1)
                         terms = [(self._w[gen.id, s], 1.0) for s in range(lo, t + 1)]
                         terms.append((self._u[gen.id, t], 1.0))
-                        m.add_constr(f"min_dn[g{gen.id},t{t}]", terms, LE, 1.0)
+                        m.add_constr(f"min_dn[g{gen.id},t{t}]", terms, hi=1.0)
 
     # --------------------------------------------------------------- dispatch
     def add_dispatch(self) -> None:
@@ -210,9 +211,9 @@ class UcModelBuilder:
                     m.add_to_objective(pei, slope * self.interval_hours)
                     m.add_constr(
                         f"blk_ub[g{gen.id},t{t},e{e}]",
-                        [(pei, 1.0), (self._u[gen.id, t], -width)], LE, 0.0,
+                        [(pei, 1.0), (self._u[gen.id, t], -width)], hi=0.0,
                     )
-                m.add_constr(f"pwr_def[g{gen.id},t{t}]", terms, EQ, 0.0)
+                m.add_constr(f"pwr_def[g{gen.id},t{t}]", terms, lo=0.0, hi=0.0)
 
     # ------------------------------------------------------------------ ramps
     def add_ramps(self, move_caps: dict[int, tuple[np.ndarray, np.ndarray]] | None = None
@@ -241,13 +242,13 @@ class UcModelBuilder:
                     # previous interval is the chained initial state
                     m.add_constr(
                         f"ramp_up[g{gen.id},t0]",
-                        [(pi, 1.0), (vi, -gen.ramp_su)], LE,
-                        init.power + up_rate * u0,
+                        [(pi, 1.0), (vi, -gen.ramp_su)],
+                        hi=init.power + up_rate * u0,
                     )
                     m.add_constr(
                         f"ramp_dn[g{gen.id},t0]",
-                        [(pi, -1.0), (ui, -dn_rate), (wi, -gen.ramp_sd)], LE,
-                        -init.power,
+                        [(pi, -1.0), (ui, -dn_rate), (wi, -gen.ramp_sd)],
+                        hi=-init.power,
                     )
                 else:
                     pp = self._p[gen.id, t - 1]
@@ -255,12 +256,12 @@ class UcModelBuilder:
                     m.add_constr(
                         f"ramp_up[g{gen.id},t{t}]",
                         [(pi, 1.0), (pp, -1.0), (up, -up_rate), (vi, -gen.ramp_su)],
-                        LE, 0.0,
+                        hi=0.0,
                     )
                     m.add_constr(
                         f"ramp_dn[g{gen.id},t{t}]",
                         [(pp, 1.0), (pi, -1.0), (ui, -dn_rate), (wi, -gen.ramp_sd)],
-                        LE, 0.0,
+                        hi=0.0,
                     )
 
     # ------------------------------------------------------------- glidepath
@@ -296,7 +297,7 @@ class UcModelBuilder:
                     continue
                 self.model.add_constr(
                     f"sd_glide[g{gen.id},t{t}]",
-                    [(self._p[gen.id, t], 1.0)], LE, bound,
+                    [(self._p[gen.id, t], 1.0)], hi=bound,
                 )
 
     # ---------------------------------------------------------------- network
@@ -317,10 +318,8 @@ class UcModelBuilder:
                 self._inj[bus.id, t] = ii
                 terms = [(ii, 1.0)]
                 terms.extend((self._p[g, t], -1.0) for g in gens_at[bus.id])
-                m.add_constr(
-                    f"inj_def[n{bus.id},t{t}]", terms, EQ,
-                    float(nodal_solar[bus.id, t] - nodal_load[bus.id, t]),
-                )
+                net = float(nodal_solar[bus.id, t] - nodal_load[bus.id, t])
+                m.add_constr(f"inj_def[n{bus.id},t{t}]", terms, lo=net, hi=net)
             shorti = m.add_var(f"sl_short[t{t}]", CONTINUOUS, 0.0, math.inf)
             surpi = m.add_var(f"sl_surp[t{t}]", CONTINUOUS, 0.0, math.inf)
             self._sl_short[t] = shorti
@@ -329,19 +328,22 @@ class UcModelBuilder:
             m.add_to_objective(surpi, penalty)
             terms = [(self._inj[b.id, t], 1.0) for b in system.buses]
             terms += [(shorti, 1.0), (surpi, -1.0)]
-            m.add_constr(f"sys_bal[t{t}]", terms, EQ, 0.0)
+            m.add_constr(f"sys_bal[t{t}]", terms, lo=0.0, hi=0.0)
+
+    def flow_terms(self, ptdf: PtdfMatrix, k: int, t: int) -> list[tuple[int, float]]:
+        """Terms of line k's base-case flow at interval t: PTDF row times injections."""
+        row = ptdf.values[k]
+        nz = np.flatnonzero(np.abs(row) > LINE_COEF_EPS).tolist()
+        return [(self._inj[n, t], float(row[n])) for n in nz]
 
     def add_line_limits(self, ptdf: PtdfMatrix) -> None:
-        m = self.model
+        """One ranged row ``-rating <= flow <= rating`` per line and interval."""
         for k, line in enumerate(self.system.lines):
-            row = ptdf.values[k]
-            nz = [n for n in range(self.system.n_buses) if abs(row[n]) > LINE_COEF_EPS]
-            if not nz:
-                continue
             for t in range(self.n_intervals):
-                terms = [(self._inj[n, t], float(row[n])) for n in nz]
-                m.add_constr(f"line_ub[k{line.id},t{t}]", terms, LE, line.rating)
-                m.add_constr(f"line_lb[k{line.id},t{t}]", terms, GE, -line.rating)
+                terms = self.flow_terms(ptdf, k, t)
+                if terms:
+                    self.model.add_constr(f"line[k{line.id},t{t}]", terms,
+                                          lo=-line.rating, hi=line.rating)
 
     # ------------------------------------------------------------ extraction
     def commitment_values(self, sol: MilpSolution, g: int) -> np.ndarray:

@@ -599,7 +599,6 @@ class TestDayRoll:
 class TestRollDay:
     def test_failed_hour_names_policy_hour_and_scenario(self):
         from frpsim.fmm import HourSolveError, roll_day
-        from frpsim.milp import GE
 
         system = two_gen_system()
         ptdf = compute_ptdf(system)
@@ -611,7 +610,7 @@ class TestRollDay:
             handle = build_fmm_training(system, ptdf, scenario, da, horizon)
             if horizon.start == 8:   # hour 2 demands more than unit 0 can make
                 handle.model.add_constr("over_pmax", [(handle.builder.p(0, 0), 1.0)],
-                                        GE, 1000.0)
+                                        lo=1000.0)
             return handle
 
         with pytest.raises(HourSolveError, match="training hour 2, scenario s7: "

@@ -5,20 +5,20 @@ import math
 import numpy as np
 import pytest
 
-from frpsim.milp import (BINARY, CONTINUOUS, GE, LE, MilpModel, ModelError,
+from frpsim.milp import (BINARY, CONTINUOUS, MilpModel, MilpSolution, ModelError,
                          SolveOptions, brute_force_uc, check_solution, solve)
-from frpsim.ucbase import FREE, UcModelBuilder, cold_start_state
+from frpsim.ucbase import FIXED, FREE, UcModelBuilder, cold_start_state
 from util import make_gen, single_bus_system
 
 EXACT = SolveOptions(mip_rel_gap=1e-9)
 
 
-def solve_uc_milp(system, loads, interval_hours=0.25, voll=10000.0):
+def solve_uc_milp(system, loads, interval_hours=0.25, voll=10000.0, modes=None):
     """Production-path MILP for the tiny single-bus instances the oracle covers."""
     loads = np.asarray(loads, dtype=float)
     builder = UcModelBuilder(system, len(loads), interval_hours,
                              cold_start_state(system), voll=voll, name="tiny_uc")
-    builder.add_commitment({g.id: (FREE, None) for g in system.generators},
+    builder.add_commitment(modes or {g.id: (FREE, None) for g in system.generators},
                            min_updown_for={g.id for g in system.generators})
     builder.add_dispatch()
     builder.add_ramps()
@@ -34,7 +34,7 @@ class TestSolve:
         m = MilpModel()
         x = m.add_var("x", CONTINUOUS, 0.0, math.inf)
         m.add_to_objective(x, 1.0)
-        m.add_constr("floor", [(x, 1.0)], GE, 3.0)
+        m.add_constr("floor", [(x, 1.0)], lo=3.0)
         sol = solve(m)
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(3.0, abs=1e-9)
@@ -43,31 +43,74 @@ class TestSolve:
         m = MilpModel()
         y = m.add_var("y", BINARY)
         m.add_to_objective(y, 1.0)
-        m.add_constr("half", [(y, 1.0)], GE, 0.5)
+        m.add_constr("half", [(y, 1.0)], lo=0.5)
         sol = solve(m)
         assert sol.objective == pytest.approx(1.0, abs=1e-9)
-        assert sol.value("y") == pytest.approx(1.0, abs=1e-6)
+        assert sol.value(y) == pytest.approx(1.0, abs=1e-6)
+
+    def test_ranged_row_holds_both_sides(self):
+        m = MilpModel()
+        x = m.add_var("x", CONTINUOUS, -math.inf, math.inf)
+        y = m.add_var("y", CONTINUOUS, 0.0, 1.0)
+        m.add_constr("band", [(x, 1.0), (y, 1.0)], lo=-2.0, hi=3.0)
+        m.add_to_objective(x, 1.0)
+        assert solve(m).objective == pytest.approx(-3.0, abs=1e-9)
+        m.add_to_objective(x, -2.0)   # now maximise x
+        assert solve(m).objective == pytest.approx(-3.0, abs=1e-9)
+        m.add_constr("pin", [(y, 1.0)], lo=0.5, hi=0.5)
+        sol = solve(m)
+        assert sol.value(x) == pytest.approx(2.5, abs=1e-9)
+        assert sol.value(y) == pytest.approx(0.5, abs=1e-9)
 
     def test_infeasible_pair(self):
         m = MilpModel()
         x = m.add_var("x", CONTINUOUS, -math.inf, math.inf)
-        m.add_constr("lo", [(x, 1.0)], GE, 1.0)
-        m.add_constr("hi", [(x, 1.0)], LE, 0.0)
+        m.add_constr("lo", [(x, 1.0)], lo=1.0)
+        m.add_constr("hi", [(x, 1.0)], hi=0.0)
         assert solve(m).status == "infeasible"
+
+    def test_unbounded_lp(self):
+        m = MilpModel()
+        x = m.add_var("x", CONTINUOUS, -math.inf, math.inf)
+        m.add_to_objective(x, 1.0)
+        m.add_constr("cap", [(x, 1.0)], hi=1.0)
+        sol = solve(m)
+        assert sol.status == "unbounded"
+        assert "unbounded" in sol.message
+
+    def test_unbounded_milp_is_an_error_with_message(self):
+        # HiGHS cannot tell an unbounded MILP from an infeasible one
+        m = MilpModel()
+        x = m.add_var("x", CONTINUOUS, -math.inf, math.inf)
+        y = m.add_var("y", BINARY)
+        m.add_to_objective(x, 1.0)
+        m.add_constr("cap", [(x, 1.0), (y, 1.0)], hi=1.0)
+        sol = solve(m)
+        assert sol.status == "error"
+        assert "unbounded or infeasible" in sol.message
+
+    def test_empty_or_unbounded_row_rejected(self):
+        m = MilpModel()
+        x = m.add_var("x")
+        with pytest.raises(ModelError, match="empty range"):
+            m.add_constr("flipped", [(x, 1.0)], lo=2.0, hi=1.0)
+        with pytest.raises(ModelError, match="no finite bound"):
+            m.add_constr("free", [(x, 1.0)])
+        assert m.n_constrs == 0
 
     def test_duplicate_names_rejected(self):
         m = MilpModel()
         m.add_var("x")
         with pytest.raises(ModelError):
             m.add_var("x")
-        m.add_constr("c", [("x", 1.0)], LE, 1.0)
+        m.add_constr("c", [("x", 1.0)], hi=1.0)
         with pytest.raises(ModelError):
-            m.add_constr("c", [("x", 1.0)], LE, 2.0)
+            m.add_constr("c", [("x", 1.0)], hi=2.0)
 
     def test_unknown_variable_rejected(self):
         m = MilpModel()
         with pytest.raises(ModelError, match="unknown variable"):
-            m.add_constr("c", [("ghost", 1.0)], LE, 1.0)
+            m.add_constr("c", [("ghost", 1.0)], hi=1.0)
 
     def test_optimal_values_within_bounds(self):
         m = MilpModel()
@@ -75,23 +118,12 @@ class TestSolve:
         y = m.add_var("y", BINARY)
         m.add_to_objective(x, 1.0)
         m.add_to_objective(y, -0.5)
-        m.add_constr("c", [(x, 1.0), (y, 1.0)], GE, 2.5)
+        m.add_constr("c", [(x, 1.0), (y, 1.0)], lo=2.5)
         sol = solve(m)
         lb = np.array([2.0, 0.0])
         ub = np.array([5.0, 1.0])
         assert (sol.values >= lb - 1e-9).all()
         assert (sol.values <= ub + 1e-9).all()
-
-    def test_write_lp(self, tmp_path):
-        m = MilpModel("demo")
-        x = m.add_var("x", CONTINUOUS, 0.0, 10.0)
-        y = m.add_var("y", BINARY)
-        m.add_to_objective(x, 2.0)
-        m.add_constr("c1", [(x, 1.0), (y, -3.0)], GE, 1.0)
-        path = tmp_path / "demo.lp"
-        m.write_lp(path)
-        text = path.read_text()
-        assert "Minimize" in text and "c1:" in text and "Binaries" in text
 
 
 class TestCheckSolution:
@@ -114,14 +146,38 @@ class TestCheckSolution:
         names = [n for n, _ in report.violations]
         assert any("pwr_def" in n or "sys_bal" in n for n in names)
 
+    def test_perturbed_fixed_commitment_names_bound(self):
+        # a FIXED pattern lives in the column bounds only, so turning the
+        # unit off against it breaks no row of a one-unit model at zero load
+        gen = make_gen(0, 0, 10.0, 100.0, 20.0, ramp=200.0)
+        system = single_bus_system([gen])
+        sol, builder = solve_uc_milp(system, [0.0, 0.0],
+                                     modes={0: (FIXED, np.array([1.0, 1.0]))})
+        bad = sol.values.copy()
+        bad[builder.u(0, 1)] = 0.0
+        bad[builder.p(0, 1)] = 0.0
+        bad[builder.w(0, 1)] = 1.0
+        bad[builder.inj(0, 1)] = 0.0
+        bad[builder.model.var_index("sl_surp[t1]")] = 0.0
+        sol.values = bad
+        report = check_solution(builder.model, sol, tol=1e-6)
+        assert report.violations == [("bound:u[g0,t1]", pytest.approx(1.0))]
+
+    def test_fractional_binary_named(self):
+        sol, builder = self._solved_toy()
+        bad = sol.values.copy()
+        bad[builder.u(0, 0)] = 0.5
+        sol.values = bad
+        names = [n for n, _ in check_solution(builder.model, sol).violations]
+        assert "binary:u[g0,t0]" in names
+        assert not any(n.startswith("bound:") for n in names)
+
     def test_violation_exactly_at_tol_not_reported(self):
         m = MilpModel()
         x = m.add_var("x", CONTINUOUS, 0.0, 10.0)
-        m.add_constr("cap", [(x, 1.0)], LE, 1.0)
-        from frpsim.milp import MilpSolution
+        m.add_constr("cap", [(x, 1.0)], hi=1.0)
         sol = MilpSolution(status="optimal", objective=0.0,
-                           values=np.array([1.0 + 1e-6]),
-                           _name_index={"x": 0})
+                           values=np.array([1.0 + 1e-6]))
         assert check_solution(m, sol, tol=1e-6).ok
         sol.values = np.array([1.0 + 2e-6])
         assert not check_solution(m, sol, tol=1e-6).ok
@@ -129,9 +185,7 @@ class TestCheckSolution:
     def test_missing_values_rejected(self):
         m = MilpModel()
         m.add_var("x")
-        from frpsim.milp import MilpSolution
-        sol = MilpSolution(status="optimal", objective=0.0,
-                           values=np.array([np.nan]), _name_index={"x": 0})
+        sol = MilpSolution(status="optimal", objective=0.0, values=np.array([np.nan]))
         with pytest.raises(ModelError):
             check_solution(m, sol)
 

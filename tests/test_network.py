@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -136,6 +139,32 @@ class TestPtdf:
         assert ptdf.values[0, 0] == pytest.approx(2.0 / 3.0, abs=1e-9)
         assert ptdf.values[1, 0] == pytest.approx(1.0 / 3.0, abs=1e-9)
         np.testing.assert_allclose(ptdf.values[:, 0], oracle, atol=1e-9)
+
+    def test_disconnected_network_raises(self):
+        system = PowerSystem(
+            buses=(Bus(0), Bus(1), Bus(2)),
+            lines=(TransmissionLine(0, 0, 1, 0.1, 100.0),),
+            generators=(make_gen(0, 0, 0.0, 50.0, 20.0),), solar_units=(),
+            load_participation=np.array([0.0, 0.0, 1.0]), slack_bus=0,
+        )
+        with pytest.raises(SystemDataError, match="disconnected"):
+            compute_ptdf(system)
+
+    def test_118_bus_ptdf_bits_independent_of_blas_threads(self, data_dir):
+        # last-bit differences in the PTDF change which near-optimal
+        # commitment HiGHS returns, so every thread count must give the same
+        script = ("import hashlib, sys; from frpsim.network import compute_ptdf, load_system; "
+                  "print(hashlib.sha256(compute_ptdf(load_system(sys.argv[1]))"
+                  ".values.tobytes()).hexdigest())")
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+            out = subprocess.run([sys.executable, "-c", script, str(data_dir / "ieee118.json")],
+                                 env=env, capture_output=True, text=True, timeout=120, check=True)
+            digests.add(out.stdout.strip())
+        assert len(digests) == 1
 
     def test_slack_column_zero(self, system118):
         ptdf = compute_ptdf(system118)
