@@ -15,10 +15,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .milp import MilpModel, MilpSolution, SolveOptions, solve
+from .milp import MilpModel, MilpSolution, SolveOptions
 from .network import PowerSystem, PtdfMatrix, nodal_injections
 from .scenarios import HOURS_PER_DAY, ForecastProfile
-from .ucbase import FREE, UcModelBuilder, UnitInit, cold_start_state
+from .ucbase import FREE, LineLimitError, UcModelBuilder, UnitInit, cold_start_state, solve_lazy
 
 
 @dataclass(frozen=True)
@@ -69,10 +69,10 @@ class DaModelHandle:
     builder: UcModelBuilder
 
 
-def build_da_model(system: PowerSystem, ptdf: PtdfMatrix, profile: ForecastProfile,
+def build_da_model(system: PowerSystem, profile: ForecastProfile,
                    init: dict[int, UnitInit] | None = None,
                    voll: float = 10000.0) -> DaModelHandle:
-    """Hourly commitment model over the forecast day."""
+    """Hourly commitment model over the forecast day, with no line rows."""
     hourly = _hourly_view(system)
     init = init or cold_start_state(hourly)
     builder = UcModelBuilder(hourly, HOURS_PER_DAY, 1.0, init, voll=voll, name="da")
@@ -82,16 +82,21 @@ def build_da_model(system: PowerSystem, ptdf: PtdfMatrix, profile: ForecastProfi
     builder.add_ramps()
     builder.add_network(*nodal_injections(system, profile.hourly_load,
                                           profile.solar_hourly))
-    builder.add_line_limits(ptdf)
     return DaModelHandle(model=builder.model, builder=builder)
 
 
 def run_da(system: PowerSystem, ptdf: PtdfMatrix, profile: ForecastProfile,
            options: SolveOptions | None = None, voll: float = 10000.0
            ) -> tuple[DaCommitments, MilpSolution, DaModelHandle]:
-    """Solve the day-ahead market and extract the commitment schedule."""
-    handle = build_da_model(system, ptdf, profile, voll=voll)
-    sol = solve(handle.model, options)
+    """Solve the day-ahead market and extract the commitment schedule.
+
+    Line limits join the model as solves overload them (``solve_lazy``).
+    """
+    handle = build_da_model(system, profile, voll=voll)
+    try:
+        sol = solve_lazy(handle.builder, ptdf, options)
+    except LineLimitError as exc:
+        raise RuntimeError(f"day-ahead solve failed: {exc}") from exc
     if sol.status != "optimal":
         raise RuntimeError(f"day-ahead solve failed: {sol.status} ({sol.message})")
     u_hourly = {g.id: handle.builder.commitment_values(sol, g.id)

@@ -11,8 +11,12 @@ core from ucbase:
   awards onto predicted responders and, through lazily generated cuts, keeps
   post-deployment line flows within ratings for a set of deployment scenarios.
 
+Hour models are built without base-case line rows; ``solve_hour`` solves
+them through ``ucbase.solve_lazy``, which adds the rows of overloaded lines
+(and, for data-driven hours, post-deployment cuts) until none is violated.
 ``roll_day`` rolls any of these hour models, or the validation hour, over a
-day; the day-level runs here and in ``validation`` are thin wrappers on it.
+day, carrying the lines earlier hours needed into the next hour's model; the
+day-level runs here and in ``validation`` are thin wrappers on it.
 """
 
 from __future__ import annotations
@@ -24,11 +28,13 @@ import numpy as np
 
 from .dayahead import DaCommitments, initial_state_from_da
 from .learner import DispatchTrajectory, RampResponseFactors
-from .milp import CONTINUOUS, MilpModel, MilpSolution, SolveOptions, solve
+from .milp import CONTINUOUS, MilpModel, MilpSolution, SolveOptions
+from .milp import solve  # noqa: F401  (fmm.solve stays the one milp.solve)
 from .network import PowerSystem, PtdfMatrix, nodal_injections
 from .scenarios import (DEPLOYMENT, INTERVALS_PER_DAY, ForecastProfile, ProxyEnvelope,
                         Scenario, ScenarioSet)
-from .ucbase import AT_LEAST, FIXED, LINE_COEF_EPS, UcModelBuilder, UnitInit, advance_state
+from .ucbase import (AT_LEAST, FIXED, LINE_COEF_EPS, LineLimitError, UcModelBuilder, UnitInit,
+                     advance_state, solve_lazy)
 
 UP = "up"
 DOWN = "down"
@@ -190,11 +196,11 @@ class FmmHandle:
 
 # ------------------------------------------------------------------ builders
 
-def _base_builder(system: PowerSystem, ptdf: PtdfMatrix, realized, da,
+def _base_builder(system: PowerSystem, realized, da,
                   horizon: FmmHorizon, cfg: FmmConfig, name: str,
                   move_caps: dict[int, tuple[np.ndarray, np.ndarray]] | None = None,
                   down_budget=None) -> UcModelBuilder:
-    """The UC core of every 15-min hour model.
+    """The UC core of every 15-min hour model, with no base-case line rows.
 
     ``realized`` supplies the hour's system load and per-unit solar
     (``load_at``/``solar_at``): the forecast or a scenario.  ``move_caps``
@@ -225,7 +231,6 @@ def _base_builder(system: PowerSystem, ptdf: PtdfMatrix, realized, da,
     )
     builder.add_network(*nodal_injections(system, realized.load_at(ts),
                                           realized.solar_at(ts)))
-    builder.add_line_limits(ptdf)
     return builder
 
 
@@ -307,7 +312,7 @@ def build_fmm_proxy(system: PowerSystem, ptdf: PtdfMatrix, profile: ForecastProf
                     cfg: FmmConfig | None = None) -> FmmHandle:
     """FMM with the system-wide proxy ramping product."""
     cfg = cfg or FmmConfig()
-    builder = _base_builder(system, ptdf, profile, da, horizon, cfg,
+    builder = _base_builder(system, profile, da, horizon, cfg,
                             name=f"fmm_proxy@{horizon.start}")
     handle = FmmHandle(
         model=builder.model, builder=builder, system=system, ptdf=ptdf,
@@ -324,7 +329,7 @@ def build_fmm_training(system: PowerSystem, ptdf: PtdfMatrix, scenario: Scenario
                        cfg: FmmConfig | None = None) -> FmmHandle:
     """Energy-only FMM against one sampled scenario (no ramping product)."""
     cfg = cfg or FmmConfig()
-    builder = _base_builder(system, ptdf, scenario, da, horizon, cfg,
+    builder = _base_builder(system, scenario, da, horizon, cfg,
                             name=f"fmm_training@{horizon.start}")
     return FmmHandle(
         model=builder.model, builder=builder, system=system, ptdf=ptdf,
@@ -489,48 +494,64 @@ def solve_with_cuts(handle: FmmHandle, options: SolveOptions | None = None,
                     max_rounds: int | None = None) -> tuple[MilpSolution, list[PostDeploymentCut]]:
     """Solve, then iteratively add violated post-deployment flow constraints.
 
-    Terminates when a solve leaves every post-deployment flow within rating
-    plus tolerance.  Raises CutLoopError when rounds are exhausted with
-    violations remaining or the model becomes infeasible after cuts.
+    Runs on ``solve_lazy``: post-deployment flows are checked only on a
+    solve that overloads no line in the base case, and each check that adds
+    cuts is one cut round.  Terminates when a solve leaves every
+    post-deployment flow within rating plus tolerance.  Raises CutLoopError
+    when rounds are exhausted with violations remaining or the model becomes
+    infeasible after cuts.
     """
     tol = handle.cfg.cut_tol_mw if tol is None else tol
     max_rounds = handle.cfg.max_cut_rounds if max_rounds is None else max_rounds
-    sol = solve(handle.model, options)
-    if sol.status != "optimal":
-        raise CutLoopError(f"initial solve ended with status {sol.status}")
-    for round_no in range(1, max_rounds + 1):
+    rounds = 0
+
+    def cut_round(sol: MilpSolution) -> int:
+        nonlocal rounds
         violations = _violations(handle, sol, tol)
         if not violations:
-            return sol, list(handle.cuts)
-        added = 0
-        for k, t, s, direction, bound, _ in violations:
-            if _add_cut(handle, k, t, s, direction, bound, round_no):
-                added += 1
+            return 0
+        if rounds == max_rounds:
+            worst = max(violations, key=lambda r: r[-1])
+            raise CutLoopError(
+                f"cut loop exhausted {max_rounds} rounds with {len(violations)} "
+                f"violations remaining (worst {worst[-1]:.4f} MW on line {worst[0]})"
+            )
+        rounds += 1
+        added = sum(_add_cut(handle, k, t, s, direction, bound, rounds)
+                    for k, t, s, direction, bound, _ in violations)
         if added == 0:
             raise CutLoopError(
                 "violations persist but all corresponding constraints are "
                 "already present; residuals exceed the solve tolerance"
             )
-        sol = solve(handle.model, options)
-        if sol.status != "optimal":
-            raise CutLoopError(
-                f"model became {sol.status} after adding {len(handle.cuts)} "
-                "post-deployment constraints: no deliverable allocation exists"
-            )
-    remaining = _violations(handle, sol, tol)
-    if remaining:
-        worst = max(remaining, key=lambda r: r[-1])
+        return added
+
+    sol = solve_lazy(handle.builder, handle.ptdf, options, cut_round)
+    if sol.status != "optimal":
+        if not handle.cuts:
+            raise CutLoopError(f"solve ended with status {sol.status}")
         raise CutLoopError(
-            f"cut loop exhausted {max_rounds} rounds with {len(remaining)} "
-            f"violations remaining (worst {worst[-1]:.4f} MW on line {worst[0]})"
+            f"model became {sol.status} after adding {len(handle.cuts)} "
+            "post-deployment constraints: no deliverable allocation exists"
         )
     return sol, list(handle.cuts)
+
+
+def solve_hour(handle: FmmHandle, options: SolveOptions | None = None) -> MilpSolution:
+    """Solve an hour model through the shared loop.
+
+    Base-case line rows join on demand; an hour with deployment scenarios
+    also gets its post-deployment cuts (``solve_with_cuts``).
+    """
+    if handle.deployment is not None:
+        return solve_with_cuts(handle, options)[0]
+    return solve_lazy(handle.builder, handle.ptdf, options)
 
 
 # ---------------------------------------------------------------- day rolls
 
 class HourSolveError(RuntimeError):
-    """A rolled hour found no optimal solution."""
+    """A rolled hour found no optimal solution or kept a line overloaded."""
 
     def __init__(self, policy: str, hour: int, scenario, detail: str):
         super().__init__(f"{policy} hour {hour}, scenario {scenario}: {detail}")
@@ -563,9 +584,9 @@ def roll_day(system: PowerSystem, da: DaCommitments, build_hour, policy: str,
 
     ``build_hour(horizon)`` returns the hour's FmmHandle.  The day starts at
     the hour-0 day-ahead schedule and each hour starts from the state its
-    predecessor's binding intervals left.  Hours with deployment scenarios
-    (the data-driven policy) are solved with the cut loop.  ``policy`` and
-    ``scenario`` only label a failed hour.
+    predecessor's binding intervals left.  Each hour is solved by
+    ``solve_hour`` and starts with the rows of every line an earlier hour of
+    the day needed.  ``policy`` and ``scenario`` only label a failed hour.
     """
     def zeros():
         return {g.id: np.zeros(n_intervals) for g in system.generators}
@@ -575,19 +596,19 @@ def roll_day(system: PowerSystem, da: DaCommitments, build_hour, policy: str,
                          violation_mwh=np.zeros(n_intervals),
                          frp_cost=np.zeros(n_intervals))
     state = initial_state_from_da(system, da)
+    lines: set[int] = set()   # lines whose rows an earlier hour needed
     for hour in range(n_intervals // 4):
         horizon = FmmHorizon(start=4 * hour, init=state)
         handle = build_hour(horizon)
+        handle.builder.add_line_limits(handle.ptdf, sorted(lines))
         try:
-            if handle.deployment is not None:
-                sol, cuts = solve_with_cuts(handle, options)
-                traj.cuts.extend((hour, c) for c in cuts)
-            else:
-                sol = solve(handle.model, options)
-        except CutLoopError as exc:
+            sol = solve_hour(handle, options)
+        except (CutLoopError, LineLimitError) as exc:
             raise HourSolveError(policy, hour, scenario, str(exc)) from exc
         if sol.status != "optimal":
             raise HourSolveError(policy, hour, scenario, f"solve ended {sol.status}")
+        traj.cuts.extend((hour, c) for c in handle.cuts)
+        lines |= handle.builder.lines
         nb = horizon.n_binding
         now = slice(horizon.start, horizon.start + nb)
         b = handle.builder

@@ -56,7 +56,8 @@ class MilpModel:
         # each constraint: (name, index array, coefficient array, lo, hi)
         self._constrs: list[tuple[str, np.ndarray, np.ndarray, float, float]] = []
         self._constr_index: dict[str, int] = {}
-        self._matrix_cache: tuple[int, sp.csr_matrix, np.ndarray, np.ndarray] | None = None
+        self._matrix_cache: tuple[tuple[int, int], sp.csr_matrix, np.ndarray,
+                                  np.ndarray] | None = None
 
     # ------------------------------------------------------------------ build
     @property
@@ -125,25 +126,33 @@ class MilpModel:
 
     # -------------------------------------------------------------- validation
     def validate(self) -> None:
-        """Raise ModelError if the container invariants are broken."""
-        for name, idx, _, _, _ in self._constrs:
-            if len(idx) and (idx.min() < 0 or idx.max() >= self.n_vars):
-                raise ModelError(f"constraint {name!r} references undeclared variables")
+        """Raise ModelError if a row references an undeclared variable.
+
+        The check runs on the concatenated column indices while the matrix is
+        built, so on a model whose matrix is cached it costs nothing.
+        """
+        self._matrix()
 
     # ------------------------------------------------------------------ matrix
     def _matrix(self) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
         """Constraint matrix with per-row lower/upper bounds, cached per size."""
-        if self._matrix_cache is not None and self._matrix_cache[0] == self.n_constrs:
+        size = (self.n_constrs, self.n_vars)
+        if self._matrix_cache is not None and self._matrix_cache[0] == size:
             return self._matrix_cache[1:]
         n = self.n_constrs
         counts = np.fromiter((len(c[1]) for c in self._constrs), dtype=np.int64, count=n)
         cols = np.concatenate([c[1] for c in self._constrs] + [np.empty(0, dtype=np.int64)])
+        bad = np.flatnonzero((cols < 0) | (cols >= self.n_vars))
+        if len(bad):
+            row = int(np.searchsorted(np.cumsum(counts), bad[0], side="right"))
+            raise ModelError(
+                f"constraint {self._constrs[row][0]!r} references undeclared variables")
         data = np.concatenate([c[2] for c in self._constrs] + [np.empty(0)])
         lo = np.fromiter((c[3] for c in self._constrs), dtype=np.float64, count=n)
         hi = np.fromiter((c[4] for c in self._constrs), dtype=np.float64, count=n)
         a = sp.csr_matrix((data, (np.repeat(np.arange(n, dtype=np.int64), counts), cols)),
-                          shape=(n, self.n_vars))
-        self._matrix_cache = (n, a, lo, hi)
+                          shape=size)
+        self._matrix_cache = (size, a, lo, hi)
         return a, lo, hi
 
     def objective_vector(self) -> np.ndarray:

@@ -6,6 +6,11 @@ commitment logic with startup/shutdown variables and minimum up/down times,
 block-wise dispatch costs, ramp limits, nodal injections with PTDF line
 limits, and a VOLL-priced system balance.  The builder assembles that core
 into a MilpModel; callers layer policy-specific structure on top.
+
+Base-case line limits are lazy: a model starts with the rows of the lines
+its caller lists, and ``solve_lazy`` adds the rows of every line a solution
+overloads, re-solving until none is.  Every market solve goes through that
+loop.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .milp import BINARY, CONTINUOUS, MilpModel, MilpSolution
+from .milp import BINARY, CONTINUOUS, MilpModel, MilpSolution, SolveOptions, solve
 from .network import PowerSystem, PtdfMatrix
 from .scenarios import INTERVALS_PER_DAY
 
@@ -24,6 +29,13 @@ FREE = "free"        # commitment decided by the model
 AT_LEAST = "atleast"  # commitment may only add to a given 0/1 pattern
 
 LINE_COEF_EPS = 1e-10  # PTDF entries below this are dropped from line rows
+# a base-case flow beyond rating by more than this brings the line's rows
+# into the model (check_solution's default tolerance)
+LINE_TOL_MW = 1e-6
+
+
+class LineLimitError(RuntimeError):
+    """A line is over its rating although its limit rows are in the model."""
 
 
 @dataclass(frozen=True)
@@ -97,6 +109,8 @@ class UcModelBuilder:
         self._inj: dict[tuple[int, int], int] = {}
         self._sl_short: dict[int, int] = {}
         self._sl_surp: dict[int, int] = {}
+        self._inj_cols = np.zeros((len(system.buses), n_intervals), dtype=np.int64)
+        self._lines: set[int] = set()
 
     # ---------------------------------------------------------------- lookups
     def u(self, g: int, t: int) -> int:
@@ -116,6 +130,11 @@ class UcModelBuilder:
 
     def slack_short(self, t: int) -> int:
         return self._sl_short[t]
+
+    @property
+    def lines(self) -> frozenset[int]:
+        """Indices of the lines whose limit rows are in the model."""
+        return frozenset(self._lines)
 
     # ------------------------------------------------------------- commitment
     def add_commitment(self, modes: dict[int, tuple[str, np.ndarray | None]],
@@ -313,9 +332,10 @@ class UcModelBuilder:
             gens_at[gen.bus].append(gen.id)
         penalty = self.voll * self.interval_hours
         for t in range(self.n_intervals):
-            for bus in system.buses:
+            for b, bus in enumerate(system.buses):
                 ii = m.add_var(f"inj[n{bus.id},t{t}]", CONTINUOUS, -math.inf, math.inf)
                 self._inj[bus.id, t] = ii
+                self._inj_cols[b, t] = ii
                 terms = [(ii, 1.0)]
                 terms.extend((self._p[g, t], -1.0) for g in gens_at[bus.id])
                 net = float(nodal_solar[bus.id, t] - nodal_load[bus.id, t])
@@ -336,14 +356,39 @@ class UcModelBuilder:
         nz = np.flatnonzero(np.abs(row) > LINE_COEF_EPS).tolist()
         return [(self._inj[n, t], float(row[n])) for n in nz]
 
-    def add_line_limits(self, ptdf: PtdfMatrix) -> None:
-        """One ranged row ``-rating <= flow <= rating`` per line and interval."""
-        for k, line in enumerate(self.system.lines):
+    def add_line_limits(self, ptdf: PtdfMatrix, lines) -> None:
+        """One ranged row ``-rating <= flow <= rating`` per interval for each
+        listed line index whose rows are not in the model yet."""
+        for k in lines:
+            if k in self._lines:
+                continue
+            self._lines.add(k)
+            line = self.system.lines[k]
             for t in range(self.n_intervals):
                 terms = self.flow_terms(ptdf, k, t)
                 if terms:
                     self.model.add_constr(f"line[k{line.id},t{t}]", terms,
                                           lo=-line.rating, hi=line.rating)
+
+    def add_overloaded_lines(self, sol: MilpSolution, ptdf: PtdfMatrix) -> int:
+        """Add the limit rows of every line ``sol`` overloads; return how many.
+
+        A line is overloaded when its base-case flow from the full PTDF
+        exceeds its rating by more than ``LINE_TOL_MW`` at some interval.
+        Raises LineLimitError, naming the line, if its rows are already in.
+        """
+        ratings = np.array([ln.rating for ln in self.system.lines])
+        excess = np.abs(self.base_flows(sol, ptdf)) - ratings[:, None]
+        over = np.flatnonzero((excess > LINE_TOL_MW).any(axis=1)).tolist()
+        for k in over:
+            if k in self._lines:
+                t = int(np.argmax(excess[k]))
+                raise LineLimitError(
+                    f"line {self.system.lines[k].id} exceeds its rating by "
+                    f"{excess[k, t]:.3g} MW at interval {t} with its limit rows "
+                    "in the model")
+        self.add_line_limits(ptdf, over)
+        return len(over)
 
     # ------------------------------------------------------------ extraction
     def commitment_values(self, sol: MilpSolution, g: int) -> np.ndarray:
@@ -354,11 +399,7 @@ class UcModelBuilder:
 
     def base_flows(self, sol: MilpSolution, ptdf: PtdfMatrix) -> np.ndarray:
         """Pre-activation line flows per (line, interval)."""
-        inj = np.array(
-            [[sol.value(self._inj[b.id, t]) for t in range(self.n_intervals)]
-             for b in self.system.buses]
-        )
-        return ptdf.values @ inj
+        return ptdf.values @ sol.values[self._inj_cols]
 
     def interval_costs(self, sol: MilpSolution) -> tuple[np.ndarray, np.ndarray]:
         """Per-interval (commitment+energy cost, balance violation MW)."""
@@ -377,3 +418,24 @@ class UcModelBuilder:
             viol[t] = (max(sol.value(self._sl_short[t]), 0.0)
                        + max(sol.value(self._sl_surp[t]), 0.0))
         return cost, viol
+
+
+def solve_lazy(builder: UcModelBuilder, ptdf: PtdfMatrix,
+               options: SolveOptions | None = None, more_rows=None) -> MilpSolution:
+    """Solve with base-case line rows generated on demand.
+
+    Solve, add the rows of every line the solution overloads, and re-solve
+    until a solve overloads none.  Then ``more_rows(sol)``, if given, may add
+    further rows and return how many; any addition starts another round.
+    Each round must add rows not yet in the model, so the loop ends.  A
+    non-optimal solve ends it at once and is returned for the caller to judge.
+    """
+    while True:
+        sol = solve(builder.model, options)
+        if sol.status != "optimal":
+            return sol
+        added = builder.add_overloaded_lines(sol, ptdf)
+        if not added and more_rows is not None:
+            added = more_rows(sol)
+        if not added:
+            return sol

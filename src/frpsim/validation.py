@@ -63,7 +63,7 @@ def build_rtuc_hour(system: PowerSystem, ptdf: PtdfMatrix, awards: FmmAwards,
                    np.array([awards.dr_at(g.id, start + t - 1) for t in range(length)]))
             for g in system.must_run_generators()}
     cfg = FmmConfig(voll=voll)
-    builder = _base_builder(system, ptdf, scenario, da, horizon, cfg,
+    builder = _base_builder(system, scenario, da, horizon, cfg,
                             name=f"rtuc@{start}", move_caps=caps,
                             down_budget=awards.dr_at)
     return FmmHandle(model=builder.model, builder=builder, system=system, ptdf=ptdf,

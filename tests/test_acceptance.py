@@ -22,10 +22,10 @@ from frpsim.dayahead import read_commitments_csv, run_da
 from frpsim.fmm import (DOWN, UP, FmmConfig, FmmHorizon, build_fmm_datadriven,
                         build_fmm_proxy, build_fmm_training,
                         compute_frp_requirements, post_deployment_flows,
-                        solve_with_cuts)
+                        solve_hour, solve_with_cuts)
 from frpsim.learner import (Mlp, gradient_check, load_models, predict_factors,
                             train)
-from frpsim.milp import brute_force_uc, check_solution, solve
+from frpsim.milp import brute_force_uc, check_solution
 from frpsim.network import compute_ptdf
 from frpsim.pipeline import ExperimentConfig, run_pipeline
 from frpsim.scenarios import (OUT_OF_SAMPLE, TRAINING, UncertaintyConfig,
@@ -37,7 +37,8 @@ from frpsim.validation import (ValidationConfig, build_rtuc_hour,
 from test_fmm import build_dd_fixture, constant_da, two_gen_system
 from test_milp import solve_uc_milp
 from util import (bottleneck_profile, bottleneck_system, make_gen, make_profile,
-                  profile_to_dir, single_bus_system, system_to_json)
+                  profile_to_dir, single_bus_system, system_to_json,
+                  worst_line_overload)
 
 SEED = 7
 N_OOS = 100
@@ -131,21 +132,29 @@ def _read_awards_column(out, policy, gen_id, column):
 
 def test_criterion_01_constraint_checker_soundness(bottleneck):
     """Every solution produced by a representative model sweep re-checks clean
-    at tolerance 1e-6 (module tests assert the same for their own solves)."""
+    at tolerance 1e-6 (module tests assert the same for their own solves), and
+    no line flow recomputed from its dispatch exceeds its rating: line rows
+    join the models lazily, so the rows alone do not show that."""
     system, ptdf, profile = bottleneck
     ucfg = UncertaintyConfig(seed=SEED)
     env = proxy_envelopes(profile, ucfg, system.solar_units)
     da, da_sol, da_handle = run_da(system, ptdf, profile)
-    checked = [("day-ahead", da_handle.model, da_sol)]
+    # (name, handle, solution, system load, per-unit solar) per family
+    checked = [("day-ahead", da_handle, da_sol, profile.hourly_load,
+                profile.solar_hourly)]
     horizon = FmmHorizon(start=68, init=cold_start_state(system))
+    ts = np.arange(68, 75)
     proxy = build_fmm_proxy(system, ptdf, profile, env, da, horizon)
-    checked.append(("fmm-proxy", proxy.model, solve(proxy.model)))
+    checked.append(("fmm-proxy", proxy, solve_hour(proxy), profile.load_at(ts),
+                    profile.solar_at(ts)))
     scn = sample_scenarios(system, profile, ucfg, 1, TRAINING)[0]
     training = build_fmm_training(system, ptdf, scn, da, horizon)
-    checked.append(("fmm-training", training.model, solve(training.model)))
+    checked.append(("fmm-training", training, solve_hour(training), scn.load_at(ts),
+                    scn.solar_at(ts)))
     dd, _ = build_dd_fixture(system, profile, start=68, ucfg=ucfg)
     dd_sol, _ = solve_with_cuts(dd)
-    checked.append(("fmm-datadriven", dd.model, dd_sol))
+    checked.append(("fmm-datadriven", dd, dd_sol, profile.load_at(ts),
+                    profile.solar_at(ts)))
     # one validation-phase hour under the proxy day's awards
     from frpsim.dayahead import initial_state_from_da
     from frpsim.fmm import run_fmm_day
@@ -154,13 +163,18 @@ def test_criterion_01_constraint_checker_soundness(bottleneck):
     scn_oos = sample_scenarios(system, profile, ucfg, 1, OUT_OF_SAMPLE)[0]
     rtuc = build_rtuc_hour(system, ptdf, run.awards, da, scn_oos,
                            FmmHorizon(start=0, init=initial_state_from_da(system, da)))
-    checked.append(("validation-rtuc", rtuc.model, solve(rtuc.model)))
-    for name, model, sol in checked:
+    ts0 = np.arange(7)
+    checked.append(("validation-rtuc", rtuc, solve_hour(rtuc), scn_oos.load_at(ts0),
+                    scn_oos.solar_at(ts0)))
+    for name, handle, sol, load, solar in checked:
         assert sol.status == "optimal", name
-        rep = check_solution(model, sol, tol=1e-6)
+        rep = check_solution(handle.model, sol, tol=1e-6)
         assert rep.ok, (name, rep.worst())
+        overload = worst_line_overload(system, ptdf, handle.builder, sol, load, solar)
+        assert overload <= 1e-6, (name, overload)
     report("1 constraint-checker soundness",
-           f"{len(checked)} model families re-checked at 1e-6")
+           f"{len(checked)} model families re-checked at 1e-6, line flows "
+           "recomputed from dispatch")
 
 
 def test_criterion_02_oracle_equivalence():
@@ -293,7 +307,7 @@ def test_criterion_06_commitment_aware_frp_bounds():
     from frpsim.dayahead import initial_state_from_da
     horizon = FmmHorizon(start=0, init=initial_state_from_da(system, da))
     handle = build_fmm_proxy(system, ptdf, profile, env, da, horizon)
-    sol = solve(handle.model)
+    sol = solve_hour(handle)
     assert sol.status == "optimal"
     g = system.generators[0]
     assert sol.value(handle.ur[0, 3]) == pytest.approx(0.0, abs=1e-6)
@@ -305,7 +319,7 @@ def test_criterion_06_commitment_aware_frp_bounds():
     da2.dispatch_hourly[1][:] = 40.0
     horizon2 = FmmHorizon(start=0, init=initial_state_from_da(system, da2))
     handle2 = build_fmm_proxy(system, ptdf, profile, env, da2, horizon2)
-    sol2 = solve(handle2.model)
+    sol2 = solve_hour(handle2)
     assert sol2.status == "optimal"
     assert sol2.value(handle2.dr[0, 3]) == pytest.approx(0.0, abs=1e-6)
     assert sol2.value(handle2.ur[0, 3]) <= g.ramp_su + 1e-6

@@ -9,13 +9,15 @@ from frpsim.dayahead import DaCommitments, initial_state_from_da, run_da
 from frpsim.fmm import (DOWN, UP, FmmConfig, FmmHorizon,
                         build_fmm_datadriven, build_fmm_proxy, build_fmm_training,
                         compute_frp_requirements, delta_netload,
-                        post_deployment_flows, run_fmm_day, solve_with_cuts)
+                        post_deployment_flows, run_fmm_day, solve_hour,
+                        solve_with_cuts)
 from frpsim.learner import RampResponseFactors
-from frpsim.milp import SolveOptions, check_solution, solve
+from frpsim.milp import SolveOptions, check_solution
 from frpsim.network import (Bus, PowerSystem, SolarUnit, TransmissionLine,
                             compute_ptdf)
 from frpsim.scenarios import (DEPLOYMENT, Scenario, UncertaintyConfig,
                               proxy_envelopes, select_deployment_scenarios)
+from frpsim.ucbase import solve_lazy
 from util import (bottleneck_profile, bottleneck_system, dc_power_flow, make_gen,
                   make_profile, single_bus_system)
 
@@ -89,7 +91,7 @@ class TestProxyModel:
         horizon = FmmHorizon(start=0, init=initial_state_from_da(system, da))
         handle = build_fmm_proxy(system, ptdf, profile, env, da, horizon,
                                  cfg or FmmConfig())
-        sol = solve(handle.model)
+        sol = solve_hour(handle)
         assert sol.status == "optimal"
         assert check_solution(handle.model, sol).ok
         return handle, sol
@@ -139,7 +141,7 @@ class TestProxyModel:
                             solar=profile.solar15, seed_info="forecast")
         horizon = FmmHorizon(start=0, init=initial_state_from_da(system, da))
         th = build_fmm_training(system, ptdf, scenario, da, horizon)
-        tsol = solve(th.model)
+        tsol = solve_hour(th)
         assert tsol.status == "optimal"
         assert sol.objective == pytest.approx(tsol.objective, rel=1e-9, abs=1e-6)
 
@@ -167,7 +169,7 @@ class TestProxyModel:
         da, _, _ = run_da(system, ptdf, profile)
         horizon = FmmHorizon(start=36, init=initial_state_from_da(system, da))
         handle = build_fmm_proxy(system, ptdf, profile, env, da, horizon)
-        sol = solve(handle.model)
+        sol = solve_hour(handle)
         assert check_solution(handle.model, sol).ok
         b = handle.builder
         for g in system.generators:
@@ -191,7 +193,7 @@ class TestProxyModel:
         da, _, _ = run_da(system, ptdf, profile)
         horizon = FmmHorizon(start=72, init=initial_state_from_da(system, da))
         handle = build_fmm_proxy(system, ptdf, profile, env, da, horizon)
-        sol = solve(handle.model)
+        sol = solve_hour(handle)
         for t in range(6):
             total_ur = sum(sol.value(handle.ur[g.id, t]) for g in system.generators)
             total_dr = sum(sol.value(handle.dr[g.id, t]) for g in system.generators)
@@ -210,7 +212,7 @@ class TestTrainingModel:
                             solar=np.zeros((0, 96)), seed_info="t")
         horizon = FmmHorizon(start=0, init=initial_state_from_da(system, da))
         handle = build_fmm_training(system, ptdf, scenario, da, horizon)
-        sol = solve(handle.model)
+        sol = solve_hour(handle)
         assert sol.status == "optimal"
         b = handle.builder
         total = lambda t: sum(sol.value(b.p(g.id, t)) for g in system.generators)
@@ -226,7 +228,7 @@ class TestTrainingModel:
                             solar=np.zeros((0, 96)), seed_info="t")
         horizon = FmmHorizon(start=0, init=initial_state_from_da(system, da))
         handle = build_fmm_training(system, ptdf, scenario, da, horizon)
-        sol = solve(handle.model)
+        sol = solve_hour(handle)
         assert sol.status == "optimal"
         slack = sol.value(handle.builder.slack_short(2))
         assert slack > 80.0
@@ -302,8 +304,8 @@ class TestDataDrivenModel:
     def test_zero_factors_objective_at_least_proxy(self, bottleneck):
         system, _, profile = bottleneck
         handle, proxy = build_dd_fixture(system, profile)
-        dd_sol = solve(handle.model)
-        px_sol = solve(proxy.model)
+        dd_sol = solve_lazy(handle.builder, handle.ptdf)
+        px_sol = solve_hour(proxy)
         assert dd_sol.status == px_sol.status == "optimal"
         assert dd_sol.objective >= px_sol.objective - 1e-6 * (1 + abs(px_sol.objective))
 
@@ -317,7 +319,7 @@ class TestDataDrivenModel:
         handle, _ = build_dd_fixture(system, profile, factors=factors, start=0,
                                      ucfg=UncertaintyConfig(seed=3,
                                                             sigma_hourly_frac=0.05))
-        sol = solve(handle.model)
+        sol = solve_lazy(handle.builder, handle.ptdf)
         assert sol.status == "optimal"
         g = system.generators[0]
         # each upward-classified (t, s) forces the auxiliary, hence the award
@@ -370,7 +372,7 @@ class TestPostDeploymentFlows:
         assert np.all(handle.dnl.values == 0.0)
         assert not handle.aux_up and not handle.aux_dn
         np.testing.assert_array_equal(handle.flow_const, 0.0)
-        sol = solve(handle.model)
+        sol = solve_lazy(handle.builder, handle.ptdf)
         for s in range(2):
             for direction in (UP, DOWN):
                 assert np.isnan(post_deployment_flows(handle, sol, s, direction)).all()
@@ -392,7 +394,7 @@ class TestPostDeploymentFlows:
         profile = make_profile(load, None, shares=())
         handle, _ = build_dd_fixture(system, profile, start=0,
                                      ucfg=UncertaintyConfig(seed=1))
-        sol = solve(handle.model)
+        sol = solve_lazy(handle.builder, handle.ptdf)
         base = handle.builder.base_flows(sol, handle.ptdf)
         s_up = int(np.argmax(handle.dnl.values[0, :]))
         flows = post_deployment_flows(handle, sol, s_up, UP)
@@ -449,7 +451,7 @@ class TestCutLoop:
     def test_bottleneck_generates_cuts_and_migrates_awards(self, bottleneck):
         system, _, profile = bottleneck
         handle, proxy = build_dd_fixture(system, profile, start=72)
-        px_sol = solve(proxy.model)
+        px_sol = solve_hour(proxy)
         # the stranded unit holds requirement under the proxy policy
         ur_proxy = sum(px_sol.value(proxy.ur[0, t]) for t in range(6))
         assert ur_proxy > 0.0
@@ -482,7 +484,7 @@ class TestCutLoop:
         handle, proxy = build_dd_fixture(system, profile, start=72)
         exact = SolveOptions(mip_rel_gap=1e-9)
         sol, _ = solve_with_cuts(handle, options=exact)
-        px = solve(proxy.model, exact)
+        px = solve_hour(proxy, exact)
         assert sol.objective >= px.objective - 1e-6 * (1 + abs(px.objective))
 
 
@@ -537,7 +539,7 @@ class TestPolicyCostOrdering:
             pytest.skip("random instance infeasible at build time")
         # near-exact solves so the superset ordering is meaningful at 1e-6
         exact = SolveOptions(mip_rel_gap=1e-9)
-        px = solve(proxy.model, exact)
+        px = solve_hour(proxy, exact)
         assert px.status == "optimal"
         sol, _ = solve_with_cuts(handle, options=exact, max_rounds=30)
         assert sol.objective >= px.objective - 1e-6 * (1 + abs(px.objective))

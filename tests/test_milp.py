@@ -112,6 +112,17 @@ class TestSolve:
         with pytest.raises(ModelError, match="unknown variable"):
             m.add_constr("c", [("ghost", 1.0)], hi=1.0)
 
+    def test_corrupted_row_index_raises(self):
+        m = MilpModel()
+        x = m.add_var("x")
+        m.add_constr("ok", [(x, 1.0)], hi=1.0)
+        m.add_constr("bad", [(x, 1.0)], hi=1.0)
+        m._constrs[1][1][0] = 5   # a column no variable owns
+        with pytest.raises(ModelError, match="'bad' references undeclared"):
+            m.validate()
+        with pytest.raises(ModelError, match="'bad' references undeclared"):
+            solve(m)
+
     def test_optimal_values_within_bounds(self):
         m = MilpModel()
         x = m.add_var("x", CONTINUOUS, 2.0, 5.0)

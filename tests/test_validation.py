@@ -68,9 +68,8 @@ class TestRtucValidation:
     def test_unlimited_awards_match_unrestricted_redispatch(self, cleared_day):
         # move caps equal to the full ramp rate must reproduce the standard
         # ramp-constrained model exactly (two different builder code paths)
-        from frpsim.milp import solve
         from frpsim.network import nodal_injections
-        from frpsim.ucbase import FREE, UcModelBuilder, cold_start_state
+        from frpsim.ucbase import FREE, UcModelBuilder, cold_start_state, solve_lazy
 
         system, ptdf, profile, cfg, da, _ = cleared_day
         scn = sample_scenarios(system, profile, cfg, 3, OUT_OF_SAMPLE)[2]
@@ -84,8 +83,7 @@ class TestRtucValidation:
             b.add_dispatch()
             b.add_ramps(move_caps=caps)
             b.add_network(loads, solar)
-            b.add_line_limits(ptdf)
-            return b, solve(b.model)
+            return b, solve_lazy(b, ptdf)
 
         maxed = {g.id: (np.full(12, g.ramp_15), np.full(12, g.ramp_15))
                  for g in system.generators}

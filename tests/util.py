@@ -194,6 +194,26 @@ def dc_power_flow(system: PowerSystem, injections: np.ndarray) -> np.ndarray:
     ])
 
 
+def worst_line_overload(system: PowerSystem, ptdf, builder, sol, load,
+                        solar) -> float:
+    """Largest ``|flow| - rating`` over every line and interval of a solution.
+
+    Flows are recomputed from the solved dispatch and the nodal load and
+    solar (``load`` (T,) system MW, ``solar`` (n_units, T) MW) with the full
+    PTDF, never through ``base_flows`` or the rows the model carries.
+    """
+    n_t = builder.n_intervals
+    inj = np.zeros((system.n_buses, n_t))
+    for gen in system.generators:
+        inj[gen.bus] += [sol.values[builder.p(gen.id, t)] for t in range(n_t)]
+    inj -= np.outer(system.load_participation, np.asarray(load, dtype=float))
+    for u, unit in enumerate(system.solar_units):
+        inj[unit.bus] += np.asarray(solar, dtype=float)[u]
+    flows = ptdf.values @ inj
+    ratings = np.array([ln.rating for ln in system.lines])
+    return float((np.abs(flows) - ratings[:, None]).max(initial=-np.inf))
+
+
 def random_connected_system(rng: np.random.Generator, n_buses: int,
                             extra_lines: int) -> PowerSystem:
     """Random spanning tree plus chords; generators/loads irrelevant for PTDF."""
