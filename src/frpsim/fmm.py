@@ -551,10 +551,18 @@ def solve_hour(handle: FmmHandle, options: SolveOptions | None = None) -> MilpSo
 # ---------------------------------------------------------------- day rolls
 
 class HourSolveError(RuntimeError):
-    """A rolled hour found no optimal solution or kept a line overloaded."""
+    """A rolled hour found no optimal solution or kept a line overloaded.
+
+    Every constructor argument is in ``args``, so the error survives the
+    pickling that carries it out of a pool worker.
+    """
 
     def __init__(self, policy: str, hour: int, scenario, detail: str):
-        super().__init__(f"{policy} hour {hour}, scenario {scenario}: {detail}")
+        super().__init__(policy, hour, scenario, detail)
+        self.policy, self.hour, self.scenario, self.detail = policy, hour, scenario, detail
+
+    def __str__(self):
+        return f"{self.policy} hour {self.hour}, scenario {self.scenario}: {self.detail}"
 
 
 @dataclass

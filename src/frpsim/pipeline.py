@@ -10,7 +10,11 @@ from __future__ import annotations
 
 import csv
 import json
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -33,11 +37,17 @@ STAGES = ("prepare", "train", "clear", "validate", "report")
 
 
 class StageError(RuntimeError):
-    """A pipeline stage failed; the message is tagged with the stage name."""
+    """A pipeline stage failed; the message is tagged with the stage name.
+
+    Both constructor arguments are in ``args``, so the error pickles.
+    """
 
     def __init__(self, stage: str, message: str):
-        super().__init__(f"[{stage}] {message}")
-        self.stage = stage
+        super().__init__(stage, message)
+        self.stage, self.message = stage, message
+
+    def __str__(self):
+        return f"[{self.stage}] {self.message}"
 
 
 @dataclass
@@ -144,6 +154,37 @@ class PipelineContext:
             )
 
 
+# ------------------------------------------------------------- scenario-days
+
+def _pool_size(n_days: int) -> int:
+    """Worker processes for ``n_days`` independent scenario-days: one per CPU
+    this process may run on (``taskset`` narrows them), at most one per day."""
+    return max(1, min(len(os.sched_getaffinity(0)), n_days))
+
+
+def _roll_days(stage: str, label: str, day, scenarios, *more) -> list:
+    """``[day(s, *m) for s, *m in zip(scenarios, *more)]`` on a process pool.
+
+    ``Executor.map`` keeps input order, so the results are those of a serial
+    loop.  The start method is named because Python's default differs across
+    versions.  Forked workers start with frpsim and the inputs loaded; fork
+    is safe here because the pool forks before it starts its own threads,
+    HiGHS leaves no thread behind and OpenBLAS restarts its threads in the
+    child.  The first failing day in input order raises
+    ``StageError(stage, "<label> <index>: <error>")`` and cancels the days
+    not yet started.
+    """
+    fork = multiprocessing.get_context("fork")
+    done = []
+    with ProcessPoolExecutor(_pool_size(len(scenarios)), mp_context=fork) as pool:
+        try:
+            for result in pool.map(day, scenarios, *more):
+                done.append(result)
+        except Exception as exc:
+            raise StageError(stage, f"{label} {len(done)}: {exc}") from exc
+    return done
+
+
 # ------------------------------------------------------------------- stages
 
 def stage_prepare(ctx: PipelineContext, force: bool = False) -> None:
@@ -171,12 +212,12 @@ def stage_train(ctx: PipelineContext, force: bool = False) -> None:
     try:
         training = sample_scenarios(ctx.system, ctx.profile, cfg.uncertainty,
                                     cfg.n_training, TRAINING)
-        pairs = []
-        for scn in training:
-            traj = run_training_day(ctx.system, ctx.ptdf, scn, ctx.da,
-                                    cfg.fmm, cfg.solve_options)
-            pairs.append((scn, traj))
-        dataset = learner_mod.build_targets(pairs, ctx.system, seed=cfg.seed)
+        trajs = _roll_days("train", "training scenario",
+                          partial(run_training_day, ctx.system, ctx.ptdf, da=ctx.da,
+                                  cfg=cfg.fmm, options=cfg.solve_options),
+                          training)
+        dataset = learner_mod.build_targets(list(zip(training, trajs)), ctx.system,
+                                            seed=cfg.seed)
         if cfg.persist_training_data:
             _write_dataset_csv(dataset, ctx.out / "training_dataset.csv")
         train_cfg = learner_mod.TrainConfig(
@@ -252,14 +293,10 @@ def stage_validate(ctx: PipelineContext, force: bool = False) -> None:
                 raise StageError("validate", f"awards for {policy} missing; run clear")
             awards = _read_awards_csv(awards_path, ctx.system)
             ctx.awards[policy] = awards
-        results = []
-        for sid, scn in enumerate(oos):
-            try:
-                results.append(run_rtuc_validation(
-                    ctx.system, ctx.ptdf, awards, ctx.da, scn, sid, policy, vcfg,
-                ))
-            except Exception as exc:
-                raise StageError("validate", f"{policy} scenario {sid}: {exc}") from exc
+        results = _roll_days("validate", f"{policy} scenario",
+                            partial(run_rtuc_validation, ctx.system, ctx.ptdf, awards,
+                                    ctx.da, policy=policy, cfg=vcfg),
+                            oos, range(len(oos)))
         write_results_csv(results, results_path)
         write_interval_csv(results, ctx.out / f"intervals_{policy}.csv")
         ctx.results[policy] = results

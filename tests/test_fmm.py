@@ -618,3 +618,14 @@ class TestRollDay:
         with pytest.raises(HourSolveError, match="training hour 2, scenario s7: "
                                                  "solve ended infeasible"):
             roll_day(system, da, build_hour, "training", scenario="s7")
+
+    def test_hour_solve_error_pickles_with_message_and_attributes(self):
+        import pickle
+
+        from frpsim.fmm import HourSolveError
+
+        err = pickle.loads(pickle.dumps(HourSolveError("datadriven", 5, 3, "solve ended limit")))
+        assert isinstance(err, HourSolveError)
+        assert str(err) == "datadriven hour 5, scenario 3: solve ended limit"
+        assert (err.policy, err.hour, err.scenario, err.detail) == ("datadriven", 5, 3,
+                                                                    "solve ended limit")

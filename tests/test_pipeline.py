@@ -1,11 +1,17 @@
 from __future__ import annotations
 
 import json
+import os
+import pickle
+import shutil
 
 import pytest
 
+from frpsim import fmm, pipeline, validation
 from frpsim.cli import main as cli_main
+from frpsim.fmm import HourSolveError
 from frpsim.pipeline import ExperimentConfig, StageError, run_pipeline
+from frpsim.scenarios import Scenario
 from util import bottleneck_profile, bottleneck_system, profile_to_dir, system_to_json
 
 TABLES = ["table_improvements.csv", "table_violations.csv", "table_costs.csv",
@@ -230,3 +236,85 @@ def test_report_refuses_missing_interval_file(completed, toy_inputs, tmp_path):
     with pytest.raises(StageError, match=r"\[report\] intervals_proxy\.csv missing"):
         run_pipeline(toy_config(system_path, profile_dir, copy),
                      stages=["report"], force=True)
+
+
+def test_stage_error_pickles_with_message_and_stage():
+    err = pickle.loads(pickle.dumps(StageError("validate", "proxy scenario 3: boom")))
+    assert isinstance(err, StageError)
+    assert str(err) == "[validate] proxy scenario 3: boom"
+    assert err.stage == "validate"
+
+
+# --------------------------------------------------------- scenario-day pool
+
+def _infeasible_at_hour_2(build, index):
+    """Wrap an hour builder so that hour 2 of the scenario whose seed_info
+    ends in ``index=<index>`` demands more than generator 0 can make."""
+
+    def build_hour(*args, **kw):
+        handle = build(*args, **kw)
+        horizon = next(a for a in args if isinstance(a, fmm.FmmHorizon))
+        scenario = next(a for a in args if isinstance(a, Scenario))
+        if horizon.start == 8 and scenario.seed_info.endswith(f"index={index}"):
+            handle.model.add_constr("over_pmax", [(handle.builder.p(0, 0), 1.0)],
+                                    lo=1e6)
+        return handle
+    return build_hour
+
+
+def test_pool_size_follows_usable_cpus():
+    assert pipeline._pool_size(1) == 1
+    assert pipeline._pool_size(10**6) == len(os.sched_getaffinity(0))
+
+
+def test_failing_validation_day_names_stage_policy_and_scenario(
+        completed, toy_inputs, tmp_path, monkeypatch):
+    _, out, _ = completed
+    system_path, profile_dir = toy_inputs
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    monkeypatch.setattr(validation, "build_rtuc_hour",
+                        _infeasible_at_hour_2(validation.build_rtuc_hour, 1))
+    monkeypatch.setattr(pipeline, "_pool_size", lambda n: 2)
+    with pytest.raises(StageError, match=r"^\[validate\] proxy scenario 1: proxy hour 2, "
+                                         r"scenario 1: solve ended infeasible$") as info:
+        run_pipeline(toy_config(system_path, profile_dir, copy),
+                     stages=["validate"], force=True)
+    assert info.value.stage == "validate"
+    # the worker's error crossed the process boundary intact
+    assert isinstance(info.value.__cause__, HourSolveError)
+    assert (info.value.__cause__.policy, info.value.__cause__.scenario) == ("proxy", 1)
+
+
+def test_failing_training_day_names_its_scenario(completed, toy_inputs, tmp_path,
+                                                 monkeypatch):
+    _, out, _ = completed
+    system_path, profile_dir = toy_inputs
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    monkeypatch.setattr(fmm, "build_fmm_training",
+                        _infeasible_at_hour_2(fmm.build_fmm_training, 2))
+    monkeypatch.setattr(pipeline, "_pool_size", lambda n: 2)
+    with pytest.raises(StageError, match=r"^\[train\] training scenario 2: training hour 2, "
+                                         r"scenario seed=5 kind=training index=2: "
+                                         r"solve ended infeasible$") as info:
+        run_pipeline(toy_config(system_path, profile_dir, copy),
+                     stages=["train"], force=True)
+    assert info.value.stage == "train"
+    assert isinstance(info.value.__cause__, HourSolveError)
+
+
+def test_worker_count_does_not_change_outputs(toy_inputs, tmp_path, monkeypatch):
+    system_path, profile_dir = toy_inputs
+    out = tmp_path / "out"
+    names = ["awards_proxy.csv", "awards_datadriven.csv", "results_proxy.csv",
+             "results_datadriven.csv", "intervals_proxy.csv",
+             "intervals_datadriven.csv", "fmm_costs.json", "report.json"]
+    runs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(pipeline, "_pool_size", lambda n, w=workers: w)
+        run_pipeline(toy_config(system_path, profile_dir, out))
+        runs.append({name: (out / name).read_bytes() for name in names})
+        shutil.rmtree(out)
+    for name in names:
+        assert runs[0][name] == runs[1][name], name
