@@ -99,10 +99,9 @@ def run_da(system: PowerSystem, ptdf: PtdfMatrix, profile: ForecastProfile,
         raise RuntimeError(f"day-ahead solve failed: {exc}") from exc
     if sol.status != "optimal":
         raise RuntimeError(f"day-ahead solve failed: {sol.status} ({sol.message})")
-    u_hourly = {g.id: handle.builder.commitment_values(sol, g.id)
-                for g in system.generators}
-    dispatch = {g.id: handle.builder.dispatch_values(sol, g.id)
-                for g in system.generators}
+    u, p = handle.builder.commitment_values(sol), handle.builder.dispatch_values(sol)
+    u_hourly = {g.id: u[i] for i, g in enumerate(system.generators)}
+    dispatch = {g.id: p[i] for i, g in enumerate(system.generators)}
     return (
         DaCommitments(u_hourly=u_hourly, dispatch_hourly=dispatch,
                       objective=sol.objective),

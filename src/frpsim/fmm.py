@@ -31,13 +31,15 @@ from .learner import DispatchTrajectory, RampResponseFactors
 from .milp import CONTINUOUS, MilpModel, MilpSolution, SolveOptions
 from .milp import solve  # noqa: F401  (fmm.solve stays the one milp.solve)
 from .network import PowerSystem, PtdfMatrix, nodal_injections
-from .scenarios import (DEPLOYMENT, INTERVALS_PER_DAY, ForecastProfile, ProxyEnvelope,
-                        Scenario, ScenarioSet)
+from .scenarios import (DEPLOYMENT, HOURS_PER_DAY, INTERVALS_PER_DAY, ForecastProfile,
+                        ProxyEnvelope, Scenario, ScenarioSet)
 from .ucbase import (AT_LEAST, FIXED, LINE_COEF_EPS, LineLimitError, UcModelBuilder, UnitInit,
                      advance_state, solve_lazy)
 
 UP = "up"
 DOWN = "down"
+SIGN = {UP: 1.0, DOWN: -1.0}   # sign of the netload move of each direction
+INTERVAL_HOURS = HOURS_PER_DAY / INTERVALS_PER_DAY
 
 
 @dataclass(frozen=True)
@@ -57,7 +59,6 @@ class FmmHorizon:
 @dataclass(frozen=True)
 class FmmConfig:
     voll: float = 10000.0            # $/MWh on balance and requirement slack
-    interval_hours: float = 0.25
     response_threshold: float = 0.05     # qualification floor for predicted responders
     cut_tol_mw: float = 1e-4
     max_cut_rounds: int = 20
@@ -104,24 +105,6 @@ class FmmAwards:
 
     def dr_at(self, g: int, t: int) -> float:
         return float(self.dr[g][min(max(t, 0), self.n_intervals - 1)])
-
-
-@dataclass(frozen=True)
-class DeltaNetload:
-    """Netload move of each deployment scenario against the current forecast.
-
-    Entry [t, s] is the scenario's netload at interval t+1 minus the forecast
-    netload at t; positive classifies (t, s) as an upward deployment."""
-
-    values: np.ndarray  # (length-1, n_scenarios)
-
-    def direction(self, t: int, s: int) -> str | None:
-        v = self.values[t, s]
-        if v > 0:
-            return UP
-        if v < 0:
-            return DOWN
-        return None
 
 
 @dataclass(frozen=True)
@@ -172,7 +155,14 @@ def delta_netload(profile: ForecastProfile, scenario: Scenario,
 
 @dataclass
 class FmmHandle:
-    """A built FMM model plus the index maps needed to read it back."""
+    """A built FMM model plus the column arrays needed to read it back.
+
+    ``ur``/``dr`` are the award columns per (generator position, move).  A
+    data-driven hour adds, per deployment scenario s, its netload move
+    ``dnl[t, s]`` (``delta_netload``), whose sign is the direction of move
+    (t, s), and one auxiliary award column ``aux[g, t, s]`` per generator,
+    -1 where the move has no direction.
+    """
 
     model: MilpModel
     builder: UcModelBuilder
@@ -182,13 +172,12 @@ class FmmHandle:
     cfg: FmmConfig
     policy: str                      # proxy | training | datadriven | validation
     requirements: FrpRequirements | None = None
-    ur: dict[tuple[int, int], int] = field(default_factory=dict)
-    dr: dict[tuple[int, int], int] = field(default_factory=dict)
+    ur: np.ndarray | None = None                    # (gens, length-1)
+    dr: np.ndarray | None = None
     # data-driven extras
     deployment: ScenarioSet | None = None
-    dnl: DeltaNetload | None = None
-    aux_up: dict[tuple[int, int, int], int] = field(default_factory=dict)
-    aux_dn: dict[tuple[int, int, int], int] = field(default_factory=dict)
+    dnl: np.ndarray | None = None                   # (length-1, S)
+    aux: np.ndarray | None = None                   # (gens, length-1, S)
     flow_const: np.ndarray | None = None            # (K, length-1, S)
     cuts: list[PostDeploymentCut] = field(default_factory=list)
     _cut_keys: set[tuple[int, int, int, str]] = field(default_factory=set)
@@ -208,7 +197,7 @@ def _base_builder(system: PowerSystem, realized, da,
     ``down_budget`` the ramp rate in the shutdown glidepath.
     """
     builder = UcModelBuilder(
-        system, horizon.length, cfg.interval_hours, horizon.init,
+        system, horizon.length, INTERVAL_HOURS, horizon.init,
         voll=cfg.voll, name=name,
     )
     ts = np.arange(horizon.start, horizon.start + horizon.length)
@@ -242,21 +231,20 @@ def _add_frp_block(handle: FmmHandle) -> None:
     cfg = handle.cfg
     length = handle.horizon.length
     req = handle.requirements
-    penalty = cfg.voll * cfg.interval_hours
-    for gen in system.generators:
+    penalty = cfg.voll * INTERVAL_HOURS
+    handle.ur = np.zeros((len(system.generators), length - 1), dtype=np.int64)
+    handle.dr = np.zeros_like(handle.ur)
+    for i, gen in enumerate(system.generators):
+        us, vs, ws, ps = (a[i].tolist() for a in (builder.u, builder.v, builder.w, builder.p))
         for t in range(length - 1):
             uri = m.add_var(f"ur[g{gen.id},t{t}]", CONTINUOUS, 0.0, math.inf)
             dri = m.add_var(f"dr[g{gen.id},t{t}]", CONTINUOUS, 0.0, math.inf)
-            handle.ur[gen.id, t] = uri
-            handle.dr[gen.id, t] = dri
+            handle.ur[i, t] = uri
+            handle.dr[i, t] = dri
             m.add_to_objective(uri, gen.frp_up_cost)
             m.add_to_objective(dri, gen.frp_down_cost)
-            u_t = builder.u(gen.id, t)
-            u_n = builder.u(gen.id, t + 1)
-            v_n = builder.v(gen.id, t + 1)
-            w_n = builder.w(gen.id, t + 1)
-            p_t = builder.p(gen.id, t)
-            p_n = builder.p(gen.id, t + 1)
+            u_t, u_n, v_n, w_n = us[t], us[t + 1], vs[t + 1], ws[t + 1]
+            p_t, p_n = ps[t], ps[t + 1]
             # headroom: energy plus upward award within capacity (or startup)
             m.add_constr(
                 f"cap_ur[g{gen.id},t{t}]",
@@ -299,10 +287,10 @@ def _add_frp_block(handle: FmmHandle) -> None:
         short_dn = m.add_var(f"fr_dn_short[t{t}]", CONTINUOUS, 0.0, math.inf)
         m.add_to_objective(short_up, penalty)
         m.add_to_objective(short_dn, penalty)
-        terms = [(handle.ur[g.id, t], 1.0) for g in system.generators]
+        terms = [(c, 1.0) for c in handle.ur[:, t].tolist()]
         terms.append((short_up, 1.0))
         m.add_constr(f"fr_up_req[t{t}]", terms, lo=float(req.fr_up[t]))
-        terms = [(handle.dr[g.id, t], 1.0) for g in system.generators]
+        terms = [(c, 1.0) for c in handle.dr[:, t].tolist()]
         terms.append((short_dn, 1.0))
         m.add_constr(f"fr_dn_req[t{t}]", terms, lo=float(req.fr_down[t]))
 
@@ -355,36 +343,31 @@ def build_fmm_datadriven(system: PowerSystem, ptdf: PtdfMatrix,
     m = handle.model
     length = horizon.length
     start = horizon.start
-    penalty = cfg.voll * cfg.interval_hours
+    penalty = cfg.voll * INTERVAL_HOURS
     n_dep = len(deployment)
+    handle.dnl = np.column_stack([delta_netload(profile, scn, start, length)
+                                  for scn in deployment])
+    handle.aux = np.full((len(system.generators), length - 1, n_dep), -1, dtype=np.int64)
 
-    dnl = DeltaNetload(values=np.column_stack([
-        delta_netload(profile, scn, start, length) for scn in deployment
-    ]))
-    handle.dnl = dnl
-
-    mr_ids = {g.id for g in system.must_run_generators()}
-    for s, scn in enumerate(deployment):
+    for s in range(n_dep):
         for t in range(length - 1):
-            move = dnl.values[t, s]
-            if move > 0:
-                aux, tag, sign = handle.aux_up, "up", 1.0
-            elif move < 0:
-                aux, tag, sign = handle.aux_dn, "dn", -1.0
-            else:
+            move = handle.dnl[t, s]
+            sign = float(np.sign(move))
+            if sign == 0.0:
                 continue
+            tag, name, awards = (("up", "ura", handle.ur) if sign > 0
+                                 else ("dn", "dra", handle.dr))
+            awards = awards[:, t].tolist()
             cover_terms = []
-            for gen in system.generators:
-                ai = m.add_var(f"{'ura' if sign > 0 else 'dra'}[g{gen.id},t{t},s{s}]",
-                               CONTINUOUS, 0.0, math.inf)
-                aux[gen.id, t, s] = ai
-                award = handle.ur[gen.id, t] if sign > 0 else handle.dr[gen.id, t]
+            for i, gen in enumerate(system.generators):
+                ai = m.add_var(f"{name}[g{gen.id},t{t},s{s}]", CONTINUOUS, 0.0, math.inf)
+                handle.aux[i, t, s] = ai
                 m.add_constr(
                     f"aux_le_award_{tag}[g{gen.id},t{t},s{s}]",
-                    [(ai, 1.0), (award, -1.0)], hi=0.0,
+                    [(ai, 1.0), (awards[i], -1.0)], hi=0.0,
                 )
                 cover_terms.append((ai, 1.0))
-                if gen.id not in mr_ids:
+                if gen.is_fast_start:
                     continue
                 z = sign * factors.value_at(gen.id, start + t, s)
                 committed_both = (
@@ -413,6 +396,20 @@ def build_fmm_datadriven(system: PowerSystem, ptdf: PtdfMatrix,
 
 # ------------------------------------------------------------------ cut loop
 
+def _deployment_flows(handle: FmmHandle, sol: MilpSolution) -> np.ndarray:
+    """Line flows (n_lines, length-1, S) after every scenario deploys its
+    auxiliary awards in the direction of its move, with the scenario's load
+    and solar shifts; a move with no direction deploys nothing."""
+    system = handle.system
+    sign = np.sign(handle.dnl)
+    deployed = np.where(handle.aux >= 0, sol.values[handle.aux], 0.0) * sign
+    shift = np.zeros((system.n_buses,) + sign.shape)
+    np.add.at(shift, [g.bus for g in system.generators], deployed)
+    moved = handle.ptdf.values @ shift.reshape(system.n_buses, -1)
+    base = handle.builder.base_flows(sol, handle.ptdf)[:, :-1, None]
+    return base + moved.reshape(len(system.lines), *sign.shape) + handle.flow_const
+
+
 def post_deployment_flows(handle: FmmHandle, sol: MilpSolution,
                           scenario_idx: int, direction: str) -> np.ndarray:
     """Line flows after deploying the scenario's auxiliary awards.
@@ -420,44 +417,29 @@ def post_deployment_flows(handle: FmmHandle, sol: MilpSolution,
     Returns (n_lines, length-1); entries are NaN for moves where the scenario
     is not classified in the requested direction.
     """
-    system = handle.system
-    length = handle.horizon.length
-    base = handle.builder.base_flows(sol, handle.ptdf)  # (K, length)
-    out = np.full((len(system.lines), length - 1), np.nan)
-    aux = handle.aux_up if direction == UP else handle.aux_dn
-    const = handle.flow_const
-    sign = 1.0 if direction == UP else -1.0
-    for t in range(length - 1):
-        if handle.dnl is None:
-            continue
-        move = handle.dnl.values[t, scenario_idx]
-        if (direction == UP and move <= 0) or (direction == DOWN and move >= 0):
-            continue
-        shift = np.zeros(system.n_buses)
-        for gen in system.generators:
-            key = (gen.id, t, scenario_idx)
-            if key in aux:
-                shift[gen.bus] += sign * sol.value(aux[key])
-        out[:, t] = base[:, t] + handle.ptdf.values @ shift + const[:, t, scenario_idx]
-    return out
+    on = np.sign(handle.dnl[:, scenario_idx]) == SIGN[direction]
+    return np.where(on, _deployment_flows(handle, sol)[:, :, scenario_idx], np.nan)
 
 
 def _violations(handle: FmmHandle, sol: MilpSolution, tol: float):
-    """All (k, t, s, direction, bound, magnitude) beyond rating + tol."""
+    """All (k, t, s, direction, bound, magnitude) beyond rating + tol.
+
+    Ordered by scenario, then UP before DOWN, then over the rating before
+    under it, then line by line: the order the cut rows are added in.
+    """
     found = []
     if handle.deployment is None:
         return found
-    ratings = np.array([ln.rating for ln in handle.system.lines])
+    flows = _deployment_flows(handle, sol)
+    ratings = np.array([ln.rating for ln in handle.system.lines])[:, None]
+    sign = np.sign(handle.dnl)
     for s in range(len(handle.deployment)):
         for direction in (UP, DOWN):
-            flows = post_deployment_flows(handle, sol, s, direction)
-            with np.errstate(invalid="ignore"):
-                over = flows - ratings[:, None]
-                under = -ratings[:, None] - flows
-            for k, t in zip(*np.where(over > tol)):
-                found.append((int(k), int(t), s, direction, "upper", float(over[k, t])))
-            for k, t in zip(*np.where(under > tol)):
-                found.append((int(k), int(t), s, direction, "lower", float(under[k, t])))
+            on = sign[:, s] == SIGN[direction]
+            for bound, excess in (("upper", flows[:, :, s] - ratings),
+                                  ("lower", -ratings - flows[:, :, s])):
+                for k, t in zip(*np.nonzero((excess > tol) & on)):
+                    found.append((int(k), int(t), s, direction, bound, float(excess[k, t])))
     return found
 
 
@@ -468,20 +450,15 @@ def _add_cut(handle: FmmHandle, k: int, t: int, s: int, direction: str,
     if key in handle._cut_keys:
         return False
     handle._cut_keys.add(key)
-    m = handle.model
-    system = handle.system
-    line = system.lines[k]
-    row = handle.ptdf.values[k]
-    aux = handle.aux_up if direction == UP else handle.aux_dn
+    line = handle.system.lines[k]
+    # line k's PTDF entry at each generator's bus
+    row = handle.ptdf.values[k][[g.bus for g in handle.system.generators]]
+    near = np.abs(row) > LINE_COEF_EPS
     const = handle.flow_const[k, t, s]
-    sign = 1.0 if direction == UP else -1.0
     terms = handle.builder.flow_terms(handle.ptdf, k, t)
-    for gen in system.generators:
-        akey = (gen.id, t, s)
-        if akey in aux and abs(row[gen.bus]) > LINE_COEF_EPS:
-            terms.append((aux[akey], sign * float(row[gen.bus])))
-    m.add_constr(f"dep_flow[k{line.id},t{t},s{s},{direction}]", terms,
-                 lo=-line.rating - const, hi=line.rating - const)
+    terms += zip(handle.aux[near, t, s].tolist(), (SIGN[direction] * row[near]).tolist())
+    handle.model.add_constr(f"dep_flow[k{line.id},t{t},s{s},{direction}]", terms,
+                            lo=-line.rating - const, hi=line.rating - const)
     handle.cuts.append(PostDeploymentCut(
         line_id=line.id, t=t, scenario=s, direction=direction,
         bound=bound, round_added=round_no,
@@ -489,20 +466,18 @@ def _add_cut(handle: FmmHandle, k: int, t: int, s: int, direction: str,
     return True
 
 
-def solve_with_cuts(handle: FmmHandle, options: SolveOptions | None = None,
-                    tol: float | None = None,
-                    max_rounds: int | None = None) -> tuple[MilpSolution, list[PostDeploymentCut]]:
+def solve_with_cuts(handle: FmmHandle, options: SolveOptions | None = None
+                    ) -> tuple[MilpSolution, list[PostDeploymentCut]]:
     """Solve, then iteratively add violated post-deployment flow constraints.
 
     Runs on ``solve_lazy``: post-deployment flows are checked only on a
     solve that overloads no line in the base case, and each check that adds
     cuts is one cut round.  Terminates when a solve leaves every
-    post-deployment flow within rating plus tolerance.  Raises CutLoopError
-    when rounds are exhausted with violations remaining or the model becomes
-    infeasible after cuts.
+    post-deployment flow within rating plus ``cfg.cut_tol_mw``.  Raises
+    CutLoopError when ``cfg.max_cut_rounds`` rounds are exhausted with
+    violations remaining or the model becomes infeasible after cuts.
     """
-    tol = handle.cfg.cut_tol_mw if tol is None else tol
-    max_rounds = handle.cfg.max_cut_rounds if max_rounds is None else max_rounds
+    tol, max_rounds = handle.cfg.cut_tol_mw, handle.cfg.max_cut_rounds
     rounds = 0
 
     def cut_round(sol: MilpSolution) -> int:
@@ -622,14 +597,15 @@ def roll_day(system: PowerSystem, da: DaCommitments, build_hour, policy: str,
         b = handle.builder
         cost, viol = b.interval_costs(sol)
         traj.cost[now] = cost[:nb]
-        traj.violation_mwh[now] = viol[:nb] * handle.cfg.interval_hours
-        for g in system.generators:
-            traj.u[g.id][now] = b.commitment_values(sol, g.id)[:nb]
-            traj.p[g.id][now] = b.dispatch_values(sol, g.id)[:nb]
-            traj.v[g.id][now] = [sol.value(b.v(g.id, t)) for t in range(nb)]
-            if handle.requirements is not None:
-                traj.ur[g.id][now] = [sol.value(handle.ur[g.id, t]) for t in range(nb)]
-                traj.dr[g.id][now] = [sol.value(handle.dr[g.id, t]) for t in range(nb)]
+        traj.violation_mwh[now] = viol[:nb] * INTERVAL_HOURS
+        committed, dispatched = b.commitment_values(sol), b.dispatch_values(sol)
+        for i, g in enumerate(system.generators):
+            traj.u[g.id][now] = committed[i, :nb]
+            traj.p[g.id][now] = dispatched[i, :nb]
+            traj.v[g.id][now] = sol.values[b.v[i, :nb]]
+            if handle.ur is not None:
+                traj.ur[g.id][now] = sol.values[handle.ur[i, :nb]]
+                traj.dr[g.id][now] = sol.values[handle.dr[i, :nb]]
                 traj.frp_cost[now] += g.frp_up_cost * traj.ur[g.id][now]
                 traj.frp_cost[now] += g.frp_down_cost * traj.dr[g.id][now]
         state = advance_state(system, state, {g: u[now] for g, u in traj.u.items()},

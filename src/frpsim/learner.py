@@ -23,6 +23,7 @@ from .scenarios import Scenario, ScenarioSet
 WINDOW_OFFSETS = range(-3, 4)          # previous/next three intervals plus t
 BASE_QUANTITIES = 4                    # netload, load, and their changes
 DEFAULT_HIDDEN = (100, 100, 25)
+ADAM_BETA1, ADAM_BETA2 = 0.9, 0.999    # Adam moment decay rates
 
 
 def feature_dim(n_solar: int) -> int:
@@ -213,10 +214,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     seed: int = 0
 
-    # Adam moment decay; fixed, not worth exposing
-    beta1: float = 0.9
-    beta2: float = 0.999
-
 
 @dataclass
 class RegressionModel:
@@ -263,10 +260,10 @@ def _train_one(x_train, y_train, x_test, y_test, cfg: TrainConfig,
             step += 1
             grads = [*grad_ws, *grad_bs]
             for p, g, m1, m2 in zip(mlp.parameters(), grads, moments1, moments2):
-                m1 += (1 - cfg.beta1) * (g - m1)
-                m2 += (1 - cfg.beta2) * (g * g - m2)
-                hat1 = m1 / (1 - cfg.beta1 ** step)
-                hat2 = m2 / (1 - cfg.beta2 ** step)
+                m1 += (1 - ADAM_BETA1) * (g - m1)
+                m2 += (1 - ADAM_BETA2) * (g * g - m2)
+                hat1 = m1 / (1 - ADAM_BETA1 ** step)
+                hat2 = m2 / (1 - ADAM_BETA2 ** step)
                 p -= cfg.learning_rate * hat1 / (np.sqrt(hat2) + 1e-8)
         history.append(mlp.mse(xn, y_train))
     return RegressionModel(

@@ -90,23 +90,24 @@ class MilpModel:
         self._ub.append(float(ub))
         return idx
 
-    def var_index(self, var: int | str) -> int:
-        if isinstance(var, str):
-            try:
-                return self._var_index[var]
-            except KeyError:
-                raise ModelError(f"unknown variable {var!r}") from None
-        if not 0 <= var < self.n_vars:
-            raise ModelError(f"variable index {var} out of range")
-        return var
+    def var_index(self, name: str) -> int:
+        """Column of the variable called ``name``."""
+        try:
+            return self._var_index[name]
+        except KeyError:
+            raise ModelError(f"unknown variable {name!r}") from None
 
-    def add_to_objective(self, var: int | str, coef: float) -> None:
-        i = self.var_index(var)
-        self._obj[i] = self._obj.get(i, 0.0) + float(coef)
+    def add_to_objective(self, var: int, coef: float) -> None:
+        self._obj[var] = self._obj.get(var, 0.0) + float(coef)
 
     def add_constr(self, name: str, terms, lo: float = -math.inf,
                    hi: float = math.inf) -> None:
-        """Add the row ``lo <= sum(coef * var for var, coef in terms) <= hi``."""
+        """Add the row ``lo <= sum(coef * var for var, coef in terms) <= hi``.
+
+        ``terms`` is a sequence of (column, coefficient) pairs with distinct
+        columns, stored as given; the columns are checked when the matrix is
+        built.
+        """
         if name in self._constr_index:
             raise ModelError(f"duplicate constraint name {name!r}")
         lo, hi = float(lo), float(hi)
@@ -114,14 +115,12 @@ class MilpModel:
             raise ModelError(f"constraint {name!r} has empty range [{lo}, {hi}]")
         if math.isinf(lo) and math.isinf(hi):
             raise ModelError(f"constraint {name!r} has no finite bound")
-        acc: dict[int, float] = {}
-        for var, coef in terms:
-            i = self.var_index(var)
-            acc[i] = acc.get(i, 0.0) + float(coef)
-        idx = np.fromiter(acc.keys(), dtype=np.int64, count=len(acc))
-        coefs = np.fromiter(acc.values(), dtype=np.float64, count=len(acc))
+        cols, coefs = zip(*terms) if terms else ((), ())
+        idx = np.array(cols, dtype=np.int64)
+        # + 0.0 turns a -0.0 coefficient into +0.0
+        data = np.array(coefs, dtype=np.float64) + 0.0
         self._constr_index[name] = len(self._constrs)
-        self._constrs.append((name, idx, coefs, lo, hi))
+        self._constrs.append((name, idx, data, lo, hi))
         self._matrix_cache = None
 
     # -------------------------------------------------------------- validation
@@ -142,7 +141,7 @@ class MilpModel:
         n = self.n_constrs
         counts = np.fromiter((len(c[1]) for c in self._constrs), dtype=np.int64, count=n)
         cols = np.concatenate([c[1] for c in self._constrs] + [np.empty(0, dtype=np.int64)])
-        bad = np.flatnonzero((cols < 0) | (cols >= self.n_vars))
+        bad = self._undeclared(cols)
         if len(bad):
             row = int(np.searchsorted(np.cumsum(counts), bad[0], side="right"))
             raise ModelError(
@@ -156,10 +155,16 @@ class MilpModel:
         return a, lo, hi
 
     def objective_vector(self) -> np.ndarray:
+        cols = np.fromiter(self._obj.keys(), dtype=np.int64, count=len(self._obj))
+        if len(self._undeclared(cols)):
+            raise ModelError("objective references undeclared variables")
         c = np.zeros(self.n_vars)
-        for i, coef in self._obj.items():
-            c[i] = coef
+        c[cols] = np.fromiter(self._obj.values(), dtype=np.float64, count=len(cols))
         return c
+
+    def _undeclared(self, cols: np.ndarray) -> np.ndarray:
+        """Positions of the entries of ``cols`` that name no column."""
+        return np.flatnonzero((cols < 0) | (cols >= self.n_vars))
 
 
 @dataclass

@@ -88,8 +88,12 @@ class UcModelBuilder:
     """Assemble the shared unit-commitment core of one market model.
 
     Call order: ``add_commitment`` then ``add_dispatch`` then ``add_ramps``
-    then ``add_network``.  Index lookups (``u``, ``p``, ...) are valid after
-    the corresponding ``add_*`` call.
+    then ``add_network``.  Each variable family is one integer column array,
+    filled by the corresponding ``add_*`` call: ``u``, ``v``, ``w`` and ``p``
+    are (generators, intervals) with generators by position in
+    ``system.generators``; ``pe`` is (generators, intervals, blocks), -1
+    past a generator's last cost block; ``inj_cols`` is (buses, intervals);
+    the balance slacks ``short`` and ``surp`` are (intervals,).
     """
 
     def __init__(self, system: PowerSystem, n_intervals: int,
@@ -101,35 +105,21 @@ class UcModelBuilder:
         self.init = init
         self.voll = voll
         self.model = MilpModel(name=name)
-        self._u: dict[tuple[int, int], int] = {}
-        self._v: dict[tuple[int, int], int] = {}
-        self._w: dict[tuple[int, int], int] = {}
-        self._p: dict[tuple[int, int], int] = {}
-        self._pe: dict[tuple[int, int, int], int] = {}
-        self._inj: dict[tuple[int, int], int] = {}
-        self._sl_short: dict[int, int] = {}
-        self._sl_surp: dict[int, int] = {}
-        self._inj_cols = np.zeros((len(system.buses), n_intervals), dtype=np.int64)
+        n_gens, T = len(system.generators), n_intervals
+        n_blocks = max((len(g.cost_blocks) for g in system.generators), default=0)
+        self.u = np.zeros((n_gens, T), dtype=np.int64)
+        self.v = np.zeros((n_gens, T), dtype=np.int64)
+        self.w = np.zeros((n_gens, T), dtype=np.int64)
+        self.p = np.zeros((n_gens, T), dtype=np.int64)
+        self.pe = np.full((n_gens, T, n_blocks), -1, dtype=np.int64)
+        self.inj_cols = np.zeros((len(system.buses), T), dtype=np.int64)
+        self.short = np.zeros(T, dtype=np.int64)
+        self.surp = np.zeros(T, dtype=np.int64)
         self._lines: set[int] = set()
 
-    # ---------------------------------------------------------------- lookups
-    def u(self, g: int, t: int) -> int:
-        return self._u[g, t]
-
-    def v(self, g: int, t: int) -> int:
-        return self._v[g, t]
-
-    def w(self, g: int, t: int) -> int:
-        return self._w[g, t]
-
-    def p(self, g: int, t: int) -> int:
-        return self._p[g, t]
-
     def inj(self, n: int, t: int) -> int:
-        return self._inj[n, t]
-
-    def slack_short(self, t: int) -> int:
-        return self._sl_short[t]
+        """Column of bus ``n``'s net injection at interval ``t``."""
+        return int(self.inj_cols[n, t])
 
     @property
     def lines(self) -> frozenset[int]:
@@ -148,7 +138,7 @@ class UcModelBuilder:
         """
         m = self.model
         T = self.n_intervals
-        for gen in self.system.generators:
+        for i, gen in enumerate(self.system.generators):
             mode, pattern = modes[gen.id]
             init = self.init[gen.id]
             u0 = 1 if init.committed else 0
@@ -158,6 +148,7 @@ class UcModelBuilder:
                     force_on = gen.min_up - init.up_time
                 if not init.committed and init.down_time < gen.min_down:
                     force_off = gen.min_down - init.down_time
+            us, vs, ws = [], [], []
             for t in range(T):
                 lb, ub = 0.0, 1.0
                 if mode == FIXED:
@@ -176,9 +167,6 @@ class UcModelBuilder:
                 ui = m.add_var(f"u[g{gen.id},t{t}]", BINARY, lb=lb, ub=ub)
                 vi = m.add_var(f"v[g{gen.id},t{t}]", CONTINUOUS, 0.0, 1.0)
                 wi = m.add_var(f"w[g{gen.id},t{t}]", CONTINUOUS, 0.0, 1.0)
-                self._u[gen.id, t] = ui
-                self._v[gen.id, t] = vi
-                self._w[gen.id, t] = wi
                 m.add_to_objective(ui, gen.no_load_cost)
                 m.add_to_objective(vi, gen.startup_cost)
                 m.add_to_objective(wi, gen.shutdown_cost)
@@ -189,7 +177,7 @@ class UcModelBuilder:
                     m.add_constr(f"su_from_off[g{gen.id},t0]", [(vi, 1.0)], hi=1.0 - u0)
                     m.add_constr(f"sd_from_on[g{gen.id},t0]", [(wi, 1.0)], hi=float(u0))
                 else:
-                    up = self._u[gen.id, t - 1]
+                    up = us[t - 1]
                     m.add_constr(f"su_sd_link[g{gen.id},t{t}]",
                                  [(vi, 1.0), (wi, -1.0), (ui, -1.0), (up, 1.0)],
                                  lo=0.0, hi=0.0)
@@ -200,37 +188,42 @@ class UcModelBuilder:
                 m.add_constr(f"su_on[g{gen.id},t{t}]", [(vi, 1.0), (ui, -1.0)], hi=0.0)
                 m.add_constr(f"su_sd_excl[g{gen.id},t{t}]",
                              [(vi, 1.0), (wi, 1.0)], hi=1.0)
+                us.append(ui)
+                vs.append(vi)
+                ws.append(wi)
+            self.u[i], self.v[i], self.w[i] = us, vs, ws
             if gen.id in min_updown_for:
                 if gen.min_up > 1:
                     for t in range(T):
                         lo = max(0, t - gen.min_up + 1)
-                        terms = [(self._v[gen.id, s], 1.0) for s in range(lo, t + 1)]
-                        terms.append((self._u[gen.id, t], -1.0))
+                        terms = [(vs[s], 1.0) for s in range(lo, t + 1)]
+                        terms.append((us[t], -1.0))
                         m.add_constr(f"min_up[g{gen.id},t{t}]", terms, hi=0.0)
                 if gen.min_down > 1:
                     for t in range(T):
                         lo = max(0, t - gen.min_down + 1)
-                        terms = [(self._w[gen.id, s], 1.0) for s in range(lo, t + 1)]
-                        terms.append((self._u[gen.id, t], 1.0))
+                        terms = [(ws[s], 1.0) for s in range(lo, t + 1)]
+                        terms.append((us[t], 1.0))
                         m.add_constr(f"min_dn[g{gen.id},t{t}]", terms, hi=1.0)
 
     # --------------------------------------------------------------- dispatch
     def add_dispatch(self) -> None:
         """Total power as minimum output plus cost blocks; block energy costs."""
         m = self.model
-        for gen in self.system.generators:
+        for i, gen in enumerate(self.system.generators):
+            us = self.u[i].tolist()
             for t in range(self.n_intervals):
                 pi = m.add_var(f"p[g{gen.id},t{t}]", CONTINUOUS, 0.0, gen.p_max)
-                self._p[gen.id, t] = pi
-                terms = [(pi, 1.0), (self._u[gen.id, t], -gen.p_min)]
+                self.p[i, t] = pi
+                terms = [(pi, 1.0), (us[t], -gen.p_min)]
                 for e, (width, slope) in enumerate(gen.cost_blocks):
                     pei = m.add_var(f"pe[g{gen.id},t{t},e{e}]", CONTINUOUS, 0.0, width)
-                    self._pe[gen.id, t, e] = pei
+                    self.pe[i, t, e] = pei
                     terms.append((pei, -1.0))
                     m.add_to_objective(pei, slope * self.interval_hours)
                     m.add_constr(
                         f"blk_ub[g{gen.id},t{t},e{e}]",
-                        [(pei, 1.0), (self._u[gen.id, t], -width)], hi=0.0,
+                        [(pei, 1.0), (us[t], -width)], hi=0.0,
                     )
                 m.add_constr(f"pwr_def[g{gen.id},t{t}]", terms, lo=0.0, hi=0.0)
 
@@ -246,17 +239,15 @@ class UcModelBuilder:
         before the horizon).
         """
         m = self.model
-        for gen in self.system.generators:
+        for i, gen in enumerate(self.system.generators):
             caps = (move_caps or {}).get(gen.id)
             init = self.init[gen.id]
             u0 = 1 if init.committed else 0
+            us, vs, ws, ps = (a[i].tolist() for a in (self.u, self.v, self.w, self.p))
             for t in range(self.n_intervals):
                 up_rate = gen.ramp_15 if caps is None else float(caps[0][t])
                 dn_rate = gen.ramp_15 if caps is None else float(caps[1][t])
-                pi = self._p[gen.id, t]
-                vi = self._v[gen.id, t]
-                wi = self._w[gen.id, t]
-                ui = self._u[gen.id, t]
+                pi, vi, wi, ui = ps[t], vs[t], ws[t], us[t]
                 if t == 0:
                     # previous interval is the chained initial state
                     m.add_constr(
@@ -270,8 +261,7 @@ class UcModelBuilder:
                         hi=-init.power,
                     )
                 else:
-                    pp = self._p[gen.id, t - 1]
-                    up = self._u[gen.id, t - 1]
+                    pp, up = ps[t - 1], us[t - 1]
                     m.add_constr(
                         f"ramp_up[g{gen.id},t{t}]",
                         [(pi, 1.0), (pp, -1.0), (up, -up_rate), (vi, -gen.ramp_su)],
@@ -298,7 +288,7 @@ class UcModelBuilder:
         interval k; ``down_budget(gid, k)`` the downward move allowed from
         interval k into k+1 (the ramp rate, or the held downward award).
         """
-        for gen in self.system.generators:
+        for i, gen in enumerate(self.system.generators):
             if gen.is_fast_start:
                 continue
             for t in range(self.n_intervals):
@@ -316,7 +306,7 @@ class UcModelBuilder:
                     continue
                 self.model.add_constr(
                     f"sd_glide[g{gen.id},t{t}]",
-                    [(self._p[gen.id, t], 1.0)], hi=bound,
+                    [(int(self.p[i, t]), 1.0)], hi=bound,
                 )
 
     # ---------------------------------------------------------------- network
@@ -328,33 +318,33 @@ class UcModelBuilder:
         m = self.model
         system = self.system
         gens_at: dict[int, list[int]] = {b.id: [] for b in system.buses}
-        for gen in system.generators:
-            gens_at[gen.bus].append(gen.id)
+        for i, gen in enumerate(system.generators):
+            gens_at[gen.bus].append(i)
         penalty = self.voll * self.interval_hours
         for t in range(self.n_intervals):
+            ps = self.p[:, t].tolist()
             for b, bus in enumerate(system.buses):
                 ii = m.add_var(f"inj[n{bus.id},t{t}]", CONTINUOUS, -math.inf, math.inf)
-                self._inj[bus.id, t] = ii
-                self._inj_cols[b, t] = ii
+                self.inj_cols[b, t] = ii
                 terms = [(ii, 1.0)]
-                terms.extend((self._p[g, t], -1.0) for g in gens_at[bus.id])
+                terms.extend((ps[g], -1.0) for g in gens_at[bus.id])
                 net = float(nodal_solar[bus.id, t] - nodal_load[bus.id, t])
                 m.add_constr(f"inj_def[n{bus.id},t{t}]", terms, lo=net, hi=net)
             shorti = m.add_var(f"sl_short[t{t}]", CONTINUOUS, 0.0, math.inf)
             surpi = m.add_var(f"sl_surp[t{t}]", CONTINUOUS, 0.0, math.inf)
-            self._sl_short[t] = shorti
-            self._sl_surp[t] = surpi
+            self.short[t] = shorti
+            self.surp[t] = surpi
             m.add_to_objective(shorti, penalty)
             m.add_to_objective(surpi, penalty)
-            terms = [(self._inj[b.id, t], 1.0) for b in system.buses]
+            terms = [(ii, 1.0) for ii in self.inj_cols[:, t].tolist()]
             terms += [(shorti, 1.0), (surpi, -1.0)]
             m.add_constr(f"sys_bal[t{t}]", terms, lo=0.0, hi=0.0)
 
     def flow_terms(self, ptdf: PtdfMatrix, k: int, t: int) -> list[tuple[int, float]]:
         """Terms of line k's base-case flow at interval t: PTDF row times injections."""
         row = ptdf.values[k]
-        nz = np.flatnonzero(np.abs(row) > LINE_COEF_EPS).tolist()
-        return [(self._inj[n, t], float(row[n])) for n in nz]
+        nz = np.flatnonzero(np.abs(row) > LINE_COEF_EPS)
+        return list(zip(self.inj_cols[nz, t].tolist(), row[nz].tolist()))
 
     def add_line_limits(self, ptdf: PtdfMatrix, lines) -> None:
         """One ranged row ``-rating <= flow <= rating`` per interval for each
@@ -391,32 +381,34 @@ class UcModelBuilder:
         return len(over)
 
     # ------------------------------------------------------------ extraction
-    def commitment_values(self, sol: MilpSolution, g: int) -> np.ndarray:
-        return np.array([round(sol.value(self._u[g, t])) for t in range(self.n_intervals)])
+    def commitment_values(self, sol: MilpSolution) -> np.ndarray:
+        """Rounded commitment per (generator position, interval)."""
+        return np.rint(sol.values[self.u]).astype(np.int64)
 
-    def dispatch_values(self, sol: MilpSolution, g: int) -> np.ndarray:
-        return np.array([sol.value(self._p[g, t]) for t in range(self.n_intervals)])
+    def dispatch_values(self, sol: MilpSolution) -> np.ndarray:
+        """Power output per (generator position, interval)."""
+        return sol.values[self.p]
 
     def base_flows(self, sol: MilpSolution, ptdf: PtdfMatrix) -> np.ndarray:
         """Pre-activation line flows per (line, interval)."""
-        return ptdf.values @ sol.values[self._inj_cols]
+        return ptdf.values @ sol.values[self.inj_cols]
 
     def interval_costs(self, sol: MilpSolution) -> tuple[np.ndarray, np.ndarray]:
-        """Per-interval (commitment+energy cost, balance violation MW)."""
+        """Per-interval (commitment+energy cost, balance violation MW).
+
+        The cost is each interval's u, v, w and pe columns times their
+        objective coefficients.  A running sum adds them generator by
+        generator, in column order, so reported costs do not depend on
+        numpy's pairwise summation.
+        """
         T = self.n_intervals
-        cost = np.zeros(T)
-        viol = np.zeros(T)
-        for gen in self.system.generators:
-            for t in range(T):
-                cost[t] += gen.no_load_cost * sol.value(self._u[gen.id, t])
-                cost[t] += gen.startup_cost * sol.value(self._v[gen.id, t])
-                cost[t] += gen.shutdown_cost * sol.value(self._w[gen.id, t])
-                for e, (_, slope) in enumerate(gen.cost_blocks):
-                    cost[t] += slope * self.interval_hours * sol.value(self._pe[gen.id, t, e])
-        for t in range(T):
-            # slack readings can carry ~1e-13 solver noise below zero
-            viol[t] = (max(sol.value(self._sl_short[t]), 0.0)
-                       + max(sol.value(self._sl_surp[t]), 0.0))
+        cols = np.concatenate([self.u[:, None], self.v[:, None], self.w[:, None],
+                               self.pe.transpose(0, 2, 1)], axis=1).reshape(-1, T)
+        c, x = self.model.objective_vector(), sol.values
+        terms = np.where(cols >= 0, c[cols] * x[cols], 0.0)
+        cost = np.cumsum(terms, axis=0)[-1] if len(terms) else np.zeros(T)
+        # slack readings can carry ~1e-13 solver noise below zero
+        viol = np.maximum(x[self.short], 0.0) + np.maximum(x[self.surp], 0.0)
         return cost, viol
 
 

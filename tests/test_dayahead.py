@@ -30,7 +30,7 @@ class TestBuildAndRun:
         load[72:76] = 90.0  # hour 18 exceeds capacity by 40 MW
         profile = make_profile(load, np.zeros(96))
         da, sol, handle = run_da(system, ptdf, profile)
-        slack = sol.value(handle.builder.slack_short(18))
+        slack = sol.value(handle.builder.short[18])
         assert slack == pytest.approx(40.0, abs=1e-4)
         # the shortage hour contributes VOLL x MW x 1 h
         assert sol.objective > 10000.0 * 39.0
@@ -112,4 +112,4 @@ def test_bundled_118_bus_da_evening_peak(system118, data_dir):
     on_at = lambda h: sum(int(da.u_hourly[g.id][h]) for g in system118.generators)
     # evening netload peak needs additional units beyond the night trough
     assert on_at(19) > on_at(3)
-    assert sol.value(handle.builder.slack_short(19)) == pytest.approx(0.0, abs=1e-6)
+    assert sol.value(handle.builder.short[19]) == pytest.approx(0.0, abs=1e-6)

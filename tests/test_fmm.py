@@ -6,20 +6,22 @@ import numpy as np
 import pytest
 
 from frpsim.dayahead import DaCommitments, initial_state_from_da, run_da
-from frpsim.fmm import (DOWN, UP, FmmConfig, FmmHorizon,
+from frpsim.fmm import (DOWN, UP, FmmAwards, FmmConfig, FmmHorizon,
                         build_fmm_datadriven, build_fmm_proxy, build_fmm_training,
                         compute_frp_requirements, delta_netload,
                         post_deployment_flows, run_fmm_day, solve_hour,
                         solve_with_cuts)
 from frpsim.learner import RampResponseFactors
-from frpsim.milp import SolveOptions, check_solution
+from frpsim.milp import MilpModel, SolveOptions, check_solution
 from frpsim.network import (Bus, PowerSystem, SolarUnit, TransmissionLine,
                             compute_ptdf)
-from frpsim.scenarios import (DEPLOYMENT, Scenario, UncertaintyConfig,
-                              proxy_envelopes, select_deployment_scenarios)
+from frpsim.scenarios import (DEPLOYMENT, OUT_OF_SAMPLE, TRAINING, Scenario,
+                              UncertaintyConfig, proxy_envelopes, sample_scenarios,
+                              select_deployment_scenarios)
 from frpsim.ucbase import solve_lazy
-from util import (bottleneck_profile, bottleneck_system, dc_power_flow, make_gen,
-                  make_profile, single_bus_system)
+from frpsim.validation import build_rtuc_hour
+from util import (bottleneck_profile, bottleneck_system, make_gen, make_profile,
+                  post_deployment_oracle, single_bus_system)
 
 
 def constant_da(system, committed_ids, dispatch=None):
@@ -172,19 +174,17 @@ class TestProxyModel:
         sol = solve_hour(handle)
         assert check_solution(handle.model, sol).ok
         b = handle.builder
-        for g in system.generators:
+        u, p = np.round(sol.values[b.u]), sol.values[b.p]
+        ur, dr = sol.values[handle.ur], sol.values[handle.dr]
+        for g in range(len(system.generators)):
             for t in range(6):
-                u_now = round(sol.value(b.u(g.id, t)))
-                u_next = round(sol.value(b.u(g.id, t + 1)))
-                ur = sol.value(handle.ur[g.id, t])
-                dr = sol.value(handle.dr[g.id, t])
-                if u_now == 0 and u_next == 0:
-                    assert ur == pytest.approx(0.0, abs=1e-6)
-                    assert dr == pytest.approx(0.0, abs=1e-6)
+                if u[g, t] == 0 and u[g, t + 1] == 0:
+                    assert ur[g, t] == pytest.approx(0.0, abs=1e-6)
+                    assert dr[g, t] == pytest.approx(0.0, abs=1e-6)
                 # dispatch moves stay within awards
-                move = sol.value(b.p(g.id, t + 1)) - sol.value(b.p(g.id, t))
-                assert move <= ur + 1e-6
-                assert -move <= dr + 1e-6
+                move = p[g, t + 1] - p[g, t]
+                assert move <= ur[g, t] + 1e-6
+                assert -move <= dr[g, t] + 1e-6
 
     def test_requirement_coverage_invariant(self, bottleneck):
         system, ptdf, profile = bottleneck
@@ -195,8 +195,8 @@ class TestProxyModel:
         handle = build_fmm_proxy(system, ptdf, profile, env, da, horizon)
         sol = solve_hour(handle)
         for t in range(6):
-            total_ur = sum(sol.value(handle.ur[g.id, t]) for g in system.generators)
-            total_dr = sum(sol.value(handle.dr[g.id, t]) for g in system.generators)
+            total_ur = sol.values[handle.ur[:, t]].sum()
+            total_dr = sol.values[handle.dr[:, t]].sum()
             assert total_ur >= handle.requirements.fr_up[t] - 1e-5
             assert total_dr >= handle.requirements.fr_down[t] - 1e-5
 
@@ -215,7 +215,7 @@ class TestTrainingModel:
         sol = solve_hour(handle)
         assert sol.status == "optimal"
         b = handle.builder
-        total = lambda t: sum(sol.value(b.p(g.id, t)) for g in system.generators)
+        total = lambda t: sol.values[b.p[:, t]].sum()
         assert total(4) - total(3) == pytest.approx(20.0, abs=1e-5)
 
     def test_impossible_ramp_priced_at_voll(self):
@@ -230,7 +230,7 @@ class TestTrainingModel:
         handle = build_fmm_training(system, ptdf, scenario, da, horizon)
         sol = solve_hour(handle)
         assert sol.status == "optimal"
-        slack = sol.value(handle.builder.slack_short(2))
+        slack = sol.value(handle.builder.short[2])
         assert slack > 80.0
         assert sol.objective > 10000.0 * 0.25 * 80.0
 
@@ -242,7 +242,7 @@ class TestTrainingModel:
                             solar=np.zeros((0, 96)), seed_info="t")
         horizon = FmmHorizon(start=0, init=initial_state_from_da(system, da))
         handle = build_fmm_training(system, ptdf, scenario, da, horizon)
-        assert not handle.ur and not handle.dr
+        assert handle.ur is None and handle.dr is None
         assert not any(n.startswith("ur[") for n in handle.model.var_names)
 
 
@@ -323,40 +323,32 @@ class TestDataDrivenModel:
         assert sol.status == "optimal"
         g = system.generators[0]
         # each upward-classified (t, s) forces the auxiliary, hence the award
-        forced = [(t, s) for (gid, t, s) in handle.aux_up if gid == 0]
-        assert forced
+        forced = np.argwhere(handle.dnl > 0)
+        assert len(forced)
         for t, s in forced:
             assert sol.value(handle.ur[0, t]) >= 0.8 * g.ramp_15 - 1e-6
 
     def test_scenario_classification_splits_by_sign(self, bottleneck):
         system, _, profile = bottleneck
         handle, _ = build_dd_fixture(system, profile)
-        dnl = handle.dnl.values
-        for s in range(dnl.shape[1]):
-            for t in range(dnl.shape[0]):
-                has_up = (system.generators[0].id, t, s) in handle.aux_up
-                has_dn = (system.generators[0].id, t, s) in handle.aux_dn
-                direction = handle.dnl.direction(t, s)
-                if dnl[t, s] > 0:
-                    assert direction == UP and has_up and not has_dn
-                elif dnl[t, s] < 0:
-                    assert direction == DOWN and has_dn and not has_up
-                else:
-                    assert direction is None and not has_up and not has_dn
+        dnl = handle.dnl
+        names = handle.model.var_names
+        for (t, s), move in np.ndenumerate(dnl):
+            cols = handle.aux[:, t, s]
+            if move == 0:
+                assert (cols == -1).all()
+                continue
+            prefix = "ura[" if move > 0 else "dra["
+            assert all(names[c].startswith(prefix) and names[c].endswith(f"t{t},s{s}]")
+                       for c in cols)
 
     def test_coverage_invariant_holds(self, bottleneck):
         system, _, profile = bottleneck
         handle, _ = build_dd_fixture(system, profile)
         sol, _ = solve_with_cuts(handle)
-        for (t, s), move in np.ndenumerate(handle.dnl.values):
-            if move > 0:
-                aux = sum(sol.value(handle.aux_up[g.id, t, s])
-                          for g in system.generators)
-                assert aux >= move - 1e-4
-            elif move < 0:
-                aux = sum(sol.value(handle.aux_dn[g.id, t, s])
-                          for g in system.generators)
-                assert aux >= -move - 1e-4
+        for (t, s), move in np.ndenumerate(handle.dnl):
+            if move != 0:
+                assert sol.values[handle.aux[:, t, s]].sum() >= abs(move) - 1e-4
 
 
 class TestPostDeploymentFlows:
@@ -369,8 +361,8 @@ class TestPostDeploymentFlows:
         profile = make_profile(np.full(96, 950.0), np.full(96, 20.0))
         ucfg = UncertaintyConfig(seed=3, sigma_hourly_frac=0.0)
         handle, _ = build_dd_fixture(system, profile, ucfg=ucfg, start=0)
-        assert np.all(handle.dnl.values == 0.0)
-        assert not handle.aux_up and not handle.aux_dn
+        assert np.all(handle.dnl == 0.0)
+        assert (handle.aux == -1).all()
         np.testing.assert_array_equal(handle.flow_const, 0.0)
         sol = solve_lazy(handle.builder, handle.ptdf)
         for s in range(2):
@@ -396,10 +388,9 @@ class TestPostDeploymentFlows:
                                      ucfg=UncertaintyConfig(seed=1))
         sol = solve_lazy(handle.builder, handle.ptdf)
         base = handle.builder.base_flows(sol, handle.ptdf)
-        s_up = int(np.argmax(handle.dnl.values[0, :]))
+        s_up = int(np.argmax(handle.dnl[0, :]))
         flows = post_deployment_flows(handle, sol, s_up, UP)
-        aux0 = sol.value(handle.aux_up[0, 0, s_up])
-        aux1 = sol.value(handle.aux_up[1, 0, s_up])
+        aux0 = sol.value(handle.aux[0, 0, s_up])
         const = handle.flow_const[0, 0, s_up]
         # gen 0 sits on bus 1 (ptdf -1), gen 1 on the slack (ptdf 0)
         expected = base[0, 0] - aux0 + const
@@ -409,31 +400,20 @@ class TestPostDeploymentFlows:
         system, ptdf, profile = bottleneck
         handle, _ = build_dd_fixture(system, profile)
         sol, _ = solve_with_cuts(handle)
-        part = system.load_participation
-        start = handle.horizon.start
+        directed = 0
         for s, scn in enumerate(handle.deployment):
-            for direction, aux_map, sign in ((UP, handle.aux_up, 1.0),
-                                             (DOWN, handle.aux_dn, -1.0)):
-                flows = post_deployment_flows(handle, sol, s, direction)
-                for t in range(6):
-                    if np.isnan(flows[:, t]).all():
-                        continue
-                    # assemble the post-deployment injection vector directly
-                    inj = np.zeros(system.n_buses)
-                    for b in system.buses:
-                        inj[b.id] = sol.value(handle.builder.inj(b.id, t))
-                    for g in system.generators:
-                        if (g.id, t, s) in aux_map:
-                            inj[g.bus] += sign * sol.value(aux_map[g.id, t, s])
-                    for u_idx, unit in enumerate(system.solar_units):
-                        inj[unit.bus] += (scn.solar_at(start + t + 1)[u_idx]
-                                          - profile.solar_at(start + t)[u_idx])
-                    inj -= part * (scn.load_at(start + t + 1)
-                                   - profile.load_at(start + t))
-                    balanced = inj.copy()
-                    balanced[system.slack_bus] -= balanced.sum()
-                    oracle = dc_power_flow(system, balanced)
-                    np.testing.assert_allclose(flows[:, t], oracle, atol=1e-8)
+            for t in range(6):
+                oracle = post_deployment_oracle(system, handle.model, sol, profile, scn,
+                                                handle.horizon.start, t, s)
+                flows = [post_deployment_flows(handle, sol, s, d)[:, t] for d in (UP, DOWN)]
+                got = [f for f in flows if not np.isnan(f).all()]
+                if oracle is None:
+                    assert not got
+                    continue
+                directed += 1
+                assert len(got) == 1
+                np.testing.assert_allclose(got[0], oracle, atol=1e-8)
+        assert directed
 
 
 class TestCutLoop:
@@ -488,6 +468,70 @@ class TestCutLoop:
         assert sol.objective >= px.objective - 1e-6 * (1 + abs(px.objective))
 
 
+class TestObjectiveDecomposition:
+    """The objective splits into the costs the program reports and the penalties.
+
+    Award and shortfall columns are found by name, so the split is computed
+    without the handle's index structures.
+    """
+
+    @staticmethod
+    def _named(model, sol, prefix):
+        return sum(sol.values[i] for i, n in enumerate(model.var_names)
+                   if n.startswith(prefix))
+
+    def _hours(self, system, ptdf, profile):
+        handle, proxy = build_dd_fixture(system, profile, start=72)
+        dd_sol, cuts = solve_with_cuts(handle)
+        assert cuts
+        da, _, _ = run_da(system, ptdf, profile)
+        horizon = FmmHorizon(start=72, init=initial_state_from_da(system, da))
+        ucfg = UncertaintyConfig(seed=3)
+        training = build_fmm_training(
+            system, ptdf, sample_scenarios(system, profile, ucfg, 1, TRAINING)[0],
+            da, horizon)
+        ramps = {g.id: np.full(96, g.ramp_15) for g in system.generators}
+        awards = FmmAwards(gen_ids=list(ramps), p=ramps, u=ramps, ur=ramps, dr=ramps)
+        oos = sample_scenarios(system, profile, ucfg, 1, OUT_OF_SAMPLE)[0]
+        validation = build_rtuc_hour(system, ptdf, awards, da, oos, horizon)
+        yield handle, dd_sol
+        for h in (proxy, training, validation):
+            yield h, solve_hour(h)
+
+    def test_objective_is_costs_plus_penalties(self, bottleneck):
+        system, ptdf, profile = bottleneck
+        for handle, sol in self._hours(system, ptdf, profile):
+            assert sol.status == "optimal", handle.policy
+            m = handle.model
+            penalty = handle.cfg.voll * 0.25
+            cost, viol = handle.builder.interval_costs(sol)
+            frp = sum(g.frp_up_cost * self._named(m, sol, f"ur[g{g.id},")
+                      + g.frp_down_cost * self._named(m, sol, f"dr[g{g.id},")
+                      for g in system.generators)
+            shortfall = sum(self._named(m, sol, p)
+                            for p in ("fr_up_short[", "fr_dn_short[", "cover_"))
+            total = cost.sum() + penalty * viol.sum() + frp + penalty * shortfall
+            assert total == pytest.approx(sol.objective, rel=1e-9), handle.policy
+
+    def test_rows_name_each_column_once_as_an_int(self, bottleneck, monkeypatch):
+        # rows are stored as given, so every builder must hand over distinct
+        # Python-int columns: a repeated column would add up in the matrix
+        add_constr = MilpModel.add_constr
+        bad = []
+
+        def checked(model, name, terms, *a, **kw):
+            cols = [c for c, _ in terms]
+            if len(set(cols)) != len(cols) or any(type(c) is not int for c in cols):
+                bad.append(name)
+            return add_constr(model, name, terms, *a, **kw)
+
+        monkeypatch.setattr(MilpModel, "add_constr", checked)
+        system, ptdf, profile = bottleneck
+        run_da(system, ptdf, profile)
+        assert len(list(self._hours(system, ptdf, profile))) == 4
+        assert not bad, bad[:5]
+
+
 class TestPolicyCostOrdering:
     @pytest.mark.parametrize("seed", range(10))
     def test_datadriven_at_least_proxy_on_random_instances(self, seed):
@@ -533,7 +577,7 @@ class TestPolicyCostOrdering:
             handle, proxy = build_dd_fixture(
                 system, profile, factors=RampResponseFactors(values=factor_vals),
                 start=int(rng.integers(0, 24)) * 4,
-                ucfg=UncertaintyConfig(seed=seed),
+                ucfg=UncertaintyConfig(seed=seed), cfg=FmmConfig(max_cut_rounds=30),
             )
         except ValueError:
             pytest.skip("random instance infeasible at build time")
@@ -541,7 +585,7 @@ class TestPolicyCostOrdering:
         exact = SolveOptions(mip_rel_gap=1e-9)
         px = solve_hour(proxy, exact)
         assert px.status == "optimal"
-        sol, _ = solve_with_cuts(handle, options=exact, max_rounds=30)
+        sol, _ = solve_with_cuts(handle, options=exact)
         assert sol.objective >= px.objective - 1e-6 * (1 + abs(px.objective))
 
 
@@ -611,7 +655,7 @@ class TestRollDay:
         def build_hour(horizon):
             handle = build_fmm_training(system, ptdf, scenario, da, horizon)
             if horizon.start == 8:   # hour 2 demands more than unit 0 can make
-                handle.model.add_constr("over_pmax", [(handle.builder.p(0, 0), 1.0)],
+                handle.model.add_constr("over_pmax", [(handle.builder.p[0, 0], 1.0)],
                                         lo=1000.0)
             return handle
 

@@ -100,17 +100,12 @@ class TestSolve:
 
     def test_duplicate_names_rejected(self):
         m = MilpModel()
-        m.add_var("x")
+        x = m.add_var("x")
         with pytest.raises(ModelError):
             m.add_var("x")
-        m.add_constr("c", [("x", 1.0)], hi=1.0)
+        m.add_constr("c", [(x, 1.0)], hi=1.0)
         with pytest.raises(ModelError):
-            m.add_constr("c", [("x", 1.0)], hi=2.0)
-
-    def test_unknown_variable_rejected(self):
-        m = MilpModel()
-        with pytest.raises(ModelError, match="unknown variable"):
-            m.add_constr("c", [("ghost", 1.0)], hi=1.0)
+            m.add_constr("c", [(x, 1.0)], hi=2.0)
 
     def test_corrupted_row_index_raises(self):
         m = MilpModel()
@@ -122,6 +117,30 @@ class TestSolve:
             m.validate()
         with pytest.raises(ModelError, match="'bad' references undeclared"):
             solve(m)
+
+    def test_negative_columns_raise_instead_of_wrapping(self):
+        m = MilpModel()
+        x = m.add_var("x")
+        m.add_to_objective(x, 1.0)
+        m.add_constr("neg", [(-1, 1.0)], hi=1.0)   # -1 would index x
+        with pytest.raises(ModelError, match="'neg' references undeclared"):
+            m.validate()
+        m = MilpModel()
+        x = m.add_var("x")
+        m.add_constr("ok", [(x, 1.0)], hi=1.0)
+        m.add_to_objective(-1, 1.0)
+        with pytest.raises(ModelError, match="objective references undeclared"):
+            solve(m)
+
+    def test_row_coefficients_stored_as_given_without_negative_zero(self):
+        m = MilpModel()
+        x, y = m.add_var("x"), m.add_var("y")
+        m.add_constr("c", [(y, -0.0), (x, 2.0)], hi=1.0)
+        _, cols, data, _, _ = m._constrs[0]
+        assert cols.tolist() == [y, x]
+        assert data.tolist() == [0.0, 2.0]
+        assert not np.signbit(data).any()
+        assert m._matrix()[0].nnz == 2   # the explicit zero is kept
 
     def test_optimal_values_within_bounds(self):
         m = MilpModel()
@@ -150,7 +169,7 @@ class TestCheckSolution:
     def test_perturbed_dispatch_names_balance(self):
         sol, builder = self._solved_toy()
         bad = sol.values.copy()
-        bad[builder.p(0, 0)] += 10.0
+        bad[builder.p[0, 0]] += 10.0
         sol.values = bad
         report = check_solution(builder.model, sol, tol=1e-6)
         assert not report.ok
@@ -165,9 +184,9 @@ class TestCheckSolution:
         sol, builder = solve_uc_milp(system, [0.0, 0.0],
                                      modes={0: (FIXED, np.array([1.0, 1.0]))})
         bad = sol.values.copy()
-        bad[builder.u(0, 1)] = 0.0
-        bad[builder.p(0, 1)] = 0.0
-        bad[builder.w(0, 1)] = 1.0
+        bad[builder.u[0, 1]] = 0.0
+        bad[builder.p[0, 1]] = 0.0
+        bad[builder.w[0, 1]] = 1.0
         bad[builder.inj(0, 1)] = 0.0
         bad[builder.model.var_index("sl_surp[t1]")] = 0.0
         sol.values = bad
@@ -177,7 +196,7 @@ class TestCheckSolution:
     def test_fractional_binary_named(self):
         sol, builder = self._solved_toy()
         bad = sol.values.copy()
-        bad[builder.u(0, 0)] = 0.5
+        bad[builder.u[0, 0]] = 0.5
         sol.values = bad
         names = [n for n, _ in check_solution(builder.model, sol).violations]
         assert "binary:u[g0,t0]" in names

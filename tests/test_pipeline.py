@@ -256,7 +256,7 @@ def _infeasible_at_hour_2(build, index):
         horizon = next(a for a in args if isinstance(a, fmm.FmmHorizon))
         scenario = next(a for a in args if isinstance(a, Scenario))
         if horizon.start == 8 and scenario.seed_info.endswith(f"index={index}"):
-            handle.model.add_constr("over_pmax", [(handle.builder.p(0, 0), 1.0)],
+            handle.model.add_constr("over_pmax", [(handle.builder.p[0, 0], 1.0)],
                                     lo=1e6)
         return handle
     return build_hour

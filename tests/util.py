@@ -194,6 +194,38 @@ def dc_power_flow(system: PowerSystem, injections: np.ndarray) -> np.ndarray:
     ])
 
 
+def post_deployment_oracle(system: PowerSystem, model, sol, profile, scenario,
+                           start: int, t: int, s: int) -> np.ndarray | None:
+    """Line flows after deployment scenario ``s`` deploys its auxiliary
+    awards at move ``t`` of the hour that starts at global interval
+    ``start``; None when the hour has no auxiliary awards for that move.
+
+    A direct DC solve of the solved nodal injections at interval t, plus
+    each unit's auxiliary award signed by the move's direction (``ura`` up,
+    ``dra`` down), plus the scenario's load and solar at t+1 less the
+    forecast's at t.  Columns are found by name (``inj[n,t]``,
+    ``ura[g,t,s]``, ``dra[g,t,s]``), never through a handle's column arrays
+    or the program's flow code.
+    """
+    col = {name: i for i, name in enumerate(model.var_names)}
+    for prefix, sign in (("ura", 1.0), ("dra", -1.0)):
+        aux = [col.get(f"{prefix}[g{g.id},t{t},s{s}]") for g in system.generators]
+        if None not in aux:
+            break
+    else:
+        return None
+    inj = np.array([sol.values[col[f"inj[n{b.id},t{t}]"]] for b in system.buses])
+    for gen, c in zip(system.generators, aux):
+        inj[gen.bus] += sign * sol.values[c]
+    for u, unit in enumerate(system.solar_units):
+        inj[unit.bus] += (scenario.solar_at(start + t + 1)[u]
+                          - profile.solar_at(start + t)[u])
+    inj -= system.load_participation * (scenario.load_at(start + t + 1)
+                                        - profile.load_at(start + t))
+    inj[system.slack_bus] -= inj.sum()
+    return dc_power_flow(system, inj)
+
+
 def worst_line_overload(system: PowerSystem, ptdf, builder, sol, load,
                         solar) -> float:
     """Largest ``|flow| - rating`` over every line and interval of a solution.
@@ -202,10 +234,9 @@ def worst_line_overload(system: PowerSystem, ptdf, builder, sol, load,
     solar (``load`` (T,) system MW, ``solar`` (n_units, T) MW) with the full
     PTDF, never through ``base_flows`` or the rows the model carries.
     """
-    n_t = builder.n_intervals
-    inj = np.zeros((system.n_buses, n_t))
-    for gen in system.generators:
-        inj[gen.bus] += [sol.values[builder.p(gen.id, t)] for t in range(n_t)]
+    inj = np.zeros((system.n_buses, builder.n_intervals))
+    for i, gen in enumerate(system.generators):
+        inj[gen.bus] += sol.values[builder.p[i]]
     inj -= np.outer(system.load_participation, np.asarray(load, dtype=float))
     for u, unit in enumerate(system.solar_units):
         inj[unit.bus] += np.asarray(solar, dtype=float)[u]
