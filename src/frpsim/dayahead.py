@@ -15,10 +15,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .milp import MilpModel, MilpSolution, SolveOptions
+from .milp import MilpSolution, SolveOptions
 from .network import PowerSystem, PtdfMatrix, nodal_injections
-from .scenarios import HOURS_PER_DAY, ForecastProfile
-from .ucbase import FREE, LineLimitError, UcModelBuilder, UnitInit, cold_start_state, solve_lazy
+from .scenarios import HOURS_PER_DAY, INTERVALS_PER_DAY, ForecastProfile
+from .ucbase import LineLimitError, UcModelBuilder, UnitState, cold_start_state, solve_lazy
 
 
 @dataclass(frozen=True)
@@ -34,9 +34,11 @@ class DaCommitments:
         hour = min(max(interval15 // 4, 0), HOURS_PER_DAY - 1)
         return int(self.u_hourly[gen_id][hour])
 
-    def dispatch_at(self, gen_id: int, interval15: int) -> float:
-        hour = min(max(interval15 // 4, 0), HOURS_PER_DAY - 1)
-        return float(self.dispatch_hourly[gen_id][hour])
+    def interval_schedule(self, system: PowerSystem) -> np.ndarray:
+        """(generators, 96) commitment of the hour containing each 15-min
+        interval, generators in ``system.generators`` order."""
+        hourly = np.array([self.u_hourly[g.id] for g in system.generators])
+        return np.repeat(hourly.astype(np.int64), INTERVALS_PER_DAY // HOURS_PER_DAY, axis=1)
 
 
 def _hourly_view(system: PowerSystem) -> PowerSystem:
@@ -63,63 +65,56 @@ def _hourly_view(system: PowerSystem) -> PowerSystem:
     return replace(system, generators=gens)
 
 
-@dataclass
-class DaModelHandle:
-    model: MilpModel
-    builder: UcModelBuilder
-
-
 def build_da_model(system: PowerSystem, profile: ForecastProfile,
-                   init: dict[int, UnitInit] | None = None,
-                   voll: float = 10000.0) -> DaModelHandle:
-    """Hourly commitment model over the forecast day, with no line rows."""
+                   voll: float = 10000.0) -> UcModelBuilder:
+    """Hourly commitment model over the forecast day, with no line rows.
+
+    Every unit starts cold and is freely committed.
+    """
     hourly = _hourly_view(system)
-    init = init or cold_start_state(hourly)
-    builder = UcModelBuilder(hourly, HOURS_PER_DAY, 1.0, init, voll=voll, name="da")
-    modes = {g.id: (FREE, None) for g in hourly.generators}
-    builder.add_commitment(modes, min_updown_for={g.id for g in hourly.generators})
+    builder = UcModelBuilder(hourly, HOURS_PER_DAY, 1.0, cold_start_state(hourly),
+                             voll=voll, name="da")
+    n = len(hourly.generators)
+    builder.add_commitment(np.zeros((n, HOURS_PER_DAY)), np.ones((n, HOURS_PER_DAY)),
+                           min_updown=np.ones(n, dtype=bool))
     builder.add_dispatch()
     builder.add_ramps()
     builder.add_network(*nodal_injections(system, profile.hourly_load,
                                           profile.solar_hourly))
-    return DaModelHandle(model=builder.model, builder=builder)
+    return builder
 
 
 def run_da(system: PowerSystem, ptdf: PtdfMatrix, profile: ForecastProfile,
            options: SolveOptions | None = None, voll: float = 10000.0
-           ) -> tuple[DaCommitments, MilpSolution, DaModelHandle]:
+           ) -> tuple[DaCommitments, MilpSolution, UcModelBuilder]:
     """Solve the day-ahead market and extract the commitment schedule.
 
     Line limits join the model as solves overload them (``solve_lazy``).
+    Returns the schedule, the solution and the model's builder.
     """
-    handle = build_da_model(system, profile, voll=voll)
+    builder = build_da_model(system, profile, voll=voll)
     try:
-        sol = solve_lazy(handle.builder, ptdf, options)
+        sol = solve_lazy(builder, ptdf, options)
     except LineLimitError as exc:
         raise RuntimeError(f"day-ahead solve failed: {exc}") from exc
     if sol.status != "optimal":
         raise RuntimeError(f"day-ahead solve failed: {sol.status} ({sol.message})")
-    u, p = handle.builder.commitment_values(sol), handle.builder.dispatch_values(sol)
+    u, p = builder.commitment_values(sol), builder.dispatch_values(sol)
     u_hourly = {g.id: u[i] for i, g in enumerate(system.generators)}
     dispatch = {g.id: p[i] for i, g in enumerate(system.generators)}
     return (
         DaCommitments(u_hourly=u_hourly, dispatch_hourly=dispatch,
                       objective=sol.objective),
         sol,
-        handle,
+        builder,
     )
 
 
-def initial_state_from_da(system: PowerSystem, da: DaCommitments) -> dict[int, UnitInit]:
+def initial_state_from_da(system: PowerSystem, da: DaCommitments) -> UnitState:
     """Day-start unit state: every unit sits at its hour-0 day-ahead schedule."""
-    state = {}
-    for gen in system.generators:
-        on = da.commitment_at(gen.id, 0) == 1
-        state[gen.id] = UnitInit(
-            committed=on,
-            power=da.dispatch_at(gen.id, 0) if on else 0.0,
-        )
-    return state
+    on = da.interval_schedule(system)[:, 0] == 1
+    power = np.array([da.dispatch_hourly[g.id][0] for g in system.generators], dtype=float)
+    return replace(cold_start_state(system), committed=on, power=np.where(on, power, 0.0))
 
 
 # ----------------------------------------------------------------- persist

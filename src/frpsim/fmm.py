@@ -33,8 +33,8 @@ from .milp import solve  # noqa: F401  (fmm.solve stays the one milp.solve)
 from .network import PowerSystem, PtdfMatrix, nodal_injections
 from .scenarios import (DEPLOYMENT, HOURS_PER_DAY, INTERVALS_PER_DAY, ForecastProfile,
                         ProxyEnvelope, Scenario, ScenarioSet)
-from .ucbase import (AT_LEAST, FIXED, LINE_COEF_EPS, LineLimitError, UcModelBuilder, UnitInit,
-                     advance_state, solve_lazy)
+from .ucbase import (LINE_COEF_EPS, LineLimitError, UcModelBuilder, UnitState, advance_state,
+                     solve_lazy)
 
 UP = "up"
 DOWN = "down"
@@ -47,9 +47,9 @@ class FmmHorizon:
     """One trading hour's look-ahead window on the 15-min grid."""
 
     start: int                      # first 15-min interval (global index)
+    init: UnitState                 # unit state entering the first interval
     length: int = 7
     n_binding: int = 4
-    init: dict[int, UnitInit] = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.length >= self.n_binding >= 1:
@@ -185,39 +185,36 @@ class FmmHandle:
 
 # ------------------------------------------------------------------ builders
 
-def _base_builder(system: PowerSystem, realized, da,
+def window(day: np.ndarray, first: int, n: int) -> np.ndarray:
+    """Entries ``first .. first+n-1`` along the last axis of a per-interval
+    array, each index clipped into the array as the ``*_at`` accessors do."""
+    return day[..., np.clip(np.arange(first, first + n), 0, day.shape[-1] - 1)]
+
+
+def _base_builder(system: PowerSystem, realized, da: DaCommitments,
                   horizon: FmmHorizon, cfg: FmmConfig, name: str,
-                  move_caps: dict[int, tuple[np.ndarray, np.ndarray]] | None = None,
-                  down_budget=None) -> UcModelBuilder:
+                  up: np.ndarray | None = None, dn: np.ndarray | None = None,
+                  budget: np.ndarray | None = None) -> UcModelBuilder:
     """The UC core of every 15-min hour model, with no base-case line rows.
 
     ``realized`` supplies the hour's system load and per-unit solar
-    (``load_at``/``solar_at``): the forecast or a scenario.  ``move_caps``
-    replaces the ramp rate per boundary (see ``add_ramps``) and
-    ``down_budget`` the ramp rate in the shutdown glidepath.
+    (``load_at``/``solar_at``): the forecast or a scenario.  Must-run units
+    are pinned to the day-ahead commitment; fast-start units may add to it.
+    ``up``/``dn`` replace the ramp rate per boundary (see ``add_ramps``) and
+    ``budget`` the ramp rate in the shutdown glidepath.
     """
     builder = UcModelBuilder(
         system, horizon.length, INTERVAL_HOURS, horizon.init,
         voll=cfg.voll, name=name,
     )
-    ts = np.arange(horizon.start, horizon.start + horizon.length)
-    modes = {}
-    fs_ids = set()
-    for gen in system.generators:
-        pattern = np.array([da.commitment_at(gen.id, k) for k in ts], dtype=float)
-        if gen.is_fast_start:
-            modes[gen.id] = (AT_LEAST, pattern)
-            fs_ids.add(gen.id)
-        else:
-            modes[gen.id] = (FIXED, pattern)
-    builder.add_commitment(modes, min_updown_for=fs_ids)
+    schedule = da.interval_schedule(system)
+    pattern = window(schedule, horizon.start, horizon.length)
+    fast = np.array([g.is_fast_start for g in system.generators])
+    builder.add_commitment(pattern, np.where(fast[:, None], 1, pattern), min_updown=fast)
     builder.add_dispatch()
-    builder.add_ramps(move_caps=move_caps)
-    rates = {g.id: g.ramp_15 for g in system.generators}
-    builder.add_shutdown_glidepath(
-        horizon.start, schedule=da.commitment_at,
-        down_budget=down_budget or (lambda gid, k: rates[gid]),
-    )
+    builder.add_ramps(up, dn)
+    builder.add_shutdown_glidepath(horizon.start, schedule, budget)
+    ts = np.arange(horizon.start, horizon.start + horizon.length)
     builder.add_network(*nodal_injections(system, realized.load_at(ts),
                                           realized.solar_at(ts)))
     return builder
@@ -348,6 +345,14 @@ def build_fmm_datadriven(system: PowerSystem, ptdf: PtdfMatrix,
     handle.dnl = np.column_stack([delta_netload(profile, scn, start, length)
                                   for scn in deployment])
     handle.aux = np.full((len(system.generators), length - 1, n_dep), -1, dtype=np.int64)
+    # response factor per (generator, move, scenario); zero without a model
+    factor = np.zeros(handle.aux.shape)
+    for i, gen in enumerate(system.generators):
+        if gen.id in factors.values:
+            factor[i] = window(factors.values[gen.id].T, start, length - 1)[:n_dep].T
+    factor = factor.tolist()
+    on = window(da.interval_schedule(system), start, length) == 1
+    on_both = (on[:, :-1] & on[:, 1:]).tolist()   # committed at both ends of move t
 
     for s in range(n_dep):
         for t in range(length - 1):
@@ -369,12 +374,8 @@ def build_fmm_datadriven(system: PowerSystem, ptdf: PtdfMatrix,
                 cover_terms.append((ai, 1.0))
                 if gen.is_fast_start:
                     continue
-                z = sign * factors.value_at(gen.id, start + t, s)
-                committed_both = (
-                    da.commitment_at(gen.id, start + t) == 1
-                    and da.commitment_at(gen.id, start + t + 1) == 1
-                )
-                if z > cfg.response_threshold and committed_both:
+                z = sign * factor[i][t][s]
+                if z > cfg.response_threshold and on_both[i][t]:
                     m.add_constr(
                         f"aux_qual_{tag}[g{gen.id},t{t},s{s}]",
                         [(ai, 1.0)], lo=z * gen.ramp_15,
@@ -540,20 +541,27 @@ class HourSolveError(RuntimeError):
         return f"{self.policy} hour {self.hour}, scenario {self.scenario}: {self.detail}"
 
 
+def by_id(system: PowerSystem, rows: np.ndarray) -> dict[int, np.ndarray]:
+    """Generator id -> row of a (generators, ...) array."""
+    return {g.id: rows[i] for i, g in enumerate(system.generators)}
+
+
 @dataclass
 class DayTrajectory:
     """What a rolled day executed, per global 15-min interval.
 
-    Only binding intervals are kept.  ``ur``, ``dr`` and ``frp_cost`` stay
-    zero unless the hour models carry the ramping product; ``cuts`` pairs
-    each post-deployment cut with its hour.
+    Only binding intervals are kept.  ``p``, ``u``, ``v``, ``ur`` and ``dr``
+    are (generators, intervals) with generators by position in
+    ``system.generators``.  ``ur``, ``dr`` and ``frp_cost`` stay zero unless
+    the hour models carry the ramping product; ``cuts`` pairs each
+    post-deployment cut with its hour.
     """
 
-    p: dict[int, np.ndarray]
-    u: dict[int, np.ndarray]
-    v: dict[int, np.ndarray]
-    ur: dict[int, np.ndarray]
-    dr: dict[int, np.ndarray]
+    p: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    ur: np.ndarray
+    dr: np.ndarray
     cost: np.ndarray            # commitment + energy $, excluding violation
     violation_mwh: np.ndarray
     frp_cost: np.ndarray
@@ -571,10 +579,10 @@ def roll_day(system: PowerSystem, da: DaCommitments, build_hour, policy: str,
     ``solve_hour`` and starts with the rows of every line an earlier hour of
     the day needed.  ``policy`` and ``scenario`` only label a failed hour.
     """
-    def zeros():
-        return {g.id: np.zeros(n_intervals) for g in system.generators}
-
-    traj = DayTrajectory(p=zeros(), u=zeros(), v=zeros(), ur=zeros(), dr=zeros(),
+    n_gens = len(system.generators)
+    frp_prices = np.array([[g.frp_up_cost, g.frp_down_cost] for g in system.generators])
+    traj = DayTrajectory(**{k: np.zeros((n_gens, n_intervals))
+                            for k in ("p", "u", "v", "ur", "dr")},
                          cost=np.zeros(n_intervals),
                          violation_mwh=np.zeros(n_intervals),
                          frp_cost=np.zeros(n_intervals))
@@ -598,18 +606,16 @@ def roll_day(system: PowerSystem, da: DaCommitments, build_hour, policy: str,
         cost, viol = b.interval_costs(sol)
         traj.cost[now] = cost[:nb]
         traj.violation_mwh[now] = viol[:nb] * INTERVAL_HOURS
-        committed, dispatched = b.commitment_values(sol), b.dispatch_values(sol)
-        for i, g in enumerate(system.generators):
-            traj.u[g.id][now] = committed[i, :nb]
-            traj.p[g.id][now] = dispatched[i, :nb]
-            traj.v[g.id][now] = sol.values[b.v[i, :nb]]
-            if handle.ur is not None:
-                traj.ur[g.id][now] = sol.values[handle.ur[i, :nb]]
-                traj.dr[g.id][now] = sol.values[handle.dr[i, :nb]]
-                traj.frp_cost[now] += g.frp_up_cost * traj.ur[g.id][now]
-                traj.frp_cost[now] += g.frp_down_cost * traj.dr[g.id][now]
-        state = advance_state(system, state, {g: u[now] for g, u in traj.u.items()},
-                              {g: p[now] for g, p in traj.p.items()})
+        traj.u[:, now] = b.commitment_values(sol)[:, :nb]
+        traj.p[:, now] = b.dispatch_values(sol)[:, :nb]
+        traj.v[:, now] = sol.values[b.v[:, :nb]]
+        if handle.ur is not None:
+            traj.ur[:, now] = sol.values[handle.ur[:, :nb]]
+            traj.dr[:, now] = sol.values[handle.dr[:, :nb]]
+            # a running sum in the order up0, down0, up1, down1, ...
+            paid = frp_prices[:, :, None] * np.stack([traj.ur[:, now], traj.dr[:, now]], axis=1)
+            traj.frp_cost[now] += np.cumsum(paid.reshape(2 * n_gens, nb), axis=0)[-1]
+        state = advance_state(state, traj.u[:, now], traj.p[:, now])
         # free this hour's model before the next one is built
         del handle, b, sol
     return traj
@@ -645,8 +651,8 @@ def run_fmm_day(system: PowerSystem, ptdf: PtdfMatrix, profile: ForecastProfile,
         return build_fmm_proxy(system, ptdf, profile, envelope, da, horizon, cfg)
     traj = roll_day(system, da, build_hour, policy, options=options,
                     n_intervals=n_intervals)
-    awards = FmmAwards(gen_ids=[g.id for g in system.generators], p=traj.p,
-                       u=traj.u, ur=traj.ur, dr=traj.dr)
+    awards = FmmAwards(gen_ids=[g.id for g in system.generators],
+                       **{k: by_id(system, getattr(traj, k)) for k in ("p", "u", "ur", "dr")})
     return FmmDayRun(policy=policy, awards=awards,
                      cost=float(traj.cost.sum() + traj.frp_cost.sum()),
                      violation_mwh=float(traj.violation_mwh.sum()), cuts=traj.cuts)
@@ -667,4 +673,5 @@ def run_training_day(system: PowerSystem, ptdf: PtdfMatrix, scenario: Scenario,
                                                        horizon, cfg),
                     "training", scenario=scenario.seed_info, options=options,
                     n_intervals=n_intervals)
-    return DispatchTrajectory(dispatch=traj.p, commitment=traj.u)
+    return DispatchTrajectory(dispatch=by_id(system, traj.p),
+                              commitment=by_id(system, traj.u))

@@ -77,9 +77,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.policy not in ("proxy", "datadriven", "both"):
             raise ValueError(f"unknown policy {self.policy!r}")
-        for name in ("n_training", "n_out_of_sample", "n_deployment"):
+        for name in ("n_training", "n_out_of_sample"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        # deployment scenarios come in symmetric quantile pairs
+        if self.n_deployment < 2:
+            raise ValueError("n_deployment must be >= 2")
         self.nn_hidden = tuple(self.nn_hidden)
 
     @classmethod
@@ -192,11 +195,8 @@ def stage_prepare(ctx: PipelineContext, force: bool = False) -> None:
     if out.exists() and not force:
         return
     ctx.load_inputs()
-    try:
-        da, _, _ = run_da(ctx.system, ctx.ptdf, ctx.profile,
-                          options=ctx.cfg.solve_options, voll=ctx.cfg.voll)
-    except Exception as exc:
-        raise StageError("prepare", str(exc)) from exc
+    da, _, _ = run_da(ctx.system, ctx.ptdf, ctx.profile,
+                      options=ctx.cfg.solve_options, voll=ctx.cfg.voll)
     write_commitments_csv(da, out)
     ctx.da = da
 
@@ -209,27 +209,22 @@ def stage_train(ctx: PipelineContext, force: bool = False) -> None:
         return
     ctx.load_da()
     cfg = ctx.cfg
-    try:
-        training = sample_scenarios(ctx.system, ctx.profile, cfg.uncertainty,
-                                    cfg.n_training, TRAINING)
-        trajs = _roll_days("train", "training scenario",
-                          partial(run_training_day, ctx.system, ctx.ptdf, da=ctx.da,
-                                  cfg=cfg.fmm, options=cfg.solve_options),
-                          training)
-        dataset = learner_mod.build_targets(list(zip(training, trajs)), ctx.system,
-                                            seed=cfg.seed)
-        if cfg.persist_training_data:
-            _write_dataset_csv(dataset, ctx.out / "training_dataset.csv")
-        train_cfg = learner_mod.TrainConfig(
-            hidden=cfg.nn_hidden, epochs=cfg.nn_epochs,
-            batch_size=cfg.nn_batch_size, learning_rate=cfg.nn_learning_rate,
-            seed=cfg.seed,
-        )
-        models = learner_mod.train(dataset, train_cfg)
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError("train", str(exc)) from exc
+    training = sample_scenarios(ctx.system, ctx.profile, cfg.uncertainty,
+                                cfg.n_training, TRAINING)
+    trajs = _roll_days("train", "training scenario",
+                      partial(run_training_day, ctx.system, ctx.ptdf, da=ctx.da,
+                              cfg=cfg.fmm, options=cfg.solve_options),
+                      training)
+    dataset = learner_mod.build_targets(list(zip(training, trajs)), ctx.system,
+                                        seed=cfg.seed)
+    if cfg.persist_training_data:
+        _write_dataset_csv(dataset, ctx.out / "training_dataset.csv")
+    train_cfg = learner_mod.TrainConfig(
+        hidden=cfg.nn_hidden, epochs=cfg.nn_epochs,
+        batch_size=cfg.nn_batch_size, learning_rate=cfg.nn_learning_rate,
+        seed=cfg.seed,
+    )
+    models = learner_mod.train(dataset, train_cfg)
     learner_mod.save_models(models, model_dir)
     meta = {g: {"train_mse": m.train_mse, "test_mse": m.test_mse}
             for g, m in models.items()}

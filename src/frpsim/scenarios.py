@@ -90,7 +90,7 @@ class Scenario:
     """One sampled (or quantile-placed) realization of the day.
 
     Nodal loads are not materialized: they are the fixed participation split
-    of the system load, recovered through ``nodal_loads``.
+    of the system load (``network.nodal_injections``).
     """
 
     kind: str
@@ -110,9 +110,6 @@ class Scenario:
 
     def netload_at(self, t):
         return self.load_at(t) - self.total_solar_at(t)
-
-    def nodal_loads(self, system: PowerSystem, t) -> np.ndarray:
-        return np.outer(system.load_participation, np.atleast_1d(self.load_at(t)))
 
 
 @dataclass(frozen=True)

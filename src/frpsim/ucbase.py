@@ -16,22 +16,19 @@ loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from bisect import bisect_right
+from dataclasses import dataclass
 
 import numpy as np
 
 from .milp import BINARY, CONTINUOUS, MilpModel, MilpSolution, SolveOptions, solve
 from .network import PowerSystem, PtdfMatrix
-from .scenarios import INTERVALS_PER_DAY
-
-FIXED = "fixed"      # commitment pinned to a given 0/1 pattern
-FREE = "free"        # commitment decided by the model
-AT_LEAST = "atleast"  # commitment may only add to a given 0/1 pattern
 
 LINE_COEF_EPS = 1e-10  # PTDF entries below this are dropped from line rows
 # a base-case flow beyond rating by more than this brings the line's rows
 # into the model (check_solution's default tolerance)
 LINE_TOL_MW = 1e-6
+LONG_AGO = 10_000  # up/down time of a unit whose last switch is out of sight
 
 
 class LineLimitError(RuntimeError):
@@ -39,49 +36,37 @@ class LineLimitError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class UnitInit:
-    """Generator state entering the horizon."""
+class UnitState:
+    """Generator state entering a horizon, one entry per generator in
+    ``system.generators`` order."""
 
-    committed: bool
-    power: float
-    up_time: int = 10_000    # intervals continuously on, if committed
-    down_time: int = 10_000  # intervals continuously off, if not
-
-    def replace(self, **kw) -> "UnitInit":
-        return replace(self, **kw)
+    committed: np.ndarray   # (G,) bool
+    power: np.ndarray       # (G,) MW
+    up_time: np.ndarray     # (G,) intervals continuously on, if committed
+    down_time: np.ndarray   # (G,) intervals continuously off, if not
 
 
-def cold_start_state(system: PowerSystem) -> dict[int, UnitInit]:
+def cold_start_state(system: PowerSystem) -> UnitState:
     """Everything off for a long time with zero prior output."""
-    return {g.id: UnitInit(committed=False, power=0.0) for g in system.generators}
+    n = len(system.generators)
+    return UnitState(committed=np.zeros(n, dtype=bool), power=np.zeros(n),
+                     up_time=np.full(n, LONG_AGO), down_time=np.full(n, LONG_AGO))
 
 
-def advance_state(system: PowerSystem, state: dict[int, UnitInit],
-                  u_exec: dict[int, np.ndarray],
-                  p_exec: dict[int, np.ndarray]) -> dict[int, UnitInit]:
-    """Roll the unit state across a block of executed intervals."""
-    out: dict[int, UnitInit] = {}
-    for g in system.generators:
-        init = state[g.id]
-        up, down = init.up_time, init.down_time
-        committed = init.committed
-        for ut in u_exec[g.id]:
-            on = bool(round(float(ut)))
-            if on == committed:
-                if on:
-                    up += 1
-                else:
-                    down += 1
-            else:
-                committed = on
-                up, down = (1, 0) if on else (0, 1)
-        out[g.id] = UnitInit(
-            committed=committed,
-            power=float(p_exec[g.id][-1]),
-            up_time=up if committed else 0,
-            down_time=down if not committed else 0,
-        )
-    return out
+def advance_state(state: UnitState, u_exec: np.ndarray, p_exec: np.ndarray) -> UnitState:
+    """Roll the unit state across a block of executed intervals.
+
+    ``u_exec`` and ``p_exec`` are (generators, executed intervals).
+    """
+    committed, up, down = state.committed, state.up_time, state.down_time
+    for on in np.rint(u_exec).astype(bool).T:
+        stay = on == committed
+        up = np.where(stay, up + on, on)
+        down = np.where(stay, down + ~on, ~on)
+        committed = on
+    return UnitState(committed=committed, power=p_exec[:, -1].astype(float),
+                     up_time=np.where(committed, up, 0),
+                     down_time=np.where(committed, 0, down))
 
 
 class UcModelBuilder:
@@ -97,7 +82,7 @@ class UcModelBuilder:
     """
 
     def __init__(self, system: PowerSystem, n_intervals: int,
-                 interval_hours: float, init: dict[int, UnitInit],
+                 interval_hours: float, init: UnitState,
                  voll: float = 10000.0, name: str = "uc"):
         self.system = system
         self.n_intervals = n_intervals
@@ -127,34 +112,32 @@ class UcModelBuilder:
         return frozenset(self._lines)
 
     # ------------------------------------------------------------- commitment
-    def add_commitment(self, modes: dict[int, tuple[str, np.ndarray | None]],
-                       min_updown_for: set[int]) -> None:
+    def add_commitment(self, lo: np.ndarray, hi: np.ndarray, min_updown: np.ndarray) -> None:
         """Commitment, startup and shutdown logic for every generator.
 
-        ``modes`` maps generator id to (mode, pattern); the pattern is the
-        per-interval 0/1 reference for FIXED and AT_LEAST modes.  Minimum
-        up/down windows are enforced for the generators in ``min_updown_for``
-        (freely committed units); pinned units carry their pattern as given.
+        ``lo`` and ``hi`` are (generators, intervals) 0/1 bounds on each
+        commitment: equal for a unit pinned to a pattern, ``lo`` alone for a
+        unit that may only add to one.  Minimum up/down times, both those the
+        initial state carries in and those inside the horizon, are enforced
+        for the generators where the (generators,) mask ``min_updown`` is
+        true; the others carry their bounds as given.
         """
         m = self.model
         T = self.n_intervals
+        lo, hi = np.asarray(lo, dtype=float).tolist(), np.asarray(hi, dtype=float).tolist()
+        committed, up_time, down_time = (a.tolist() for a in (
+            self.init.committed, self.init.up_time, self.init.down_time))
         for i, gen in enumerate(self.system.generators):
-            mode, pattern = modes[gen.id]
-            init = self.init[gen.id]
-            u0 = 1 if init.committed else 0
+            u0 = 1 if committed[i] else 0
             force_on = force_off = 0
-            if gen.id in min_updown_for:
-                if init.committed and init.up_time < gen.min_up:
-                    force_on = gen.min_up - init.up_time
-                if not init.committed and init.down_time < gen.min_down:
-                    force_off = gen.min_down - init.down_time
+            if min_updown[i]:
+                if committed[i] and up_time[i] < gen.min_up:
+                    force_on = gen.min_up - up_time[i]
+                if not committed[i] and down_time[i] < gen.min_down:
+                    force_off = gen.min_down - down_time[i]
             us, vs, ws = [], [], []
             for t in range(T):
-                lb, ub = 0.0, 1.0
-                if mode == FIXED:
-                    lb = ub = float(round(float(pattern[t])))
-                elif mode == AT_LEAST:
-                    lb = float(round(float(pattern[t])))
+                lb, ub = lo[i][t], hi[i][t]
                 if t < force_on:
                     lb = 1.0
                 if t < force_off:
@@ -192,17 +175,17 @@ class UcModelBuilder:
                 vs.append(vi)
                 ws.append(wi)
             self.u[i], self.v[i], self.w[i] = us, vs, ws
-            if gen.id in min_updown_for:
+            if min_updown[i]:
                 if gen.min_up > 1:
                     for t in range(T):
-                        lo = max(0, t - gen.min_up + 1)
-                        terms = [(vs[s], 1.0) for s in range(lo, t + 1)]
+                        first = max(0, t - gen.min_up + 1)
+                        terms = [(vs[s], 1.0) for s in range(first, t + 1)]
                         terms.append((us[t], -1.0))
                         m.add_constr(f"min_up[g{gen.id},t{t}]", terms, hi=0.0)
                 if gen.min_down > 1:
                     for t in range(T):
-                        lo = max(0, t - gen.min_down + 1)
-                        terms = [(ws[s], 1.0) for s in range(lo, t + 1)]
+                        first = max(0, t - gen.min_down + 1)
+                        terms = [(ws[s], 1.0) for s in range(first, t + 1)]
                         terms.append((us[t], 1.0))
                         m.add_constr(f"min_dn[g{gen.id},t{t}]", terms, hi=1.0)
 
@@ -228,43 +211,46 @@ class UcModelBuilder:
                 m.add_constr(f"pwr_def[g{gen.id},t{t}]", terms, lo=0.0, hi=0.0)
 
     # ------------------------------------------------------------------ ramps
-    def add_ramps(self, move_caps: dict[int, tuple[np.ndarray, np.ndarray]] | None = None
-                  ) -> None:
+    def _ramp_rates(self, n: int) -> np.ndarray:
+        """(generators, n): each generator's 15-min ramp rate in every column."""
+        rates = np.array([g.ramp_15 for g in self.system.generators], dtype=float)
+        return np.broadcast_to(rates[:, None], (len(rates), n))
+
+    def add_ramps(self, up: np.ndarray | None = None, dn: np.ndarray | None = None) -> None:
         """Interval-to-interval ramp limits.
 
-        By default the 15-min ramp rate (plus startup/shutdown allowances)
-        bounds each move.  For generators listed in ``move_caps`` the standard
-        rate is replaced by per-boundary upward/downward award caps: entry t
-        limits the move from interval t-1 into t (index 0 uses the award held
-        before the horizon).
+        ``up`` and ``dn`` are (generators, intervals) caps on the upward and
+        downward moves, plus the startup/shutdown allowances: entry t limits
+        the move from interval t-1 into t (index 0 from the initial state).
+        Each defaults to the 15-min ramp rate.
         """
         m = self.model
+        up = (self._ramp_rates(self.n_intervals) if up is None else up).tolist()
+        dn = (self._ramp_rates(self.n_intervals) if dn is None else dn).tolist()
+        committed, power = self.init.committed.tolist(), self.init.power.tolist()
         for i, gen in enumerate(self.system.generators):
-            caps = (move_caps or {}).get(gen.id)
-            init = self.init[gen.id]
-            u0 = 1 if init.committed else 0
+            u0 = 1 if committed[i] else 0
             us, vs, ws, ps = (a[i].tolist() for a in (self.u, self.v, self.w, self.p))
             for t in range(self.n_intervals):
-                up_rate = gen.ramp_15 if caps is None else float(caps[0][t])
-                dn_rate = gen.ramp_15 if caps is None else float(caps[1][t])
+                up_rate, dn_rate = up[i][t], dn[i][t]
                 pi, vi, wi, ui = ps[t], vs[t], ws[t], us[t]
                 if t == 0:
                     # previous interval is the chained initial state
                     m.add_constr(
                         f"ramp_up[g{gen.id},t0]",
                         [(pi, 1.0), (vi, -gen.ramp_su)],
-                        hi=init.power + up_rate * u0,
+                        hi=power[i] + up_rate * u0,
                     )
                     m.add_constr(
                         f"ramp_dn[g{gen.id},t0]",
                         [(pi, -1.0), (ui, -dn_rate), (wi, -gen.ramp_sd)],
-                        hi=-init.power,
+                        hi=-power[i],
                     )
                 else:
-                    pp, up = ps[t - 1], us[t - 1]
+                    pp, up_prev = ps[t - 1], us[t - 1]
                     m.add_constr(
                         f"ramp_up[g{gen.id},t{t}]",
-                        [(pi, 1.0), (pp, -1.0), (up, -up_rate), (vi, -gen.ramp_su)],
+                        [(pi, 1.0), (pp, -1.0), (up_prev, -up_rate), (vi, -gen.ramp_su)],
                         hi=0.0,
                     )
                     m.add_constr(
@@ -274,7 +260,8 @@ class UcModelBuilder:
                     )
 
     # ------------------------------------------------------------- glidepath
-    def add_shutdown_glidepath(self, start: int, schedule, down_budget) -> None:
+    def add_shutdown_glidepath(self, start: int, schedule: np.ndarray,
+                               budget: np.ndarray | None = None) -> None:
         """Level caps that keep scheduled shutdowns reachable beyond the horizon.
 
         A shutdown scheduled a few intervals past the rolling window is
@@ -284,24 +271,29 @@ class UcModelBuilder:
         at some later interval s, cap its level at the shutdown allowance plus
         the total downward move budget available on the way there.
 
-        ``schedule(gid, k)`` gives the unit's scheduled commitment at global
-        interval k; ``down_budget(gid, k)`` the downward move allowed from
-        interval k into k+1 (the ramp rate, or the held downward award).
+        ``schedule`` is the (generators, 96) scheduled commitment per global
+        interval of the day, ``start`` the global interval of the horizon's
+        first; ``budget`` (generators, 96) is the downward move allowed from
+        interval k into k+1, by default the 15-min ramp rate.
         """
+        n_day = schedule.shape[1]
+        if budget is None:
+            budget = self._ramp_rates(n_day)
         for i, gen in enumerate(self.system.generators):
             if gen.is_fast_start:
                 continue
+            on = schedule[i].tolist()
+            offs = [k for k, u in enumerate(on) if u == 0]
+            moves = budget[i].tolist()
             for t in range(self.n_intervals):
                 g_t = start + t
-                if schedule(gen.id, g_t) != 1:
+                if g_t >= n_day or on[g_t] != 1:
                     continue
                 # earliest scheduled off interval from here (none past day end)
-                s = next((k for k in range(g_t + 1, INTERVALS_PER_DAY)
-                          if schedule(gen.id, k) == 0), None)
-                if s is None:
+                j = bisect_right(offs, g_t)
+                if j == len(offs):
                     continue
-                budget = sum(down_budget(gen.id, j) for j in range(g_t, s - 1))
-                bound = gen.ramp_sd + budget
+                bound = gen.ramp_sd + sum(moves[g_t:offs[j] - 1])
                 if bound >= gen.p_max - 1e-9:
                     continue
                 self.model.add_constr(

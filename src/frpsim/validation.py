@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dayahead import DaCommitments
-from .fmm import FmmAwards, FmmConfig, FmmHandle, FmmHorizon, _base_builder, roll_day
+from .fmm import FmmAwards, FmmConfig, FmmHandle, FmmHorizon, _base_builder, by_id, roll_day, window
 from .milp import SolveOptions
 from .network import PowerSystem, PtdfMatrix
-from .scenarios import OUT_OF_SAMPLE, Scenario
+from .scenarios import INTERVALS_PER_DAY, OUT_OF_SAMPLE, Scenario
 
 PROXY = "proxy"
 DATADRIVEN = "datadriven"
@@ -59,13 +59,17 @@ def build_rtuc_hour(system: PowerSystem, ptdf: PtdfMatrix, awards: FmmAwards,
     downward awards held along the way.
     """
     start, length = horizon.start, horizon.length
-    caps = {g.id: (np.array([awards.ur_at(g.id, start + t - 1) for t in range(length)]),
-                   np.array([awards.dr_at(g.id, start + t - 1) for t in range(length)]))
-            for g in system.must_run_generators()}
+    ur, dr = (np.array([held[g.id] for g in system.generators], dtype=float)
+              for held in (awards.ur, awards.dr))
+    # entry t caps the move into interval t by the award held from t-1;
+    # fast-start units keep their ramp rate
+    fast = np.array([[g.is_fast_start] for g in system.generators])
+    rate = np.array([[g.ramp_15] for g in system.generators])
     cfg = FmmConfig(voll=voll)
-    builder = _base_builder(system, scenario, da, horizon, cfg,
-                            name=f"rtuc@{start}", move_caps=caps,
-                            down_budget=awards.dr_at)
+    builder = _base_builder(system, scenario, da, horizon, cfg, name=f"rtuc@{start}",
+                            up=np.where(fast, rate, window(ur, start - 1, length)),
+                            dn=np.where(fast, rate, window(dr, start - 1, length)),
+                            budget=window(dr, 0, INTERVALS_PER_DAY))
     return FmmHandle(model=builder.model, builder=builder, system=system, ptdf=ptdf,
                      horizon=horizon, cfg=cfg, policy="validation")
 
@@ -88,14 +92,13 @@ def run_rtuc_validation(system: PowerSystem, ptdf: PtdfMatrix, awards: FmmAwards
         policy=policy,
         rt_cost_excl_violation=excl,
         total_violation_mwh=viol,
-        fs_commitment_count=int(sum(traj.u[g.id].sum()
-                                    for g in system.fast_start_generators())),
+        fs_commitment_count=int(traj.u[[g.is_fast_start for g in system.generators]].sum()),
         total_cost=excl + cfg.voll * viol,
         interval_cost=traj.cost,
         interval_violation_mwh=traj.violation_mwh,
-        dispatch=traj.p if keep_dispatch else None,
-        commitment=traj.u if keep_dispatch else None,
-        startup=traj.v if keep_dispatch else None,
+        dispatch=by_id(system, traj.p) if keep_dispatch else None,
+        commitment=by_id(system, traj.u) if keep_dispatch else None,
+        startup=by_id(system, traj.v) if keep_dispatch else None,
     )
 
 

@@ -137,22 +137,22 @@ def test_criterion_01_constraint_checker_soundness(bottleneck):
     system, ptdf, profile = bottleneck
     ucfg = UncertaintyConfig(seed=SEED)
     env = proxy_envelopes(profile, ucfg, system.solar_units)
-    da, da_sol, da_handle = run_da(system, ptdf, profile)
-    # (name, handle, solution, system load, per-unit solar) per family
-    checked = [("day-ahead", da_handle, da_sol, profile.hourly_load,
+    da, da_sol, da_builder = run_da(system, ptdf, profile)
+    # (name, builder, solution, system load, per-unit solar) per family
+    checked = [("day-ahead", da_builder, da_sol, profile.hourly_load,
                 profile.solar_hourly)]
     horizon = FmmHorizon(start=68, init=cold_start_state(system))
     ts = np.arange(68, 75)
     proxy = build_fmm_proxy(system, ptdf, profile, env, da, horizon)
-    checked.append(("fmm-proxy", proxy, solve_hour(proxy), profile.load_at(ts),
+    checked.append(("fmm-proxy", proxy.builder, solve_hour(proxy), profile.load_at(ts),
                     profile.solar_at(ts)))
     scn = sample_scenarios(system, profile, ucfg, 1, TRAINING)[0]
     training = build_fmm_training(system, ptdf, scn, da, horizon)
-    checked.append(("fmm-training", training, solve_hour(training), scn.load_at(ts),
+    checked.append(("fmm-training", training.builder, solve_hour(training), scn.load_at(ts),
                     scn.solar_at(ts)))
     dd, _ = build_dd_fixture(system, profile, start=68, ucfg=ucfg)
     dd_sol, _ = solve_with_cuts(dd)
-    checked.append(("fmm-datadriven", dd, dd_sol, profile.load_at(ts),
+    checked.append(("fmm-datadriven", dd.builder, dd_sol, profile.load_at(ts),
                     profile.solar_at(ts)))
     # one validation-phase hour under the proxy day's awards
     from frpsim.dayahead import initial_state_from_da
@@ -163,13 +163,13 @@ def test_criterion_01_constraint_checker_soundness(bottleneck):
     rtuc = build_rtuc_hour(system, ptdf, run.awards, da, scn_oos,
                            FmmHorizon(start=0, init=initial_state_from_da(system, da)))
     ts0 = np.arange(7)
-    checked.append(("validation-rtuc", rtuc, solve_hour(rtuc), scn_oos.load_at(ts0),
+    checked.append(("validation-rtuc", rtuc.builder, solve_hour(rtuc), scn_oos.load_at(ts0),
                     scn_oos.solar_at(ts0)))
-    for name, handle, sol, load, solar in checked:
+    for name, builder, sol, load, solar in checked:
         assert sol.status == "optimal", name
-        rep = check_solution(handle.model, sol, tol=1e-6)
+        rep = check_solution(builder.model, sol, tol=1e-6)
         assert rep.ok, (name, rep.worst())
-        overload = worst_line_overload(system, ptdf, handle.builder, sol, load, solar)
+        overload = worst_line_overload(system, ptdf, builder, sol, load, solar)
         assert overload <= 1e-6, (name, overload)
     report("1 constraint-checker soundness",
            f"{len(checked)} model families re-checked at 1e-6, line flows "

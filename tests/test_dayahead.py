@@ -19,9 +19,9 @@ class TestBuildAndRun:
     def test_single_generator_flat_load_committed_all_day(self, flat_profile):
         system = single_bus_system([make_gen(0, 0, 10.0, 120.0, 20.0, ramp=120.0)])
         ptdf = compute_ptdf(system)
-        da, sol, handle = run_da(system, ptdf, flat_profile)
+        da, sol, builder = run_da(system, ptdf, flat_profile)
         assert (da.u_hourly[0] == 1).all()
-        assert check_solution(handle.model, sol).ok
+        assert check_solution(builder.model, sol).ok
 
     def test_capacity_shortage_priced_at_voll(self):
         system = single_bus_system([make_gen(0, 0, 0.0, 50.0, 20.0, ramp=100.0)])
@@ -29,8 +29,8 @@ class TestBuildAndRun:
         load = np.full(96, 40.0)
         load[72:76] = 90.0  # hour 18 exceeds capacity by 40 MW
         profile = make_profile(load, np.zeros(96))
-        da, sol, handle = run_da(system, ptdf, profile)
-        slack = sol.value(handle.builder.short[18])
+        da, sol, builder = run_da(system, ptdf, profile)
+        slack = sol.value(builder.short[18])
         assert slack == pytest.approx(40.0, abs=1e-4)
         # the shortage hour contributes VOLL x MW x 1 h
         assert sol.objective > 10000.0 * 39.0
@@ -106,10 +106,10 @@ def test_bundled_118_bus_da_evening_peak(system118, data_dir):
 
     ptdf = compute_ptdf(system118)
     profile = load_profiles(data_dir / "profiles" / "day1", system118.solar_units)
-    da, sol, handle = run_da(system118, ptdf, profile,
-                             options=SolveOptions(mip_rel_gap=1e-3))
-    assert check_solution(handle.model, sol).ok
+    da, sol, builder = run_da(system118, ptdf, profile,
+                              options=SolveOptions(mip_rel_gap=1e-3))
+    assert check_solution(builder.model, sol).ok
     on_at = lambda h: sum(int(da.u_hourly[g.id][h]) for g in system118.generators)
     # evening netload peak needs additional units beyond the night trough
     assert on_at(19) > on_at(3)
-    assert sol.value(handle.builder.short[19]) == pytest.approx(0.0, abs=1e-6)
+    assert sol.value(builder.short[19]) == pytest.approx(0.0, abs=1e-6)

@@ -22,7 +22,7 @@ from frpsim.milp import MilpSolution, SolveOptions, solve
 from frpsim.network import PtdfMatrix, compute_ptdf, nodal_injections
 from frpsim.scenarios import (OUT_OF_SAMPLE, TRAINING, UncertaintyConfig, load_profiles,
                               proxy_envelopes, sample_scenarios)
-from frpsim.ucbase import FREE, LineLimitError, UcModelBuilder, cold_start_state
+from frpsim.ucbase import LineLimitError, UcModelBuilder, cold_start_state
 from frpsim.validation import build_rtuc_hour
 from test_fmm import build_dd_fixture
 from util import worst_line_overload
@@ -56,7 +56,9 @@ class TestAddLineLimits:
     def _builder(self, bottleneck, n_intervals=3):
         system, _, profile = bottleneck
         b = UcModelBuilder(system, n_intervals, 0.25, cold_start_state(system))
-        b.add_commitment({g.id: (FREE, None) for g in system.generators}, set())
+        n_gens = len(system.generators)
+        b.add_commitment(np.zeros((n_gens, n_intervals)), np.ones((n_gens, n_intervals)),
+                         min_updown=np.zeros(n_gens, dtype=bool))
         b.add_dispatch()
         b.add_ramps()
         ts = np.arange(n_intervals)
@@ -147,12 +149,12 @@ class TestLazyAgainstAllLines:
 
     def test_day_ahead(self, bottleneck):
         system, ptdf, profile = bottleneck
-        _, sol, handle = run_da(system, ptdf, profile)
+        _, sol, builder = run_da(system, ptdf, profile)
         eager = dayahead.build_da_model(system, profile)
-        eager.builder.add_line_limits(ptdf, range(len(system.lines)))
+        eager.add_line_limits(ptdf, range(len(system.lines)))
         assert_within_gap(sol, solve(eager.model), SolveOptions().mip_rel_gap)
-        assert handle.builder.lines < set(range(len(system.lines)))
-        assert worst_line_overload(system, ptdf, handle.builder, sol,
+        assert builder.lines < set(range(len(system.lines)))
+        assert worst_line_overload(system, ptdf, builder, sol,
                                    profile.hourly_load, profile.solar_hourly) <= 1e-6
 
     @pytest.mark.slow
@@ -215,9 +217,9 @@ class TestPersistingOverload:
         build = dayahead.build_da_model
 
         def with_loose_rows(*a, **kw):
-            handle = build(*a, **kw)
-            handle.builder.add_line_limits(half_ptdf(ptdf), [0])
-            return handle
+            builder = build(*a, **kw)
+            builder.add_line_limits(half_ptdf(ptdf), [0])
+            return builder
 
         monkeypatch.setattr(dayahead, "build_da_model", with_loose_rows)
         with pytest.raises(RuntimeError, match="day-ahead solve failed: line 0 exceeds"):

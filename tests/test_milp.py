@@ -7,19 +7,23 @@ import pytest
 
 from frpsim.milp import (BINARY, CONTINUOUS, MilpModel, MilpSolution, ModelError,
                          SolveOptions, brute_force_uc, check_solution, solve)
-from frpsim.ucbase import FIXED, FREE, UcModelBuilder, cold_start_state
+from frpsim.ucbase import UcModelBuilder, cold_start_state
 from util import make_gen, single_bus_system
 
 EXACT = SolveOptions(mip_rel_gap=1e-9)
 
 
-def solve_uc_milp(system, loads, interval_hours=0.25, voll=10000.0, modes=None):
-    """Production-path MILP for the tiny single-bus instances the oracle covers."""
+def solve_uc_milp(system, loads, interval_hours=0.25, voll=10000.0, lo=None, hi=None):
+    """Production-path MILP for the tiny single-bus instances the oracle covers.
+
+    ``lo``/``hi`` bound each commitment; by default every unit is free."""
     loads = np.asarray(loads, dtype=float)
+    shape = (len(system.generators), len(loads))
     builder = UcModelBuilder(system, len(loads), interval_hours,
                              cold_start_state(system), voll=voll, name="tiny_uc")
-    builder.add_commitment(modes or {g.id: (FREE, None) for g in system.generators},
-                           min_updown_for={g.id for g in system.generators})
+    builder.add_commitment(np.zeros(shape) if lo is None else lo,
+                           np.ones(shape) if hi is None else hi,
+                           min_updown=np.ones(shape[0], dtype=bool))
     builder.add_dispatch()
     builder.add_ramps()
     builder.add_network(loads.reshape(1, -1), np.zeros((1, len(loads))))
@@ -177,12 +181,12 @@ class TestCheckSolution:
         assert any("pwr_def" in n or "sys_bal" in n for n in names)
 
     def test_perturbed_fixed_commitment_names_bound(self):
-        # a FIXED pattern lives in the column bounds only, so turning the
+        # a pinned pattern lives in the column bounds only, so turning the
         # unit off against it breaks no row of a one-unit model at zero load
         gen = make_gen(0, 0, 10.0, 100.0, 20.0, ramp=200.0)
         system = single_bus_system([gen])
-        sol, builder = solve_uc_milp(system, [0.0, 0.0],
-                                     modes={0: (FIXED, np.array([1.0, 1.0]))})
+        pinned = np.array([[1.0, 1.0]])
+        sol, builder = solve_uc_milp(system, [0.0, 0.0], lo=pinned, hi=pinned)
         bad = sol.values.copy()
         bad[builder.u[0, 1]] = 0.0
         bad[builder.p[0, 1]] = 0.0

@@ -7,7 +7,7 @@ import shutil
 
 import pytest
 
-from frpsim import fmm, pipeline, validation
+from frpsim import fmm, learner, pipeline, validation
 from frpsim.cli import main as cli_main
 from frpsim.fmm import HourSolveError
 from frpsim.pipeline import ExperimentConfig, StageError, run_pipeline
@@ -70,6 +70,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="n_training"):
             ExperimentConfig(system_file="x", profile_dir="y", output_dir="z",
                              n_training=0)
+
+    def test_rejects_single_deployment_scenario(self):
+        # the clear stage places deployment scenarios in symmetric pairs
+        with pytest.raises(ValueError, match="n_deployment must be >= 2"):
+            ExperimentConfig(system_file="x", profile_dir="y", output_dir="z",
+                             n_deployment=1)
 
 
 @pytest.fixture(scope="module")
@@ -211,6 +217,22 @@ class TestCli:
         path.write_text("{\"policy\": \"zonal\"}")
         assert cli_main(["all", "--config", str(path)]) == 2
 
+    def test_cli_single_deployment_scenario_exit_two(self, toy_inputs, tmp_path, capsys):
+        system_path, profile_dir = toy_inputs
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "system_file": str(system_path),
+            "profile_dir": str(profile_dir),
+            "output_dir": str(tmp_path / "o"),
+            "n_training": 1,
+            "n_out_of_sample": 1,
+            "n_deployment": 1,
+            "nn_epochs": 1,
+        }))
+        assert cli_main(["all", "--config", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_cli_missing_system_file_stage_error(self, tmp_path, toy_inputs):
         _, profile_dir = toy_inputs
         path = tmp_path / "cfg.json"
@@ -318,3 +340,32 @@ def test_worker_count_does_not_change_outputs(toy_inputs, tmp_path, monkeypatch)
         shutil.rmtree(out)
     for name in names:
         assert runs[0][name] == runs[1][name], name
+
+
+def test_failing_day_ahead_is_tagged_prepare(toy_inputs, tmp_path, monkeypatch):
+    system_path, profile_dir = toy_inputs
+
+    def failing_run_da(*args, **kw):
+        raise RuntimeError("day-ahead solve failed: infeasible")
+    monkeypatch.setattr(pipeline, "run_da", failing_run_da)
+    with pytest.raises(StageError, match=r"^\[prepare\] day-ahead solve failed: "
+                                         r"infeasible$") as info:
+        run_pipeline(toy_config(system_path, profile_dir, tmp_path / "out"),
+                     stages=["prepare"])
+    assert info.value.stage == "prepare"
+
+
+def test_failing_fit_is_tagged_train(completed, toy_inputs, tmp_path, monkeypatch):
+    _, out, _ = completed
+    system_path, profile_dir = toy_inputs
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+
+    def failing_train(*args, **kw):
+        raise FloatingPointError("loss is nan")
+    monkeypatch.setattr(learner, "train", failing_train)
+    monkeypatch.setattr(pipeline, "_pool_size", lambda n: 1)
+    with pytest.raises(StageError, match=r"^\[train\] loss is nan$") as info:
+        run_pipeline(toy_config(system_path, profile_dir, copy),
+                     stages=["train"], force=True)
+    assert info.value.stage == "train"

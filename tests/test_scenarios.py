@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from frpsim.network import SolarUnit
+from frpsim.network import SolarUnit, nodal_injections
 from frpsim.scenarios import (DEPLOYMENT, OUT_OF_SAMPLE, TRAINING, ProfileError,
                               UncertaintyConfig, load_profiles, proxy_envelopes,
                               sample_scenarios, select_deployment_scenarios,
@@ -128,7 +128,8 @@ class TestSampleScenarios:
     def test_nodal_loads_sum_to_system_load(self):
         out = sample_scenarios(self.system, self.profile, self.cfg, 3, TRAINING)
         scn = out[0]
-        nodal = scn.nodal_loads(self.system, np.arange(96))
+        ts = np.arange(96)
+        nodal, _ = nodal_injections(self.system, scn.load_at(ts), scn.solar_at(ts))
         np.testing.assert_allclose(nodal.sum(axis=0), scn.system_load, atol=1e-6)
 
     def test_aggregation_identity(self):

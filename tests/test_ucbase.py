@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from frpsim.ucbase import AT_LEAST, FIXED, UcModelBuilder, UnitInit, advance_state
+from frpsim.ucbase import UcModelBuilder, UnitState, advance_state
 from util import make_gen, single_bus_system
 
 # (case, committed, up_time, down_time, executed u,
@@ -21,24 +21,23 @@ STATE_CASES = [
 
 
 def test_advance_state_table():
-    system = single_bus_system([make_gen(i, 0, 10.0, 100.0, 20.0)
-                                for i in range(len(STATE_CASES))])
     u_exec = np.array([case[4] for case in STATE_CASES], dtype=float)
     p_exec = u_exec * np.array([[12.5, 40.0, 77.25]])
-    state = {i: UnitInit(committed=c[1], power=3.0, up_time=c[2], down_time=c[3])
-             for i, c in enumerate(STATE_CASES)}
-    out = advance_state(system, state, {i: u_exec[i] for i in state},
-                        {i: p_exec[i] for i in state})
+    state = UnitState(committed=np.array([c[1] for c in STATE_CASES]),
+                      power=np.full(len(STATE_CASES), 3.0),
+                      up_time=np.array([c[2] for c in STATE_CASES]),
+                      down_time=np.array([c[3] for c in STATE_CASES]))
+    out = advance_state(state, u_exec, p_exec)
     for i, (case, *_, committed, up, down) in enumerate(STATE_CASES):
-        got = out[i]
-        assert (got.committed, got.up_time, got.down_time) == (committed, up, down), case
-        assert got.power == p_exec[i, -1], case
+        got = (bool(out.committed[i]), int(out.up_time[i]), int(out.down_time[i]))
+        assert got == (committed, up, down), case
+        assert out.power[i] == p_exec[i, -1], case
 
 
 def _builder(gen, committed, up_time, down_time, n_intervals):
     system = single_bus_system([gen])
-    init = {gen.id: UnitInit(committed=committed, power=0.0,
-                             up_time=up_time, down_time=down_time)}
+    init = UnitState(committed=np.array([committed]), power=np.zeros(1),
+                     up_time=np.array([up_time]), down_time=np.array([down_time]))
     return UcModelBuilder(system, n_intervals, 0.25, init)
 
 
@@ -47,14 +46,13 @@ def test_commitment_pattern_conflicting_with_min_down_raises():
     gen = make_gen(7, 0, 10.0, 100.0, 20.0, min_down=4)
     builder = _builder(gen, False, 0, 1, 3)
     with pytest.raises(ValueError, match="generator 7: .* at interval 0"):
-        builder.add_commitment({7: (AT_LEAST, np.array([1.0, 1.0, 1.0]))},
-                               min_updown_for={7})
+        builder.add_commitment(np.ones((1, 3)), np.ones((1, 3)), min_updown=np.array([True]))
 
 
 def test_commitment_pattern_conflicting_with_min_up_raises():
     # on for 1 of its 3 minimum up intervals, but pinned off from interval 1
     gen = make_gen(4, 0, 10.0, 100.0, 20.0, min_up=3)
     builder = _builder(gen, True, 1, 0, 3)
+    pattern = np.array([[1.0, 0.0, 0.0]])
     with pytest.raises(ValueError, match="generator 4: .* at interval 1"):
-        builder.add_commitment({4: (FIXED, np.array([1.0, 0.0, 0.0]))},
-                               min_updown_for={4})
+        builder.add_commitment(pattern, pattern, min_updown=np.array([True]))

@@ -67,26 +67,27 @@ class TestRtucValidation:
 
     def test_unlimited_awards_match_unrestricted_redispatch(self, cleared_day):
         # move caps equal to the full ramp rate must reproduce the standard
-        # ramp-constrained model exactly (two different builder code paths)
+        # ramp-constrained model exactly (default caps equal explicit full caps)
         from frpsim.network import nodal_injections
-        from frpsim.ucbase import FREE, UcModelBuilder, cold_start_state, solve_lazy
+        from frpsim.ucbase import UcModelBuilder, cold_start_state, solve_lazy
 
         system, ptdf, profile, cfg, da, _ = cleared_day
         scn = sample_scenarios(system, profile, cfg, 3, OUT_OF_SAMPLE)[2]
         loads, solar = nodal_injections(system, scn.load_at(np.arange(12)),
                                         scn.solar_at(np.arange(12)))
 
+        n_gens = len(system.generators)
+
         def build(caps):
             b = UcModelBuilder(system, 12, 0.25, cold_start_state(system))
-            b.add_commitment({g.id: (FREE, None) for g in system.generators},
-                             min_updown_for={g.id for g in system.generators})
+            b.add_commitment(np.zeros((n_gens, 12)), np.ones((n_gens, 12)),
+                             min_updown=np.ones(n_gens, dtype=bool))
             b.add_dispatch()
-            b.add_ramps(move_caps=caps)
+            b.add_ramps(caps, caps)
             b.add_network(loads, solar)
             return b, solve_lazy(b, ptdf)
 
-        maxed = {g.id: (np.full(12, g.ramp_15), np.full(12, g.ramp_15))
-                 for g in system.generators}
+        maxed = np.repeat([[g.ramp_15] for g in system.generators], 12, axis=1)
         _, sol_capped = build(maxed)
         _, sol_plain = build(None)
         assert sol_capped.status == sol_plain.status == "optimal"
