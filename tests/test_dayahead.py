@@ -5,6 +5,7 @@ import pytest
 
 from frpsim.dayahead import (DaCommitments, read_commitments_csv, run_da,
                              write_commitments_csv)
+from frpsim.fmm import window
 from frpsim.milp import SolveOptions, check_solution
 from frpsim.network import compute_ptdf
 from util import duck_profile, make_gen, make_profile, single_bus_system
@@ -79,6 +80,8 @@ class TestCommitmentMapping:
         da = DaCommitments(u_hourly={0: u}, dispatch_hourly={0: np.zeros(24)},
                            objective=0.0)
         assert [da.commitment_at(0, t) for t in (27, 28, 31, 32)] == [0, 1, 1, 0]
+        schedule = da.interval_schedule(single_bus_system([make_gen(0, 0, 10.0, 100.0, 20.0)]))
+        assert schedule[0, [27, 28, 31, 32]].tolist() == [0, 1, 1, 0]
 
     def test_edge_padding_beyond_day(self):
         u = np.zeros(24)
@@ -86,6 +89,9 @@ class TestCommitmentMapping:
         da = DaCommitments(u_hourly={0: u}, dispatch_hourly={0: np.zeros(24)},
                            objective=0.0)
         assert da.commitment_at(0, 98) == 1
+        schedule = da.interval_schedule(single_bus_system([make_gen(0, 0, 10.0, 100.0, 20.0)]))
+        assert window(schedule, 92, 7).tolist() == [[1] * 7]
+        assert window(schedule, 88, 7).tolist() == [[0] * 4 + [1] * 3]
 
     def test_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)
