@@ -6,7 +6,9 @@ awards, response factors) at seed 7:
 
 * the day-ahead model;
 * the proxy, training, data-driven and validation hour models at trading
-  hours 0, 10 and 18, as built (no line rows yet);
+  hours 0, 10, 18 and 23, as built (no line rows yet).  Hour 23 is the
+  only trading hour whose windows run past the last interval of the day,
+  so it pins the edge padding of day series;
 * one data-driven hour after its cut loop, with the line rows and
   post-deployment cuts the loop added.
 
@@ -48,7 +50,7 @@ ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "src" / "frpsim" / "data"
 INPUTS = ROOT / "perfbench" / "data" / "ieee118_inputs.npz"
 SEED = 7
-HOURS = (0, 10, 18)
+HOURS = (0, 10, 18, 23)
 CUT_HOUR = 10           # the data-driven hour whose cut loop is run
 OPTIONS = SolveOptions(mip_rel_gap=1e-3)
 
