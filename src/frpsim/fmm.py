@@ -32,7 +32,7 @@ from .milp import CONTINUOUS, MilpModel, MilpSolution, SolveOptions
 from .milp import solve  # noqa: F401  (fmm.solve stays the one milp.solve)
 from .network import PowerSystem, PtdfMatrix, nodal_injections
 from .scenarios import (DEPLOYMENT, HOURS_PER_DAY, INTERVALS_PER_DAY, ForecastProfile,
-                        ProxyEnvelope, Scenario, ScenarioSet)
+                        ProxyEnvelope, Scenario, ScenarioSet, netload, window)
 from .ucbase import (LINE_COEF_EPS, LineLimitError, UcModelBuilder, UnitState, advance_state,
                      solve_lazy)
 
@@ -100,12 +100,6 @@ class FmmAwards:
     def n_intervals(self) -> int:
         return len(self.p[self.gen_ids[0]])
 
-    def ur_at(self, g: int, t: int) -> float:
-        return float(self.ur[g][min(max(t, 0), self.n_intervals - 1)])
-
-    def dr_at(self, g: int, t: int) -> float:
-        return float(self.dr[g][min(max(t, 0), self.n_intervals - 1)])
-
 
 @dataclass(frozen=True)
 class PostDeploymentCut:
@@ -131,15 +125,11 @@ def compute_frp_requirements(envelope: ProxyEnvelope, profile: ForecastProfile,
     netload at t, floored at zero; downward mirrored.
     """
     n = length - 1
-    fr_up = np.zeros(n)
-    fr_dn = np.zeros(n)
-    for t in range(n):
-        cur = profile.netload_at(start + t)
-        up_next = envelope.load_max_at(start + t + 1) - envelope.solar_min_at(start + t + 1).sum()
-        dn_next = envelope.load_min_at(start + t + 1) - envelope.solar_max_at(start + t + 1).sum()
-        fr_up[t] = max(up_next - cur, 0.0)
-        fr_dn[t] = max(cur - dn_next, 0.0)
-    return FrpRequirements(fr_up=fr_up, fr_down=fr_dn)
+    cur = window(netload(profile.load15, profile.solar15), start, n)
+    up_next = window(netload(envelope.load_max, envelope.solar_min), start + 1, n)
+    dn_next = window(netload(envelope.load_min, envelope.solar_max), start + 1, n)
+    return FrpRequirements(fr_up=np.maximum(up_next - cur, 0.0),
+                           fr_down=np.maximum(cur - dn_next, 0.0))
 
 
 def delta_netload(profile: ForecastProfile, scenario: Scenario,
@@ -147,8 +137,8 @@ def delta_netload(profile: ForecastProfile, scenario: Scenario,
     """Scenario netload at each next interval minus forecast netload now."""
     if scenario.kind != DEPLOYMENT:
         raise ValueError("delta_netload expects a deployment scenario")
-    return np.array([scenario.netload_at(start + t + 1) - profile.netload_at(start + t)
-                     for t in range(length - 1)])
+    return (window(netload(scenario.system_load, scenario.solar), start + 1, length - 1)
+            - window(netload(profile.load15, profile.solar15), start, length - 1))
 
 
 # ----------------------------------------------------------------- handles
@@ -164,9 +154,7 @@ class FmmHandle:
     -1 where the move has no direction.
     """
 
-    model: MilpModel
     builder: UcModelBuilder
-    system: PowerSystem
     ptdf: PtdfMatrix
     horizon: FmmHorizon
     cfg: FmmConfig
@@ -182,24 +170,26 @@ class FmmHandle:
     cuts: list[PostDeploymentCut] = field(default_factory=list)
     _cut_keys: set[tuple[int, int, int, str]] = field(default_factory=set)
 
+    @property
+    def model(self) -> MilpModel:
+        return self.builder.model
+
+    @property
+    def system(self) -> PowerSystem:
+        return self.builder.system
+
 
 # ------------------------------------------------------------------ builders
 
-def window(day: np.ndarray, first: int, n: int) -> np.ndarray:
-    """Entries ``first .. first+n-1`` along the last axis of a per-interval
-    array, each index clipped into the array as the ``*_at`` accessors do."""
-    return day[..., np.clip(np.arange(first, first + n), 0, day.shape[-1] - 1)]
-
-
-def _base_builder(system: PowerSystem, realized, da: DaCommitments,
-                  horizon: FmmHorizon, cfg: FmmConfig, name: str,
+def _base_builder(system: PowerSystem, load: np.ndarray, solar: np.ndarray,
+                  da: DaCommitments, horizon: FmmHorizon, cfg: FmmConfig, name: str,
                   up: np.ndarray | None = None, dn: np.ndarray | None = None,
                   budget: np.ndarray | None = None) -> UcModelBuilder:
     """The UC core of every 15-min hour model, with no base-case line rows.
 
-    ``realized`` supplies the hour's system load and per-unit solar
-    (``load_at``/``solar_at``): the forecast or a scenario.  Must-run units
-    are pinned to the day-ahead commitment; fast-start units may add to it.
+    ``load`` (96,) and ``solar`` (n_units, 96) are the day's system load and
+    per-unit solar, of the forecast or of a scenario.  Must-run units are
+    pinned to the day-ahead commitment; fast-start units may add to it.
     ``up``/``dn`` replace the ramp rate per boundary (see ``add_ramps``) and
     ``budget`` the ramp rate in the shutdown glidepath.
     """
@@ -214,9 +204,8 @@ def _base_builder(system: PowerSystem, realized, da: DaCommitments,
     builder.add_dispatch()
     builder.add_ramps(up, dn)
     builder.add_shutdown_glidepath(horizon.start, schedule, budget)
-    ts = np.arange(horizon.start, horizon.start + horizon.length)
-    builder.add_network(*nodal_injections(system, realized.load_at(ts),
-                                          realized.solar_at(ts)))
+    builder.add_network(*nodal_injections(system, window(load, horizon.start, horizon.length),
+                                          window(solar, horizon.start, horizon.length)))
     return builder
 
 
@@ -297,11 +286,10 @@ def build_fmm_proxy(system: PowerSystem, ptdf: PtdfMatrix, profile: ForecastProf
                     cfg: FmmConfig | None = None) -> FmmHandle:
     """FMM with the system-wide proxy ramping product."""
     cfg = cfg or FmmConfig()
-    builder = _base_builder(system, profile, da, horizon, cfg,
+    builder = _base_builder(system, profile.load15, profile.solar15, da, horizon, cfg,
                             name=f"fmm_proxy@{horizon.start}")
     handle = FmmHandle(
-        model=builder.model, builder=builder, system=system, ptdf=ptdf,
-        horizon=horizon, cfg=cfg, policy="proxy",
+        builder=builder, ptdf=ptdf, horizon=horizon, cfg=cfg, policy="proxy",
         requirements=compute_frp_requirements(envelope, profile, horizon.start,
                                               horizon.length),
     )
@@ -314,12 +302,9 @@ def build_fmm_training(system: PowerSystem, ptdf: PtdfMatrix, scenario: Scenario
                        cfg: FmmConfig | None = None) -> FmmHandle:
     """Energy-only FMM against one sampled scenario (no ramping product)."""
     cfg = cfg or FmmConfig()
-    builder = _base_builder(system, scenario, da, horizon, cfg,
+    builder = _base_builder(system, scenario.system_load, scenario.solar, da, horizon, cfg,
                             name=f"fmm_training@{horizon.start}")
-    return FmmHandle(
-        model=builder.model, builder=builder, system=system, ptdf=ptdf,
-        horizon=horizon, cfg=cfg, policy="training",
-    )
+    return FmmHandle(builder=builder, ptdf=ptdf, horizon=horizon, cfg=cfg, policy="training")
 
 
 def build_fmm_datadriven(system: PowerSystem, ptdf: PtdfMatrix,
@@ -386,11 +371,12 @@ def build_fmm_datadriven(system: PowerSystem, ptdf: PtdfMatrix,
             m.add_constr(f"cover_{tag}[t{t},s{s}]", cover_terms, lo=abs(move))
 
     # constant flow shifts per (line, move, scenario): solar and load deltas
-    ts = np.arange(start, start + length - 1)
-    handle.flow_const = np.zeros((len(system.lines), length - 1, n_dep))
+    n = length - 1
+    load_now, solar_now = window(profile.load15, start, n), window(profile.solar15, start, n)
+    handle.flow_const = np.zeros((len(system.lines), n, n_dep))
     for s, scn in enumerate(deployment):
-        dload, dsolar = nodal_injections(system, scn.load_at(ts + 1) - profile.load_at(ts),
-                                         scn.solar_at(ts + 1) - profile.solar_at(ts))
+        dload, dsolar = nodal_injections(system, window(scn.system_load, start + 1, n) - load_now,
+                                         window(scn.solar, start + 1, n) - solar_now)
         handle.flow_const[:, :, s] = ptdf.values @ (dsolar - dload)
     return handle
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .network import PowerSystem
-from .scenarios import Scenario, ScenarioSet
+from .scenarios import Scenario, ScenarioSet, netload, window
 
 WINDOW_OFFSETS = range(-3, 4)          # previous/next three intervals plus t
 BASE_QUANTITIES = 4                    # netload, load, and their changes
@@ -41,23 +41,17 @@ def feature_matrix(scenario) -> np.ndarray:
     """
     load = np.asarray(scenario.system_load, dtype=float)
     solar = np.asarray(scenario.solar, dtype=float)
-    n = load.shape[0]
-    netload = load - solar.sum(axis=0)
+    net = netload(load, solar)
 
     def diff(x):
         d = np.zeros_like(x)
         d[..., 1:] = x[..., 1:] - x[..., :-1]
         return d
 
-    d_load, d_netload, d_solar = diff(load), diff(netload), diff(solar)
-    blocks = []
-    for off in WINDOW_OFFSETS:
-        idx = np.clip(np.arange(n) + off, 0, n - 1)
-        cols = [netload[idx], load[idx], d_netload[idx], d_load[idx]]
-        cols.extend(solar[u, idx] for u in range(solar.shape[0]))
-        cols.extend(d_solar[u, idx] for u in range(solar.shape[0]))
-        blocks.append(np.column_stack(cols))
-    return np.concatenate(blocks, axis=1)
+    # (quantities, T): one row per feature of a window slot
+    base = np.vstack([net, load, diff(net), diff(load), solar, diff(solar)])
+    n = load.shape[0]
+    return np.concatenate([window(base, off, n).T for off in WINDOW_OFFSETS], axis=1)
 
 
 # ------------------------------------------------------------------ targets
@@ -317,12 +311,6 @@ class RampResponseFactors:
     """Predicted normalized ramping responses per (generator, move, scenario)."""
 
     values: dict[int, np.ndarray]   # gen id -> (n_moves, n_scenarios) in [-1, 1]
-
-    def value_at(self, gen_id: int, move_idx: int, scenario: int) -> float:
-        arr = self.values.get(gen_id)
-        if arr is None:
-            return 0.0
-        return float(arr[min(max(move_idx, 0), arr.shape[0] - 1), scenario])
 
     def gen_ids(self) -> list[int]:
         return sorted(self.values)

@@ -323,17 +323,41 @@ def stage_report(ctx: PipelineContext, force: bool = False) -> None:
     report_path.write_text(json.dumps(payload, indent=2))
 
 
+def _check_resumed_config(path: Path, cfg: ExperimentConfig) -> None:
+    """Refuse to resume over artifacts that a different config produced.
+
+    ``output_dir`` and ``policy`` may differ: artifacts are named per policy,
+    and a copied output directory holds the same run.
+    """
+    if not path.exists():
+        return
+    old = json.loads(path.read_text())
+    new = json.loads(json.dumps(asdict(cfg)))
+    changed = [f"{k}: {old.get(k, '<missing>')!r} -> {new.get(k, '<missing>')!r}"
+               for k in [*new, *(k for k in old if k not in new)]
+               if k not in ("output_dir", "policy") and old.get(k) != new.get(k)]
+    if changed:
+        raise StageError("config", f"{path} was written by a different config "
+                                   f"({'; '.join(changed)}); use --force to recompute")
+
+
 def run_pipeline(cfg: ExperimentConfig, stages=None, force: bool = False
                  ) -> PipelineContext:
-    """Run the requested stages in order; artifacts land in the output dir."""
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config_used.json").write_text(json.dumps(asdict(cfg), indent=2))
-    ctx = PipelineContext(cfg=cfg, out=out)
+    """Run the requested stages in order; artifacts land in the output dir.
+
+    Unless ``force`` is set, an output directory whose ``config_used.json``
+    differs from ``cfg`` raises ``StageError`` before any stage runs.
+    """
     todo = list(stages) if stages else list(STAGES)
     for stage in todo:
         if stage not in STAGES:
             raise ValueError(f"unknown stage {stage!r}")
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    if not force:
+        _check_resumed_config(out / "config_used.json", cfg)
+    (out / "config_used.json").write_text(json.dumps(asdict(cfg), indent=2))
+    ctx = PipelineContext(cfg=cfg, out=out)
     runners = {
         "prepare": stage_prepare,
         "train": stage_train,

@@ -5,6 +5,10 @@ standard deviation proportional to the forecast value.  The hourly fraction is
 twice the 15-min fraction, so the sum of four independent 15-min errors has
 the hourly spread.  Nodal loads are a fixed participation split of the system
 load, so load errors are perfectly correlated across buses.
+
+Every per-interval series of the day is a plain ``(..., 96)`` array; the
+markets read a stretch of one through ``window``, which holds the rule for
+indices before the first interval or past the last.
 """
 
 from __future__ import annotations
@@ -31,8 +35,18 @@ class ProfileError(ValueError):
     """Malformed profile file."""
 
 
-def _clip_idx(t: int | np.ndarray, n: int):
-    return np.clip(t, 0, n - 1)
+def window(day: np.ndarray, first: int, n: int) -> np.ndarray:
+    """Entries ``first .. first+n-1`` along the last axis of a day series.
+
+    The one edge-padding rule of the 15-min grid: an index before the first
+    interval reads the first interval, one past the last reads the last.
+    """
+    return day[..., np.clip(np.arange(first, first + n), 0, day.shape[-1] - 1)]
+
+
+def netload(load: np.ndarray, solar: np.ndarray) -> np.ndarray:
+    """System load (T,) less the summed output of the solar units (n_units, T)."""
+    return load - solar.sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -48,20 +62,6 @@ class ForecastProfile:
     @property
     def n_solar(self) -> int:
         return self.solar15.shape[0]
-
-    def load_at(self, t) -> np.ndarray | float:
-        """15-min system load, padded by edge replication beyond the day."""
-        return self.load15[_clip_idx(t, INTERVALS_PER_DAY)]
-
-    def solar_at(self, t) -> np.ndarray:
-        """Per-unit 15-min solar output, edge padded."""
-        return self.solar15[:, _clip_idx(t, INTERVALS_PER_DAY)]
-
-    def total_solar_at(self, t):
-        return self.solar15[:, _clip_idx(t, INTERVALS_PER_DAY)].sum(axis=0)
-
-    def netload_at(self, t):
-        return self.load_at(t) - self.total_solar_at(t)
 
 
 @dataclass(frozen=True)
@@ -99,25 +99,11 @@ class Scenario:
     seed_info: str
     quantile_z: float | None = None  # deployment scenarios only
 
-    def load_at(self, t):
-        return self.system_load[_clip_idx(t, self.system_load.shape[0])]
-
-    def solar_at(self, t):
-        return self.solar[:, _clip_idx(t, self.solar.shape[1])]
-
-    def total_solar_at(self, t):
-        return self.solar_at(t).sum(axis=0)
-
-    def netload_at(self, t):
-        return self.load_at(t) - self.total_solar_at(t)
-
 
 @dataclass(frozen=True)
 class ScenarioSet:
     kind: str
     scenarios: tuple[Scenario, ...]
-    config: UncertaintyConfig
-    base_seed: int
 
     def __len__(self) -> int:
         return len(self.scenarios)
@@ -137,18 +123,6 @@ class ProxyEnvelope:
     load_max: np.ndarray
     solar_min: np.ndarray  # (n_units, 96)
     solar_max: np.ndarray
-
-    def load_max_at(self, t):
-        return self.load_max[_clip_idx(t, self.load_max.shape[0])]
-
-    def load_min_at(self, t):
-        return self.load_min[_clip_idx(t, self.load_min.shape[0])]
-
-    def solar_min_at(self, t):
-        return self.solar_min[:, _clip_idx(t, self.solar_min.shape[1])]
-
-    def solar_max_at(self, t):
-        return self.solar_max[:, _clip_idx(t, self.solar_max.shape[1])]
 
 
 # ---------------------------------------------------------------------- load
@@ -252,8 +226,7 @@ def sample_scenarios(system: PowerSystem, profile: ForecastProfile,
             solar=solar,
             seed_info=f"seed={cfg.seed} kind={kind} index={j}",
         ))
-    return ScenarioSet(kind=kind, scenarios=tuple(scenarios), config=cfg,
-                       base_seed=cfg.seed)
+    return ScenarioSet(kind=kind, scenarios=tuple(scenarios))
 
 
 def select_deployment_scenarios(system: PowerSystem, profile: ForecastProfile,
@@ -286,8 +259,7 @@ def select_deployment_scenarios(system: PowerSystem, profile: ForecastProfile,
             seed_info=f"quantile z={z:+.6f}",
             quantile_z=float(z),
         ))
-    return ScenarioSet(kind=DEPLOYMENT, scenarios=tuple(scenarios), config=cfg,
-                       base_seed=cfg.seed)
+    return ScenarioSet(kind=DEPLOYMENT, scenarios=tuple(scenarios))
 
 
 def proxy_envelopes(profile: ForecastProfile, cfg: UncertaintyConfig,

@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dayahead import DaCommitments
-from .fmm import FmmAwards, FmmConfig, FmmHandle, FmmHorizon, _base_builder, by_id, roll_day, window
+from .fmm import FmmAwards, FmmConfig, FmmHandle, FmmHorizon, _base_builder, by_id, roll_day
 from .milp import SolveOptions
 from .network import PowerSystem, PtdfMatrix
-from .scenarios import INTERVALS_PER_DAY, OUT_OF_SAMPLE, Scenario
+from .scenarios import INTERVALS_PER_DAY, OUT_OF_SAMPLE, Scenario, window
 
 PROXY = "proxy"
 DATADRIVEN = "datadriven"
@@ -66,12 +66,12 @@ def build_rtuc_hour(system: PowerSystem, ptdf: PtdfMatrix, awards: FmmAwards,
     fast = np.array([[g.is_fast_start] for g in system.generators])
     rate = np.array([[g.ramp_15] for g in system.generators])
     cfg = FmmConfig(voll=voll)
-    builder = _base_builder(system, scenario, da, horizon, cfg, name=f"rtuc@{start}",
+    builder = _base_builder(system, scenario.system_load, scenario.solar, da, horizon, cfg,
+                            name=f"rtuc@{start}",
                             up=np.where(fast, rate, window(ur, start - 1, length)),
                             dn=np.where(fast, rate, window(dr, start - 1, length)),
                             budget=window(dr, 0, INTERVALS_PER_DAY))
-    return FmmHandle(model=builder.model, builder=builder, system=system, ptdf=ptdf,
-                     horizon=horizon, cfg=cfg, policy="validation")
+    return FmmHandle(builder=builder, ptdf=ptdf, horizon=horizon, cfg=cfg, policy="validation")
 
 
 def run_rtuc_validation(system: PowerSystem, ptdf: PtdfMatrix, awards: FmmAwards,

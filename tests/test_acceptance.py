@@ -144,16 +144,16 @@ def test_criterion_01_constraint_checker_soundness(bottleneck):
     horizon = FmmHorizon(start=68, init=cold_start_state(system))
     ts = np.arange(68, 75)
     proxy = build_fmm_proxy(system, ptdf, profile, env, da, horizon)
-    checked.append(("fmm-proxy", proxy.builder, solve_hour(proxy), profile.load_at(ts),
-                    profile.solar_at(ts)))
+    checked.append(("fmm-proxy", proxy.builder, solve_hour(proxy), profile.load15[ts],
+                    profile.solar15[:, ts]))
     scn = sample_scenarios(system, profile, ucfg, 1, TRAINING)[0]
     training = build_fmm_training(system, ptdf, scn, da, horizon)
-    checked.append(("fmm-training", training.builder, solve_hour(training), scn.load_at(ts),
-                    scn.solar_at(ts)))
+    checked.append(("fmm-training", training.builder, solve_hour(training),
+                    scn.system_load[ts], scn.solar[:, ts]))
     dd, _ = build_dd_fixture(system, profile, start=68, ucfg=ucfg)
     dd_sol, _ = solve_with_cuts(dd)
-    checked.append(("fmm-datadriven", dd.builder, dd_sol, profile.load_at(ts),
-                    profile.solar_at(ts)))
+    checked.append(("fmm-datadriven", dd.builder, dd_sol, profile.load15[ts],
+                    profile.solar15[:, ts]))
     # one validation-phase hour under the proxy day's awards
     from frpsim.dayahead import initial_state_from_da
     from frpsim.fmm import run_fmm_day
@@ -163,8 +163,8 @@ def test_criterion_01_constraint_checker_soundness(bottleneck):
     rtuc = build_rtuc_hour(system, ptdf, run.awards, da, scn_oos,
                            FmmHorizon(start=0, init=initial_state_from_da(system, da)))
     ts0 = np.arange(7)
-    checked.append(("validation-rtuc", rtuc.builder, solve_hour(rtuc), scn_oos.load_at(ts0),
-                    scn_oos.solar_at(ts0)))
+    checked.append(("validation-rtuc", rtuc.builder, solve_hour(rtuc),
+                    scn_oos.system_load[ts0], scn_oos.solar[:, ts0]))
     for name, builder, sol, load, solar in checked:
         assert sol.status == "optimal", name
         rep = check_solution(builder.model, sol, tol=1e-6)
@@ -472,8 +472,8 @@ def test_criterion_09_validation_cap_semantics(case_study, bottleneck):
             p, u, v = res.dispatch[g.id], res.commitment[g.id], res.startup[g.id]
             for t in range(1, 96):
                 move = p[t] - p[t - 1]
-                up_cap = awards.ur_at(g.id, t - 1) * u[t - 1] + g.ramp_su * v[t]
-                dn_cap = (awards.dr_at(g.id, t - 1) * u[t]
+                up_cap = awards.ur[g.id][t - 1] * u[t - 1] + g.ramp_su * v[t]
+                dn_cap = (awards.dr[g.id][t - 1] * u[t]
                           + g.ramp_sd * (1 if u[t - 1] > u[t] else 0))
                 assert move <= up_cap + 1e-6
                 assert -move <= dn_cap + 1e-6

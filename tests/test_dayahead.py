@@ -5,9 +5,9 @@ import pytest
 
 from frpsim.dayahead import (DaCommitments, read_commitments_csv, run_da,
                              write_commitments_csv)
-from frpsim.fmm import window
 from frpsim.milp import SolveOptions, check_solution
 from frpsim.network import compute_ptdf
+from frpsim.scenarios import window
 from util import duck_profile, make_gen, make_profile, single_bus_system
 
 

@@ -328,6 +328,23 @@ class TestDataDrivenModel:
         for t, s in forced:
             assert sol.value(handle.ur[0, t]) >= 0.8 * g.ramp_15 - 1e-6
 
+    def test_generator_without_model_gets_no_aux_qual_row(self):
+        # both units committed all day; with a model, unit 1 would be floored
+        system = two_gen_system()
+        profile = make_profile(np.full(96, 150.0), np.zeros(96))
+        ucfg = UncertaintyConfig(seed=3, sigma_hourly_frac=0.05)
+
+        def floored_units(values):
+            handle, _ = build_dd_fixture(system, profile, start=0, ucfg=ucfg,
+                                         factors=RampResponseFactors(values=values))
+            names = [row[0] for row in handle.model._constrs]
+            assert (handle.aux[1] >= 0).any()   # unit 1 still gets auxiliary awards
+            return {g.id for g in system.generators
+                    if any(n.startswith("aux_qual_") and f"[g{g.id}," in n for n in names)}
+
+        assert floored_units({0: np.full((96, 2), 0.8), 1: np.full((96, 2), 0.8)}) == {0, 1}
+        assert floored_units({0: np.full((96, 2), 0.8)}) == {0}
+
     def test_scenario_classification_splits_by_sign(self, bottleneck):
         system, _, profile = bottleneck
         handle, _ = build_dd_fixture(system, profile)

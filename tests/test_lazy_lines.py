@@ -62,7 +62,7 @@ class TestAddLineLimits:
         b.add_dispatch()
         b.add_ramps()
         ts = np.arange(n_intervals)
-        b.add_network(*nodal_injections(system, profile.load_at(ts), profile.solar_at(ts)))
+        b.add_network(*nodal_injections(system, profile.load15[ts], profile.solar15[:, ts]))
         return b
 
     def test_subset_adds_only_listed_lines(self, bottleneck):
@@ -97,8 +97,8 @@ class TestAddLineLimits:
         flows = b.base_flows(sol, ptdf)
         ratings = np.array([ln.rating for ln in system.lines])
         ts = np.arange(3)
-        worst = worst_line_overload(system, ptdf, b, sol, profile.load_at(ts),
-                                    profile.solar_at(ts))
+        worst = worst_line_overload(system, ptdf, b, sol, profile.load15[ts],
+                                    profile.solar15[:, ts])
         assert (np.abs(flows) - ratings[:, None]).max() == pytest.approx(worst, abs=1e-9)
 
     def test_overloaded_line_already_in_model_is_named(self, bottleneck):
@@ -129,21 +129,23 @@ class TestLazyAgainstAllLines:
         scn = sample_scenarios(system, profile, ucfg, 1, TRAINING)[0]
         ts = np.arange(start, start + horizon.length)
         gap = SolveOptions().mip_rel_gap
-        for build, realized in (
-                (lambda: build_fmm_proxy(system, ptdf, profile, env, da, horizon), profile),
-                (lambda: build_fmm_training(system, ptdf, scn, da, horizon), scn)):
+        for build, load, solar in (
+                (lambda: build_fmm_proxy(system, ptdf, profile, env, da, horizon),
+                 profile.load15, profile.solar15),
+                (lambda: build_fmm_training(system, ptdf, scn, da, horizon),
+                 scn.system_load, scn.solar)):
             lazy = build()
             sol = solve_hour(lazy)
             assert_within_gap(sol, solve(all_lines(build()).model), gap)
             assert worst_line_overload(system, ptdf, lazy.builder, sol,
-                                       realized.load_at(ts), realized.solar_at(ts)) <= 1e-6
+                                       load[ts], solar[:, ts]) <= 1e-6
         dd, _ = build_dd_fixture(system, profile, start=start, ucfg=ucfg)
         dd_eager, _ = build_dd_fixture(system, profile, start=start, ucfg=ucfg)
         sol, cuts = solve_with_cuts(dd)
         eager_sol, eager_cuts = solve_with_cuts(all_lines(dd_eager))
         assert_within_gap(sol, eager_sol, gap)
-        assert worst_line_overload(system, ptdf, dd.builder, sol, profile.load_at(ts),
-                                   profile.solar_at(ts)) <= 1e-6
+        assert worst_line_overload(system, ptdf, dd.builder, sol, profile.load15[ts],
+                                   profile.solar15[:, ts]) <= 1e-6
         # cuts are only generated on base-feasible solves
         assert len(cuts) == len(eager_cuts)
 
@@ -188,8 +190,8 @@ class TestLazyAgainstAllLines:
                 assert lazy.model.n_constrs < eager.model.n_constrs
                 assert_within_gap(sol, solve(eager.model, options), options.mip_rel_gap)
                 assert worst_line_overload(system118, ptdf, lazy.builder, sol,
-                                           realized.load_at(ts),
-                                           realized.solar_at(ts)) <= 1e-6
+                                           realized.system_load[ts],
+                                           realized.solar[:, ts]) <= 1e-6
 
 
 # ------------------------------------------------------------- named errors

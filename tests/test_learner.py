@@ -3,12 +3,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from frpsim.learner import (DispatchTrajectory, Mlp, RampResponseFactors,
+from frpsim.learner import (DispatchTrajectory, Mlp,
                             RegressionModel, TrainConfig, TrainingDataset,
                             build_targets, feature_dim,
                             feature_matrix, gradient_check, load_models,
                             predict_factors, save_models, train)
-from frpsim.scenarios import DEPLOYMENT, Scenario, ScenarioSet, UncertaintyConfig
+from frpsim.scenarios import DEPLOYMENT, Scenario, ScenarioSet
 from util import bottleneck_system, make_gen, single_bus_system
 
 
@@ -254,8 +254,7 @@ class TestPrediction:
                           kind=DEPLOYMENT)
             for _ in range(2)
         )
-        return ScenarioSet(kind=DEPLOYMENT, scenarios=scns,
-                           config=UncertaintyConfig(), base_seed=0)
+        return ScenarioSet(kind=DEPLOYMENT, scenarios=scns)
 
     def test_raw_output_clamped_to_unit_interval(self):
         mlp = Mlp(42, (4,), seed=0)
@@ -264,16 +263,7 @@ class TestPrediction:
                                 std=np.ones(42), train_mse=0.0, test_mse=0.0)
         factors = predict_factors({0: model}, self._deployment_set())
         assert factors.values[0].max() <= 1.0
-        assert factors.value_at(0, 10, 0) <= 1.0
-
-    def test_untrained_generator_defaults_to_zero(self):
-        factors = RampResponseFactors(values={})
-        assert factors.value_at(99, 5, 0) == 0.0
-
-    def test_move_index_clipped(self):
-        factors = RampResponseFactors(values={0: np.full((96, 2), 0.5)})
-        assert factors.value_at(0, 1000, 1) == 0.5
-        assert factors.value_at(0, -5, 0) == 0.5
+        assert factors.values[0][10, 0] <= 1.0
 
     def test_save_load_round_trip(self, tmp_path):
         ds = make_linear_dataset()

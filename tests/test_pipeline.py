@@ -245,6 +245,25 @@ class TestCli:
         assert cli_main(["all", "--config", str(path)]) == 3
 
 
+def test_resume_refuses_artifacts_of_a_different_config(completed, toy_inputs, tmp_path):
+    """A rerun with another seed over a finished run's artifacts fails before
+    any stage instead of keeping the old seed's results; ``force`` overrides."""
+    _, out, _ = completed
+    system_path, profile_dir = toy_inputs
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    before = (copy / "results_proxy.csv").read_bytes()
+    changed = toy_config(system_path, profile_dir, copy, seed=6, n_out_of_sample=3)
+    with pytest.raises(StageError, match=r"^\[config\] .*seed: 5 -> 6; "
+                                         r"n_out_of_sample: 2 -> 3\)") as info:
+        run_pipeline(changed)
+    assert info.value.stage == "config"
+    assert (copy / "results_proxy.csv").read_bytes() == before
+    assert json.loads((copy / "config_used.json").read_text())["seed"] == 5
+    run_pipeline(changed, stages=["report"], force=True)
+    assert json.loads((copy / "config_used.json").read_text())["seed"] == 6
+
+
 def test_report_refuses_missing_interval_file(completed, toy_inputs, tmp_path):
     """A report rerun over results without their per-interval file fails
     instead of filling the quartile table with zeros."""

@@ -9,8 +9,8 @@ from scipy.stats import norm
 from frpsim.network import SolarUnit, nodal_injections
 from frpsim.scenarios import (DEPLOYMENT, OUT_OF_SAMPLE, TRAINING, ProfileError,
                               UncertaintyConfig, load_profiles, proxy_envelopes,
-                              sample_scenarios, select_deployment_scenarios,
-                              write_scenarios_csv)
+                              netload, sample_scenarios, select_deployment_scenarios,
+                              window, write_scenarios_csv)
 from util import bottleneck_system, make_profile
 
 
@@ -129,7 +129,7 @@ class TestSampleScenarios:
         out = sample_scenarios(self.system, self.profile, self.cfg, 3, TRAINING)
         scn = out[0]
         ts = np.arange(96)
-        nodal, _ = nodal_injections(self.system, scn.load_at(ts), scn.solar_at(ts))
+        nodal, _ = nodal_injections(self.system, scn.system_load[ts], scn.solar[:, ts])
         np.testing.assert_allclose(nodal.sum(axis=0), scn.system_load, atol=1e-6)
 
     def test_aggregation_identity(self):
@@ -179,6 +179,24 @@ class TestDeploymentScenarios:
     def test_needs_at_least_two(self):
         with pytest.raises(ValueError):
             select_deployment_scenarios(self.system, self.profile, self.cfg, 1)
+
+
+class TestDaySeries:
+    def test_window_clips_indices_past_either_end(self):
+        day = np.arange(96.0)
+        assert window(day, 0, 3).tolist() == [0.0, 1.0, 2.0]
+        assert window(day, -5, 3).tolist() == [0.0, 0.0, 0.0]
+        assert window(day, 1000, 2).tolist() == [95.0, 95.0]
+        assert window(day, 93, 5).tolist() == [93.0, 94.0, 95.0, 95.0, 95.0]
+        # leading axes are kept; the rule applies along the last one
+        per_unit = np.stack([day, 2.0 * day])
+        assert window(per_unit, -1, 3).tolist() == [[0.0, 0.0, 1.0], [0.0, 0.0, 2.0]]
+
+    def test_netload_subtracts_every_solar_unit(self):
+        load = np.array([100.0, 90.0])
+        solar = np.array([[10.0, 0.0], [5.0, 30.0]])
+        assert netload(load, solar).tolist() == [85.0, 60.0]
+        assert netload(load, np.zeros((0, 2))).tolist() == [100.0, 90.0]
 
 
 class TestProxyEnvelopes:

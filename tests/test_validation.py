@@ -58,9 +58,9 @@ class TestRtucValidation:
             v = res.startup[g.id]
             for t in range(1, 96):
                 move = p[t] - p[t - 1]
-                up_cap = (run.awards.ur_at(g.id, t - 1) * u[t - 1]
+                up_cap = (run.awards.ur[g.id][t - 1] * u[t - 1]
                           + g.ramp_su * v[t])
-                dn_cap = (run.awards.dr_at(g.id, t - 1) * u[t]
+                dn_cap = (run.awards.dr[g.id][t - 1] * u[t]
                           + g.ramp_sd * (1 if u[t - 1] > u[t] else 0))
                 assert move <= up_cap + tol
                 assert -move <= dn_cap + tol
@@ -73,8 +73,7 @@ class TestRtucValidation:
 
         system, ptdf, profile, cfg, da, _ = cleared_day
         scn = sample_scenarios(system, profile, cfg, 3, OUT_OF_SAMPLE)[2]
-        loads, solar = nodal_injections(system, scn.load_at(np.arange(12)),
-                                        scn.solar_at(np.arange(12)))
+        loads, solar = nodal_injections(system, scn.system_load[:12], scn.solar[:, :12])
 
         n_gens = len(system.generators)
 

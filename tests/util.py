@@ -217,11 +217,12 @@ def post_deployment_oracle(system: PowerSystem, model, sol, profile, scenario,
     inj = np.array([sol.values[col[f"inj[n{b.id},t{t}]"]] for b in system.buses])
     for gen, c in zip(system.generators, aux):
         inj[gen.bus] += sign * sol.values[c]
+    # intervals past the end of the day read the last one
+    last = len(profile.load15) - 1
+    now, nxt = min(start + t, last), min(start + t + 1, last)
     for u, unit in enumerate(system.solar_units):
-        inj[unit.bus] += (scenario.solar_at(start + t + 1)[u]
-                          - profile.solar_at(start + t)[u])
-    inj -= system.load_participation * (scenario.load_at(start + t + 1)
-                                        - profile.load_at(start + t))
+        inj[unit.bus] += scenario.solar[u, nxt] - profile.solar15[u, now]
+    inj -= system.load_participation * (scenario.system_load[nxt] - profile.load15[now])
     inj[system.slack_bus] -= inj.sum()
     return dc_power_flow(system, inj)
 
