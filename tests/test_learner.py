@@ -3,9 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from frpsim.learner import (DispatchTrajectory, Mlp,
-                            RegressionModel, TrainConfig, TrainingDataset,
-                            build_targets, feature_dim,
+from frpsim.learner import (DispatchTrajectory, Mlp, RegressionModel, TrainConfig,
+                            TrainingDataset, build_targets, feature_dim,
                             feature_matrix, gradient_check, load_models,
                             predict_factors, save_models, train)
 from frpsim.scenarios import DEPLOYMENT, Scenario, ScenarioSet

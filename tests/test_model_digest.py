@@ -3,9 +3,10 @@
 ``scripts/model_digest.py`` builds the day-ahead model, every policy's hour
 model at trading hours 0, 10, 18 and 23, and one data-driven hour after its
 cut loop, and prints one digest per model.  Hour 23 reads day series past
-their last interval, so it pins the edge-padding rule.  A change to the model layer that
-changes any matrix entry, bound, objective coefficient, integrality or name
-changes a digest; ``tests/data/model_digests.txt`` holds the recorded ones.
+their last interval, so it pins the edge-padding rule.  A change to the model
+layer that changes any matrix entry, bound, objective coefficient,
+integrality or name changes a digest; ``tests/data/model_digests.txt``
+holds the recorded ones.
 """
 
 from __future__ import annotations
