@@ -179,6 +179,9 @@ class MilpSolution:
     values: np.ndarray
     message: str = ""
     mip_gap: float = float("nan")
+    # HiGHS's lower bound on the optimum; NaN when it reports none (an LP, an
+    # infeasible MIP)
+    dual_bound: float = float("nan")
 
     def value(self, var: int) -> float:
         return float(self.values[var])
@@ -198,13 +201,23 @@ class ConstraintReport:
         return max(self.violations, key=lambda v: v[1]) if self.violations else None
 
 
-def solve(model: MilpModel, options: SolveOptions | None = None) -> MilpSolution:
-    """Solve the model with HiGHS; status reflects the backend outcome."""
+def solve(model: MilpModel, options: SolveOptions | None = None,
+          previous: MilpSolution | None = None) -> MilpSolution:
+    """Solve the model with HiGHS; status reflects the backend outcome.
+
+    ``previous`` is a solve of the same model before rows were added to it.
+    Added rows leave its dual bound a lower bound on the grown model, so
+    when that bound is finite the binaries are fixed at their previous
+    values and the model is solved as one LP.  An LP cost within
+    ``mip_rel_gap`` of the bound is returned as optimal, its ``mip_gap``
+    measured against the bound it carries forward; any other outcome falls
+    back to the full MIP.
+    """
     options = options or SolveOptions()
     model.validate()
     c = model.objective_vector()
-    integrality = np.array([1 if k == BINARY else 0 for k in model._kinds])
-    bounds = Bounds(np.array(model._lb), np.array(model._ub))
+    binary = np.array([k == BINARY for k in model._kinds], dtype=bool)
+    lb, ub = np.array(model._lb), np.array(model._ub)
     constraints = None
     if model.n_constrs:
         a, lo, hi = model._matrix()
@@ -212,18 +225,33 @@ def solve(model: MilpModel, options: SolveOptions | None = None) -> MilpSolution
     opts = {"mip_rel_gap": options.mip_rel_gap, "presolve": True}
     if options.time_limit is not None:
         opts["time_limit"] = options.time_limit
-    res = _highs_milp(c=c, constraints=constraints, integrality=integrality,
-                      bounds=bounds, options=opts)
+    if previous is not None and math.isfinite(previous.dual_bound):
+        if previous.values.shape != (model.n_vars,):
+            raise ModelError("previous solution does not match the model's columns")
+        bound = previous.dual_bound
+        fixed = np.rint(previous.values)
+        res = _highs_milp(c=c, constraints=constraints, integrality=np.zeros(len(c)),
+                          bounds=Bounds(np.where(binary, fixed, lb), np.where(binary, fixed, ub)),
+                          options=opts)
+        if res.status == 0 and abs(res.fun - bound) <= options.mip_rel_gap * abs(res.fun):
+            return MilpSolution(
+                status="optimal", objective=float(res.fun),
+                values=np.asarray(res.x, dtype=float),
+                message="certified: the previous commitment's LP is within "
+                        "mip_rel_gap of the previous dual bound",
+                mip_gap=abs(res.fun - bound) / abs(res.fun) if res.fun else 0.0,
+                dual_bound=bound)
+    res = _highs_milp(c=c, constraints=constraints, integrality=binary.astype(int),
+                      bounds=Bounds(lb, ub), options=opts)
     values = res.x if res.x is not None else np.full(model.n_vars, np.nan)
-    gap = getattr(res, "mip_gap", float("nan"))
-    if gap is None:
-        gap = float("nan")
+    gap, bound = getattr(res, "mip_gap", None), getattr(res, "mip_dual_bound", None)
     return MilpSolution(
         status=_STATUS.get(res.status, "error"),
         objective=float(res.fun) if res.fun is not None else float("nan"),
         values=np.asarray(values, dtype=float),
         message=str(res.message),
-        mip_gap=float(gap),
+        mip_gap=float("nan") if gap is None else float(gap),
+        dual_bound=float("nan") if bound is None else float(bound),
     )
 
 

@@ -413,9 +413,12 @@ def solve_lazy(builder: UcModelBuilder, ptdf: PtdfMatrix,
     further rows and return how many; any addition starts another round.
     Each round must add rows not yet in the model, so the loop ends.  A
     non-optimal solve ends it at once and is returned for the caller to judge.
+    Every round after the first hands ``solve`` the round before it, so a
+    round whose rows leave the last commitment within the gap costs one LP.
     """
+    sol = None
     while True:
-        sol = solve(builder.model, options)
+        sol = solve(builder.model, options, sol)
         if sol.status != "optimal":
             return sol
         added = builder.add_overloaded_lines(sol, ptdf)

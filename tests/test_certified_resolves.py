@@ -1,0 +1,212 @@
+"""Certified re-solves: a round that adds rows tries the last commitment as one LP.
+
+``milp.solve(model, options, previous)`` fixes the binaries at ``previous``,
+solves the LP and returns it as optimal when its cost is within
+``mip_rel_gap`` of ``previous.dual_bound``; otherwise it solves the MIP
+cold.  The hand-built two-unit model covers each branch.  The bottleneck
+days check every re-solve of a rolled day against ``check_solution`` and a
+cold ``scipy.optimize.milp`` solve of the same arrays.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+from scipy.optimize import Bounds, LinearConstraint
+from scipy.optimize import milp as scipy_milp
+
+from frpsim import milp, ucbase
+from frpsim.dayahead import run_da
+from frpsim.fmm import run_fmm_day
+from frpsim.milp import (BINARY, MilpModel, ModelError, SolveOptions, check_solution,
+                         solve)
+from frpsim.scenarios import (OUT_OF_SAMPLE, UncertaintyConfig, proxy_envelopes,
+                              sample_scenarios, select_deployment_scenarios)
+from frpsim.validation import PROXY, run_rtuc_validation
+from test_fmm import zero_factors
+
+GAP = SolveOptions(mip_rel_gap=1e-4)
+
+
+def two_units(shortfall_cost=None):
+    """Unit a (10 fixed, 1/MW) and unit b (50 fixed, 2/MW), 100 MW each, serve 80 MW.
+
+    The optimum runs a alone at a cost of 90.  With ``shortfall_cost`` an
+    unserved-load column priced at that cost joins the balance row.
+    """
+    m = MilpModel("two_units")
+    cols = {}
+    for name, fixed, slope in (("a", 10.0, 1.0), ("b", 50.0, 2.0)):
+        u, p = m.add_var(f"u_{name}", BINARY), m.add_var(f"p_{name}", ub=100.0)
+        m.add_to_objective(u, fixed)
+        m.add_to_objective(p, slope)
+        m.add_constr(f"cap_{name}", [(p, 1.0), (u, -100.0)], hi=0.0)
+        cols[name] = p
+    balance = [(cols["a"], 1.0), (cols["b"], 1.0)]
+    if shortfall_cost is not None:
+        short = m.add_var("short")
+        m.add_to_objective(short, shortfall_cost)
+        balance.append((short, 1.0))
+    m.add_constr("balance", balance, lo=80.0, hi=80.0)
+    return m, cols["a"]
+
+
+@pytest.fixture()
+def highs_calls(monkeypatch):
+    """Integrality count of every backend call ``milp.solve`` makes."""
+    calls = []
+
+    def counted(**kw):
+        calls.append(int(np.count_nonzero(kw["integrality"])))
+        return scipy_milp(**kw)
+
+    monkeypatch.setattr(milp, "_highs_milp", counted)
+    return calls
+
+
+class TestFallbacks:
+    def test_costly_lp_returns_the_cold_optimum(self, highs_calls):
+        m, p_a = two_units(shortfall_cost=100.0)
+        first = solve(m, GAP)
+        assert first.objective == pytest.approx(90.0)
+        # unit a alone now leaves 40 MW unserved: feasible, but 4,050
+        m.add_constr("limit_a", [(p_a, 1.0)], hi=40.0)
+        highs_calls.clear()
+        sol = solve(m, GAP, first)
+        assert highs_calls == [0, 2]
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(180.0)   # both units on
+        assert sol.objective == pytest.approx(solve(m, GAP).objective)
+        assert not sol.message.startswith("certified")
+
+    def test_infeasible_lp_returns_the_cold_optimum(self, highs_calls):
+        m, p_a = two_units()
+        first = solve(m, GAP)
+        m.add_constr("limit_a", [(p_a, 1.0)], hi=40.0)
+        highs_calls.clear()
+        sol = solve(m, GAP, first)
+        assert highs_calls == [0, 2]
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(180.0)
+
+    def test_nan_dual_bound_skips_the_lp(self, highs_calls):
+        m, p_a = two_units()
+        first = solve(m, GAP)
+        m.add_constr("limit_a", [(p_a, 1.0)], hi=95.0)
+        highs_calls.clear()
+        sol = solve(m, GAP, dataclasses.replace(first, dual_bound=math.nan))
+        assert highs_calls == [2]
+        assert sol.objective == pytest.approx(90.0)
+        assert not sol.message.startswith("certified")
+
+    def test_certified_gap_within_mip_rel_gap(self, highs_calls):
+        m, p_a = two_units(shortfall_cost=100.0)
+        options = SolveOptions(mip_rel_gap=0.02)
+        first = solve(m, options)
+        # unit a alone now costs 90.99, 1.09% above the bound of 90
+        m.add_constr("limit_a", [(p_a, 1.0)], hi=79.99)
+        highs_calls.clear()
+        sol = solve(m, options, first)
+        assert highs_calls == [0]
+        assert sol.status == "optimal" and sol.message.startswith("certified")
+        assert sol.objective == pytest.approx(90.99)
+        assert sol.dual_bound == first.dual_bound
+        assert 0.0 < sol.mip_gap <= options.mip_rel_gap
+        assert sol.mip_gap == pytest.approx((90.99 - first.dual_bound) / 90.99)
+        assert check_solution(m, sol).ok
+
+    def test_dual_bound_of_a_cold_mip(self):
+        m, _ = two_units()
+        sol = solve(m, GAP)
+        assert math.isfinite(sol.dual_bound)
+        assert sol.dual_bound <= sol.objective
+        m.add_constr("too_much", [(m.var_index("p_a"), 1.0), (m.var_index("p_b"), 1.0)],
+                     lo=300.0)
+        infeasible = solve(m, GAP)
+        assert infeasible.status == "infeasible"
+        assert math.isnan(infeasible.dual_bound)
+
+    def test_previous_of_another_model_rejected(self):
+        m, _ = two_units()
+        first = solve(m, GAP)
+        m.add_var("extra")
+        with pytest.raises(ModelError, match="previous solution"):
+            solve(m, GAP, first)
+
+
+# ------------------------------------------------- rolled bottleneck days
+
+def cold_objective(model, gap):
+    """A cold ``scipy.optimize.milp`` solve of the model's arrays."""
+    a, lo, hi = model._matrix()
+    binary = np.array([k == BINARY for k in model._kinds])
+    res = scipy_milp(c=model.objective_vector(), constraints=LinearConstraint(a, lo, hi),
+                     integrality=binary.astype(int),
+                     bounds=Bounds(np.array(model._lb), np.array(model._ub)),
+                     options={"mip_rel_gap": gap})
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+@pytest.fixture()
+def resolves(monkeypatch):
+    """Each re-solve of ``solve_lazy``, checked on the model as it was solved.
+
+    Records (certified, check report, objective, cold objective, gap).
+    """
+    records = []
+
+    def checked(model, options=None, previous=None):
+        sol = solve(model, options, previous)
+        if previous is not None:
+            assert sol.status == "optimal"
+            records.append((sol.message.startswith("certified"), check_solution(model, sol),
+                            sol.objective, cold_objective(model, 1e-9),
+                            (options or SolveOptions()).mip_rel_gap))
+        return sol
+
+    monkeypatch.setattr(ucbase, "solve", checked)
+    return records
+
+
+def assert_resolves_hold(records):
+    for _, report, objective, cold, gap in records:
+        assert report.ok, report.worst()
+        assert cold - 1e-6 * abs(cold) <= objective <= cold + gap * abs(objective)
+
+
+# at 5e-3 the last commitment certifies 24 of the day's 25 re-solves; at
+# 1e-4 each cut round costs more than the gap allows and falls back
+@pytest.mark.parametrize("gap", [1e-4, 5e-3])
+def test_every_resolve_of_a_datadriven_clearing_day_holds(bottleneck, resolves, gap):
+    system, ptdf, profile = bottleneck
+    ucfg = UncertaintyConfig(seed=3)
+    env = proxy_envelopes(profile, ucfg, system.solar_units)
+    da, _, _ = run_da(system, ptdf, profile)
+    deployment = select_deployment_scenarios(system, profile, ucfg, 2)
+    resolves.clear()
+    run_fmm_day(system, ptdf, profile, env, da, "datadriven",
+                factors=zero_factors(system, 2), deployment=deployment,
+                options=SolveOptions(mip_rel_gap=gap))
+    assert len(resolves) >= 20
+    assert_resolves_hold(resolves)
+    if gap == 5e-3:
+        assert sum(r[0] for r in resolves) >= len(resolves) // 2
+
+
+def test_every_resolve_of_a_validation_day_holds(bottleneck, resolves):
+    """Under proxy awards hour 0 overloads the bottleneck; its line rows
+    need another commitment, so the re-solve runs the fallback MIP."""
+    system, ptdf, profile = bottleneck
+    ucfg = UncertaintyConfig(seed=3)
+    env = proxy_envelopes(profile, ucfg, system.solar_units)
+    da, _, _ = run_da(system, ptdf, profile)
+    awards = run_fmm_day(system, ptdf, profile, env, da, "proxy").awards
+    resolves.clear()
+    for i, scn in enumerate(sample_scenarios(system, profile, ucfg, 2, OUT_OF_SAMPLE)):
+        run_rtuc_validation(system, ptdf, awards, da, scn, i, PROXY)
+    assert resolves, "the proxy awards overload no line in these days"
+    assert_resolves_hold(resolves)
