@@ -4,16 +4,16 @@ from .milp import (MilpModel, MilpSolution, ConstraintReport, SolveOptions,
                    brute_force_uc, check_solution, solve)
 from .network import (Bus, GenerationResource, PowerSystem, PtdfMatrix, SolarUnit,
                       TransmissionLine, compute_ptdf, load_system, validate_system)
-from .scenarios import (ForecastProfile, ProxyEnvelope, Scenario, ScenarioSet,
-                        UncertaintyConfig, load_profiles, proxy_envelopes,
-                        sample_scenarios, select_deployment_scenarios)
+from .scenarios import (ForecastProfile, ProxyEnvelope, Scenario, UncertaintyConfig,
+                        load_profiles, proxy_envelopes, sample_scenarios,
+                        select_deployment_scenarios)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Bus", "TransmissionLine", "GenerationResource", "SolarUnit", "PowerSystem",
     "PtdfMatrix", "load_system", "compute_ptdf", "validate_system",
-    "ForecastProfile", "UncertaintyConfig", "Scenario", "ScenarioSet",
+    "ForecastProfile", "UncertaintyConfig", "Scenario",
     "ProxyEnvelope", "load_profiles", "sample_scenarios",
     "select_deployment_scenarios", "proxy_envelopes",
     "MilpModel", "MilpSolution", "ConstraintReport", "SolveOptions",

@@ -7,16 +7,6 @@ import sys
 
 from .pipeline import STAGES, ExperimentConfig, StageError, run_pipeline
 
-_STAGE_OF = {
-    "prepare": ["prepare"],
-    "train": ["train"],
-    "clear": ["clear"],
-    "validate": ["validate"],
-    "report": ["report"],
-    "all": list(STAGES),
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="frpsim",
@@ -24,7 +14,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "through a rolling real-time market simulation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _STAGE_OF:
+    for name in (*STAGES, "all"):
         p = sub.add_parser(name, help=f"run the {name} stage" if name != "all"
                            else "run every stage in order")
         p.add_argument("--config", required=True, help="experiment config JSON")
@@ -51,7 +41,8 @@ def main(argv=None) -> int:
     if args.out is not None:
         cfg.output_dir = args.out
     try:
-        run_pipeline(cfg, stages=_STAGE_OF[args.command], force=args.force)
+        run_pipeline(cfg, stages=STAGES if args.command == "all" else [args.command],
+                     force=args.force)
     except StageError as exc:
         print(str(exc), file=sys.stderr)
         return 3

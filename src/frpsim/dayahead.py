@@ -73,7 +73,7 @@ def build_da_model(system: PowerSystem, profile: ForecastProfile,
     """
     hourly = _hourly_view(system)
     builder = UcModelBuilder(hourly, HOURS_PER_DAY, 1.0, cold_start_state(hourly),
-                             voll=voll, name="da")
+                             voll=voll)
     n = len(hourly.generators)
     builder.add_commitment(np.zeros((n, HOURS_PER_DAY)), np.ones((n, HOURS_PER_DAY)),
                            min_updown=np.ones(n, dtype=bool))

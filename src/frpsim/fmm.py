@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .milp import CONTINUOUS, MilpModel, MilpSolution, SolveOptions
 from .milp import solve  # noqa: F401  (fmm.solve stays the one milp.solve)
 from .network import PowerSystem, PtdfMatrix, nodal_injections
 from .scenarios import (DEPLOYMENT, HOURS_PER_DAY, INTERVALS_PER_DAY, ForecastProfile,
-                        ProxyEnvelope, Scenario, ScenarioSet, netload, window)
+                        ProxyEnvelope, Scenario, netload, window)
 from .ucbase import (LINE_COEF_EPS, LineLimitError, UcModelBuilder, UnitState, advance_state,
                      solve_lazy)
 
@@ -48,12 +49,8 @@ class FmmHorizon:
 
     start: int                      # first 15-min interval (global index)
     init: UnitState                 # unit state entering the first interval
-    length: int = 7
-    n_binding: int = 4
-
-    def __post_init__(self):
-        if not self.length >= self.n_binding >= 1:
-            raise ValueError("horizon length must be >= binding count >= 1")
+    length: ClassVar[int] = 7
+    n_binding: ClassVar[int] = 4
 
 
 @dataclass(frozen=True)
@@ -158,12 +155,11 @@ class FmmHandle:
     ptdf: PtdfMatrix
     horizon: FmmHorizon
     cfg: FmmConfig
-    policy: str                      # proxy | training | datadriven | validation
     requirements: FrpRequirements | None = None
     ur: np.ndarray | None = None                    # (gens, length-1)
     dr: np.ndarray | None = None
     # data-driven extras
-    deployment: ScenarioSet | None = None
+    deployment: tuple[Scenario, ...] | None = None
     dnl: np.ndarray | None = None                   # (length-1, S)
     aux: np.ndarray | None = None                   # (gens, length-1, S)
     flow_const: np.ndarray | None = None            # (K, length-1, S)
@@ -182,7 +178,7 @@ class FmmHandle:
 # ------------------------------------------------------------------ builders
 
 def _base_builder(system: PowerSystem, load: np.ndarray, solar: np.ndarray,
-                  da: DaCommitments, horizon: FmmHorizon, cfg: FmmConfig, name: str,
+                  da: DaCommitments, horizon: FmmHorizon, cfg: FmmConfig,
                   up: np.ndarray | None = None, dn: np.ndarray | None = None,
                   budget: np.ndarray | None = None) -> UcModelBuilder:
     """The UC core of every 15-min hour model, with no base-case line rows.
@@ -193,10 +189,8 @@ def _base_builder(system: PowerSystem, load: np.ndarray, solar: np.ndarray,
     ``up``/``dn`` replace the ramp rate per boundary (see ``add_ramps``) and
     ``budget`` the ramp rate in the shutdown glidepath.
     """
-    builder = UcModelBuilder(
-        system, horizon.length, INTERVAL_HOURS, horizon.init,
-        voll=cfg.voll, name=name,
-    )
+    builder = UcModelBuilder(system, horizon.length, INTERVAL_HOURS, horizon.init,
+                             voll=cfg.voll)
     schedule = da.interval_schedule(system)
     pattern = window(schedule, horizon.start, horizon.length)
     fast = np.array([g.is_fast_start for g in system.generators])
@@ -286,10 +280,9 @@ def build_fmm_proxy(system: PowerSystem, ptdf: PtdfMatrix, profile: ForecastProf
                     cfg: FmmConfig | None = None) -> FmmHandle:
     """FMM with the system-wide proxy ramping product."""
     cfg = cfg or FmmConfig()
-    builder = _base_builder(system, profile.load15, profile.solar15, da, horizon, cfg,
-                            name=f"fmm_proxy@{horizon.start}")
+    builder = _base_builder(system, profile.load15, profile.solar15, da, horizon, cfg)
     handle = FmmHandle(
-        builder=builder, ptdf=ptdf, horizon=horizon, cfg=cfg, policy="proxy",
+        builder=builder, ptdf=ptdf, horizon=horizon, cfg=cfg,
         requirements=compute_frp_requirements(envelope, profile, horizon.start,
                                               horizon.length),
     )
@@ -302,16 +295,15 @@ def build_fmm_training(system: PowerSystem, ptdf: PtdfMatrix, scenario: Scenario
                        cfg: FmmConfig | None = None) -> FmmHandle:
     """Energy-only FMM against one sampled scenario (no ramping product)."""
     cfg = cfg or FmmConfig()
-    builder = _base_builder(system, scenario.system_load, scenario.solar, da, horizon, cfg,
-                            name=f"fmm_training@{horizon.start}")
-    return FmmHandle(builder=builder, ptdf=ptdf, horizon=horizon, cfg=cfg, policy="training")
+    builder = _base_builder(system, scenario.system_load, scenario.solar, da, horizon, cfg)
+    return FmmHandle(builder=builder, ptdf=ptdf, horizon=horizon, cfg=cfg)
 
 
 def build_fmm_datadriven(system: PowerSystem, ptdf: PtdfMatrix,
                          profile: ForecastProfile, envelope: ProxyEnvelope,
                          da: DaCommitments, horizon: FmmHorizon,
                          factors: RampResponseFactors,
-                         deployment: ScenarioSet,
+                         deployment: tuple[Scenario, ...],
                          cfg: FmmConfig | None = None) -> FmmHandle:
     """Proxy FMM plus deployment-scenario coverage by predicted responders.
 
@@ -320,7 +312,6 @@ def build_fmm_datadriven(system: PowerSystem, ptdf: PtdfMatrix,
     """
     cfg = cfg or FmmConfig()
     handle = build_fmm_proxy(system, ptdf, profile, envelope, da, horizon, cfg)
-    handle.policy = "datadriven"
     handle.deployment = deployment
     m = handle.model
     length = horizon.length
@@ -536,8 +527,8 @@ def by_id(system: PowerSystem, rows: np.ndarray) -> dict[int, np.ndarray]:
 class DayTrajectory:
     """What a rolled day executed, per global 15-min interval.
 
-    Only binding intervals are kept.  ``p``, ``u``, ``v``, ``ur`` and ``dr``
-    are (generators, intervals) with generators by position in
+    Only binding intervals are kept.  ``p``, ``u``, ``ur`` and ``dr`` are
+    (generators, intervals) with generators by position in
     ``system.generators``.  ``ur``, ``dr`` and ``frp_cost`` stay zero unless
     the hour models carry the ramping product; ``cuts`` pairs each
     post-deployment cut with its hour.
@@ -545,7 +536,6 @@ class DayTrajectory:
 
     p: np.ndarray
     u: np.ndarray
-    v: np.ndarray
     ur: np.ndarray
     dr: np.ndarray
     cost: np.ndarray            # commitment + energy $, excluding violation
@@ -564,11 +554,15 @@ def roll_day(system: PowerSystem, da: DaCommitments, build_hour, policy: str,
     predecessor's binding intervals left.  Each hour is solved by
     ``solve_hour`` and starts with the rows of every line an earlier hour of
     the day needed.  ``policy`` and ``scenario`` only label a failed hour.
+    ``n_intervals`` rolls a prefix of the day in whole hours.
     """
+    if n_intervals % 4 or not 4 <= n_intervals <= INTERVALS_PER_DAY:
+        raise ValueError(f"n_intervals must be a multiple of 4 in 4..{INTERVALS_PER_DAY}, "
+                         f"got {n_intervals}")
     n_gens = len(system.generators)
     frp_prices = np.array([[g.frp_up_cost, g.frp_down_cost] for g in system.generators])
     traj = DayTrajectory(**{k: np.zeros((n_gens, n_intervals))
-                            for k in ("p", "u", "v", "ur", "dr")},
+                            for k in ("p", "u", "ur", "dr")},
                          cost=np.zeros(n_intervals),
                          violation_mwh=np.zeros(n_intervals),
                          frp_cost=np.zeros(n_intervals))
@@ -594,7 +588,6 @@ def roll_day(system: PowerSystem, da: DaCommitments, build_hour, policy: str,
         traj.violation_mwh[now] = viol[:nb] * INTERVAL_HOURS
         traj.u[:, now] = b.commitment_values(sol)[:, :nb]
         traj.p[:, now] = b.dispatch_values(sol)[:, :nb]
-        traj.v[:, now] = sol.values[b.v[:, :nb]]
         if handle.ur is not None:
             traj.ur[:, now] = sol.values[handle.ur[:, :nb]]
             traj.dr[:, now] = sol.values[handle.dr[:, :nb]]
@@ -622,7 +615,7 @@ def run_fmm_day(system: PowerSystem, ptdf: PtdfMatrix, profile: ForecastProfile,
                 envelope: ProxyEnvelope, da: DaCommitments, policy: str,
                 cfg: FmmConfig | None = None,
                 factors: RampResponseFactors | None = None,
-                deployment: ScenarioSet | None = None,
+                deployment: tuple[Scenario, ...] | None = None,
                 options: SolveOptions | None = None,
                 n_intervals: int = INTERVALS_PER_DAY) -> FmmDayRun:
     """Clear every trading hour of the day under one FRP policy."""

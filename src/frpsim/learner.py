@@ -12,17 +12,19 @@ the analytic gradients can be verified against finite differences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .network import PowerSystem
-from .scenarios import Scenario, ScenarioSet, netload, window
+from .scenarios import Scenario, netload, window
 
 WINDOW_OFFSETS = range(-3, 4)          # previous/next three intervals plus t
 BASE_QUANTITIES = 4                    # netload, load, and their changes
 DEFAULT_HIDDEN = (100, 100, 25)
+TEST_FRACTION = 0.25                   # rows held out of each fit
+MIN_ROWS = 100                         # committed moves a generator needs to get a model
 ADAM_BETA1, ADAM_BETA2 = 0.9, 0.999    # Adam moment decay rates
 
 
@@ -82,8 +84,7 @@ class TrainingDataset:
 
 
 def build_targets(pairs: list[tuple[Scenario, DispatchTrajectory]],
-                  system: PowerSystem, test_fraction: float = 0.25,
-                  seed: int = 0) -> TrainingDataset:
+                  system: PowerSystem, seed: int = 0) -> TrainingDataset:
     """Assemble the regression dataset from rolling training-market runs.
 
     Fast-start units are excluded, as is any unit with a zero ramp rate.
@@ -112,7 +113,7 @@ def build_targets(pairs: list[tuple[Scenario, DispatchTrajectory]],
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(77,)))
     n = len(y_col)
     test = np.zeros(n, dtype=bool)
-    test[rng.permutation(n)[: int(round(test_fraction * n))]] = True
+    test[rng.permutation(n)[: int(round(TEST_FRACTION * n))]] = True
     return TrainingDataset(
         gen_ids=np.asarray(gen_col),
         intervals=np.asarray(t_col),
@@ -219,7 +220,6 @@ class RegressionModel:
     std: np.ndarray
     train_mse: float
     test_mse: float
-    loss_history: list[float] = field(default_factory=list)
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         x = (np.atleast_2d(features) - self.mean) / self.std
@@ -240,7 +240,6 @@ def _train_one(x_train, y_train, x_test, y_test, cfg: TrainConfig,
     moments1 = [np.zeros_like(p) for p in mlp.parameters()]
     moments2 = [np.zeros_like(p) for p in mlp.parameters()]
     step = 0
-    history = []
     for _ in range(cfg.epochs):
         order = rng.permutation(len(xn))
         for lo in range(0, len(order), cfg.batch_size):
@@ -259,7 +258,6 @@ def _train_one(x_train, y_train, x_test, y_test, cfg: TrainConfig,
                 hat1 = m1 / (1 - ADAM_BETA1 ** step)
                 hat2 = m2 / (1 - ADAM_BETA2 ** step)
                 p -= cfg.learning_rate * hat1 / (np.sqrt(hat2) + 1e-8)
-        history.append(mlp.mse(xn, y_train))
     return RegressionModel(
         gen_id=gen_id,
         mlp=mlp,
@@ -267,15 +265,14 @@ def _train_one(x_train, y_train, x_test, y_test, cfg: TrainConfig,
         std=std,
         train_mse=mlp.mse(xn, y_train),
         test_mse=mlp.mse(xt, y_test) if len(x_test) else float("nan"),
-        loss_history=history,
     )
 
 
-def train(dataset: TrainingDataset, cfg: TrainConfig | None = None,
-          min_rows: int = 100) -> dict[int, RegressionModel]:
+def train(dataset: TrainingDataset, cfg: TrainConfig | None = None
+          ) -> dict[int, RegressionModel]:
     """Train one regression model per generator present in the dataset.
 
-    Generators with fewer than ``min_rows`` committed moves are skipped with
+    Generators with fewer than ``MIN_ROWS`` committed moves are skipped with
     a warning: an unpredicted generator simply contributes no forced-award
     floor downstream.  Raises only if no generator has enough data.
     """
@@ -284,7 +281,7 @@ def train(dataset: TrainingDataset, cfg: TrainConfig | None = None,
     skipped = []
     for gen_id in sorted(set(dataset.gen_ids.tolist())):
         rows = dataset.rows_for(gen_id)
-        if len(rows) < min_rows:
+        if len(rows) < MIN_ROWS:
             skipped.append((gen_id, len(rows)))
             continue
         test_mask = dataset.is_test[rows]
@@ -299,7 +296,7 @@ def train(dataset: TrainingDataset, cfg: TrainConfig | None = None,
         warnings.warn(f"too little data to train generators: {detail}")
     if not models:
         raise ValueError(
-            f"no generator has the required {min_rows} rows of training data"
+            f"no generator has the required {MIN_ROWS} rows of training data"
         )
     return models
 
@@ -317,7 +314,7 @@ class RampResponseFactors:
 
 
 def predict_factors(models: dict[int, RegressionModel],
-                    deployment: ScenarioSet) -> RampResponseFactors:
+                    deployment: tuple[Scenario, ...]) -> RampResponseFactors:
     """Clamped model predictions for every deployment scenario and interval."""
     values: dict[int, np.ndarray] = {}
     feats = [feature_matrix(scn) for scn in deployment]

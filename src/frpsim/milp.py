@@ -45,8 +45,7 @@ class MilpModel:
     one-sided row leaves the other bound infinite.
     """
 
-    def __init__(self, name: str = "model"):
-        self.name = name
+    def __init__(self):
         self._var_names: list[str] = []
         self._var_index: dict[str, int] = {}
         self._kinds: list[str] = []

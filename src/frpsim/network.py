@@ -288,6 +288,8 @@ def validate_system(system: PowerSystem) -> list[str]:
             problems.append(f"{tag}: min up/down times must be >= 1 interval")
         costs = (g.no_load_cost, g.startup_cost, g.shutdown_cost,
                  g.frp_up_cost, g.frp_down_cost)
+        if not np.isfinite([*costs, *(v for block in g.cost_blocks for v in block)]).all():
+            problems.append(f"{tag}: non-finite cost or cost block")
         if any(c < 0 for c in costs) or any(s < 0 for _, s in g.cost_blocks):
             problems.append(f"{tag}: negative cost")
         if g.ramp_15 < 0:
@@ -304,6 +306,8 @@ def validate_system(system: PowerSystem) -> list[str]:
     part = system.load_participation
     if part.shape != (n,):
         problems.append("load participation vector has wrong length")
+    elif not np.isfinite(part).all():
+        problems.append("load participation is not finite")
     elif abs(float(part.sum()) - 1.0) > PARTICIPATION_TOL:
         problems.append(f"load participation sums to {float(part.sum())!r}, expected 1")
     if not _connected(system):

@@ -101,21 +101,6 @@ class Scenario:
 
 
 @dataclass(frozen=True)
-class ScenarioSet:
-    kind: str
-    scenarios: tuple[Scenario, ...]
-
-    def __len__(self) -> int:
-        return len(self.scenarios)
-
-    def __iter__(self):
-        return iter(self.scenarios)
-
-    def __getitem__(self, i) -> Scenario:
-        return self.scenarios[i]
-
-
-@dataclass(frozen=True)
 class ProxyEnvelope:
     """Confidence envelopes around the 15-min forecast used by the proxy policy."""
 
@@ -134,10 +119,13 @@ def _read_profile_csv(path: Path, rows_expected: int) -> tuple[np.ndarray, np.nd
     with open(path, newline="") as fh:
         for i, row in enumerate(csv.DictReader(fh)):
             try:
-                loads.append(float(row["load_mw"]))
-                solars.append(float(row["solar_total_mw"]))
+                load, solar = float(row["load_mw"]), float(row["solar_total_mw"])
             except (KeyError, ValueError) as exc:
                 raise ProfileError(f"{path} row {i}: {exc}") from None
+            if not np.isfinite([load, solar]).all():
+                raise ProfileError(f"{path} row {i}: non-finite value")
+            loads.append(load)
+            solars.append(solar)
     if len(loads) != rows_expected:
         raise ProfileError(
             f"{path}: expected {rows_expected} rows, found {len(loads)}"
@@ -165,7 +153,7 @@ def load_profiles(path, solar_units: tuple[SolarUnit, ...]) -> ForecastProfile:
     solar_hourly = np.outer(shares, hourly_solar)
     solar15 = np.outer(shares, solar15_total)
     over = solar15 - caps[:, None]
-    if solar_units and over.max(initial=-np.inf) > 1e-6:
+    if over.max(initial=-np.inf) > 1e-6:
         u, t = np.unravel_index(np.argmax(over), over.shape)
         raise ProfileError(
             f"solar unit {solar_units[u].id} forecast {solar15[u, t]:.3f} MW "
@@ -196,7 +184,8 @@ def _scenario_seed(cfg: UncertaintyConfig, kind: str, index: int) -> np.random.G
 
 
 def sample_scenarios(system: PowerSystem, profile: ForecastProfile,
-                     cfg: UncertaintyConfig, count: int, kind: str) -> ScenarioSet:
+                     cfg: UncertaintyConfig, count: int, kind: str
+                     ) -> tuple[Scenario, ...]:
     """Monte Carlo scenarios around the 15-min forecast.
 
     Each interval and quantity gets an independent truncated Gaussian error
@@ -217,20 +206,19 @@ def sample_scenarios(system: PowerSystem, profile: ForecastProfile,
             rng, (profile.n_solar, INTERVALS_PER_DAY), cfg.truncation_sigmas
         )
         load = np.maximum(profile.load15 * (1.0 + frac * z_load), 0.0)
-        solar = profile.solar15 * (1.0 + frac * z_solar)
-        if len(caps):
-            solar = np.clip(solar, 0.0, caps[:, None])
+        solar = np.clip(profile.solar15 * (1.0 + frac * z_solar), 0.0, caps[:, None])
         scenarios.append(Scenario(
             kind=kind,
             system_load=load,
             solar=solar,
             seed_info=f"seed={cfg.seed} kind={kind} index={j}",
         ))
-    return ScenarioSet(kind=kind, scenarios=tuple(scenarios))
+    return tuple(scenarios)
 
 
 def select_deployment_scenarios(system: PowerSystem, profile: ForecastProfile,
-                                cfg: UncertaintyConfig, count: int) -> ScenarioSet:
+                                cfg: UncertaintyConfig, count: int
+                                ) -> tuple[Scenario, ...]:
     """Deployment scenarios placed at symmetric Gaussian quantiles.
 
     Probability levels are equally spaced from (1-c)/2 to (1+c)/2 where c is
@@ -248,10 +236,7 @@ def select_deployment_scenarios(system: PowerSystem, profile: ForecastProfile,
     scenarios = []
     for j, z in enumerate(zs):
         load = np.maximum(profile.load15 * (1.0 + frac * z), 0.0)
-        solar = profile.solar15 * (1.0 - frac * z)
-        solar = np.maximum(solar, 0.0)
-        if len(caps):
-            solar = np.minimum(solar, caps[:, None])
+        solar = np.clip(profile.solar15 * (1.0 - frac * z), 0.0, caps[:, None])
         scenarios.append(Scenario(
             kind=DEPLOYMENT,
             system_load=load,
@@ -259,7 +244,7 @@ def select_deployment_scenarios(system: PowerSystem, profile: ForecastProfile,
             seed_info=f"quantile z={z:+.6f}",
             quantile_z=float(z),
         ))
-    return ScenarioSet(kind=DEPLOYMENT, scenarios=tuple(scenarios))
+    return tuple(scenarios)
 
 
 def proxy_envelopes(profile: ForecastProfile, cfg: UncertaintyConfig,
@@ -270,20 +255,17 @@ def proxy_envelopes(profile: ForecastProfile, cfg: UncertaintyConfig,
     load_sigma = frac * profile.load15
     solar_sigma = frac * profile.solar15
     caps = np.array([u.capacity for u in solar_units])
-    solar_max = profile.solar15 + z * solar_sigma
-    if len(caps):
-        solar_max = np.minimum(solar_max, caps[:, None])
     return ProxyEnvelope(
         load_min=np.maximum(profile.load15 - z * load_sigma, 0.0),
         load_max=profile.load15 + z * load_sigma,
         solar_min=np.maximum(profile.solar15 - z * solar_sigma, 0.0),
-        solar_max=solar_max,
+        solar_max=np.minimum(profile.solar15 + z * solar_sigma, caps[:, None]),
     )
 
 
 # -------------------------------------------------------------------- persist
 
-def write_scenarios_csv(scenario_set: ScenarioSet, path,
+def write_scenarios_csv(scenario_set: tuple[Scenario, ...], path,
                         solar_units: tuple[SolarUnit, ...]) -> None:
     """Audit dump: one row per (scenario, interval, quantity)."""
     with open(path, "w", newline="") as fh:

@@ -83,13 +83,13 @@ class UcModelBuilder:
 
     def __init__(self, system: PowerSystem, n_intervals: int,
                  interval_hours: float, init: UnitState,
-                 voll: float = 10000.0, name: str = "uc"):
+                 voll: float = 10000.0):
         self.system = system
         self.n_intervals = n_intervals
         self.interval_hours = interval_hours
         self.init = init
         self.voll = voll
-        self.model = MilpModel(name=name)
+        self.model = MilpModel()
         n_gens, T = len(system.generators), n_intervals
         n_blocks = max((len(g.cost_blocks) for g in system.generators), default=0)
         self.u = np.zeros((n_gens, T), dtype=np.int64)

@@ -35,8 +35,8 @@ from frpsim.validation import (ValidationConfig, build_rtuc_hour,
                                run_rtuc_validation)
 from test_fmm import build_dd_fixture, constant_da, two_gen_system
 from test_milp import solve_uc_milp
-from util import (bottleneck_profile, bottleneck_system, make_gen, make_profile,
-                  post_deployment_oracle, profile_to_dir, single_bus_system,
+from util import (bottleneck_profile, bottleneck_system, executed_rtuc_day, make_gen,
+                  make_profile, post_deployment_oracle, profile_to_dir, single_bus_system,
                   system_to_json, worst_line_overload)
 
 SEED = 7
@@ -463,13 +463,13 @@ def test_criterion_09_validation_cap_semantics(case_study, bottleneck):
     checked_moves = 0
     for sid, scn in enumerate(oos):
         res = run_rtuc_validation(system, ptdf, awards, da, scn, sid,
-                                  "datadriven", ValidationConfig(),
-                                  keep_dispatch=True)
+                                  "datadriven", ValidationConfig())
+        dispatch, commitment, startup = executed_rtuc_day(system, ptdf, awards, da, scn)
         identity_gap = abs(res.total_cost - (res.rt_cost_excl_violation
                                              + 10000.0 * res.total_violation_mwh))
         assert identity_gap <= 1e-6
         for g in system.must_run_generators():
-            p, u, v = res.dispatch[g.id], res.commitment[g.id], res.startup[g.id]
+            p, u, v = dispatch[g.id], commitment[g.id], startup[g.id]
             for t in range(1, 96):
                 move = p[t] - p[t - 1]
                 up_cap = awards.ur[g.id][t - 1] * u[t - 1] + g.ramp_su * v[t]

@@ -1,13 +1,15 @@
 """The benchmark's view of the program stays resolvable.
 
-``perfbench/tracing.py`` wraps frpsim functions and methods by name.  A
-rename in ``src/`` would otherwise surface only in a traced benchmark run;
-here it fails the test suite instead.  The tracing module is imported, never
-modified.
+``perfbench/tracing.py`` wraps frpsim functions and methods by name, and
+``perfbench/workloads.py`` builds its inputs through frpsim's constructors.
+A rename in ``src/`` would otherwise surface only in a benchmark run; here
+it fails the test suite instead.  The benchmark's modules are imported,
+never modified.
 """
 
 from __future__ import annotations
 
+import importlib
 import os
 import sys
 from pathlib import Path
@@ -17,18 +19,21 @@ import pytest
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-@pytest.fixture(scope="module")
-def tracing():
+def _import_perfbench(name):
     saved_env, saved_path = dict(os.environ), list(sys.path)
     sys.path.insert(0, str(PERFBENCH))
     try:
-        import tracing as mod
+        return importlib.import_module(name)
     finally:
         # perfbench's env module pins BLAS threads for its own processes
         os.environ.clear()
         os.environ.update(saved_env)
         sys.path[:] = saved_path
-    return mod
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    return _import_perfbench("tracing")
 
 
 def test_traced_functions_resolve(tracing):
@@ -49,3 +54,15 @@ def test_rolling_solves_go_through_wrapped_solve(tracing):
     from frpsim import fmm, milp
 
     assert fmm.solve is milp.solve
+
+
+def test_workloads_set_up_against_the_program():
+    # setup and units only: no unit runs, so nothing is solved or written
+    workloads = _import_perfbench("workloads")
+    for name, cls in workloads.WORKLOADS.items():
+        workload = cls()
+        workload.setup(7)
+        try:
+            assert workload.units(), name
+        finally:
+            workload.teardown()

@@ -37,7 +37,7 @@ def two_units(shortfall_cost=None):
     The optimum runs a alone at a cost of 90.  With ``shortfall_cost`` an
     unserved-load column priced at that cost joins the balance row.
     """
-    m = MilpModel("two_units")
+    m = MilpModel()
     cols = {}
     for name, fixed, slope in (("a", 10.0, 1.0), ("b", 50.0, 2.0)):
         u, p = m.add_var(f"u_{name}", BINARY), m.add_var(f"p_{name}", ub=100.0)

@@ -518,7 +518,7 @@ class TestObjectiveDecomposition:
     def test_objective_is_costs_plus_penalties(self, bottleneck):
         system, ptdf, profile = bottleneck
         for handle, sol in self._hours(system, ptdf, profile):
-            assert sol.status == "optimal", handle.policy
+            assert sol.status == "optimal"
             m = handle.model
             penalty = handle.cfg.voll * 0.25
             cost, viol = handle.builder.interval_costs(sol)
@@ -528,7 +528,7 @@ class TestObjectiveDecomposition:
             shortfall = sum(self._named(m, sol, p)
                             for p in ("fr_up_short[", "fr_dn_short[", "cover_"))
             total = cost.sum() + penalty * viol.sum() + frp + penalty * shortfall
-            assert total == pytest.approx(sol.objective, rel=1e-9), handle.policy
+            assert total == pytest.approx(sol.objective, rel=1e-9)
 
     def test_rows_name_each_column_once_as_an_int(self, bottleneck, monkeypatch):
         # rows are stored as given, so every builder must hand over distinct
@@ -614,7 +614,7 @@ class TestForecastFollowingResponse:
         from frpsim.learner import (RampResponseFactors, TrainConfig,
                                     build_targets, predict_factors, train)
         from frpsim.fmm import run_training_day
-        from frpsim.scenarios import ScenarioSet, sample_scenarios
+        from frpsim.scenarios import sample_scenarios
 
         system, ptdf, profile = bottleneck
         cfg = UncertaintyConfig(seed=21)
@@ -679,6 +679,26 @@ class TestRollDay:
         with pytest.raises(HourSolveError, match="training hour 2, scenario s7: "
                                                  "solve ended infeasible"):
             roll_day(system, da, build_hour, "training", scenario="s7")
+
+    def test_only_whole_hours_of_one_day_roll(self):
+        from frpsim.fmm import roll_day
+
+        system = two_gen_system()
+        ptdf = compute_ptdf(system)
+        da = constant_da(system, {0, 1}, {0: 40.0, 1: 20.0})
+        scenario = Scenario(kind="training", system_load=np.full(96, 60.0),
+                            solar=np.zeros((0, 96)), seed_info="t")
+
+        def build_hour(horizon):
+            return build_fmm_training(system, ptdf, scenario, da, horizon)
+
+        for n in (0, 2, 10, 100):
+            with pytest.raises(ValueError, match="multiple of 4"):
+                roll_day(system, da, build_hour, "training", n_intervals=n)
+        traj = roll_day(system, da, build_hour, "training", n_intervals=8)
+        assert traj.p.shape == (2, 8)
+        # every interval rolled carries the load
+        assert traj.p.sum(axis=0) == pytest.approx(np.full(8, 60.0))
 
     def test_hour_solve_error_pickles_with_message_and_attributes(self):
         import pickle

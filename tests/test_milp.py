@@ -20,7 +20,7 @@ def solve_uc_milp(system, loads, interval_hours=0.25, voll=10000.0, lo=None, hi=
     loads = np.asarray(loads, dtype=float)
     shape = (len(system.generators), len(loads))
     builder = UcModelBuilder(system, len(loads), interval_hours,
-                             cold_start_state(system), voll=voll, name="tiny_uc")
+                             cold_start_state(system), voll=voll)
     builder.add_commitment(np.zeros(shape) if lo is None else lo,
                            np.ones(shape) if hi is None else hi,
                            min_updown=np.ones(shape[0], dtype=bool))

@@ -68,6 +68,23 @@ class TestLoadSystem:
         with pytest.raises(SystemDataError, match="not found"):
             load_system(tmp_path / "nope.json")
 
+    @pytest.mark.parametrize("field, value", [
+        ("cost_blocks", [[40.0, float("nan")]]), ("cost_blocks", [[float("nan"), 25.0]]),
+        ("frp_up_cost", float("inf")), ("frp_down_cost", float("nan"))])
+    def test_non_finite_cost_refused(self, tmp_path, field, value):
+        doc = minimal_doc()
+        doc["generators"][0][field] = value
+        path = write_system_json(tmp_path / "bad.json", doc)
+        with pytest.raises(SystemDataError, match="generator 0: non-finite cost"):
+            load_system(path)
+
+    def test_non_finite_participation_refused(self, tmp_path):
+        doc = minimal_doc()
+        doc["participation"] = {"0": float("nan"), "1": 1.0}
+        path = write_system_json(tmp_path / "bad.json", doc)
+        with pytest.raises(SystemDataError, match="participation is not finite"):
+            load_system(path)
+
     def test_invalid_numeric_field_reports_location(self, tmp_path):
         doc = minimal_doc()
         doc["lines"][0]["reactance"] = "abc"

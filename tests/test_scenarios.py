@@ -72,6 +72,17 @@ class TestLoadProfiles:
         with pytest.raises(ProfileError, match="negative load"):
             load_profiles(d, ())
 
+    @pytest.mark.parametrize("column, value", [(1, "nan"), (1, "inf"), (2, "nan")])
+    def test_non_finite_value_names_file_and_row(self, tmp_path, column, value):
+        d = write_profile_dir(tmp_path, np.full(96, 1000.0), np.zeros(96))
+        rows = (d / "fifteen_min.csv").read_text().splitlines()
+        fields = rows[6].split(",")          # interval 5, after the header
+        fields[column] = value
+        rows[6] = ",".join(fields)
+        (d / "fifteen_min.csv").write_text("\n".join(rows) + "\n")
+        with pytest.raises(ProfileError, match=r"fifteen_min\.csv row 5: non-finite"):
+            load_profiles(d, ())
+
     def test_solar_capacity_violation(self, tmp_path):
         d = write_profile_dir(tmp_path, np.full(96, 1000.0), np.full(96, 100.0))
         units = (SolarUnit(0, 0, 50.0, 1.0),)
@@ -150,7 +161,7 @@ class TestDeploymentScenarios:
 
     def test_two_scenarios_at_95_envelope(self):
         out = select_deployment_scenarios(self.system, self.profile, self.cfg, 2)
-        assert len(out) == 2 and out.kind == DEPLOYMENT
+        assert len(out) == 2 and all(s.kind == DEPLOYMENT for s in out)
         zs = sorted(s.quantile_z for s in out)
         assert zs[0] == pytest.approx(-1.96, abs=5e-3)
         assert zs[1] == pytest.approx(+1.96, abs=5e-3)

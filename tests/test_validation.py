@@ -10,6 +10,7 @@ from frpsim.scenarios import (OUT_OF_SAMPLE, Scenario, UncertaintyConfig,
 from frpsim.validation import (DATADRIVEN, PROXY, ScenarioResult,
                                aggregate_metrics, compare_policies,
                                run_rtuc_validation, write_results_csv)
+from util import executed_rtuc_day
 
 
 @pytest.fixture(scope="module")
@@ -49,13 +50,10 @@ class TestRtucValidation:
     def test_cap_semantics_literal_recheck(self, cleared_day):
         system, ptdf, profile, cfg, da, run = cleared_day
         scn = sample_scenarios(system, profile, cfg, 2, OUT_OF_SAMPLE)[1]
-        res = run_rtuc_validation(system, ptdf, run.awards, da, scn, 1, PROXY,
-                                  keep_dispatch=True)
+        dispatch, commitment, startup = executed_rtuc_day(system, ptdf, run.awards, da, scn)
         tol = 1e-6
         for g in system.must_run_generators():
-            p = res.dispatch[g.id]
-            u = res.commitment[g.id]
-            v = res.startup[g.id]
+            p, u, v = dispatch[g.id], commitment[g.id], startup[g.id]
             for t in range(1, 96):
                 move = p[t] - p[t - 1]
                 up_cap = (run.awards.ur[g.id][t - 1] * u[t - 1]
@@ -114,10 +112,10 @@ class TestRtucValidation:
         system, ptdf, profile, cfg, da, run = cleared_day
         big = UncertaintyConfig(seed=10, sigma_hourly_frac=0.10)
         scn = sample_scenarios(system, profile, big, 1, OUT_OF_SAMPLE)[0]
-        res = run_rtuc_validation(system, ptdf, run.awards, da, scn, 0, PROXY,
-                                  keep_dispatch=True)
-        fs = system.fast_start_generators()[0]
-        counted = int(res.commitment[fs.id].sum())
+        res = run_rtuc_validation(system, ptdf, run.awards, da, scn, 0, PROXY)
+        _, commitment, _ = executed_rtuc_day(system, ptdf, run.awards, da, scn)
+        counted = sum(int(commitment[g.id].sum()) for g in system.fast_start_generators())
+        assert counted > 0
         assert res.fs_commitment_count == counted
 
 
@@ -147,11 +145,10 @@ class TestShutdownGlidepath:
         # the market plan descends early enough for the hand-forced shutdown
         assert run.awards.p[0][7] <= gen.ramp_sd + 1e-6
         scn = sample_scenarios(system, profile, cfg, 1, OUT_OF_SAMPLE)[0]
-        res = run_rtuc_validation(system, ptdf, run.awards, da, scn, 0, PROXY,
-                                  keep_dispatch=True)
+        dispatch, _, _ = executed_rtuc_day(system, ptdf, run.awards, da, scn)
         # the realized trajectory honors the same glidepath
-        assert res.dispatch[0][7] <= gen.ramp_sd + 1e-6
-        assert res.dispatch[0][8:24] == pytest.approx(0.0, abs=1e-9)
+        assert dispatch[0][7] <= gen.ramp_sd + 1e-6
+        assert dispatch[0][8:24] == pytest.approx(0.0, abs=1e-9)
 
 
 def result(sid, policy, viol, cost=1000.0, fs=5):

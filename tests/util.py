@@ -8,9 +8,12 @@ from pathlib import Path
 
 import numpy as np
 
+from frpsim.dayahead import initial_state_from_da
+from frpsim.fmm import by_id, roll_day
 from frpsim.network import (Bus, GenerationResource, PowerSystem, SolarUnit,
                             TransmissionLine)
 from frpsim.scenarios import ForecastProfile
+from frpsim.validation import build_rtuc_hour
 
 
 def make_gen(gid, bus, p_min, p_max, slope, ramp=None, no_load=None,
@@ -225,6 +228,23 @@ def post_deployment_oracle(system: PowerSystem, model, sol, profile, scenario,
     inj -= system.load_participation * (scenario.system_load[nxt] - profile.load15[now])
     inj[system.slack_bus] -= inj.sum()
     return dc_power_flow(system, inj)
+
+
+def executed_rtuc_day(system: PowerSystem, ptdf, awards, da, scenario):
+    """Dispatch, commitment and startups that validation executes on one day.
+
+    Rolls ``scenario`` through ``fmm.roll_day`` with
+    ``validation.build_rtuc_hour`` at the default VOLL and solver options, as
+    ``run_rtuc_validation`` does with a default ``ValidationConfig``.  Each
+    is a dict of generator id -> (96,) array.  Startups are the ones a binary
+    commitment implies, ``max(u[t] - u[t-1], 0)`` with the day-ahead
+    state entering the day before interval 0, never the solver's columns.
+    """
+    traj = roll_day(system, da, lambda horizon: build_rtuc_hour(
+        system, ptdf, awards, da, scenario, horizon), "validation")
+    before = initial_state_from_da(system, da).committed.astype(float)[:, None]
+    startup = np.maximum(np.diff(traj.u, axis=1, prepend=before), 0.0)
+    return by_id(system, traj.p), by_id(system, traj.u), by_id(system, startup)
 
 
 def worst_line_overload(system: PowerSystem, ptdf, builder, sol, load,
