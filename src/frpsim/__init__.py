@@ -1,7 +1,7 @@
 """Fifteen-minute market simulation with proxy and data-driven ramping products."""
 
 from .milp import (MilpModel, MilpSolution, ConstraintReport, SolveOptions,
-                   brute_force_uc, check_solution, solve)
+                   check_solution, solve)
 from .network import (Bus, GenerationResource, PowerSystem, PtdfMatrix, SolarUnit,
                       TransmissionLine, compute_ptdf, load_system, validate_system)
 from .scenarios import (ForecastProfile, ProxyEnvelope, Scenario, UncertaintyConfig,
@@ -17,6 +17,6 @@ __all__ = [
     "ProxyEnvelope", "load_profiles", "sample_scenarios",
     "select_deployment_scenarios", "proxy_envelopes",
     "MilpModel", "MilpSolution", "ConstraintReport", "SolveOptions",
-    "solve", "check_solution", "brute_force_uc",
+    "solve", "check_solution",
     "__version__",
 ]

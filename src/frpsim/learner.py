@@ -179,28 +179,6 @@ class Mlp:
         return [*self.weights, *self.biases]
 
 
-def gradient_check(mlp: Mlp, x: np.ndarray, y: np.ndarray,
-                   eps: float = 1e-5) -> float:
-    """Max relative error of analytic vs central finite-difference gradients."""
-    _, grad_ws, grad_bs = mlp.mse_gradients(x, y)
-    analytic = [*grad_ws, *grad_bs]
-    worst = 0.0
-    for param, grad in zip(mlp.parameters(), analytic):
-        flat = param.ravel()
-        gflat = grad.ravel()
-        for i in range(flat.size):
-            keep = flat[i]
-            flat[i] = keep + eps
-            hi = mlp.mse(x, y)
-            flat[i] = keep - eps
-            lo = mlp.mse(x, y)
-            flat[i] = keep
-            numeric = (hi - lo) / (2.0 * eps)
-            denom = max(abs(gflat[i]) + abs(numeric), 1e-8)
-            worst = max(worst, abs(gflat[i] - numeric) / denom)
-    return worst
-
-
 @dataclass
 class TrainConfig:
     hidden: tuple[int, ...] = DEFAULT_HIDDEN

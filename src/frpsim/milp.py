@@ -4,9 +4,7 @@ The model is a plain declarative store of variables, ranged linear rows
 (``lo <= a.x <= hi``), and a linear minimization objective.  Solving is
 delegated to the HiGHS backend shipped with scipy; checking a solution never
 touches the solver and simply re-evaluates every row, column bound and
-binary arithmetically.  A brute-force enumeration oracle for tiny
-unit-commitment instances lives here as well, so that the MILP path can be
-validated against an independent computation.
+binary arithmetically.
 """
 
 from __future__ import annotations
@@ -16,12 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import Bounds, LinearConstraint, linprog
+from scipy.optimize import Bounds, LinearConstraint
 from scipy.optimize import milp as _highs_milp
 
 CONTINUOUS = "continuous"
 BINARY = "binary"
 
+# a binary this close to 0 or 1 counts as integral (HiGHS's default
+# mip_feasibility_tolerance)
+INTEGRALITY_TOL = 1e-6
 # scipy.optimize.milp status codes; 4 is also what an unbounded MILP reports
 _STATUS = {0: "optimal", 1: "limit", 2: "infeasible", 3: "unbounded", 4: "error"}
 
@@ -200,23 +201,10 @@ class ConstraintReport:
         return max(self.violations, key=lambda v: v[1]) if self.violations else None
 
 
-def solve(model: MilpModel, options: SolveOptions | None = None,
-          previous: MilpSolution | None = None) -> MilpSolution:
-    """Solve the model with HiGHS; status reflects the backend outcome.
-
-    ``previous`` is a solve of the same model before rows were added to it.
-    Added rows leave its dual bound a lower bound on the grown model, so
-    when that bound is finite the binaries are fixed at their previous
-    values and the model is solved as one LP.  An LP cost within
-    ``mip_rel_gap`` of the bound is returned as optimal, its ``mip_gap``
-    measured against the bound it carries forward; any other outcome falls
-    back to the full MIP.
-    """
-    options = options or SolveOptions()
+def _problem(model: MilpModel, options: SolveOptions):
+    """The model's arrays and the backend options, as ``_highs_milp`` takes them."""
     model.validate()
-    c = model.objective_vector()
     binary = np.array([k == BINARY for k in model._kinds], dtype=bool)
-    lb, ub = np.array(model._lb), np.array(model._ub)
     constraints = None
     if model.n_constrs:
         a, lo, hi = model._matrix()
@@ -224,20 +212,70 @@ def solve(model: MilpModel, options: SolveOptions | None = None,
     opts = {"mip_rel_gap": options.mip_rel_gap, "presolve": True}
     if options.time_limit is not None:
         opts["time_limit"] = options.time_limit
+    return (model.objective_vector(), constraints, binary, np.array(model._lb),
+            np.array(model._ub), opts)
+
+
+def _integral(values: np.ndarray) -> np.ndarray:
+    """Which entries lie within ``INTEGRALITY_TOL`` of an integer."""
+    return np.abs(values - np.rint(values)) <= INTEGRALITY_TOL
+
+
+def relax(model: MilpModel, options: SolveOptions | None = None) -> MilpSolution:
+    """Solve the model's LP relaxation: every binary may take any value in [0, 1].
+
+    An optimal relaxation carries its objective as ``dual_bound``, a lower
+    bound on the model's optimum.  When its binaries are all integral it is
+    that optimum: ``mip_gap`` is 0 and ``message`` starts with
+    ``certified``.  A fractional relaxation has a NaN ``mip_gap``.
+    """
+    c, constraints, binary, lb, ub, opts = _problem(model, options or SolveOptions())
+    res = _highs_milp(c=c, constraints=constraints, integrality=np.zeros(len(c)),
+                      bounds=Bounds(lb, ub), options=opts)
+    if res.status != 0:
+        return MilpSolution(status=_STATUS.get(res.status, "error"), objective=math.nan,
+                            values=np.full(model.n_vars, np.nan), message=str(res.message))
+    values = np.asarray(res.x, dtype=float)
+    if _integral(values[binary]).all():
+        return MilpSolution(status="optimal", objective=float(res.fun), values=values,
+                            message="certified: the LP relaxation is integral",
+                            mip_gap=0.0, dual_bound=float(res.fun))
+    return MilpSolution(status="optimal", objective=float(res.fun), values=values,
+                        message=str(res.message), dual_bound=float(res.fun))
+
+
+def solve(model: MilpModel, options: SolveOptions | None = None,
+          previous: MilpSolution | None = None) -> MilpSolution:
+    """Solve the model with HiGHS; status reflects the backend outcome.
+
+    ``previous`` is a solution whose ``dual_bound`` bounds this model's
+    optimum from below: a solve of the same model before rows were added to
+    it, or the model's LP relaxation (``relax``).  When that bound is finite
+    the binaries that are integral in ``previous`` are fixed at their values
+    and the fractional ones stay binary, so an integral ``previous`` costs
+    one LP and a relaxation a MIP over only its fractional binaries.  A cost
+    within ``mip_rel_gap`` of the bound is returned as optimal, its
+    ``mip_gap`` measured against the bound it carries forward; any other
+    outcome falls back to the full MIP, solved cold.
+    """
+    options = options or SolveOptions()
+    c, constraints, binary, lb, ub, opts = _problem(model, options)
     if previous is not None and math.isfinite(previous.dual_bound):
         if previous.values.shape != (model.n_vars,):
             raise ModelError("previous solution does not match the model's columns")
         bound = previous.dual_bound
         fixed = np.rint(previous.values)
-        res = _highs_milp(c=c, constraints=constraints, integrality=np.zeros(len(c)),
-                          bounds=Bounds(np.where(binary, fixed, lb), np.where(binary, fixed, ub)),
+        pin = binary & _integral(previous.values)
+        res = _highs_milp(c=c, constraints=constraints,
+                          integrality=(binary & ~pin).astype(int),
+                          bounds=Bounds(np.where(pin, fixed, lb), np.where(pin, fixed, ub)),
                           options=opts)
         if res.status == 0 and abs(res.fun - bound) <= options.mip_rel_gap * abs(res.fun):
             return MilpSolution(
                 status="optimal", objective=float(res.fun),
                 values=np.asarray(res.x, dtype=float),
-                message="certified: the previous commitment's LP is within "
-                        "mip_rel_gap of the previous dual bound",
+                message="certified: the binaries integral in the previous solution, "
+                        "fixed, leave a cost within mip_rel_gap of its dual bound",
                 mip_gap=abs(res.fun - bound) / abs(res.fun) if res.fun else 0.0,
                 dual_bound=bound)
     res = _highs_milp(c=c, constraints=constraints, integrality=binary.astype(int),
@@ -280,167 +318,3 @@ def check_solution(model: MilpModel, solution: MilpSolution,
     frac = np.where(binary, np.minimum(np.abs(x), np.abs(x - 1.0)), 0.0)
     out += [(f"binary:{names[i]}", float(frac[i])) for i in np.nonzero(frac > tol)[0]]
     return ConstraintReport(out)
-
-
-# --------------------------------------------------------------------------
-# Brute-force unit-commitment oracle for tiny instances.
-#
-# The enumeration below never goes through MilpModel: commitment patterns are
-# enumerated exhaustively and the dispatch for each feasible pattern is solved
-# as a small LP assembled directly into matrix form.  This keeps the oracle an
-# independent check on any MILP-based unit-commitment path.
-# --------------------------------------------------------------------------
-
-MAX_ORACLE_GENERATORS = 3
-MAX_ORACLE_INTERVALS = 4
-
-
-def _pattern_fixed_cost(gen, u: np.ndarray, u0: int) -> float:
-    cost = gen.no_load_cost * float(u.sum())
-    prev = u0
-    for ut in u:
-        if ut == 1 and prev == 0:
-            cost += gen.startup_cost
-        if ut == 0 and prev == 1:
-            cost += gen.shutdown_cost
-        prev = ut
-    return cost
-
-
-def _pattern_times_ok(gen, u: np.ndarray, u0: int, init_run: int) -> bool:
-    """Minimum up/down feasibility, counting the run length carried into t=0."""
-    runs: list[tuple[int, int]] = []  # (state, length), oldest first
-    state, length = u0, init_run
-    for ut in u:
-        if ut == state:
-            length += 1
-        else:
-            runs.append((state, length))
-            state, length = int(ut), 1
-    # the final run is unconstrained: it may continue beyond the horizon
-    for s, n in runs:
-        if s == 1 and n < gen.min_up:
-            return False
-        if s == 0 and n < gen.min_down:
-            return False
-    return True
-
-
-def _dispatch_lp(system, loads: np.ndarray, patterns: np.ndarray,
-                 u0: np.ndarray, p0: np.ndarray, interval_hours: float,
-                 voll: float) -> float | None:
-    """LP cost of serving ``loads`` under a fixed commitment pattern.
-
-    Variables: block outputs per (g, t, e) and a positive/negative balance
-    slack pair per interval priced at VOLL.  Returns None if infeasible.
-    """
-    gens = system.generators
-    t_count = len(loads)
-    blk_of = []  # (g, t, e) -> column
-    col = 0
-    for g in range(len(gens)):
-        for t in range(t_count):
-            for e in range(len(gens[g].cost_blocks)):
-                blk_of.append((g, t, e))
-                col += 1
-    slack_base = col
-    n_cols = col + 2 * t_count
-
-    cost = np.zeros(n_cols)
-    ub = np.full(n_cols, np.inf)
-    for j, (g, t, e) in enumerate(blk_of):
-        width, slope = gens[g].cost_blocks[e]
-        cost[j] = slope * interval_hours
-        ub[j] = width if patterns[g, t] else 0.0
-    cost[slack_base:] = voll * interval_hours
-
-    def power_expr(g: int, t: int) -> tuple[list[int], float]:
-        cols = [j for j, (gg, tt, _) in enumerate(blk_of) if gg == g and tt == t]
-        return cols, gens[g].p_min * patterns[g, t]
-
-    rows_eq, rhs_eq = [], []
-    rows_ub, rhs_ub = [], []
-    for t in range(t_count):
-        row = np.zeros(n_cols)
-        base = 0.0
-        for g in range(len(gens)):
-            cols, fixed = power_expr(g, t)
-            row[cols] = 1.0
-            base += fixed
-        row[slack_base + t] = 1.0       # unserved load
-        row[slack_base + t_count + t] = -1.0  # surplus
-        rows_eq.append(row)
-        rhs_eq.append(loads[t] - base)
-    for g, gen in enumerate(gens):
-        for t in range(t_count):
-            prev_cols, prev_fixed = power_expr(g, t - 1) if t else ([], 0.0)
-            if t == 0:
-                prev_fixed = p0[g]
-            cols, fixed = power_expr(g, t)
-            u_prev = patterns[g, t - 1] if t else u0[g]
-            started = patterns[g, t] == 1 and u_prev == 0
-            stopped = patterns[g, t] == 0 and u_prev == 1
-            up_cap = gen.ramp_15 * u_prev + gen.ramp_su * started
-            dn_cap = gen.ramp_15 * patterns[g, t] + gen.ramp_sd * stopped
-            row = np.zeros(n_cols)
-            row[cols] = 1.0
-            row[prev_cols] = -1.0
-            rows_ub.append(row)
-            rhs_ub.append(up_cap - fixed + prev_fixed)
-            rows_ub.append(-row)
-            rhs_ub.append(dn_cap + fixed - prev_fixed)
-    res = linprog(
-        c=cost,
-        A_ub=np.array(rows_ub) if rows_ub else None,
-        b_ub=np.array(rhs_ub) if rows_ub else None,
-        A_eq=np.array(rows_eq),
-        b_eq=np.array(rhs_eq),
-        bounds=list(zip(np.zeros(n_cols), ub)),
-        method="highs",
-    )
-    if res.status != 0:
-        return None
-    return float(res.fun)
-
-
-def brute_force_uc(system, loads, interval_hours: float = 0.25,
-                   voll: float = 10000.0) -> float:
-    """Exhaustive optimal cost of a tiny single-bus unit-commitment instance.
-
-    All generators start offline (long enough to satisfy minimum down time)
-    with zero prior output.  Every commitment pattern is enumerated; for each
-    feasible one, the continuous dispatch LP is solved and fixed costs added.
-    """
-    loads = np.asarray(loads, dtype=float)
-    gens = system.generators
-    if len(gens) > MAX_ORACLE_GENERATORS or len(loads) > MAX_ORACLE_INTERVALS:
-        raise ValueError(
-            f"oracle instance too large: {len(gens)} generators x {len(loads)} intervals"
-        )
-    g_count, t_count = len(gens), len(loads)
-    u0 = np.zeros(g_count, dtype=int)
-    p0 = np.zeros(g_count)
-    init_run = max(max(g.min_down for g in gens), 1)
-
-    best = math.inf
-    for code in range(2 ** (g_count * t_count)):
-        patterns = np.array(
-            [[(code >> (g * t_count + t)) & 1 for t in range(t_count)]
-             for g in range(g_count)],
-            dtype=int,
-        )
-        if not all(
-            _pattern_times_ok(gens[g], patterns[g], u0[g], init_run)
-            for g in range(g_count)
-        ):
-            continue
-        dispatch = _dispatch_lp(system, loads, patterns, u0, p0, interval_hours, voll)
-        if dispatch is None:
-            continue
-        fixed = sum(
-            _pattern_fixed_cost(gens[g], patterns[g], u0[g]) for g in range(g_count)
-        )
-        best = min(best, dispatch + fixed)
-    if not math.isfinite(best):
-        raise RuntimeError("no feasible commitment pattern found")
-    return best

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
 
@@ -83,6 +84,24 @@ class ExperimentConfig:
         # deployment scenarios come in symmetric quantile pairs
         if self.n_deployment < 2:
             raise ValueError("n_deployment must be >= 2")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+        for name, ok, rule in (
+                ("voll", self.voll > 0, "> 0"),
+                ("sigma_hourly_frac", self.sigma_hourly_frac >= 0, ">= 0"),
+                ("confidence_z", self.confidence_z > 0, "> 0"),
+                ("truncation_sigmas", self.truncation_sigmas > 0, "> 0"),
+                ("mip_rel_gap", 0 <= self.mip_rel_gap < 1, "in [0, 1)"),
+                ("time_limit", self.time_limit is None or self.time_limit > 0,
+                 "None or > 0"),
+                ("nn_learning_rate", self.nn_learning_rate > 0, "> 0"),
+                ("nn_epochs", self.nn_epochs >= 1, ">= 1"),
+                ("nn_batch_size", self.nn_batch_size >= 1, ">= 1"),
+                ("response_threshold", 0 <= self.response_threshold <= 1, "in [0, 1]")):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
         self.nn_hidden = tuple(self.nn_hidden)
 
     @classmethod

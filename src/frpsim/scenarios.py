@@ -143,7 +143,7 @@ def load_profiles(path, solar_units: tuple[SolarUnit, ...]) -> ForecastProfile:
     """Load a profile directory containing ``hourly.csv`` and ``fifteen_min.csv``.
 
     Total solar output is disaggregated to units by their share of total;
-    per-unit output must respect unit capacity.
+    per-unit output must respect unit capacity in both files.
     """
     path = Path(path)
     hourly_load, hourly_solar = _read_profile_csv(path / "hourly.csv", HOURS_PER_DAY)
@@ -152,13 +152,14 @@ def load_profiles(path, solar_units: tuple[SolarUnit, ...]) -> ForecastProfile:
     caps = np.array([u.capacity for u in solar_units])
     solar_hourly = np.outer(shares, hourly_solar)
     solar15 = np.outer(shares, solar15_total)
-    over = solar15 - caps[:, None]
-    if over.max(initial=-np.inf) > 1e-6:
-        u, t = np.unravel_index(np.argmax(over), over.shape)
-        raise ProfileError(
-            f"solar unit {solar_units[u].id} forecast {solar15[u, t]:.3f} MW "
-            f"exceeds capacity {caps[u]:.3f} MW at interval {t}"
-        )
+    for solar, step in ((solar_hourly, "hour"), (solar15, "interval")):
+        over = solar - caps[:, None]
+        if over.max(initial=-np.inf) > 1e-6:
+            u, t = np.unravel_index(np.argmax(over), over.shape)
+            raise ProfileError(
+                f"solar unit {solar_units[u].id} forecast {solar[u, t]:.3f} MW "
+                f"exceeds capacity {caps[u]:.3f} MW at {step} {t}"
+            )
     return ForecastProfile(
         label=path.name,
         hourly_load=hourly_load,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .milp import BINARY, CONTINUOUS, MilpModel, MilpSolution, SolveOptions, solve
+from .milp import BINARY, CONTINUOUS, MilpModel, MilpSolution, SolveOptions, relax, solve
 from .network import PowerSystem, PtdfMatrix
 
 LINE_COEF_EPS = 1e-10  # PTDF entries below this are dropped from line rows
@@ -408,17 +408,27 @@ def solve_lazy(builder: UcModelBuilder, ptdf: PtdfMatrix,
                options: SolveOptions | None = None, more_rows=None) -> MilpSolution:
     """Solve with base-case line rows generated on demand.
 
-    Solve, add the rows of every line the solution overloads, and re-solve
-    until a solve overloads none.  Then ``more_rows(sol)``, if given, may add
-    further rows and return how many; any addition starts another round.
-    Each round must add rows not yet in the model, so the loop ends.  A
-    non-optimal solve ends it at once and is returned for the caller to judge.
-    Every round after the first hands ``solve`` the round before it, so a
-    round whose rows leave the last commitment within the gap costs one LP.
+    The first rounds run on the LP relaxation: add the rows of every line it
+    overloads and re-solve it until it overloads none.  An integral
+    relaxation is the optimum; a fractional one is handed to ``solve``,
+    which fixes the binaries the relaxation already sets, solves a MIP over
+    the fractional ones and keeps it when it is within ``mip_rel_gap`` of
+    the relaxation's bound, else solves the MIP cold.  From then on, add the
+    rows of every line the solution overloads, and re-solve until a solve
+    overloads none.  Then ``more_rows(sol)``, if given, may add further rows
+    and return how many; any addition starts another round.  Each round must
+    add rows not yet in the model, so the loop ends.  A non-optimal solve
+    ends it at once and is returned for the caller to judge.  Every round
+    hands ``solve`` the round before it, so a round whose rows leave the last
+    commitment within the gap costs one LP.
     """
-    sol = None
-    while True:
+    sol = relax(builder.model, options)
+    while sol.status == "optimal" and builder.add_overloaded_lines(sol, ptdf):
+        sol = relax(builder.model, options)
+    if sol.mip_gap != 0.0:
+        # fractional or not solved: the MIP over the fractional binaries, or cold
         sol = solve(builder.model, options, sol)
+    while True:
         if sol.status != "optimal":
             return sol
         added = builder.add_overloaded_lines(sol, ptdf)
@@ -426,3 +436,4 @@ def solve_lazy(builder: UcModelBuilder, ptdf: PtdfMatrix,
             added = more_rows(sol)
         if not added:
             return sol
+        sol = solve(builder.model, options, sol)

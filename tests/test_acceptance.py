@@ -22,9 +22,8 @@ from frpsim.dayahead import read_commitments_csv, run_da
 from frpsim.fmm import (FmmConfig, FmmHorizon, build_fmm_datadriven, build_fmm_proxy,
                         build_fmm_training, compute_frp_requirements, solve_hour,
                         solve_with_cuts)
-from frpsim.learner import (Mlp, gradient_check, load_models, predict_factors,
-                            train)
-from frpsim.milp import brute_force_uc, check_solution
+from frpsim.learner import Mlp, load_models, predict_factors, train
+from frpsim.milp import check_solution
 from frpsim.network import compute_ptdf
 from frpsim.pipeline import ExperimentConfig, run_pipeline
 from frpsim.scenarios import (OUT_OF_SAMPLE, TRAINING, UncertaintyConfig,
@@ -33,6 +32,7 @@ from frpsim.scenarios import (OUT_OF_SAMPLE, TRAINING, UncertaintyConfig,
 from frpsim.ucbase import cold_start_state
 from frpsim.validation import (ValidationConfig, build_rtuc_hour,
                                run_rtuc_validation)
+from oracles import brute_force_uc, gradient_check
 from test_fmm import build_dd_fixture, constant_da, two_gen_system
 from test_milp import solve_uc_milp
 from util import (bottleneck_profile, bottleneck_system, executed_rtuc_day, make_gen,

@@ -1,45 +1,53 @@
-"""Certified re-solves: a round that adds rows tries the last commitment as one LP.
+"""Certified solves: start from the LP relaxation, then try the last commitment.
 
-``milp.solve(model, options, previous)`` fixes the binaries at ``previous``,
-solves the LP and returns it as optimal when its cost is within
-``mip_rel_gap`` of ``previous.dual_bound``; otherwise it solves the MIP
-cold.  The hand-built two-unit model covers each branch.  The bottleneck
-days check every re-solve of a rolled day against ``check_solution`` and a
-cold ``scipy.optimize.milp`` solve of the same arrays.
+``ucbase.solve_lazy`` first solves the model's LP relaxation (``milp.relax``)
+and runs its line rounds on it.  An integral relaxation is the optimum.  A
+fractional one goes to ``milp.solve(model, options, previous)``, which fixes
+the binaries integral in ``previous``, solves a MIP over the rest and
+returns it as optimal when its cost is within ``mip_rel_gap`` of
+``previous.dual_bound``; otherwise it solves the MIP cold.  A round that
+adds rows hands ``solve`` the round before it the same way.  Hand-built
+models cover each branch.  Rolled 5-bus days and one 118-bus training hour
+check every result against ``check_solution`` and a cold
+``scipy.optimize.milp`` solve of the same arrays.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import Bounds, LinearConstraint
 from scipy.optimize import milp as scipy_milp
 
-from frpsim import milp, ucbase
-from frpsim.dayahead import run_da
-from frpsim.fmm import run_fmm_day
+from frpsim import dayahead, fmm, milp, ucbase
+from frpsim.dayahead import DaCommitments, run_da
+from frpsim.fmm import run_fmm_day, run_training_day
 from frpsim.milp import (BINARY, MilpModel, ModelError, SolveOptions, check_solution,
                          solve)
-from frpsim.scenarios import (OUT_OF_SAMPLE, UncertaintyConfig, proxy_envelopes,
-                              sample_scenarios, select_deployment_scenarios)
+from frpsim.network import compute_ptdf
+from frpsim.scenarios import (OUT_OF_SAMPLE, TRAINING, UncertaintyConfig, load_profiles,
+                              proxy_envelopes, sample_scenarios,
+                              select_deployment_scenarios)
 from frpsim.validation import PROXY, run_rtuc_validation
 from test_fmm import zero_factors
 
 GAP = SolveOptions(mip_rel_gap=1e-4)
 
 
-def two_units(shortfall_cost=None):
+def two_units(shortfall_cost=None, load=80.0, fixed_a=10.0, slope_b=2.0, fixed_b=50.0):
     """Unit a (10 fixed, 1/MW) and unit b (50 fixed, 2/MW), 100 MW each, serve 80 MW.
 
     The optimum runs a alone at a cost of 90.  With ``shortfall_cost`` an
-    unserved-load column priced at that cost joins the balance row.
+    unserved-load column priced at that cost joins the balance row; the
+    other keywords change the load, a's fixed cost and b's costs.
     """
     m = MilpModel()
     cols = {}
-    for name, fixed, slope in (("a", 10.0, 1.0), ("b", 50.0, 2.0)):
+    for name, fixed, slope in (("a", fixed_a, 1.0), ("b", fixed_b, slope_b)):
         u, p = m.add_var(f"u_{name}", BINARY), m.add_var(f"p_{name}", ub=100.0)
         m.add_to_objective(u, fixed)
         m.add_to_objective(p, slope)
@@ -50,13 +58,14 @@ def two_units(shortfall_cost=None):
         short = m.add_var("short")
         m.add_to_objective(short, shortfall_cost)
         balance.append((short, 1.0))
-    m.add_constr("balance", balance, lo=80.0, hi=80.0)
+    m.add_constr("balance", balance, lo=load, hi=load)
     return m, cols["a"]
 
 
 @pytest.fixture()
 def highs_calls(monkeypatch):
-    """Integrality count of every backend call ``milp.solve`` makes."""
+    """Integrality count of every backend call ``milp.relax`` and
+    ``milp.solve`` make."""
     calls = []
 
     def counted(**kw):
@@ -137,6 +146,73 @@ class TestFallbacks:
             solve(m, GAP, first)
 
 
+class NoLines:
+    """Stands in for a ``UcModelBuilder``: a hand-built model whose solutions
+    overload no line."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def add_overloaded_lines(self, sol, ptdf):
+        return 0
+
+
+class TestRelaxationStart:
+    def test_integral_relaxation_needs_no_mip(self, highs_calls):
+        # 100 MW fills unit a: the relaxation commits it in full
+        m, _ = two_units(load=100.0)
+        sol = ucbase.solve_lazy(NoLines(m), None, GAP)
+        assert highs_calls == [0]
+        assert sol.status == "optimal" and sol.message.startswith("certified")
+        assert sol.objective == pytest.approx(110.0)
+        assert sol.mip_gap == 0.0 and sol.dual_bound == sol.objective
+        assert check_solution(m, sol).ok
+
+    def test_fractional_relaxation_certified_by_its_fractional_binaries(self, highs_calls):
+        # the relaxation runs a at u = 0.8 for 88; a MIP over u_a alone
+        # commits it for 90, 2.2% above the bound
+        m, _ = two_units()
+        options = SolveOptions(mip_rel_gap=0.05)
+        sol = ucbase.solve_lazy(NoLines(m), None, options)
+        assert highs_calls == [0, 1]
+        assert sol.status == "optimal" and sol.message.startswith("certified")
+        assert sol.objective == pytest.approx(90.0)
+        assert sol.dual_bound == pytest.approx(88.0)
+        assert sol.mip_gap == pytest.approx(2.0 / 90.0)
+        assert check_solution(m, sol).ok
+
+    def test_result_above_the_gap_returns_the_cold_optimum(self, highs_calls):
+        # a (100 fixed, 1/MW) relaxes to u = 0.1 for 20 and b (5 fixed,
+        # 3/MW) stays at 0; fixing b off leaves a alone at 110, but b alone
+        # serves the 10 MW for 35
+        m, _ = two_units(load=10.0, fixed_a=100.0, fixed_b=5.0, slope_b=3.0)
+        sol = ucbase.solve_lazy(NoLines(m), None, GAP)
+        assert highs_calls == [0, 1, 2]
+        assert sol.status == "optimal" and not sol.message.startswith("certified")
+        assert sol.objective == pytest.approx(35.0)
+
+    def test_infeasible_relaxation_reports_infeasible(self, highs_calls):
+        m, _ = two_units(load=300.0)
+        sol = ucbase.solve_lazy(NoLines(m), None, GAP)
+        assert highs_calls == [0, 2]
+        assert sol.status == "infeasible"
+
+    def test_line_rounds_run_on_the_relaxation(self, highs_calls):
+        class OneLine(NoLines):
+            def add_overloaded_lines(self, sol, ptdf):
+                if "line" in [c[0] for c in self.model._constrs]:
+                    return 0
+                self.model.add_constr("line", [(p_a, 1.0)], hi=60.0)
+                return 1
+
+        m, p_a = two_units(load=100.0)
+        sol = ucbase.solve_lazy(OneLine(m), None, GAP)
+        # two relaxations, then one MIP over the fractional binaries
+        assert highs_calls[:2] == [0, 0] and 0 < highs_calls[2] <= 2
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(cold_objective(m, 1e-9))
+
+
 # ------------------------------------------------- rolled bottleneck days
 
 def cold_objective(model, gap):
@@ -153,7 +229,8 @@ def cold_objective(model, gap):
 
 @pytest.fixture()
 def resolves(monkeypatch):
-    """Each re-solve of ``solve_lazy``, checked on the model as it was solved.
+    """Each ``solve`` that ``solve_lazy`` hands a previous solution (its
+    relaxation or the round before), checked on the model as it was solved.
 
     Records (certified, check report, objective, cold objective, gap).
     """
@@ -210,3 +287,91 @@ def test_every_resolve_of_a_validation_day_holds(bottleneck, resolves):
         run_rtuc_validation(system, ptdf, awards, da, scn, i, PROXY)
     assert resolves, "the proxy awards overload no line in these days"
     assert_resolves_hold(resolves)
+
+
+# ------------------------------------------- every solve_lazy result, checked
+
+@pytest.fixture()
+def lazy_results(monkeypatch):
+    """Each market solve's result, checked on its final model as it returns.
+
+    Records (message, check report, objective, cold objective, gap).
+    """
+    records = []
+
+    def checked(builder, ptdf, options=None, more_rows=None):
+        sol = ucbase.solve_lazy(builder, ptdf, options, more_rows)
+        assert sol.status == "optimal", sol.message
+        records.append((sol.message, check_solution(builder.model, sol), sol.objective,
+                        cold_objective(builder.model, 1e-9),
+                        (options or SolveOptions()).mip_rel_gap))
+        return sol
+
+    monkeypatch.setattr(fmm, "solve_lazy", checked)
+    monkeypatch.setattr(dayahead, "solve_lazy", checked)
+    return records
+
+
+def assert_results_hold(records, count):
+    assert len(records) == count
+    assert_resolves_hold(records)
+
+
+@pytest.mark.parametrize("gap", [1e-4, 1e-3])
+@pytest.mark.parametrize("policy", ["proxy", "datadriven"])
+def test_every_result_of_a_clearing_day_holds(bottleneck, lazy_results, policy, gap):
+    system, ptdf, profile = bottleneck
+    ucfg = UncertaintyConfig(seed=3)
+    env = proxy_envelopes(profile, ucfg, system.solar_units)
+    da, _, _ = run_da(system, ptdf, profile)
+    kw = {}
+    if policy == "datadriven":
+        kw = dict(factors=zero_factors(system, 2),
+                  deployment=select_deployment_scenarios(system, profile, ucfg, 2))
+    lazy_results.clear()
+    run_fmm_day(system, ptdf, profile, env, da, policy,
+                options=SolveOptions(mip_rel_gap=gap), **kw)
+    assert_results_hold(lazy_results, 24)
+
+
+def test_every_result_of_a_training_day_holds(bottleneck, lazy_results):
+    system, ptdf, profile = bottleneck
+    ucfg = UncertaintyConfig(seed=3)
+    da, _, _ = run_da(system, ptdf, profile)
+    scenario = sample_scenarios(system, profile, ucfg, 1, TRAINING)[0]
+    lazy_results.clear()
+    run_training_day(system, ptdf, scenario, da)
+    assert_results_hold(lazy_results, 24)
+
+
+def test_every_result_of_a_validation_day_holds(bottleneck, lazy_results):
+    system, ptdf, profile = bottleneck
+    ucfg = UncertaintyConfig(seed=3)
+    env = proxy_envelopes(profile, ucfg, system.solar_units)
+    da, _, _ = run_da(system, ptdf, profile)
+    awards = run_fmm_day(system, ptdf, profile, env, da, "proxy").awards
+    scenario = sample_scenarios(system, profile, ucfg, 1, OUT_OF_SAMPLE)[0]
+    lazy_results.clear()
+    run_rtuc_validation(system, ptdf, awards, da, scenario, 0, PROXY)
+    assert_results_hold(lazy_results, 24)
+
+
+INPUTS_118 = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "ieee118_inputs.npz"
+
+
+def test_a_118_bus_training_hour_holds(data_dir, system118, lazy_results):
+    """The first hour of a 118-bus training day, on the benchmark's stored
+    day-ahead schedule."""
+    ptdf = compute_ptdf(system118)
+    profile = load_profiles(data_dir / "profiles" / "day1", system118.solar_units)
+    data = np.load(INPUTS_118)
+    ids = [int(g) for g in data["gen_ids"]]
+    assert ids == [g.id for g in system118.generators]
+    da = DaCommitments(u_hourly=dict(zip(ids, data["da_u"])),
+                       dispatch_hourly=dict(zip(ids, data["da_p"])),
+                       objective=float(data["da_objective"]))
+    scenario = sample_scenarios(system118, profile, UncertaintyConfig(seed=7), 1,
+                                TRAINING)[0]
+    run_training_day(system118, ptdf, scenario, da, options=SolveOptions(mip_rel_gap=1e-3),
+                     n_intervals=4)
+    assert_results_hold(lazy_results, 1)

@@ -5,9 +5,10 @@ import pytest
 
 from frpsim.learner import (DispatchTrajectory, Mlp, RegressionModel, TrainConfig,
                             TrainingDataset, build_targets, feature_dim,
-                            feature_matrix, gradient_check, load_models,
-                            predict_factors, save_models, train)
+                            feature_matrix, load_models, predict_factors, save_models,
+                            train)
 from frpsim.scenarios import DEPLOYMENT, Scenario
+from oracles import gradient_check
 from util import bottleneck_system, make_gen, single_bus_system
 
 

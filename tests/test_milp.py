@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from frpsim.milp import (BINARY, CONTINUOUS, MilpModel, MilpSolution, ModelError,
-                         SolveOptions, brute_force_uc, check_solution, solve)
+                         SolveOptions, check_solution, solve)
 from frpsim.ucbase import UcModelBuilder, cold_start_state
+from oracles import brute_force_uc
 from util import make_gen, single_bus_system
 
 EXACT = SolveOptions(mip_rel_gap=1e-9)

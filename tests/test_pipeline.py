@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import pickle
 import shutil
@@ -70,6 +71,34 @@ class TestConfig:
         with pytest.raises(ValueError, match="n_training"):
             ExperimentConfig(system_file="x", profile_dir="y", output_dir="z",
                              n_training=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("voll", math.nan), ("voll", 0.0), ("voll", -1.0),
+        ("sigma_hourly_frac", -0.01), ("sigma_hourly_frac", math.inf),
+        ("confidence_z", 0.0), ("truncation_sigmas", -1.0),
+        ("mip_rel_gap", -1.0), ("mip_rel_gap", 1.0), ("mip_rel_gap", math.nan),
+        ("time_limit", 0.0), ("time_limit", -5.0), ("time_limit", math.inf),
+        ("nn_learning_rate", 0.0), ("nn_epochs", 0), ("nn_batch_size", 0),
+        ("response_threshold", -0.1), ("response_threshold", 1.5),
+        ("n_training", math.nan)])
+    def test_rejects_bad_numbers(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            ExperimentConfig(system_file="x", profile_dir="y", output_dir="z",
+                             **{field: value})
+
+    def test_rejects_nan_from_json(self, tmp_path):
+        # json.load parses a bare NaN
+        path = tmp_path / "cfg.json"
+        path.write_text('{"system_file": "x", "profile_dir": "y", "output_dir": "z", '
+                        '"voll": NaN}')
+        with pytest.raises(ValueError, match="^voll must be finite"):
+            ExperimentConfig.from_json(path)
+
+    def test_accepts_edge_values(self):
+        cfg = ExperimentConfig(system_file="x", profile_dir="y", output_dir="z",
+                               sigma_hourly_frac=0.0, mip_rel_gap=0.0, time_limit=None,
+                               response_threshold=1.0, nn_epochs=1, nn_batch_size=1)
+        assert cfg.mip_rel_gap == 0.0 and cfg.response_threshold == 1.0
 
     def test_rejects_single_deployment_scenario(self):
         # the clear stage places deployment scenarios in symmetric pairs

@@ -89,6 +89,17 @@ class TestLoadProfiles:
         with pytest.raises(ProfileError, match="exceeds capacity"):
             load_profiles(d, units)
 
+    def test_hourly_solar_capacity_violation(self, tmp_path):
+        # the day-ahead reads hourly.csv: its solar must fit the units too
+        d = write_profile_dir(tmp_path, np.full(96, 1000.0), np.full(96, 20.0))
+        rows = (d / "hourly.csv").read_text().splitlines()
+        rows[3] = "2,1000.0,100.0"                 # hour 2, after the header
+        (d / "hourly.csv").write_text("\n".join(rows) + "\n")
+        units = (SolarUnit(7, 0, 50.0, 1.0),)
+        with pytest.raises(ProfileError, match=r"solar unit 7 .* exceeds capacity "
+                                               r"50\.000 MW at hour 2$"):
+            load_profiles(d, units)
+
 
 class TestSampleScenarios:
     def setup_method(self):
