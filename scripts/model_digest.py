@@ -19,10 +19,10 @@ digests, so a refactor of the model layer can be checked with
 
     PYTHONPATH=src python scripts/model_digest.py > after.txt
 
-run once on each tree and compared with ``diff``.  While it builds, every
-row handed to ``MilpModel.add_constr`` is checked: its columns must be
-Python ints and no column may appear twice.  The script exits non-zero if
-a row breaks that.
+run once on each tree and compared with ``diff``.  The models are read
+through ``MilpModel``'s public accessors, except for the constraint matrix,
+whose build refuses a row that lists a column twice.  Each model's build
+time goes to stderr.
 """
 
 from __future__ import annotations
@@ -63,44 +63,15 @@ def digest(model: milp.MilpModel) -> str:
         arrays = [a.indptr.astype(np.int64), a.indices.astype(np.int64), a.data, lo, hi]
     else:
         arrays = []
-    arrays += [model.objective_vector(), np.asarray(model._lb, dtype=float),
-               np.asarray(model._ub, dtype=float),
-               np.array([k == milp.BINARY for k in model._kinds], dtype=np.int8)]
+    lb, ub = model.col_bounds
+    arrays += [model.objective_vector(), lb, ub, model.integrality.astype(np.int8)]
     for arr in arrays:
         h.update(np.ascontiguousarray(arr).tobytes())
         h.update(b"|")
     h.update("\n".join(model.var_names).encode())
     h.update(b"|")
-    h.update("\n".join(c[0] for c in model._constrs).encode())
+    h.update("\n".join(model.constr_names).encode())
     return h.hexdigest()
-
-
-class RowCheck:
-    """Wraps ``MilpModel.add_constr`` and records rows with bad columns."""
-
-    def __init__(self):
-        self.rows = 0
-        self.bad: list[str] = []
-        self._orig = milp.MilpModel.add_constr
-
-    def __enter__(self):
-        orig = self._orig
-
-        def checked(model, name, terms, *a, **kw):
-            terms = list(terms)
-            cols = [c for c, _ in terms]
-            self.rows += 1
-            if not all(type(c) is int for c in cols):
-                self.bad.append(f"{name}: a column is not a Python int")
-            elif len(set(cols)) != len(cols):
-                self.bad.append(f"{name}: duplicate column")
-            return orig(model, name, terms, *a, **kw)
-
-        milp.MilpModel.add_constr = checked
-        return self
-
-    def __exit__(self, *exc):
-        milp.MilpModel.add_constr = self._orig
 
 
 def load_inputs(system):
@@ -146,21 +117,21 @@ def main() -> int:
         builds[f"validation@{hour}"] = lambda h=hour: build_rtuc_hour(
             system, ptdf, awards, da, oos, horizon(h))
 
-    with RowCheck() as check:
-        for name, build in builds.items():
-            print(f"{name:24s} {digest(build().model)}", flush=True)
-        handle = build_fmm_datadriven(system, ptdf, profile, envelope, da,
-                                      horizon(CUT_HOUR), factors, deployment, cfg)
+    for name, build in builds.items():
         t0 = time.perf_counter()
-        _, cuts = solve_with_cuts(handle, OPTIONS)
-        name = f"datadriven@{CUT_HOUR}+cuts"
-        print(f"{name:24s} {digest(handle.model)}", flush=True)
+        model = build().model
+        ms = 1e3 * (time.perf_counter() - t0)
+        print(f"{name:24s} {digest(model)}", flush=True)
+        print(f"# {name}: built in {ms:.1f} ms", file=sys.stderr)
+    handle = build_fmm_datadriven(system, ptdf, profile, envelope, da,
+                                  horizon(CUT_HOUR), factors, deployment, cfg)
+    t0 = time.perf_counter()
+    _, cuts = solve_with_cuts(handle, OPTIONS)
+    name = f"datadriven@{CUT_HOUR}+cuts"
+    print(f"{name:24s} {digest(handle.model)}", flush=True)
     print(f"# cut loop: {len(cuts)} cuts, {len(handle.builder.lines)} line(s), "
-          f"{time.perf_counter() - t0:.1f} s; {check.rows} rows checked", file=sys.stderr)
-    for problem in check.bad[:20]:
-        print(f"# bad row: {problem}", file=sys.stderr)
-    return 1 if check.bad else 0
-
+          f"{time.perf_counter() - t0:.1f} s", file=sys.stderr)
+    return 0
 
 if __name__ == "__main__":
     sys.exit(main())

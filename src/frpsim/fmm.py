@@ -29,7 +29,7 @@ import numpy as np
 
 from .dayahead import DaCommitments, initial_state_from_da
 from .learner import DispatchTrajectory, RampResponseFactors
-from .milp import CONTINUOUS, MilpModel, MilpSolution, SolveOptions
+from .milp import Cols, MilpModel, MilpSolution, Rows, SolveOptions
 from .milp import solve  # noqa: F401  (fmm.solve stays the one milp.solve)
 from .network import PowerSystem, PtdfMatrix, nodal_injections
 from .scenarios import (DEPLOYMENT, HOURS_PER_DAY, INTERVALS_PER_DAY, ForecastProfile,
@@ -205,74 +205,44 @@ def _base_builder(system: PowerSystem, load: np.ndarray, solar: np.ndarray,
 
 def _add_frp_block(handle: FmmHandle) -> None:
     """Award variables, commitment-aware award limits, and requirement rows."""
-    m = handle.model
-    builder = handle.builder
-    system = handle.system
-    cfg = handle.cfg
-    length = handle.horizon.length
-    req = handle.requirements
-    penalty = cfg.voll * INTERVAL_HOURS
-    handle.ur = np.zeros((len(system.generators), length - 1), dtype=np.int64)
-    handle.dr = np.zeros_like(handle.ur)
-    for i, gen in enumerate(system.generators):
-        us, vs, ws, ps = (a[i].tolist() for a in (builder.u, builder.v, builder.w, builder.p))
-        for t in range(length - 1):
-            uri = m.add_var(f"ur[g{gen.id},t{t}]", CONTINUOUS, 0.0, math.inf)
-            dri = m.add_var(f"dr[g{gen.id},t{t}]", CONTINUOUS, 0.0, math.inf)
-            handle.ur[i, t] = uri
-            handle.dr[i, t] = dri
-            m.add_to_objective(uri, gen.frp_up_cost)
-            m.add_to_objective(dri, gen.frp_down_cost)
-            u_t, u_n, v_n, w_n = us[t], us[t + 1], vs[t + 1], ws[t + 1]
-            p_t, p_n = ps[t], ps[t + 1]
-            # headroom: energy plus upward award within capacity (or startup)
-            m.add_constr(
-                f"cap_ur[g{gen.id},t{t}]",
-                [(p_t, 1.0), (uri, 1.0), (u_t, -gen.p_max), (v_n, -gen.p_max)],
-                hi=0.0,
-            )
-            # footroom: energy minus downward award above minimum (or shutdown)
-            m.add_constr(
-                f"floor_dr[g{gen.id},t{t}]",
-                [(p_t, 1.0), (dri, -1.0), (u_t, -gen.p_min), (w_n, gen.ramp_sd)],
-                lo=0.0,
-            )
-            # awards within ramping capability given commitment transitions
-            m.add_constr(
-                f"ur_ramp[g{gen.id},t{t}]",
-                [(uri, 1.0), (u_t, -gen.ramp_15), (v_n, -gen.ramp_su)], hi=0.0,
-            )
-            m.add_constr(
-                f"dr_ramp[g{gen.id},t{t}]",
-                [(dri, 1.0), (u_n, -gen.ramp_15), (w_n, -gen.ramp_sd)], hi=0.0,
-            )
-            # no upward award unless on next interval; no downward unless on now
-            m.add_constr(
-                f"ur_next_on[g{gen.id},t{t}]", [(uri, 1.0), (u_n, -gen.p_max)], hi=0.0,
-            )
-            m.add_constr(
-                f"dr_on[g{gen.id},t{t}]", [(dri, 1.0), (u_t, -gen.p_max)], hi=0.0,
-            )
-            # scheduled dispatch moves must stay within the awards
-            m.add_constr(
-                f"disp_in_ur[g{gen.id},t{t}]",
-                [(p_n, 1.0), (p_t, -1.0), (uri, -1.0)], hi=0.0,
-            )
-            m.add_constr(
-                f"disp_in_dr[g{gen.id},t{t}]",
-                [(p_t, 1.0), (p_n, -1.0), (dri, -1.0)], hi=0.0,
-            )
-    for t in range(length - 1):
-        short_up = m.add_var(f"fr_up_short[t{t}]", CONTINUOUS, 0.0, math.inf)
-        short_dn = m.add_var(f"fr_dn_short[t{t}]", CONTINUOUS, 0.0, math.inf)
-        m.add_to_objective(short_up, penalty)
-        m.add_to_objective(short_dn, penalty)
-        terms = [(c, 1.0) for c in handle.ur[:, t].tolist()]
-        terms.append((short_up, 1.0))
-        m.add_constr(f"fr_up_req[t{t}]", terms, lo=float(req.fr_up[t]))
-        terms = [(c, 1.0) for c in handle.dr[:, t].tolist()]
-        terms.append((short_dn, 1.0))
-        m.add_constr(f"fr_dn_req[t{t}]", terms, lo=float(req.fr_down[t]))
+    b, req = handle.builder, handle.requirements
+    ids, n = b.gen_values("id", int), handle.horizon.length - 1
+    g, t = np.arange(len(ids))[:, None], np.arange(n)
+    penalty = handle.cfg.voll * INTERVAL_HOURS
+    ur, dr, short_up, short_dn = handle.model.add_vars([
+        Cols("ur[g{},t{}]", (0, g, t, 0), (ids, t), ub=math.inf,
+             cost=b.gen_values("frp_up_cost")),
+        Cols("dr[g{},t{}]", (0, g, t, 1), (ids, t), ub=math.inf,
+             cost=b.gen_values("frp_down_cost")),
+        Cols("fr_up_short[t{}]", (1, t, 0, 0), (t,), ub=math.inf, cost=penalty),
+        Cols("fr_dn_short[t{}]", (1, t, 1, 0), (t,), ub=math.inf, cost=penalty)])
+    handle.ur, handle.dr = ur, dr
+    u_t, u_n, v_n, w_n = b.u[:, :-1], b.u[:, 1:], b.v[:, 1:], b.w[:, 1:]
+    p_t, p_n = b.p[:, :-1], b.p[:, 1:]
+    p_max, p_min, ramp_15, ramp_su, ramp_sd = (
+        b.gen_values(a) for a in ("p_max", "p_min", "ramp_15", "ramp_su", "ramp_sd"))
+    rows = [Rows(f"{name}[g{{}},t{{}}]", (0, g, t, f), (ids, t), terms, lo=lo, hi=hi)
+            for f, (name, terms, lo, hi) in enumerate([
+                # headroom: energy plus upward award within capacity (or startup)
+                ("cap_ur", [(p_t, 1.0), (ur, 1.0), (u_t, -p_max), (v_n, -p_max)],
+                 -math.inf, 0.0),
+                # footroom: energy minus downward award above minimum (or shutdown)
+                ("floor_dr", [(p_t, 1.0), (dr, -1.0), (u_t, -p_min), (w_n, ramp_sd)],
+                 0.0, math.inf),
+                # awards within ramping capability given commitment transitions
+                ("ur_ramp", [(ur, 1.0), (u_t, -ramp_15), (v_n, -ramp_su)], -math.inf, 0.0),
+                ("dr_ramp", [(dr, 1.0), (u_n, -ramp_15), (w_n, -ramp_sd)], -math.inf, 0.0),
+                # no upward award unless on next interval; no downward unless on now
+                ("ur_next_on", [(ur, 1.0), (u_n, -p_max)], -math.inf, 0.0),
+                ("dr_on", [(dr, 1.0), (u_t, -p_max)], -math.inf, 0.0),
+                # scheduled dispatch moves must stay within the awards
+                ("disp_in_ur", [(p_n, 1.0), (p_t, -1.0), (ur, -1.0)], -math.inf, 0.0),
+                ("disp_in_dr", [(p_t, 1.0), (p_n, -1.0), (dr, -1.0)], -math.inf, 0.0)])]
+    rows += [Rows("fr_up_req[t{}]", (1, t, 0, 0), (t,), [(ur.T, 1.0), (short_up, 1.0)],
+                  lo=req.fr_up),
+             Rows("fr_dn_req[t{}]", (1, t, 1, 0), (t,), [(dr.T, 1.0), (short_dn, 1.0)],
+                  lo=req.fr_down)]
+    handle.model.add_rows(rows)
 
 
 def build_fmm_proxy(system: PowerSystem, ptdf: PtdfMatrix, profile: ForecastProfile,
@@ -326,40 +296,31 @@ def build_fmm_datadriven(system: PowerSystem, ptdf: PtdfMatrix,
     for i, gen in enumerate(system.generators):
         if gen.id in factors.values:
             factor[i] = window(factors.values[gen.id].T, start, length - 1)[:n_dep].T
-    factor = factor.tolist()
     on = window(da.interval_schedule(system), start, length) == 1
-    on_both = (on[:, :-1] & on[:, 1:]).tolist()   # committed at both ends of move t
-
-    for s in range(n_dep):
-        for t in range(length - 1):
-            move = handle.dnl[t, s]
-            sign = float(np.sign(move))
-            if sign == 0.0:
-                continue
-            tag, name, awards = (("up", "ura", handle.ur) if sign > 0
-                                 else ("dn", "dra", handle.dr))
-            awards = awards[:, t].tolist()
-            cover_terms = []
-            for i, gen in enumerate(system.generators):
-                ai = m.add_var(f"{name}[g{gen.id},t{t},s{s}]", CONTINUOUS, 0.0, math.inf)
-                handle.aux[i, t, s] = ai
-                m.add_constr(
-                    f"aux_le_award_{tag}[g{gen.id},t{t},s{s}]",
-                    [(ai, 1.0), (awards[i], -1.0)], hi=0.0,
-                )
-                cover_terms.append((ai, 1.0))
-                if gen.is_fast_start:
-                    continue
-                z = sign * factor[i][t][s]
-                if z > cfg.response_threshold and on_both[i][t]:
-                    m.add_constr(
-                        f"aux_qual_{tag}[g{gen.id},t{t},s{s}]",
-                        [(ai, 1.0)], lo=z * gen.ramp_15,
-                    )
-            short = m.add_var(f"cover_{tag}_short[t{t},s{s}]", CONTINUOUS, 0.0, math.inf)
-            m.add_to_objective(short, penalty)
-            cover_terms.append((short, 1.0))
-            m.add_constr(f"cover_{tag}[t{t},s{s}]", cover_terms, lo=abs(move))
+    on_both = on[:, :-1] & on[:, 1:]   # committed at both ends of move t
+    # every directed move (t, s), by scenario; S, T and TAG broadcast against units
+    s, t = np.nonzero(handle.dnl.T)
+    sign = np.sign(handle.dnl[t, s])
+    tag = np.where(sign > 0, "up", "dn")
+    S, T, TAG = s[:, None], t[:, None], tag[:, None]
+    ids, g = handle.builder.gen_values("id", int)[:, 0], np.arange(len(system.generators))
+    aux, short = m.add_vars([
+        Cols("{}[g{},t{},s{}]", (S, T, 0, g), (np.where(TAG == "up", "ura", "dra"), ids, T, S),
+             ub=math.inf),
+        Cols("cover_{}_short[t{},s{}]", (s, t, 1, 0), (tag, t, s), ub=math.inf, cost=penalty)])
+    handle.aux[:, t, s] = aux.T
+    awards = np.where(TAG == "up", handle.ur[:, t].T, handle.dr[:, t].T)
+    z = sign[:, None] * factor[:, t, s].T
+    slow = ~np.array([gen.is_fast_start for gen in system.generators])
+    qm, qg = np.nonzero(slow & (z > cfg.response_threshold) & on_both[:, t].T)
+    m.add_rows([
+        Rows("aux_le_award_{}[g{},t{},s{}]", (S, T, 0, g, 0), (TAG, ids, T, S),
+             [(aux, 1.0), (awards, -1.0)], hi=0.0),
+        Rows("aux_qual_{}[g{},t{},s{}]", (s[qm], t[qm], 0, qg, 1),
+             (tag[qm], ids[qg], t[qm], s[qm]), [(aux[qm, qg], 1.0)],
+             lo=z[qm, qg] * handle.builder.gen_values("ramp_15")[qg, 0]),
+        Rows("cover_{}[t{},s{}]", (s, t, 1, 0, 0), (tag, t, s), [(aux, 1.0), (short, 1.0)],
+             lo=np.abs(handle.dnl[t, s]))])
 
     # constant flow shifts per (line, move, scenario): solar and load deltas
     n = length - 1

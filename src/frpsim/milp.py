@@ -9,6 +9,7 @@ binary arithmetically.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -28,7 +29,8 @@ _STATUS = {0: "optimal", 1: "limit", 2: "infeasible", 3: "unbounded", 4: "error"
 
 
 class ModelError(ValueError):
-    """Raised for malformed models: duplicate names, unknown variables, empty ranges."""
+    """Raised for malformed models: duplicate names, unknown variables, empty
+    ranges, a column repeated in a row."""
 
 
 @dataclass
@@ -39,96 +41,236 @@ class SolveOptions:
     time_limit: float | None = None
 
 
+@dataclass(frozen=True)
+class Cols:
+    """A family of columns for ``MilpModel.add_vars``.
+
+    ``template.format(*index)`` names each column.  ``key``, a tuple of
+    integer arrays or scalars, and ``index`` broadcast to the family's
+    shape, as do ``lb``, ``ub`` and ``cost``.  A block holds its families'
+    entries in the lexicographic order of their keys.
+    """
+
+    template: str
+    key: tuple
+    index: tuple = ()
+    binary: bool = False
+    lb: object = 0.0
+    ub: object = math.inf
+    cost: object = 0.0
+
+
+@dataclass(frozen=True)
+class Rows:
+    """A family of rows ``lo <= sum(coefs * x[cols]) <= hi`` for
+    ``MilpModel.add_rows``, named, shaped and ordered like ``Cols``.
+
+    Each term is ``(cols, coefs)`` or ``(cols, coefs, present)``.  ``cols``
+    has the family's shape, or broadcasts to it, optionally with a trailing
+    axis of terms; ``coefs`` and the mask ``present`` broadcast to ``cols``.
+    """
+
+    template: str
+    key: tuple
+    index: tuple = ()
+    terms: tuple = ()
+    lo: object = -math.inf
+    hi: object = math.inf
+
+
+def _flat(a, shape, dtype=np.float64) -> np.ndarray:
+    """``a`` broadcast to ``shape``, flattened."""
+    out = np.empty(shape, dtype=dtype)
+    out[...] = a
+    return out.ravel()
+
+
+def _layout(families) -> tuple[list[tuple[int, ...]], list[np.ndarray], list]:
+    """Each family's shape, the block position of each of its entries and
+    the block's names: (template, positions, shape, index) per family."""
+    shapes = [np.broadcast_shapes(*map(np.shape, tuple(f.key) + tuple(f.index)))
+              for f in families]
+    keys = [np.concatenate([_flat(f.key[j], s, np.int64) for f, s in zip(families, shapes)])
+            for j in range(len(families[0].key))]
+    pos = np.empty(len(keys[0]), dtype=np.int64)
+    pos[np.lexsort(keys[::-1])] = np.arange(len(pos))
+    pos = np.split(pos, np.cumsum([math.prod(s) for s in shapes])[:-1])
+    return shapes, pos, [(f.template, p, s, tuple(f.index))
+                         for f, s, p in zip(families, shapes, pos)]
+
+
+def _format(names: list, n: int) -> list[str]:
+    """The ``n`` names of a block from its (template, positions, shape, index)."""
+    out = [""] * n
+    for template, pos, shape, index in names:
+        formatted = (map(template.format, *(np.broadcast_to(a, shape).ravel().tolist()
+                                            for a in index))
+                     if index else itertools.repeat(template))
+        for p, name in zip(pos.tolist(), formatted):
+            out[p] = name
+    return out
+
+
 class MilpModel:
     """Declarative MILP: named variables, named ranged rows, min objective.
 
     Every row is ``lo <= a.x <= hi``: an equality has ``lo == hi`` and a
-    one-sided row leaves the other bound infinite.
+    one-sided row leaves the other bound infinite.  Columns and rows are
+    stored as arrays, one block per ``add_vars``/``add_rows`` call.  Names
+    are formatted from each block's templates only when read
+    (``var_names``, ``constr_names``, ``var_index``, ``check_solution``'s
+    report or a ``ModelError``); a duplicate name raises ``ModelError``
+    then.
     """
 
     def __init__(self):
-        self._var_names: list[str] = []
-        self._var_index: dict[str, int] = {}
-        self._kinds: list[str] = []
-        self._lb: list[float] = []
-        self._ub: list[float] = []
-        self._obj: dict[int, float] = {}
-        # each constraint: (name, index array, coefficient array, lo, hi)
-        self._constrs: list[tuple[str, np.ndarray, np.ndarray, float, float]] = []
-        self._constr_index: dict[str, int] = {}
+        self._lb, self._ub, self._cost = np.empty(0), np.empty(0), np.empty(0)
+        self._binary = np.empty(0, dtype=bool)
+        self._obj_terms: list[tuple[int, float]] = []   # from add_to_objective
+        # per block of rows: (row, column, coefficient) entries, lo, hi
+        self._rows = [(np.empty(0, dtype=np.int64),) * 2 + (np.empty(0),) * 3]
+        self._n_rows = 0
+        # per kind, per block: (size, [(template, positions, shape, index)])
+        self._names: dict[str, list] = {"variable": [], "constraint": []}
+        self._name_cache: dict[str, tuple[int, list[str], dict[str, int]]] = {}
+        self._one_row_names: set[tuple[str, str]] = set()   # add_var's, add_constr's
         self._matrix_cache: tuple[tuple[int, int], sp.csr_matrix, np.ndarray,
                                   np.ndarray] | None = None
 
     # ------------------------------------------------------------------ build
     @property
     def n_vars(self) -> int:
-        return len(self._var_names)
+        return len(self._lb)
 
     @property
     def n_constrs(self) -> int:
-        return len(self._constrs)
+        return self._n_rows
 
     @property
     def var_names(self) -> list[str]:
-        return list(self._var_names)
+        return list(self._all_names("variable")[0])
+
+    @property
+    def constr_names(self) -> list[str]:
+        return list(self._all_names("constraint")[0])
+
+    @property
+    def integrality(self) -> np.ndarray:
+        """1 for a binary column, 0 for a continuous one."""
+        return self._binary.astype(np.int64)
+
+    @property
+    def col_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._lb.copy(), self._ub.copy()
+
+    def _all_names(self, kind: str) -> tuple[list[str], dict[str, int]]:
+        """Every name of ``kind`` in order, and each name's position."""
+        n = self.n_vars if kind == "variable" else self.n_constrs
+        cached = self._name_cache.get(kind)
+        if cached is None or cached[0] != n:
+            names = [name for size, block in self._names[kind]
+                     for name in _format(block, size)]
+            index: dict[str, int] = {}
+            for i, name in enumerate(names):
+                if index.setdefault(name, i) != i:
+                    raise ModelError(f"duplicate {kind} name {name!r}")
+            cached = self._name_cache[kind] = (n, names, index)
+        return cached[1], cached[2]
+
+    def add_vars(self, families: list[Cols]) -> list[np.ndarray]:
+        """Append one block of columns; return each family's columns in its shape."""
+        shapes, pos, names = _layout(families)
+        n = sum(map(len, pos))
+        lb, ub, cost, binary = np.empty(n), np.empty(n), np.empty(n), np.empty(n, dtype=bool)
+        for f, s, p in zip(families, shapes, pos):
+            lb[p], ub[p], cost[p] = _flat(f.lb, s), _flat(f.ub, s), _flat(f.cost, s)
+            binary[p] = f.binary
+        lb = np.where(binary, np.maximum(lb, 0.0), lb)
+        ub = np.where(binary, np.minimum(ub, 1.0), ub)
+        bad = np.flatnonzero(lb > ub)
+        if len(bad):
+            i = bad[0]
+            raise ModelError(f"variable {_format(names, n)[i]!r} has empty bound range "
+                             f"[{lb[i]}, {ub[i]}]")
+        start = self.n_vars
+        self._lb, self._ub = np.concatenate([self._lb, lb]), np.concatenate([self._ub, ub])
+        # + 0.0 turns a -0.0 cost into +0.0
+        self._cost = np.concatenate([self._cost, cost + 0.0])
+        self._binary = np.concatenate([self._binary, binary])
+        self._names["variable"].append((n, names))
+        return [start + p.reshape(s) for s, p in zip(shapes, pos)]
+
+    def add_rows(self, families: list[Rows]) -> None:
+        """Append one block of rows."""
+        shapes, pos, names = _layout(families)
+        n = sum(map(len, pos))
+        if not n:
+            return
+        lo, hi = np.empty(n), np.empty(n)
+        entries: list[tuple[np.ndarray, ...]] = [(np.empty(0, dtype=np.int64),) * 2
+                                                 + (np.empty(0),)]
+        for f, s, p in zip(families, shapes, pos):
+            lo[p], hi[p] = _flat(f.lo, s), _flat(f.hi, s)
+            for cols, coefs, *present in f.terms:
+                full = s + np.shape(cols)[len(s):]   # with a trailing axis of terms
+                entries.append((np.repeat(p, math.prod(full[len(s):])),
+                                _flat(cols, full, np.int64), _flat(coefs, full)))
+                if present:
+                    keep = _flat(present[0], full, bool)
+                    entries[-1] = tuple(a[keep] for a in entries[-1])
+        bad = np.flatnonzero(~(lo <= hi) | (np.isinf(lo) & np.isinf(hi)))
+        if len(bad):
+            i = bad[0]
+            what = (f"has empty range [{lo[i]}, {hi[i]}]" if not lo[i] <= hi[i]
+                    else "has no finite bound")
+            raise ModelError(f"constraint {_format(names, n)[i]!r} {what}")
+        rows, cols, coefs = (np.concatenate(a) for a in zip(*entries))
+        # + 0.0 turns a -0.0 coefficient into +0.0
+        self._rows.append((self._n_rows + rows, cols, coefs + 0.0, lo, hi))
+        self._n_rows += n
+        self._names["constraint"].append((n, names))
+        self._matrix_cache = None
 
     def add_var(self, name: str, kind: str = CONTINUOUS, lb: float = 0.0,
                 ub: float = math.inf) -> int:
-        if name in self._var_index:
+        if ("variable", name) in self._one_row_names:
             raise ModelError(f"duplicate variable name {name!r}")
         if kind not in (CONTINUOUS, BINARY):
             raise ModelError(f"unknown variable kind {kind!r}")
-        if kind == BINARY:
-            lb, ub = max(lb, 0.0), min(ub, 1.0)
-        if lb > ub:
-            raise ModelError(f"variable {name!r} has empty bound range [{lb}, {ub}]")
-        idx = len(self._var_names)
-        self._var_names.append(name)
-        self._var_index[name] = idx
-        self._kinds.append(kind)
-        self._lb.append(float(lb))
-        self._ub.append(float(ub))
-        return idx
+        col = int(self.add_vars([Cols(name, (0,), binary=kind == BINARY, lb=lb, ub=ub)])[0])
+        self._one_row_names.add(("variable", name))
+        return col
 
     def var_index(self, name: str) -> int:
         """Column of the variable called ``name``."""
         try:
-            return self._var_index[name]
+            return self._all_names("variable")[1][name]
         except KeyError:
             raise ModelError(f"unknown variable {name!r}") from None
 
     def add_to_objective(self, var: int, coef: float) -> None:
-        self._obj[var] = self._obj.get(var, 0.0) + float(coef)
+        self._obj_terms.append((var, float(coef)))
 
     def add_constr(self, name: str, terms, lo: float = -math.inf,
                    hi: float = math.inf) -> None:
         """Add the row ``lo <= sum(coef * var for var, coef in terms) <= hi``.
 
-        ``terms`` is a sequence of (column, coefficient) pairs with distinct
-        columns, stored as given; the columns are checked when the matrix is
-        built.
+        ``terms`` is a sequence of (column, coefficient) pairs, stored as
+        given; the columns are checked when the matrix is built.
         """
-        if name in self._constr_index:
+        if ("constraint", name) in self._one_row_names:
             raise ModelError(f"duplicate constraint name {name!r}")
-        lo, hi = float(lo), float(hi)
-        if not lo <= hi:
-            raise ModelError(f"constraint {name!r} has empty range [{lo}, {hi}]")
-        if math.isinf(lo) and math.isinf(hi):
-            raise ModelError(f"constraint {name!r} has no finite bound")
         cols, coefs = zip(*terms) if terms else ((), ())
-        idx = np.array(cols, dtype=np.int64)
-        # + 0.0 turns a -0.0 coefficient into +0.0
-        data = np.array(coefs, dtype=np.float64) + 0.0
-        self._constr_index[name] = len(self._constrs)
-        self._constrs.append((name, idx, data, lo, hi))
-        self._matrix_cache = None
+        self.add_rows([Rows(name, (0,), terms=[(cols, coefs)], lo=lo, hi=hi)])
+        self._one_row_names.add(("constraint", name))
 
     # -------------------------------------------------------------- validation
     def validate(self) -> None:
-        """Raise ModelError if a row references an undeclared variable.
+        """Raise ModelError if a row references an undeclared variable or
+        lists a column twice.
 
-        The check runs on the concatenated column indices while the matrix is
-        built, so on a model whose matrix is cached it costs nothing.
+        The checks run while the matrix is built, so on a model whose matrix
+        is cached they cost nothing.
         """
         self._matrix()
 
@@ -138,28 +280,28 @@ class MilpModel:
         size = (self.n_constrs, self.n_vars)
         if self._matrix_cache is not None and self._matrix_cache[0] == size:
             return self._matrix_cache[1:]
-        n = self.n_constrs
-        counts = np.fromiter((len(c[1]) for c in self._constrs), dtype=np.int64, count=n)
-        cols = np.concatenate([c[1] for c in self._constrs] + [np.empty(0, dtype=np.int64)])
+        if len(self._rows) > 1:
+            self._rows = [tuple(np.concatenate(a) for a in zip(*self._rows))]
+        rows, cols, data, lo, hi = self._rows[0]
         bad = self._undeclared(cols)
         if len(bad):
-            row = int(np.searchsorted(np.cumsum(counts), bad[0], side="right"))
-            raise ModelError(
-                f"constraint {self._constrs[row][0]!r} references undeclared variables")
-        data = np.concatenate([c[2] for c in self._constrs] + [np.empty(0)])
-        lo = np.fromiter((c[3] for c in self._constrs), dtype=np.float64, count=n)
-        hi = np.fromiter((c[4] for c in self._constrs), dtype=np.float64, count=n)
-        a = sp.csr_matrix((data, (np.repeat(np.arange(n, dtype=np.int64), counts), cols)),
-                          shape=size)
+            raise ModelError(f"constraint {self.constr_names[rows[bad[0]]]!r} "
+                             "references undeclared variables")
+        a = sp.csr_matrix((data, (rows, cols)), shape=size)
+        if a.nnz < len(data):
+            # the conversion summed a repeated column
+            row = np.flatnonzero(np.diff(a.indptr) < np.bincount(rows, minlength=size[0]))[0]
+            raise ModelError(f"constraint {self.constr_names[row]!r} lists a column twice")
         self._matrix_cache = (size, a, lo, hi)
         return a, lo, hi
 
     def objective_vector(self) -> np.ndarray:
-        cols = np.fromiter(self._obj.keys(), dtype=np.int64, count=len(self._obj))
-        if len(self._undeclared(cols)):
-            raise ModelError("objective references undeclared variables")
-        c = np.zeros(self.n_vars)
-        c[cols] = np.fromiter(self._obj.values(), dtype=np.float64, count=len(cols))
+        c = self._cost.copy()
+        if self._obj_terms:
+            cols, coefs = (np.array(a) for a in zip(*self._obj_terms))
+            if len(self._undeclared(cols)):
+                raise ModelError("objective references undeclared variables")
+            np.add.at(c, cols, coefs)
         return c
 
     def _undeclared(self, cols: np.ndarray) -> np.ndarray:
@@ -204,7 +346,6 @@ class ConstraintReport:
 def _problem(model: MilpModel, options: SolveOptions):
     """The model's arrays and the backend options, as ``_highs_milp`` takes them."""
     model.validate()
-    binary = np.array([k == BINARY for k in model._kinds], dtype=bool)
     constraints = None
     if model.n_constrs:
         a, lo, hi = model._matrix()
@@ -212,8 +353,7 @@ def _problem(model: MilpModel, options: SolveOptions):
     opts = {"mip_rel_gap": options.mip_rel_gap, "presolve": True}
     if options.time_limit is not None:
         opts["time_limit"] = options.time_limit
-    return (model.objective_vector(), constraints, binary, np.array(model._lb),
-            np.array(model._ub), opts)
+    return model.objective_vector(), constraints, model._binary, model._lb, model._ub, opts
 
 
 def _integral(values: np.ndarray) -> np.ndarray:
@@ -309,12 +449,16 @@ def check_solution(model: MilpModel, solution: MilpSolution,
     below = np.where(lo > -np.inf, lo - ax, 0.0)
     above = np.where(hi < np.inf, ax - hi, 0.0)
     viol = np.maximum(below, above)
-    out = [(model._constrs[i][0], float(viol[i])) for i in np.nonzero(viol > tol)[0]]
-    names = model._var_names
-    col_viol = np.maximum(np.array(model._lb) - x, x - np.array(model._ub))
-    out += [(f"bound:{names[i]}", float(col_viol[i]))
-            for i in np.nonzero(col_viol > tol)[0]]
-    binary = np.array([k == BINARY for k in model._kinds], dtype=bool)
-    frac = np.where(binary, np.minimum(np.abs(x), np.abs(x - 1.0)), 0.0)
-    out += [(f"binary:{names[i]}", float(frac[i])) for i in np.nonzero(frac > tol)[0]]
+    rows = np.flatnonzero(viol > tol)
+    out = []
+    if len(rows):
+        names = model.constr_names
+        out = [(names[i], float(viol[i])) for i in rows]
+    col_viol = np.maximum(model._lb - x, x - model._ub)
+    frac = np.where(model._binary, np.minimum(np.abs(x), np.abs(x - 1.0)), 0.0)
+    if (col_viol > tol).any() or (frac > tol).any():
+        names = model.var_names
+        out += [(f"bound:{names[i]}", float(col_viol[i]))
+                for i in np.flatnonzero(col_viol > tol)]
+        out += [(f"binary:{names[i]}", float(frac[i])) for i in np.flatnonzero(frac > tol)]
     return ConstraintReport(out)

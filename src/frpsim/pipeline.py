@@ -12,6 +12,7 @@ import csv
 import json
 import math
 import multiprocessing
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
@@ -51,6 +52,11 @@ class StageError(RuntimeError):
         return f"[{self.stage}] {self.message}"
 
 
+def _is_int(value) -> bool:
+    """An integer that is not a bool (JSON's ``true`` is one)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass
 class ExperimentConfig:
     system_file: str
@@ -78,6 +84,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.policy not in ("proxy", "datadriven", "both"):
             raise ValueError(f"unknown policy {self.policy!r}")
+        for name in ("seed", "n_training", "n_out_of_sample", "n_deployment", "nn_epochs",
+                     "nn_batch_size"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        self.nn_hidden = tuple(self.nn_hidden)
+        if not self.nn_hidden or not all(_is_int(n) and n >= 1 for n in self.nn_hidden):
+            raise ValueError(f"nn_hidden must be one or more integers >= 1, got {self.nn_hidden}")
         for name in ("n_training", "n_out_of_sample"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -102,7 +115,6 @@ class ExperimentConfig:
                 ("response_threshold", 0 <= self.response_threshold <= 1, "in [0, 1]")):
             if not ok:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
-        self.nn_hidden = tuple(self.nn_hidden)
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":

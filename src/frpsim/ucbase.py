@@ -16,12 +16,11 @@ loop.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .milp import BINARY, CONTINUOUS, MilpModel, MilpSolution, SolveOptions, relax, solve
+from .milp import Cols, MilpModel, MilpSolution, Rows, SolveOptions, relax, solve
 from .network import PowerSystem, PtdfMatrix
 
 LINE_COEF_EPS = 1e-10  # PTDF entries below this are dropped from line rows
@@ -74,7 +73,7 @@ class UcModelBuilder:
 
     Call order: ``add_commitment`` then ``add_dispatch`` then ``add_ramps``
     then ``add_network``.  Each variable family is one integer column array,
-    filled by the corresponding ``add_*`` call: ``u``, ``v``, ``w`` and ``p``
+    set by the corresponding ``add_*`` call: ``u``, ``v``, ``w`` and ``p``
     are (generators, intervals) with generators by position in
     ``system.generators``; ``pe`` is (generators, intervals, blocks), -1
     past a generator's last cost block; ``inj_cols`` is (buses, intervals);
@@ -90,16 +89,6 @@ class UcModelBuilder:
         self.init = init
         self.voll = voll
         self.model = MilpModel()
-        n_gens, T = len(system.generators), n_intervals
-        n_blocks = max((len(g.cost_blocks) for g in system.generators), default=0)
-        self.u = np.zeros((n_gens, T), dtype=np.int64)
-        self.v = np.zeros((n_gens, T), dtype=np.int64)
-        self.w = np.zeros((n_gens, T), dtype=np.int64)
-        self.p = np.zeros((n_gens, T), dtype=np.int64)
-        self.pe = np.full((n_gens, T, n_blocks), -1, dtype=np.int64)
-        self.inj_cols = np.zeros((len(system.buses), T), dtype=np.int64)
-        self.short = np.zeros(T, dtype=np.int64)
-        self.surp = np.zeros(T, dtype=np.int64)
         self._lines: set[int] = set()
 
     def inj(self, n: int, t: int) -> int:
@@ -112,6 +101,10 @@ class UcModelBuilder:
         return frozenset(self._lines)
 
     # ------------------------------------------------------------- commitment
+    def gen_values(self, attr: str, dtype=float) -> np.ndarray:
+        """(generators, 1): each generator's ``attr``."""
+        return np.array([[getattr(g, attr)] for g in self.system.generators], dtype=dtype)
+
     def add_commitment(self, lo: np.ndarray, hi: np.ndarray, min_updown: np.ndarray) -> None:
         """Commitment, startup and shutdown logic for every generator.
 
@@ -122,99 +115,87 @@ class UcModelBuilder:
         for the generators where the (generators,) mask ``min_updown`` is
         true; the others carry their bounds as given.
         """
-        m = self.model
-        T = self.n_intervals
-        lo, hi = np.asarray(lo, dtype=float).tolist(), np.asarray(hi, dtype=float).tolist()
-        committed, up_time, down_time = (a.tolist() for a in (
-            self.init.committed, self.init.up_time, self.init.down_time))
-        for i, gen in enumerate(self.system.generators):
-            u0 = 1 if committed[i] else 0
-            force_on = force_off = 0
-            if min_updown[i]:
-                if committed[i] and up_time[i] < gen.min_up:
-                    force_on = gen.min_up - up_time[i]
-                if not committed[i] and down_time[i] < gen.min_down:
-                    force_off = gen.min_down - down_time[i]
-            us, vs, ws = [], [], []
-            for t in range(T):
-                lb, ub = lo[i][t], hi[i][t]
-                if t < force_on:
-                    lb = 1.0
-                if t < force_off:
-                    ub = 0.0
-                if lb > ub:
-                    raise ValueError(
-                        f"generator {gen.id}: initial up/down state conflicts "
-                        f"with its commitment pattern at interval {t}"
-                    )
-                ui = m.add_var(f"u[g{gen.id},t{t}]", BINARY, lb=lb, ub=ub)
-                vi = m.add_var(f"v[g{gen.id},t{t}]", CONTINUOUS, 0.0, 1.0)
-                wi = m.add_var(f"w[g{gen.id},t{t}]", CONTINUOUS, 0.0, 1.0)
-                m.add_to_objective(ui, gen.no_load_cost)
-                m.add_to_objective(vi, gen.startup_cost)
-                m.add_to_objective(wi, gen.shutdown_cost)
-                if t == 0:
-                    m.add_constr(f"su_sd_link[g{gen.id},t0]",
-                                 [(vi, 1.0), (wi, -1.0), (ui, -1.0)], lo=-u0, hi=-u0)
+        gens, init = self.system.generators, self.init
+        ids, t = self.gen_values("id", int), np.arange(self.n_intervals)
+        g = np.arange(len(gens))[:, None]
+        min_up, min_down = (self.gen_values(a, int)[:, 0] for a in ("min_up", "min_down"))
+        # intervals the initial state still holds each unit on (off)
+        force_on = np.where(min_updown & init.committed, min_up - init.up_time, 0)
+        force_off = np.where(min_updown & ~init.committed, min_down - init.down_time, 0)
+        lb = np.where(t < force_on[:, None], 1.0, np.asarray(lo, dtype=float))
+        ub = np.where(t < force_off[:, None], 0.0, np.asarray(hi, dtype=float))
+        if (lb > ub).any():
+            i, k = np.argwhere(lb > ub)[0]
+            raise ValueError(f"generator {gens[i].id}: initial up/down state conflicts "
+                             f"with its commitment pattern at interval {k}")
+        u, v, w = self.u, self.v, self.w = self.model.add_vars([
+            Cols("u[g{},t{}]", (g, t, 0), (ids, t), binary=True, lb=lb, ub=ub,
+                 cost=self.gen_values("no_load_cost")),
+            Cols("v[g{},t{}]", (g, t, 1), (ids, t), ub=1.0,
+                 cost=self.gen_values("startup_cost")),
+            Cols("w[g{},t{}]", (g, t, 2), (ids, t), ub=1.0,
+                 cost=self.gen_values("shutdown_cost"))])
+        # at t = 0 the initial commitment enters the bounds instead of u[t-1]
+        prev, later, first = self._previous(u), t > 0, t == 0
+        on0 = init.committed.astype(float)[:, None]
+        link = np.where(first, 0.0 - on0, 0.0)   # 0.0 - on0 keeps +0.0 for a unit off
+        rows = [Rows(f"{name}[g{{}},t{{}}]", (g, 0, t, f), (ids, t), terms, lo=lo_, hi=hi_)
+                for f, (name, terms, lo_, hi_) in enumerate([
+                    ("su_sd_link", [(v, 1.0), (w, -1.0), (u, -1.0), (prev, 1.0, later)],
+                     link, link),
                     # startup only from off, shutdown only from on
-                    m.add_constr(f"su_from_off[g{gen.id},t0]", [(vi, 1.0)], hi=1.0 - u0)
-                    m.add_constr(f"sd_from_on[g{gen.id},t0]", [(wi, 1.0)], hi=float(u0))
-                else:
-                    up = us[t - 1]
-                    m.add_constr(f"su_sd_link[g{gen.id},t{t}]",
-                                 [(vi, 1.0), (wi, -1.0), (ui, -1.0), (up, 1.0)],
-                                 lo=0.0, hi=0.0)
-                    m.add_constr(f"su_from_off[g{gen.id},t{t}]",
-                                 [(vi, 1.0), (up, 1.0)], hi=1.0)
-                    m.add_constr(f"sd_from_on[g{gen.id},t{t}]",
-                                 [(wi, 1.0), (up, -1.0)], hi=0.0)
-                m.add_constr(f"su_on[g{gen.id},t{t}]", [(vi, 1.0), (ui, -1.0)], hi=0.0)
-                m.add_constr(f"su_sd_excl[g{gen.id},t{t}]",
-                             [(vi, 1.0), (wi, 1.0)], hi=1.0)
-                us.append(ui)
-                vs.append(vi)
-                ws.append(wi)
-            self.u[i], self.v[i], self.w[i] = us, vs, ws
-            if min_updown[i]:
-                if gen.min_up > 1:
-                    for t in range(T):
-                        first = max(0, t - gen.min_up + 1)
-                        terms = [(vs[s], 1.0) for s in range(first, t + 1)]
-                        terms.append((us[t], -1.0))
-                        m.add_constr(f"min_up[g{gen.id},t{t}]", terms, hi=0.0)
-                if gen.min_down > 1:
-                    for t in range(T):
-                        first = max(0, t - gen.min_down + 1)
-                        terms = [(ws[s], 1.0) for s in range(first, t + 1)]
-                        terms.append((us[t], 1.0))
-                        m.add_constr(f"min_dn[g{gen.id},t{t}]", terms, hi=1.0)
+                    ("su_from_off", [(v, 1.0), (prev, 1.0, later)], -math.inf,
+                     np.where(first, 1.0 - on0, 1.0)),
+                    ("sd_from_on", [(w, 1.0), (prev, -1.0, later)], -math.inf,
+                     np.where(first, on0, 0.0)),
+                    ("su_on", [(v, 1.0), (u, -1.0)], -math.inf, 0.0),
+                    ("su_sd_excl", [(v, 1.0), (w, 1.0)], -math.inf, 1.0)])]
+        for group, (name, switch, length, sign, cap) in enumerate(
+                [("min_up", v, min_up, -1.0, 0.0), ("min_dn", w, min_down, 1.0, 1.0)], 1):
+            sel = np.flatnonzero(min_updown & (length > 1))
+            # the startups (shutdowns) d = 0 .. length[g]-1 intervals before t
+            d = np.arange(length.max(initial=1))
+            inside = (d <= t[:, None]) & (d < length[sel, None, None])
+            rows.append(Rows(f"{name}[g{{}},t{{}}]", (sel[:, None], group, t, 0), (ids[sel], t),
+                             [(switch[sel][:, np.maximum(t[:, None] - d, 0)], 1.0, inside),
+                              (u[sel], sign)], hi=cap))
+        self.model.add_rows(rows)
+
+    @staticmethod
+    def _previous(cols: np.ndarray) -> np.ndarray:
+        """(generators, intervals): the column of interval t-1, -1 at t = 0."""
+        return np.column_stack([np.full(len(cols), -1), cols[:, :-1]])
 
     # --------------------------------------------------------------- dispatch
     def add_dispatch(self) -> None:
         """Total power as minimum output plus cost blocks; block energy costs."""
-        m = self.model
-        for i, gen in enumerate(self.system.generators):
-            us = self.u[i].tolist()
-            for t in range(self.n_intervals):
-                pi = m.add_var(f"p[g{gen.id},t{t}]", CONTINUOUS, 0.0, gen.p_max)
-                self.p[i, t] = pi
-                terms = [(pi, 1.0), (us[t], -gen.p_min)]
-                for e, (width, slope) in enumerate(gen.cost_blocks):
-                    pei = m.add_var(f"pe[g{gen.id},t{t},e{e}]", CONTINUOUS, 0.0, width)
-                    self.pe[i, t, e] = pei
-                    terms.append((pei, -1.0))
-                    m.add_to_objective(pei, slope * self.interval_hours)
-                    m.add_constr(
-                        f"blk_ub[g{gen.id},t{t},e{e}]",
-                        [(pei, 1.0), (us[t], -width)], hi=0.0,
-                    )
-                m.add_constr(f"pwr_def[g{gen.id},t{t}]", terms, lo=0.0, hi=0.0)
+        gens = self.system.generators
+        ids, t = self.gen_values("id", int), np.arange(self.n_intervals)
+        g = np.arange(len(gens))[:, None]
+        # (generator, block) of every cost block, with its width and slope
+        blocks = np.array([(i, e, width, slope) for i, gen in enumerate(gens)
+                           for e, (width, slope) in enumerate(gen.cost_blocks)],
+                          dtype=float).reshape(-1, 4)
+        gi, e = blocks[:, :2].astype(np.int64).T[:, :, None]
+        width, slope = blocks[:, 2:3], blocks[:, 3:4]
+        self.p, pe = self.model.add_vars([
+            Cols("p[g{},t{}]", (g, t, 0), (ids, t), ub=self.gen_values("p_max")),
+            Cols("pe[g{},t{},e{}]", (gi, t, e + 1), (ids[gi[:, 0]], t, e), ub=width,
+                 cost=slope * self.interval_hours)])
+        self.pe = np.full((len(gens), self.n_intervals, int(e.max(initial=-1)) + 1), -1)
+        self.pe[gi, t, e] = pe
+        self.model.add_rows([
+            Rows("blk_ub[g{},t{},e{}]", (gi, t, 0, e), (ids[gi[:, 0]], t, e),
+                 [(pe, 1.0), (self.u[gi[:, 0]], -width)], hi=0.0),
+            Rows("pwr_def[g{},t{}]", (g, t, 1, 0), (ids, t),
+                 [(self.p, 1.0), (self.u, -self.gen_values("p_min")),
+                  (self.pe, -1.0, self.pe >= 0)], lo=0.0, hi=0.0)])
 
     # ------------------------------------------------------------------ ramps
     def _ramp_rates(self, n: int) -> np.ndarray:
         """(generators, n): each generator's 15-min ramp rate in every column."""
-        rates = np.array([g.ramp_15 for g in self.system.generators], dtype=float)
-        return np.broadcast_to(rates[:, None], (len(rates), n))
+        rates = self.gen_values("ramp_15")
+        return np.broadcast_to(rates, (len(rates), n))
 
     def add_ramps(self, up: np.ndarray | None = None, dn: np.ndarray | None = None) -> None:
         """Interval-to-interval ramp limits.
@@ -224,40 +205,23 @@ class UcModelBuilder:
         the move from interval t-1 into t (index 0 from the initial state).
         Each defaults to the 15-min ramp rate.
         """
-        m = self.model
-        up = (self._ramp_rates(self.n_intervals) if up is None else up).tolist()
-        dn = (self._ramp_rates(self.n_intervals) if dn is None else dn).tolist()
-        committed, power = self.init.committed.tolist(), self.init.power.tolist()
-        for i, gen in enumerate(self.system.generators):
-            u0 = 1 if committed[i] else 0
-            us, vs, ws, ps = (a[i].tolist() for a in (self.u, self.v, self.w, self.p))
-            for t in range(self.n_intervals):
-                up_rate, dn_rate = up[i][t], dn[i][t]
-                pi, vi, wi, ui = ps[t], vs[t], ws[t], us[t]
-                if t == 0:
-                    # previous interval is the chained initial state
-                    m.add_constr(
-                        f"ramp_up[g{gen.id},t0]",
-                        [(pi, 1.0), (vi, -gen.ramp_su)],
-                        hi=power[i] + up_rate * u0,
-                    )
-                    m.add_constr(
-                        f"ramp_dn[g{gen.id},t0]",
-                        [(pi, -1.0), (ui, -dn_rate), (wi, -gen.ramp_sd)],
-                        hi=-power[i],
-                    )
-                else:
-                    pp, up_prev = ps[t - 1], us[t - 1]
-                    m.add_constr(
-                        f"ramp_up[g{gen.id},t{t}]",
-                        [(pi, 1.0), (pp, -1.0), (up_prev, -up_rate), (vi, -gen.ramp_su)],
-                        hi=0.0,
-                    )
-                    m.add_constr(
-                        f"ramp_dn[g{gen.id},t{t}]",
-                        [(pp, 1.0), (pi, -1.0), (ui, -dn_rate), (wi, -gen.ramp_sd)],
-                        hi=0.0,
-                    )
+        up = self._ramp_rates(self.n_intervals) if up is None else up
+        dn = self._ramp_rates(self.n_intervals) if dn is None else dn
+        ids, t = self.gen_values("id", int), np.arange(self.n_intervals)
+        g = np.arange(len(ids))[:, None]
+        u, v, w, p = self.u, self.v, self.w, self.p
+        later, first = t > 0, t == 0
+        power = self.init.power[:, None]
+        # the move into interval 0 starts from the chained initial state
+        self.model.add_rows([
+            Rows("ramp_up[g{},t{}]", (g, t, 0), (ids, t),
+                 [(p, 1.0), (self._previous(p), -1.0, later),
+                  (self._previous(u), -up, later), (v, -self.gen_values("ramp_su"))],
+                 hi=np.where(first, power + up * self.init.committed[:, None], 0.0)),
+            Rows("ramp_dn[g{},t{}]", (g, t, 1), (ids, t),
+                 [(self._previous(p), 1.0, later), (p, -1.0), (u, -dn),
+                  (w, -self.gen_values("ramp_sd"))],
+                 hi=np.where(first, -power, 0.0))])
 
     # ------------------------------------------------------------- glidepath
     def add_shutdown_glidepath(self, start: int, schedule: np.ndarray,
@@ -276,30 +240,26 @@ class UcModelBuilder:
         first; ``budget`` (generators, 96) is the downward move allowed from
         interval k into k+1, by default the 15-min ramp rate.
         """
-        n_day = schedule.shape[1]
+        n_gens, n_day = schedule.shape
         if budget is None:
             budget = self._ramp_rates(n_day)
-        for i, gen in enumerate(self.system.generators):
-            if gen.is_fast_start:
-                continue
-            on = schedule[i].tolist()
-            offs = [k for k, u in enumerate(on) if u == 0]
-            moves = budget[i].tolist()
-            for t in range(self.n_intervals):
-                g_t = start + t
-                if g_t >= n_day or on[g_t] != 1:
-                    continue
-                # earliest scheduled off interval from here (none past day end)
-                j = bisect_right(offs, g_t)
-                if j == len(offs):
-                    continue
-                bound = gen.ramp_sd + sum(moves[g_t:offs[j] - 1])
-                if bound >= gen.p_max - 1e-9:
-                    continue
-                self.model.add_constr(
-                    f"sd_glide[g{gen.id},t{t}]",
-                    [(int(self.p[i, t]), 1.0)], hi=bound,
-                )
+        # first scheduled off interval at or after each interval, n_day if none
+        off = np.where(schedule == 0, np.arange(n_day), n_day)
+        next_off = np.minimum.accumulate(off[:, ::-1], axis=1)[:, ::-1]
+        slow = ~np.array([g.is_fast_start for g in self.system.generators])
+        ramp_sd = self.gen_values("ramp_sd")[:, 0]
+        bound = np.full((n_gens, self.n_intervals), np.inf)   # inf: no cap
+        for t in range(min(self.n_intervals, n_day - start)):
+            now = start + t
+            # sums[:, m] = the first m moves from now, added in order
+            sums = np.column_stack([np.zeros(n_gens), np.cumsum(budget[:, now:], axis=1)])
+            moves = np.maximum(next_off[:, now] - 1 - now, 0)
+            bound[:, t] = np.where(slow & (schedule[:, now] == 1) & (next_off[:, now] < n_day),
+                                   ramp_sd + sums[np.arange(n_gens), moves], np.inf)
+        gi, t = np.nonzero(bound < self.gen_values("p_max") - 1e-9)
+        self.model.add_rows([Rows("sd_glide[g{},t{}]", (gi, t),
+                                  (self.gen_values("id", int)[gi, 0], t),
+                                  [(self.p[gi, t], 1.0)], hi=bound[gi, t])])
 
     # ---------------------------------------------------------------- network
     def add_network(self, nodal_load: np.ndarray, nodal_solar: np.ndarray) -> None:
@@ -307,30 +267,23 @@ class UcModelBuilder:
 
         ``nodal_load`` and ``nodal_solar`` are (n_buses, n_intervals) MW.
         """
-        m = self.model
         system = self.system
-        gens_at: dict[int, list[int]] = {b.id: [] for b in system.buses}
-        for i, gen in enumerate(system.generators):
-            gens_at[gen.bus].append(i)
+        bus_ids = np.array([b.id for b in system.buses])
+        b, t = np.arange(len(bus_ids)), np.arange(self.n_intervals)[:, None]
         penalty = self.voll * self.interval_hours
-        for t in range(self.n_intervals):
-            ps = self.p[:, t].tolist()
-            for b, bus in enumerate(system.buses):
-                ii = m.add_var(f"inj[n{bus.id},t{t}]", CONTINUOUS, -math.inf, math.inf)
-                self.inj_cols[b, t] = ii
-                terms = [(ii, 1.0)]
-                terms.extend((ps[g], -1.0) for g in gens_at[bus.id])
-                net = float(nodal_solar[bus.id, t] - nodal_load[bus.id, t])
-                m.add_constr(f"inj_def[n{bus.id},t{t}]", terms, lo=net, hi=net)
-            shorti = m.add_var(f"sl_short[t{t}]", CONTINUOUS, 0.0, math.inf)
-            surpi = m.add_var(f"sl_surp[t{t}]", CONTINUOUS, 0.0, math.inf)
-            self.short[t] = shorti
-            self.surp[t] = surpi
-            m.add_to_objective(shorti, penalty)
-            m.add_to_objective(surpi, penalty)
-            terms = [(ii, 1.0) for ii in self.inj_cols[:, t].tolist()]
-            terms += [(shorti, 1.0), (surpi, -1.0)]
-            m.add_constr(f"sys_bal[t{t}]", terms, lo=0.0, hi=0.0)
+        inj, self.short, self.surp = self.model.add_vars([
+            Cols("inj[n{},t{}]", (t, 0, b), (bus_ids, t), lb=-math.inf),
+            Cols("sl_short[t{}]", (t[:, 0], 1, 0), (t[:, 0],), cost=penalty),
+            Cols("sl_surp[t{}]", (t[:, 0], 1, 1), (t[:, 0],), cost=penalty)])
+        self.inj_cols = inj.T
+        at_bus = bus_ids[:, None] == [gen.bus for gen in system.generators]  # (buses, units)
+        net = (nodal_solar - nodal_load)[bus_ids].T
+        self.model.add_rows([
+            Rows("inj_def[n{},t{}]", (t, 0, b), (bus_ids, t),
+                 [(inj, 1.0), (self.p.T[:, None], -1.0, at_bus)],
+                 lo=net, hi=net),
+            Rows("sys_bal[t{}]", (t[:, 0], 1, 0), (t[:, 0],),
+                 [(inj, 1.0), (self.short, 1.0), (self.surp, -1.0)], lo=0.0, hi=0.0)])
 
     def flow_terms(self, ptdf: PtdfMatrix, k: int, t: int) -> list[tuple[int, float]]:
         """Terms of line k's base-case flow at interval t: PTDF row times injections."""
@@ -341,16 +294,20 @@ class UcModelBuilder:
     def add_line_limits(self, ptdf: PtdfMatrix, lines) -> None:
         """One ranged row ``-rating <= flow <= rating`` per interval for each
         listed line index whose rows are not in the model yet."""
-        for k in lines:
-            if k in self._lines:
-                continue
-            self._lines.add(k)
-            line = self.system.lines[k]
-            for t in range(self.n_intervals):
-                terms = self.flow_terms(ptdf, k, t)
-                if terms:
-                    self.model.add_constr(f"line[k{line.id},t{t}]", terms,
-                                          lo=-line.rating, hi=line.rating)
+        new = [k for k in dict.fromkeys(lines) if k not in self._lines]
+        if not new:
+            return
+        self._lines.update(new)
+        rows = ptdf.values[new]
+        near = np.abs(rows) > LINE_COEF_EPS
+        k = np.flatnonzero(near.any(axis=1))[:, None]   # a line with no terms gets no rows
+        t = np.arange(self.n_intervals)
+        rating = np.array([self.system.lines[new[i]].rating for i in k[:, 0]])[:, None]
+        line_ids = np.array([self.system.lines[new[i]].id for i in k[:, 0]])[:, None]
+        self.model.add_rows([Rows(
+            "line[k{},t{}]", (k, t), (line_ids, t),
+            [(self.inj_cols.T[None], rows[k[:, 0], None], near[k[:, 0], None])],
+            lo=-rating, hi=rating)])
 
     def add_overloaded_lines(self, sol: MilpSolution, ptdf: PtdfMatrix) -> int:
         """Add the limit rows of every line ``sol`` overloads; return how many.

@@ -200,7 +200,7 @@ class TestRelaxationStart:
     def test_line_rounds_run_on_the_relaxation(self, highs_calls):
         class OneLine(NoLines):
             def add_overloaded_lines(self, sol, ptdf):
-                if "line" in [c[0] for c in self.model._constrs]:
+                if "line" in self.model.constr_names:
                     return 0
                 self.model.add_constr("line", [(p_a, 1.0)], hi=60.0)
                 return 1
@@ -218,10 +218,8 @@ class TestRelaxationStart:
 def cold_objective(model, gap):
     """A cold ``scipy.optimize.milp`` solve of the model's arrays."""
     a, lo, hi = model._matrix()
-    binary = np.array([k == BINARY for k in model._kinds])
     res = scipy_milp(c=model.objective_vector(), constraints=LinearConstraint(a, lo, hi),
-                     integrality=binary.astype(int),
-                     bounds=Bounds(np.array(model._lb), np.array(model._ub)),
+                     integrality=model.integrality, bounds=Bounds(*model.col_bounds),
                      options={"mip_rel_gap": gap})
     assert res.status == 0, res.message
     return float(res.fun)

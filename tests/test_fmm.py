@@ -12,7 +12,7 @@ from frpsim.fmm import (DOWN, UP, FmmAwards, FmmConfig, FmmHorizon,
                         post_deployment_flows, run_fmm_day, solve_hour,
                         solve_with_cuts)
 from frpsim.learner import RampResponseFactors
-from frpsim.milp import MilpModel, SolveOptions, check_solution
+from frpsim.milp import MilpModel, ModelError, SolveOptions, check_solution
 from frpsim.network import (Bus, PowerSystem, SolarUnit, TransmissionLine,
                             compute_ptdf)
 from frpsim.scenarios import (DEPLOYMENT, OUT_OF_SAMPLE, TRAINING, Scenario,
@@ -337,7 +337,7 @@ class TestDataDrivenModel:
         def floored_units(values):
             handle, _ = build_dd_fixture(system, profile, start=0, ucfg=ucfg,
                                          factors=RampResponseFactors(values=values))
-            names = [row[0] for row in handle.model._constrs]
+            names = handle.model.constr_names
             assert (handle.aux[1] >= 0).any()   # unit 1 still gets auxiliary awards
             return {g.id for g in system.generators
                     if any(n.startswith("aux_qual_") and f"[g{g.id}," in n for n in names)}
@@ -530,23 +530,21 @@ class TestObjectiveDecomposition:
             total = cost.sum() + penalty * viol.sum() + frp + penalty * shortfall
             assert total == pytest.approx(sol.objective, rel=1e-9)
 
-    def test_rows_name_each_column_once_as_an_int(self, bottleneck, monkeypatch):
-        # rows are stored as given, so every builder must hand over distinct
-        # Python-int columns: a repeated column would add up in the matrix
-        add_constr = MilpModel.add_constr
-        bad = []
-
-        def checked(model, name, terms, *a, **kw):
-            cols = [c for c, _ in terms]
-            if len(set(cols)) != len(cols) or any(type(c) is not int for c in cols):
-                bad.append(name)
-            return add_constr(model, name, terms, *a, **kw)
-
-        monkeypatch.setattr(MilpModel, "add_constr", checked)
+    def test_matrix_refuses_a_repeated_column(self, bottleneck):
+        # the matrix build would add up a repeated column's coefficients
+        m = MilpModel()
+        x, y = m.add_var("x"), m.add_var("y")
+        m.add_constr("ok", [(x, 1.0), (y, 1.0)], hi=1.0)
+        m.add_constr("twice", [(x, 1.0), (y, 2.0), (x, 3.0)], hi=1.0)
+        with pytest.raises(ModelError, match="'twice' lists a column twice"):
+            m.validate()
+        # no row of a 5-bus model the program builds repeats a column
         system, ptdf, profile = bottleneck
-        run_da(system, ptdf, profile)
-        assert len(list(self._hours(system, ptdf, profile))) == 4
-        assert not bad, bad[:5]
+        models = [run_da(system, ptdf, profile)[2].model]
+        models += [h.model for h, _ in self._hours(system, ptdf, profile)]
+        assert len(models) == 5
+        for model in models:
+            model.validate()
 
 
 class TestPolicyCostOrdering:

@@ -37,7 +37,7 @@ def all_lines(handle):
 
 
 def line_row_names(model):
-    return [c[0] for c in model._constrs if c[0].startswith("line[")]
+    return [n for n in model.constr_names if n.startswith("line[")]
 
 
 def half_ptdf(ptdf):

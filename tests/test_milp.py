@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from frpsim.milp import (BINARY, CONTINUOUS, MilpModel, MilpSolution, ModelError,
-                         SolveOptions, check_solution, solve)
+from frpsim.milp import (BINARY, CONTINUOUS, Cols, MilpModel, MilpSolution, ModelError,
+                         Rows, SolveOptions, check_solution, solve)
 from frpsim.ucbase import UcModelBuilder, cold_start_state
 from oracles import brute_force_uc
 from util import make_gen, single_bus_system
@@ -112,12 +112,21 @@ class TestSolve:
         with pytest.raises(ModelError):
             m.add_constr("c", [(x, 1.0)], hi=2.0)
 
+    def test_duplicate_block_names_raise_when_read(self):
+        m = MilpModel()
+        x = m.add_vars([Cols("x[{}]", (np.arange(2),), (np.array([0, 0]),))])[0]
+        m.add_rows([Rows("c", (np.arange(2),), terms=[(x, 1.0)], hi=1.0)])
+        assert m.n_vars == 2 and m.n_constrs == 2   # names are not formatted yet
+        with pytest.raises(ModelError, match=r"duplicate variable name 'x\[0\]'"):
+            m.var_names
+        with pytest.raises(ModelError, match="duplicate constraint name 'c'"):
+            m.constr_names
+
     def test_corrupted_row_index_raises(self):
         m = MilpModel()
         x = m.add_var("x")
         m.add_constr("ok", [(x, 1.0)], hi=1.0)
-        m.add_constr("bad", [(x, 1.0)], hi=1.0)
-        m._constrs[1][1][0] = 5   # a column no variable owns
+        m.add_constr("bad", [(5, 1.0)], hi=1.0)   # a column no variable owns
         with pytest.raises(ModelError, match="'bad' references undeclared"):
             m.validate()
         with pytest.raises(ModelError, match="'bad' references undeclared"):
@@ -141,7 +150,7 @@ class TestSolve:
         m = MilpModel()
         x, y = m.add_var("x"), m.add_var("y")
         m.add_constr("c", [(y, -0.0), (x, 2.0)], hi=1.0)
-        _, cols, data, _, _ = m._constrs[0]
+        _, cols, data, _, _ = m._rows[-1]   # the stored entries of the last block
         assert cols.tolist() == [y, x]
         assert data.tolist() == [0.0, 2.0]
         assert not np.signbit(data).any()

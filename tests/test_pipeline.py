@@ -80,7 +80,12 @@ class TestConfig:
         ("time_limit", 0.0), ("time_limit", -5.0), ("time_limit", math.inf),
         ("nn_learning_rate", 0.0), ("nn_epochs", 0), ("nn_batch_size", 0),
         ("response_threshold", -0.1), ("response_threshold", 1.5),
-        ("n_training", math.nan)])
+        ("n_training", math.nan),
+        # counts are integers, and a bool is not one
+        ("n_training", 2.5), ("n_training", 7.0), ("nn_epochs", 1.5), ("seed", 1.5),
+        ("n_out_of_sample", True), ("nn_batch_size", True), ("n_deployment", 2.0),
+        ("nn_hidden", ()), ("nn_hidden", (0,)), ("nn_hidden", (16, 2.5)),
+        ("nn_hidden", (16, True))])
     def test_rejects_bad_numbers(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be"):
             ExperimentConfig(system_file="x", profile_dir="y", output_dir="z",
@@ -92,6 +97,15 @@ class TestConfig:
         path.write_text('{"system_file": "x", "profile_dir": "y", "output_dir": "z", '
                         '"voll": NaN}')
         with pytest.raises(ValueError, match="^voll must be finite"):
+            ExperimentConfig.from_json(path)
+
+    @pytest.mark.parametrize("field, value", [("n_training", "2.5"), ("seed", "true"),
+                                              ("nn_hidden", "[]"), ("nn_hidden", "[8, 0]")])
+    def test_rejects_bad_counts_from_json(self, tmp_path, field, value):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"system_file": "x", "profile_dir": "y", "output_dir": "z", '
+                        f'"{field}": {value}}}')
+        with pytest.raises(ValueError, match=f"^{field} must be"):
             ExperimentConfig.from_json(path)
 
     def test_accepts_edge_values(self):
