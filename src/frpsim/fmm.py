@@ -148,7 +148,8 @@ class FmmHandle:
     data-driven hour adds, per deployment scenario s, its netload move
     ``dnl[t, s]`` (``delta_netload``), whose sign is the direction of move
     (t, s), and one auxiliary award column ``aux[g, t, s]`` per generator,
-    -1 where the move has no direction.
+    -1 where the move has no direction, and marks in ``cut_rows[k, t, s]``
+    each post-deployment cut row the cut loop has added.
     """
 
     builder: UcModelBuilder
@@ -163,8 +164,8 @@ class FmmHandle:
     dnl: np.ndarray | None = None                   # (length-1, S)
     aux: np.ndarray | None = None                   # (gens, length-1, S)
     flow_const: np.ndarray | None = None            # (K, length-1, S)
+    cut_rows: np.ndarray | None = None              # (K, length-1, S) bool: row is in
     cuts: list[PostDeploymentCut] = field(default_factory=list)
-    _cut_keys: set[tuple[int, int, int, str]] = field(default_factory=set)
 
     @property
     def model(self) -> MilpModel:
@@ -326,6 +327,7 @@ def build_fmm_datadriven(system: PowerSystem, ptdf: PtdfMatrix,
     n = length - 1
     load_now, solar_now = window(profile.load15, start, n), window(profile.solar15, start, n)
     handle.flow_const = np.zeros((len(system.lines), n, n_dep))
+    handle.cut_rows = np.zeros(handle.flow_const.shape, dtype=bool)
     for s, scn in enumerate(deployment):
         dload, dsolar = nodal_injections(system, window(scn.system_load, start + 1, n) - load_now,
                                          window(scn.solar, start + 1, n) - solar_now)
@@ -360,49 +362,44 @@ def post_deployment_flows(handle: FmmHandle, sol: MilpSolution,
     return np.where(on, _deployment_flows(handle, sol)[:, :, scenario_idx], np.nan)
 
 
-def _violations(handle: FmmHandle, sol: MilpSolution, tol: float):
-    """All (k, t, s, direction, bound, magnitude) beyond rating + tol.
+def _violations(handle: FmmHandle,
+                sol: MilpSolution) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Every post-deployment flow beyond rating plus ``cfg.cut_tol_mw``.
 
-    Ordered by scenario, then UP before DOWN, then over the rating before
-    under it, then line by line: the order the cut rows are added in.
+    Returns the cells (s, d, b, k, t) and their excess in MW, ordered by
+    scenario s, then direction d (0 up, 1 down), then bound b (0 over the
+    rating, 1 under it), then line k and move t: the order the cut rows
+    are added in.
     """
-    found = []
-    if handle.deployment is None:
-        return found
-    flows = _deployment_flows(handle, sol)
-    ratings = np.array([ln.rating for ln in handle.system.lines])[:, None]
-    sign = np.sign(handle.dnl)
-    for s in range(len(handle.deployment)):
-        for direction in (UP, DOWN):
-            on = sign[:, s] == SIGN[direction]
-            for bound, excess in (("upper", flows[:, :, s] - ratings),
-                                  ("lower", -ratings - flows[:, :, s])):
-                for k, t in zip(*np.nonzero((excess > tol) & on)):
-                    found.append((int(k), int(t), s, direction, bound, float(excess[k, t])))
-    return found
+    flows = _deployment_flows(handle, sol)                      # (K, T, S)
+    ratings = np.array([ln.rating for ln in handle.system.lines])[:, None, None]
+    excess = np.stack([flows - ratings, -ratings - flows])     # (bound, K, T, S)
+    on = np.sign(handle.dnl) == np.array([SIGN[UP], SIGN[DOWN]])[:, None, None]
+    over = (excess > handle.cfg.cut_tol_mw) & on[:, None, None]  # (d, b, K, T, S)
+    s, d, b, k, t = cells = np.nonzero(np.moveaxis(over, -1, 0))
+    return cells, excess[b, k, t, s]
 
 
-def _add_cut(handle: FmmHandle, k: int, t: int, s: int, direction: str,
-             bound: str, round_no: int) -> bool:
-    """Add the ranged post-deployment flow row for (k, t, s, dir)."""
-    key = (k, t, s, direction)
-    if key in handle._cut_keys:
-        return False
-    handle._cut_keys.add(key)
-    line = handle.system.lines[k]
-    # line k's PTDF entry at each generator's bus
-    row = handle.ptdf.values[k][[g.bus for g in handle.system.generators]]
-    near = np.abs(row) > LINE_COEF_EPS
+def _add_cuts(handle: FmmHandle, cells: tuple[np.ndarray, ...], round_no: int) -> None:
+    """Add one ranged post-deployment flow row per cell (s, d, b, k, t), in
+    the cells' order, and the matching cut records."""
+    s, d, b, k, t = cells
+    system = handle.system
+    handle.cut_rows[k, t, s] = True
+    row = handle.ptdf.values[k]                                 # (cuts, buses)
+    # line k's PTDF entry at each generator's bus, signed by the move
+    deployed = row[:, [g.bus for g in system.generators]] * np.sign(handle.dnl[t, s])[:, None]
+    rating = np.array([ln.rating for ln in system.lines])[k]
     const = handle.flow_const[k, t, s]
-    terms = handle.builder.flow_terms(handle.ptdf, k, t)
-    terms += zip(handle.aux[near, t, s].tolist(), (SIGN[direction] * row[near]).tolist())
-    handle.model.add_constr(f"dep_flow[k{line.id},t{t},s{s},{direction}]", terms,
-                            lo=-line.rating - const, hi=line.rating - const)
-    handle.cuts.append(PostDeploymentCut(
-        line_id=line.id, t=t, scenario=s, direction=direction,
-        bound=bound, round_added=round_no,
-    ))
-    return True
+    line_ids = np.array([ln.id for ln in system.lines])[k]
+    handle.model.add_rows([Rows(
+        "dep_flow[k{},t{},s{},{}]", cells, (line_ids, t, s, np.array([UP, DOWN])[d]),
+        [(handle.builder.inj_cols[:, t].T, row, np.abs(row) > LINE_COEF_EPS),
+         (handle.aux[:, t, s].T, deployed, np.abs(deployed) > LINE_COEF_EPS)],
+        lo=-rating - const, hi=rating - const)])
+    handle.cuts += [PostDeploymentCut(line_id=i, t=tt, scenario=ss, direction=(UP, DOWN)[dd],
+                                      bound=("upper", "lower")[bb], round_added=round_no)
+                    for i, tt, ss, dd, bb in zip(*(a.tolist() for a in (line_ids, t, s, d, b)))]
 
 
 def solve_with_cuts(handle: FmmHandle, options: SolveOptions | None = None
@@ -416,29 +413,31 @@ def solve_with_cuts(handle: FmmHandle, options: SolveOptions | None = None
     CutLoopError when ``cfg.max_cut_rounds`` rounds are exhausted with
     violations remaining or the model becomes infeasible after cuts.
     """
-    tol, max_rounds = handle.cfg.cut_tol_mw, handle.cfg.max_cut_rounds
+    max_rounds = handle.cfg.max_cut_rounds
     rounds = 0
 
     def cut_round(sol: MilpSolution) -> int:
         nonlocal rounds
-        violations = _violations(handle, sol, tol)
-        if not violations:
+        cells, excess = _violations(handle, sol)
+        if not len(excess):
             return 0
         if rounds == max_rounds:
-            worst = max(violations, key=lambda r: r[-1])
+            worst = int(np.argmax(excess))
             raise CutLoopError(
-                f"cut loop exhausted {max_rounds} rounds with {len(violations)} "
-                f"violations remaining (worst {worst[-1]:.4f} MW on line {worst[0]})"
+                f"cut loop exhausted {max_rounds} rounds with {len(excess)} "
+                f"violations remaining (worst {excess[worst]:.4f} MW on line "
+                f"{cells[3][worst]})"
             )
         rounds += 1
-        added = sum(_add_cut(handle, k, t, s, direction, bound, rounds)
-                    for k, t, s, direction, bound, _ in violations)
-        if added == 0:
+        s, _, _, k, t = cells
+        new = ~handle.cut_rows[k, t, s]
+        if not new.any():
             raise CutLoopError(
                 "violations persist but all corresponding constraints are "
                 "already present; residuals exceed the solve tolerance"
             )
-        return added
+        _add_cuts(handle, tuple(a[new] for a in cells), rounds)
+        return int(new.sum())
 
     sol = solve_lazy(handle.builder, handle.ptdf, options, cut_round)
     if sol.status != "optimal":

@@ -21,15 +21,10 @@ from .network import PowerSystem
 from .scenarios import Scenario, netload, window
 
 WINDOW_OFFSETS = range(-3, 4)          # previous/next three intervals plus t
-BASE_QUANTITIES = 4                    # netload, load, and their changes
 DEFAULT_HIDDEN = (100, 100, 25)
 TEST_FRACTION = 0.25                   # rows held out of each fit
 MIN_ROWS = 100                         # committed moves a generator needs to get a model
 ADAM_BETA1, ADAM_BETA2 = 0.9, 0.999    # Adam moment decay rates
-
-
-def feature_dim(n_solar: int) -> int:
-    return len(WINDOW_OFFSETS) * (BASE_QUANTITIES + 2 * n_solar)
 
 
 # ----------------------------------------------------------------- features

@@ -18,9 +18,6 @@ import scipy.sparse as sp
 from scipy.optimize import Bounds, LinearConstraint
 from scipy.optimize import milp as _highs_milp
 
-CONTINUOUS = "continuous"
-BINARY = "binary"
-
 # a binary this close to 0 or 1 counts as integral (HiGHS's default
 # mip_feasibility_tolerance)
 INTEGRALITY_TOL = 1e-6
@@ -118,22 +115,20 @@ class MilpModel:
     one-sided row leaves the other bound infinite.  Columns and rows are
     stored as arrays, one block per ``add_vars``/``add_rows`` call.  Names
     are formatted from each block's templates only when read
-    (``var_names``, ``constr_names``, ``var_index``, ``check_solution``'s
-    report or a ``ModelError``); a duplicate name raises ``ModelError``
-    then.
+    (``var_names``, ``constr_names``, ``check_solution``'s report or a
+    ``ModelError``); a duplicate name raises ``ModelError`` then.  Every
+    column, row and cost enters through ``add_vars`` and ``add_rows``.
     """
 
     def __init__(self):
         self._lb, self._ub, self._cost = np.empty(0), np.empty(0), np.empty(0)
         self._binary = np.empty(0, dtype=bool)
-        self._obj_terms: list[tuple[int, float]] = []   # from add_to_objective
         # per block of rows: (row, column, coefficient) entries, lo, hi
         self._rows = [(np.empty(0, dtype=np.int64),) * 2 + (np.empty(0),) * 3]
         self._n_rows = 0
         # per kind, per block: (size, [(template, positions, shape, index)])
         self._names: dict[str, list] = {"variable": [], "constraint": []}
-        self._name_cache: dict[str, tuple[int, list[str], dict[str, int]]] = {}
-        self._one_row_names: set[tuple[str, str]] = set()   # add_var's, add_constr's
+        self._name_cache: dict[str, tuple[int, list[str]]] = {}
         self._matrix_cache: tuple[tuple[int, int], sp.csr_matrix, np.ndarray,
                                   np.ndarray] | None = None
 
@@ -148,11 +143,11 @@ class MilpModel:
 
     @property
     def var_names(self) -> list[str]:
-        return list(self._all_names("variable")[0])
+        return list(self._all_names("variable"))
 
     @property
     def constr_names(self) -> list[str]:
-        return list(self._all_names("constraint")[0])
+        return list(self._all_names("constraint"))
 
     @property
     def integrality(self) -> np.ndarray:
@@ -163,19 +158,20 @@ class MilpModel:
     def col_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         return self._lb.copy(), self._ub.copy()
 
-    def _all_names(self, kind: str) -> tuple[list[str], dict[str, int]]:
-        """Every name of ``kind`` in order, and each name's position."""
+    def _all_names(self, kind: str) -> list[str]:
+        """Every name of ``kind`` in order."""
         n = self.n_vars if kind == "variable" else self.n_constrs
         cached = self._name_cache.get(kind)
         if cached is None or cached[0] != n:
             names = [name for size, block in self._names[kind]
                      for name in _format(block, size)]
-            index: dict[str, int] = {}
-            for i, name in enumerate(names):
-                if index.setdefault(name, i) != i:
+            seen: set[str] = set()
+            for name in names:
+                if name in seen:
                     raise ModelError(f"duplicate {kind} name {name!r}")
-            cached = self._name_cache[kind] = (n, names, index)
-        return cached[1], cached[2]
+                seen.add(name)
+            cached = self._name_cache[kind] = (n, names)
+        return cached[1]
 
     def add_vars(self, families: list[Cols]) -> list[np.ndarray]:
         """Append one block of columns; return each family's columns in its shape."""
@@ -231,39 +227,6 @@ class MilpModel:
         self._names["constraint"].append((n, names))
         self._matrix_cache = None
 
-    def add_var(self, name: str, kind: str = CONTINUOUS, lb: float = 0.0,
-                ub: float = math.inf) -> int:
-        if ("variable", name) in self._one_row_names:
-            raise ModelError(f"duplicate variable name {name!r}")
-        if kind not in (CONTINUOUS, BINARY):
-            raise ModelError(f"unknown variable kind {kind!r}")
-        col = int(self.add_vars([Cols(name, (0,), binary=kind == BINARY, lb=lb, ub=ub)])[0])
-        self._one_row_names.add(("variable", name))
-        return col
-
-    def var_index(self, name: str) -> int:
-        """Column of the variable called ``name``."""
-        try:
-            return self._all_names("variable")[1][name]
-        except KeyError:
-            raise ModelError(f"unknown variable {name!r}") from None
-
-    def add_to_objective(self, var: int, coef: float) -> None:
-        self._obj_terms.append((var, float(coef)))
-
-    def add_constr(self, name: str, terms, lo: float = -math.inf,
-                   hi: float = math.inf) -> None:
-        """Add the row ``lo <= sum(coef * var for var, coef in terms) <= hi``.
-
-        ``terms`` is a sequence of (column, coefficient) pairs, stored as
-        given; the columns are checked when the matrix is built.
-        """
-        if ("constraint", name) in self._one_row_names:
-            raise ModelError(f"duplicate constraint name {name!r}")
-        cols, coefs = zip(*terms) if terms else ((), ())
-        self.add_rows([Rows(name, (0,), terms=[(cols, coefs)], lo=lo, hi=hi)])
-        self._one_row_names.add(("constraint", name))
-
     # -------------------------------------------------------------- validation
     def validate(self) -> None:
         """Raise ModelError if a row references an undeclared variable or
@@ -283,7 +246,7 @@ class MilpModel:
         if len(self._rows) > 1:
             self._rows = [tuple(np.concatenate(a) for a in zip(*self._rows))]
         rows, cols, data, lo, hi = self._rows[0]
-        bad = self._undeclared(cols)
+        bad = np.flatnonzero((cols < 0) | (cols >= self.n_vars))
         if len(bad):
             raise ModelError(f"constraint {self.constr_names[rows[bad[0]]]!r} "
                              "references undeclared variables")
@@ -296,17 +259,7 @@ class MilpModel:
         return a, lo, hi
 
     def objective_vector(self) -> np.ndarray:
-        c = self._cost.copy()
-        if self._obj_terms:
-            cols, coefs = (np.array(a) for a in zip(*self._obj_terms))
-            if len(self._undeclared(cols)):
-                raise ModelError("objective references undeclared variables")
-            np.add.at(c, cols, coefs)
-        return c
-
-    def _undeclared(self, cols: np.ndarray) -> np.ndarray:
-        """Positions of the entries of ``cols`` that name no column."""
-        return np.flatnonzero((cols < 0) | (cols >= self.n_vars))
+        return self._cost.copy()
 
 
 @dataclass

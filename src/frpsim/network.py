@@ -87,26 +87,14 @@ class PowerSystem:
     def must_run_generators(self) -> list[GenerationResource]:
         return [g for g in self.generators if not g.is_fast_start]
 
-    def fast_start_generators(self) -> list[GenerationResource]:
-        return [g for g in self.generators if g.is_fast_start]
-
-    def nodal_loads(self, system_load: float | np.ndarray) -> np.ndarray:
-        """Disaggregate system load by participation factor.
-
-        Scalar input gives a per-bus vector; a length-T vector gives an
-        (n_buses, T) array.
-        """
-        load = np.asarray(system_load, dtype=float)
-        if load.ndim == 0:
-            return self.load_participation * float(load)
-        return np.outer(self.load_participation, load)
 
 
 def nodal_injections(system: PowerSystem, load: np.ndarray,
                      solar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nodal load and solar, each (n_buses, T) MW, from the system load (T,)
-    and per-unit solar output (n_units, T)."""
-    loads = system.nodal_loads(load)
+    and per-unit solar output (n_units, T); the load is split by participation
+    factor."""
+    loads = np.outer(system.load_participation, np.asarray(load, dtype=float))
     nodal_solar = np.zeros((system.n_buses, loads.shape[1]))
     for u_idx, unit in enumerate(system.solar_units):
         nodal_solar[unit.bus] += solar[u_idx]
@@ -119,10 +107,6 @@ class PtdfMatrix:
 
     values: np.ndarray  # shape (n_lines, n_buses)
     slack_bus: int
-
-    def flows(self, injections: np.ndarray) -> np.ndarray:
-        """Line flows for a nodal injection vector (imbalance lands on slack)."""
-        return self.values @ np.asarray(injections, dtype=float)
 
 
 # ----------------------------------------------------------------------- load

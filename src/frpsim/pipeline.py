@@ -79,7 +79,6 @@ class ExperimentConfig:
     mip_rel_gap: float = 1e-4
     time_limit: float | None = None
     persist_training_data: bool = True
-    persist_scenarios: bool = True
 
     def __post_init__(self):
         if self.policy not in ("proxy", "datadriven", "both"):
@@ -275,9 +274,8 @@ def stage_clear(ctx: PipelineContext, force: bool = False) -> None:
             if policy == DATADRIVEN:
                 ctx.load_deployment()
                 deployment = ctx.deployment
-                if cfg.persist_scenarios:
-                    write_scenarios_csv(deployment, ctx.out / "deployment_scenarios.csv",
-                                        ctx.system.solar_units)
+                write_scenarios_csv(deployment, ctx.out / "deployment_scenarios.csv",
+                                    ctx.system.solar_units)
                 if ctx.models is None:
                     ctx.models = learner_mod.load_models(ctx.out / "models")
                     if not ctx.models:

@@ -285,12 +285,6 @@ class UcModelBuilder:
             Rows("sys_bal[t{}]", (t[:, 0], 1, 0), (t[:, 0],),
                  [(inj, 1.0), (self.short, 1.0), (self.surp, -1.0)], lo=0.0, hi=0.0)])
 
-    def flow_terms(self, ptdf: PtdfMatrix, k: int, t: int) -> list[tuple[int, float]]:
-        """Terms of line k's base-case flow at interval t: PTDF row times injections."""
-        row = ptdf.values[k]
-        nz = np.flatnonzero(np.abs(row) > LINE_COEF_EPS)
-        return list(zip(self.inj_cols[nz, t].tolist(), row[nz].tolist()))
-
     def add_line_limits(self, ptdf: PtdfMatrix, lines) -> None:
         """One ranged row ``-rating <= flow <= rating`` per interval for each
         listed line index whose rows are not in the model yet."""

@@ -403,8 +403,10 @@ def test_criterion_08_learner_verification(case_study):
         stored = np.array([float(r["factor"]) for r in csv.DictReader(fh)])
     assert len(stored) and np.all(np.abs(stored) <= 1.0)
 
-    from frpsim.learner import feature_dim
-    assert feature_dim(3) == 70
+    from test_learner import scenario_from
+    from frpsim.learner import feature_matrix
+    assert feature_matrix(scenario_from(np.full(96, 500.0),
+                                        np.zeros((3, 96)))).shape[1] == 70
     report("8 learner verification",
            f"gradient {worst:.2e}, linear R2 {r2:.3f}, "
            f"{len(stored)} factors in [-1,1], dim(3 solar)=70")

@@ -26,7 +26,7 @@ from scipy.optimize import milp as scipy_milp
 from frpsim import dayahead, fmm, milp, ucbase
 from frpsim.dayahead import DaCommitments, run_da
 from frpsim.fmm import run_fmm_day, run_training_day
-from frpsim.milp import (BINARY, MilpModel, ModelError, SolveOptions, check_solution,
+from frpsim.milp import (Cols, MilpModel, ModelError, Rows, SolveOptions, check_solution,
                          solve)
 from frpsim.network import compute_ptdf
 from frpsim.scenarios import (OUT_OF_SAMPLE, TRAINING, UncertaintyConfig, load_profiles,
@@ -43,23 +43,25 @@ def two_units(shortfall_cost=None, load=80.0, fixed_a=10.0, slope_b=2.0, fixed_b
 
     The optimum runs a alone at a cost of 90.  With ``shortfall_cost`` an
     unserved-load column priced at that cost joins the balance row; the
-    other keywords change the load, a's fixed cost and b's costs.
+    other keywords change the load, a's fixed cost and b's costs.  Returns
+    the model and the power columns of a and b.
     """
     m = MilpModel()
-    cols = {}
-    for name, fixed, slope in (("a", fixed_a, 1.0), ("b", fixed_b, slope_b)):
-        u, p = m.add_var(f"u_{name}", BINARY), m.add_var(f"p_{name}", ub=100.0)
-        m.add_to_objective(u, fixed)
-        m.add_to_objective(p, slope)
-        m.add_constr(f"cap_{name}", [(p, 1.0), (u, -100.0)], hi=0.0)
-        cols[name] = p
-    balance = [(cols["a"], 1.0), (cols["b"], 1.0)]
+    unit, name = np.arange(2), np.array(["a", "b"])
+    families = [Cols("u_{}", (unit, 0), (name,), binary=True, cost=[fixed_a, fixed_b]),
+                Cols("p_{}", (unit, 1), (name,), ub=100.0, cost=[1.0, slope_b])]
     if shortfall_cost is not None:
-        short = m.add_var("short")
-        m.add_to_objective(short, shortfall_cost)
-        balance.append((short, 1.0))
-    m.add_constr("balance", balance, lo=load, hi=load)
-    return m, cols["a"]
+        families.append(Cols("short", (2, 0), cost=shortfall_cost))
+    u, p, *short = m.add_vars(families)
+    m.add_rows([Rows("cap_{}", (unit,), (name,), [(p, 1.0), (u, -100.0)], hi=0.0),
+                Rows("balance", (2,), terms=[(p, 1.0)] + [(c, 1.0) for c in short],
+                     lo=load, hi=load)])
+    return m, p
+
+
+def limit_a(model, p, hi):
+    """Cap unit a's power at ``hi``."""
+    model.add_rows([Rows("limit_a", (0,), terms=[(p[0], 1.0)], hi=hi)])
 
 
 @pytest.fixture()
@@ -78,11 +80,11 @@ def highs_calls(monkeypatch):
 
 class TestFallbacks:
     def test_costly_lp_returns_the_cold_optimum(self, highs_calls):
-        m, p_a = two_units(shortfall_cost=100.0)
+        m, p = two_units(shortfall_cost=100.0)
         first = solve(m, GAP)
         assert first.objective == pytest.approx(90.0)
         # unit a alone now leaves 40 MW unserved: feasible, but 4,050
-        m.add_constr("limit_a", [(p_a, 1.0)], hi=40.0)
+        limit_a(m, p, 40.0)
         highs_calls.clear()
         sol = solve(m, GAP, first)
         assert highs_calls == [0, 2]
@@ -92,9 +94,9 @@ class TestFallbacks:
         assert not sol.message.startswith("certified")
 
     def test_infeasible_lp_returns_the_cold_optimum(self, highs_calls):
-        m, p_a = two_units()
+        m, p = two_units()
         first = solve(m, GAP)
-        m.add_constr("limit_a", [(p_a, 1.0)], hi=40.0)
+        limit_a(m, p, 40.0)
         highs_calls.clear()
         sol = solve(m, GAP, first)
         assert highs_calls == [0, 2]
@@ -102,9 +104,9 @@ class TestFallbacks:
         assert sol.objective == pytest.approx(180.0)
 
     def test_nan_dual_bound_skips_the_lp(self, highs_calls):
-        m, p_a = two_units()
+        m, p = two_units()
         first = solve(m, GAP)
-        m.add_constr("limit_a", [(p_a, 1.0)], hi=95.0)
+        limit_a(m, p, 95.0)
         highs_calls.clear()
         sol = solve(m, GAP, dataclasses.replace(first, dual_bound=math.nan))
         assert highs_calls == [2]
@@ -112,11 +114,11 @@ class TestFallbacks:
         assert not sol.message.startswith("certified")
 
     def test_certified_gap_within_mip_rel_gap(self, highs_calls):
-        m, p_a = two_units(shortfall_cost=100.0)
+        m, p = two_units(shortfall_cost=100.0)
         options = SolveOptions(mip_rel_gap=0.02)
         first = solve(m, options)
         # unit a alone now costs 90.99, 1.09% above the bound of 90
-        m.add_constr("limit_a", [(p_a, 1.0)], hi=79.99)
+        limit_a(m, p, 79.99)
         highs_calls.clear()
         sol = solve(m, options, first)
         assert highs_calls == [0]
@@ -128,12 +130,11 @@ class TestFallbacks:
         assert check_solution(m, sol).ok
 
     def test_dual_bound_of_a_cold_mip(self):
-        m, _ = two_units()
+        m, p = two_units()
         sol = solve(m, GAP)
         assert math.isfinite(sol.dual_bound)
         assert sol.dual_bound <= sol.objective
-        m.add_constr("too_much", [(m.var_index("p_a"), 1.0), (m.var_index("p_b"), 1.0)],
-                     lo=300.0)
+        m.add_rows([Rows("too_much", (0,), terms=[(p, 1.0)], lo=300.0)])
         infeasible = solve(m, GAP)
         assert infeasible.status == "infeasible"
         assert math.isnan(infeasible.dual_bound)
@@ -141,7 +142,7 @@ class TestFallbacks:
     def test_previous_of_another_model_rejected(self):
         m, _ = two_units()
         first = solve(m, GAP)
-        m.add_var("extra")
+        m.add_vars([Cols("extra", (0,))])
         with pytest.raises(ModelError, match="previous solution"):
             solve(m, GAP, first)
 
@@ -202,10 +203,10 @@ class TestRelaxationStart:
             def add_overloaded_lines(self, sol, ptdf):
                 if "line" in self.model.constr_names:
                     return 0
-                self.model.add_constr("line", [(p_a, 1.0)], hi=60.0)
+                self.model.add_rows([Rows("line", (0,), terms=[(p[0], 1.0)], hi=60.0)])
                 return 1
 
-        m, p_a = two_units(load=100.0)
+        m, p = two_units(load=100.0)
         sol = ucbase.solve_lazy(OneLine(m), None, GAP)
         # two relaxations, then one MIP over the fractional binaries
         assert highs_calls[:2] == [0, 0] and 0 < highs_calls[2] <= 2

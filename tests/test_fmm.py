@@ -5,14 +5,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+from frpsim import fmm
 from frpsim.dayahead import DaCommitments, initial_state_from_da, run_da
-from frpsim.fmm import (DOWN, UP, FmmAwards, FmmConfig, FmmHorizon,
-                        build_fmm_datadriven, build_fmm_proxy, build_fmm_training,
-                        compute_frp_requirements, delta_netload,
-                        post_deployment_flows, run_fmm_day, solve_hour,
-                        solve_with_cuts)
+from frpsim.fmm import (DOWN, UP, CutLoopError, FmmAwards, FmmConfig, FmmHorizon,
+                        HourSolveError, build_fmm_datadriven, build_fmm_proxy,
+                        build_fmm_training, compute_frp_requirements, delta_netload,
+                        post_deployment_flows, run_fmm_day, solve_hour, solve_with_cuts)
 from frpsim.learner import RampResponseFactors
-from frpsim.milp import MilpModel, ModelError, SolveOptions, check_solution
+from frpsim.milp import Cols, MilpModel, ModelError, Rows, SolveOptions, check_solution
 from frpsim.network import (Bus, PowerSystem, SolarUnit, TransmissionLine,
                             compute_ptdf)
 from frpsim.scenarios import (DEPLOYMENT, OUT_OF_SAMPLE, TRAINING, Scenario,
@@ -300,6 +300,15 @@ def build_dd_fixture(system, profile, factors=None, cfg=None, start=36,
     return handle, proxy
 
 
+def capped_lines(system, rating=None):
+    """The system with every line but line 0 rated at most ``rating``."""
+    if rating is None:
+        return system
+    return dataclasses.replace(system, lines=tuple(
+        ln if ln.id == 0 else dataclasses.replace(ln, rating=min(ln.rating, rating))
+        for ln in system.lines))
+
+
 class TestDataDrivenModel:
     def test_zero_factors_objective_at_least_proxy(self, bottleneck):
         system, _, profile = bottleneck
@@ -485,6 +494,75 @@ class TestCutLoop:
         assert sol.objective >= px.objective - 1e-6 * (1 + abs(px.objective))
 
 
+    @pytest.mark.parametrize("other_rating, n_dep", [(None, 2), (600.0, 4)])
+    def test_exhausted_round_budget_names_budget_count_and_worst_line(
+            self, bottleneck, other_rating, n_dep):
+        system, _, profile = bottleneck
+        system = capped_lines(system, other_rating)
+        # the same hour solved without cuts shows the violations the loop meets
+        free, _ = build_dd_fixture(system, profile, start=72, n_dep=n_dep)
+        sol = solve_lazy(free.builder, free.ptdf)
+        ratings = np.array([ln.rating for ln in system.lines])[:, None]
+        found = []
+        for s in range(len(free.deployment)):
+            for direction in (UP, DOWN):
+                with np.errstate(invalid="ignore"):
+                    excess = np.abs(post_deployment_flows(free, sol, s, direction)) - ratings
+                found += [(excess[k, t], k) for k, t in np.argwhere(excess > 1e-4)]
+        assert found
+        worst, line = max(found)
+        handle, _ = build_dd_fixture(system, profile, start=72, n_dep=n_dep,
+                                     cfg=FmmConfig(max_cut_rounds=0))
+        with pytest.raises(CutLoopError,
+                           match=rf"exhausted 0 rounds with {len(found)} violations remaining "
+                                 rf"\(worst {worst:.4f} MW on line {line}\)"):
+            solve_with_cuts(handle)
+        assert handle.cuts == []
+
+    def test_exhausted_round_budget_in_a_rolled_day_names_policy_and_hour(
+            self, bottleneck, monkeypatch):
+        system, ptdf, profile = bottleneck
+        ucfg = UncertaintyConfig(seed=3)
+        env = proxy_envelopes(profile, ucfg, system.solar_units)
+        da, _, _ = run_da(system, ptdf, profile)
+        build = fmm.build_fmm_datadriven
+
+        def no_rounds_at_hour_18(*args):
+            handle = build(*args)
+            if handle.horizon.start == 72:
+                handle.cfg = FmmConfig(max_cut_rounds=0)
+            return handle
+
+        monkeypatch.setattr(fmm, "build_fmm_datadriven", no_rounds_at_hour_18)
+        with pytest.raises(HourSolveError, match=r"^datadriven hour 18, scenario forecast: "
+                                                 r"cut loop exhausted 0 rounds") as info:
+            run_fmm_day(system, ptdf, profile, env, da, "datadriven",
+                        factors=zero_factors(system, 2),
+                        deployment=select_deployment_scenarios(system, profile, ucfg, 2),
+                        n_intervals=76)
+        assert isinstance(info.value.__cause__, CutLoopError)
+
+    @pytest.mark.parametrize("other_rating, n_dep, groups", [(None, 2, 1), (600.0, 4, 3)])
+    def test_cut_records_match_cut_rows_in_order(self, bottleneck, other_rating, n_dep,
+                                                  groups):
+        """The bottleneck hour's cuts all lie on one line, scenario and
+        bound; capping the other lines at 600 MW with four deployment
+        scenarios spreads its one round over two of each."""
+        system, _, profile = bottleneck
+        system = capped_lines(system, other_rating)
+        handle, _ = build_dd_fixture(system, profile, start=72, n_dep=n_dep)
+        _, cuts = solve_with_cuts(handle)
+        names = [n for n in handle.model.constr_names if n.startswith("dep_flow[")]
+        assert names == [f"dep_flow[k{c.line_id},t{c.t},s{c.scenario},{c.direction}]"
+                         for c in cuts]
+        # within a round: scenario, up before down, upper before lower, line, move
+        index = {ln.id: k for k, ln in enumerate(system.lines)}
+        keys = [(c.round_added, c.scenario, c.direction == DOWN, c.bound == "lower",
+                 index[c.line_id], c.t) for c in cuts]
+        assert keys == sorted(keys)
+        assert len({key[:5] for key in keys}) == groups
+
+
 class TestObjectiveDecomposition:
     """The objective splits into the costs the program reports and the penalties.
 
@@ -533,9 +611,9 @@ class TestObjectiveDecomposition:
     def test_matrix_refuses_a_repeated_column(self, bottleneck):
         # the matrix build would add up a repeated column's coefficients
         m = MilpModel()
-        x, y = m.add_var("x"), m.add_var("y")
-        m.add_constr("ok", [(x, 1.0), (y, 1.0)], hi=1.0)
-        m.add_constr("twice", [(x, 1.0), (y, 2.0), (x, 3.0)], hi=1.0)
+        x, y = m.add_vars([Cols("x", (0,)), Cols("y", (1,))])
+        m.add_rows([Rows("ok", (0,), terms=[(x, 1.0), (y, 1.0)], hi=1.0),
+                    Rows("twice", (1,), terms=[([x, y, x], [1.0, 2.0, 3.0])], hi=1.0)])
         with pytest.raises(ModelError, match="'twice' lists a column twice"):
             m.validate()
         # no row of a 5-bus model the program builds repeats a column
@@ -670,8 +748,8 @@ class TestRollDay:
         def build_hour(horizon):
             handle = build_fmm_training(system, ptdf, scenario, da, horizon)
             if horizon.start == 8:   # hour 2 demands more than unit 0 can make
-                handle.model.add_constr("over_pmax", [(handle.builder.p[0, 0], 1.0)],
-                                        lo=1000.0)
+                handle.model.add_rows([Rows("over_pmax", (0,),
+                                            terms=[(handle.builder.p[0, 0], 1.0)], lo=1000.0)])
             return handle
 
         with pytest.raises(HourSolveError, match="training hour 2, scenario s7: "

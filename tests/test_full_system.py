@@ -28,7 +28,6 @@ def test_118_bus_pipeline_smoke(data_dir, tmp_path):
         nn_epochs=5,
         mip_rel_gap=1e-3,
         persist_training_data=False,
-        persist_scenarios=False,
     )
     run_pipeline(cfg)
     out = tmp_path / "out"

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from frpsim.learner import (DispatchTrajectory, Mlp, RegressionModel, TrainConfig,
-                            TrainingDataset, build_targets, feature_dim,
-                            feature_matrix, load_models, predict_factors, save_models,
-                            train)
+                            TrainingDataset, build_targets, feature_matrix, load_models,
+                            predict_factors, save_models, train)
 from frpsim.scenarios import DEPLOYMENT, Scenario
 from oracles import gradient_check
 from util import bottleneck_system, make_gen, single_bus_system
@@ -19,14 +18,14 @@ def scenario_from(load, solar, kind="training"):
 
 class TestFeatures:
     def test_dimension_three_solar_units(self):
-        assert feature_dim(3) == 70
         rng = np.random.default_rng(0)
         scn = scenario_from(rng.uniform(500, 700, 96), rng.uniform(0, 50, (3, 96)))
         assert feature_matrix(scn).shape == (96, 70)
         assert feature_matrix(scn)[10].shape == (70,)
 
     def test_dimension_one_solar_unit(self):
-        assert feature_dim(1) == 42
+        scn = scenario_from(np.full(96, 500.0), np.zeros((1, 96)))
+        assert feature_matrix(scn).shape == (96, 42)
 
     def test_constant_scenario_levels_equal_changes_zero(self):
         scn = scenario_from(np.full(96, 500.0), np.full((1, 96), 30.0))
@@ -114,7 +113,7 @@ class TestTargets:
         )
         scn = scenario_from(np.full(n, 100.0), np.zeros((1, n)))
         ds = build_targets([(scn, traj)], system=system, seed=0)
-        fs_ids = {g.id for g in system.fast_start_generators()}
+        fs_ids = {g.id for g in system.generators if g.is_fast_start}
         assert not (set(ds.gen_ids.tolist()) & fs_ids)
 
     def test_split_disjoint_exhaustive_75_25(self):

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from frpsim.milp import (BINARY, CONTINUOUS, Cols, MilpModel, MilpSolution, ModelError,
-                         Rows, SolveOptions, check_solution, solve)
+from frpsim.milp import (Cols, MilpModel, MilpSolution, ModelError, Rows, SolveOptions,
+                         check_solution, solve)
 from frpsim.ucbase import UcModelBuilder, cold_start_state
 from oracles import brute_force_uc
 from util import make_gen, single_bus_system
@@ -37,48 +37,48 @@ def solve_uc_milp(system, loads, interval_hours=0.25, voll=10000.0, lo=None, hi=
 class TestSolve:
     def test_continuous_minimum(self):
         m = MilpModel()
-        x = m.add_var("x", CONTINUOUS, 0.0, math.inf)
-        m.add_to_objective(x, 1.0)
-        m.add_constr("floor", [(x, 1.0)], lo=3.0)
+        x, = m.add_vars([Cols("x", (0,), cost=1.0)])
+        m.add_rows([Rows("floor", (0,), terms=[(x, 1.0)], lo=3.0)])
         sol = solve(m)
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(3.0, abs=1e-9)
 
     def test_binary_rounds_up(self):
         m = MilpModel()
-        y = m.add_var("y", BINARY)
-        m.add_to_objective(y, 1.0)
-        m.add_constr("half", [(y, 1.0)], lo=0.5)
+        y, = m.add_vars([Cols("y", (0,), binary=True, cost=1.0)])
+        m.add_rows([Rows("half", (0,), terms=[(y, 1.0)], lo=0.5)])
         sol = solve(m)
         assert sol.objective == pytest.approx(1.0, abs=1e-9)
         assert sol.value(y) == pytest.approx(1.0, abs=1e-6)
 
     def test_ranged_row_holds_both_sides(self):
-        m = MilpModel()
-        x = m.add_var("x", CONTINUOUS, -math.inf, math.inf)
-        y = m.add_var("y", CONTINUOUS, 0.0, 1.0)
-        m.add_constr("band", [(x, 1.0), (y, 1.0)], lo=-2.0, hi=3.0)
-        m.add_to_objective(x, 1.0)
+        def band(cost_x):
+            m = MilpModel()
+            x, y = m.add_vars([Cols("x", (0,), lb=-math.inf, cost=cost_x),
+                               Cols("y", (1,), ub=1.0)])
+            m.add_rows([Rows("band", (0,), terms=[(x, 1.0), (y, 1.0)], lo=-2.0, hi=3.0)])
+            return m, x, y
+
+        m, _, _ = band(1.0)    # minimise x
         assert solve(m).objective == pytest.approx(-3.0, abs=1e-9)
-        m.add_to_objective(x, -2.0)   # now maximise x
+        m, x, y = band(-1.0)   # maximise x
         assert solve(m).objective == pytest.approx(-3.0, abs=1e-9)
-        m.add_constr("pin", [(y, 1.0)], lo=0.5, hi=0.5)
+        m.add_rows([Rows("pin", (0,), terms=[(y, 1.0)], lo=0.5, hi=0.5)])
         sol = solve(m)
         assert sol.value(x) == pytest.approx(2.5, abs=1e-9)
         assert sol.value(y) == pytest.approx(0.5, abs=1e-9)
 
     def test_infeasible_pair(self):
         m = MilpModel()
-        x = m.add_var("x", CONTINUOUS, -math.inf, math.inf)
-        m.add_constr("lo", [(x, 1.0)], lo=1.0)
-        m.add_constr("hi", [(x, 1.0)], hi=0.0)
+        x, = m.add_vars([Cols("x", (0,), lb=-math.inf)])
+        m.add_rows([Rows("lo", (0,), terms=[(x, 1.0)], lo=1.0),
+                    Rows("hi", (1,), terms=[(x, 1.0)], hi=0.0)])
         assert solve(m).status == "infeasible"
 
     def test_unbounded_lp(self):
         m = MilpModel()
-        x = m.add_var("x", CONTINUOUS, -math.inf, math.inf)
-        m.add_to_objective(x, 1.0)
-        m.add_constr("cap", [(x, 1.0)], hi=1.0)
+        x, = m.add_vars([Cols("x", (0,), lb=-math.inf, cost=1.0)])
+        m.add_rows([Rows("cap", (0,), terms=[(x, 1.0)], hi=1.0)])
         sol = solve(m)
         assert sol.status == "unbounded"
         assert "unbounded" in sol.message
@@ -86,31 +86,21 @@ class TestSolve:
     def test_unbounded_milp_is_an_error_with_message(self):
         # HiGHS cannot tell an unbounded MILP from an infeasible one
         m = MilpModel()
-        x = m.add_var("x", CONTINUOUS, -math.inf, math.inf)
-        y = m.add_var("y", BINARY)
-        m.add_to_objective(x, 1.0)
-        m.add_constr("cap", [(x, 1.0), (y, 1.0)], hi=1.0)
+        x, y = m.add_vars([Cols("x", (0,), lb=-math.inf, cost=1.0),
+                           Cols("y", (1,), binary=True)])
+        m.add_rows([Rows("cap", (0,), terms=[(x, 1.0), (y, 1.0)], hi=1.0)])
         sol = solve(m)
         assert sol.status == "error"
         assert "unbounded or infeasible" in sol.message
 
     def test_empty_or_unbounded_row_rejected(self):
         m = MilpModel()
-        x = m.add_var("x")
+        x, = m.add_vars([Cols("x", (0,))])
         with pytest.raises(ModelError, match="empty range"):
-            m.add_constr("flipped", [(x, 1.0)], lo=2.0, hi=1.0)
+            m.add_rows([Rows("flipped", (0,), terms=[(x, 1.0)], lo=2.0, hi=1.0)])
         with pytest.raises(ModelError, match="no finite bound"):
-            m.add_constr("free", [(x, 1.0)])
+            m.add_rows([Rows("free", (0,), terms=[(x, 1.0)])])
         assert m.n_constrs == 0
-
-    def test_duplicate_names_rejected(self):
-        m = MilpModel()
-        x = m.add_var("x")
-        with pytest.raises(ModelError):
-            m.add_var("x")
-        m.add_constr("c", [(x, 1.0)], hi=1.0)
-        with pytest.raises(ModelError):
-            m.add_constr("c", [(x, 1.0)], hi=2.0)
 
     def test_duplicate_block_names_raise_when_read(self):
         m = MilpModel()
@@ -124,9 +114,9 @@ class TestSolve:
 
     def test_corrupted_row_index_raises(self):
         m = MilpModel()
-        x = m.add_var("x")
-        m.add_constr("ok", [(x, 1.0)], hi=1.0)
-        m.add_constr("bad", [(5, 1.0)], hi=1.0)   # a column no variable owns
+        x, = m.add_vars([Cols("x", (0,))])
+        m.add_rows([Rows("ok", (0,), terms=[(x, 1.0)], hi=1.0)])
+        m.add_rows([Rows("bad", (0,), terms=[(5, 1.0)], hi=1.0)])   # a column no variable owns
         with pytest.raises(ModelError, match="'bad' references undeclared"):
             m.validate()
         with pytest.raises(ModelError, match="'bad' references undeclared"):
@@ -134,22 +124,15 @@ class TestSolve:
 
     def test_negative_columns_raise_instead_of_wrapping(self):
         m = MilpModel()
-        x = m.add_var("x")
-        m.add_to_objective(x, 1.0)
-        m.add_constr("neg", [(-1, 1.0)], hi=1.0)   # -1 would index x
+        m.add_vars([Cols("x", (0,), cost=1.0)])
+        m.add_rows([Rows("neg", (0,), terms=[(-1, 1.0)], hi=1.0)])   # -1 would index x
         with pytest.raises(ModelError, match="'neg' references undeclared"):
             m.validate()
-        m = MilpModel()
-        x = m.add_var("x")
-        m.add_constr("ok", [(x, 1.0)], hi=1.0)
-        m.add_to_objective(-1, 1.0)
-        with pytest.raises(ModelError, match="objective references undeclared"):
-            solve(m)
 
     def test_row_coefficients_stored_as_given_without_negative_zero(self):
         m = MilpModel()
-        x, y = m.add_var("x"), m.add_var("y")
-        m.add_constr("c", [(y, -0.0), (x, 2.0)], hi=1.0)
+        x, y = m.add_vars([Cols("x", (0,)), Cols("y", (1,))])
+        m.add_rows([Rows("c", (0,), terms=[([y, x], [-0.0, 2.0])], hi=1.0)])
         _, cols, data, _, _ = m._rows[-1]   # the stored entries of the last block
         assert cols.tolist() == [y, x]
         assert data.tolist() == [0.0, 2.0]
@@ -158,11 +141,9 @@ class TestSolve:
 
     def test_optimal_values_within_bounds(self):
         m = MilpModel()
-        x = m.add_var("x", CONTINUOUS, 2.0, 5.0)
-        y = m.add_var("y", BINARY)
-        m.add_to_objective(x, 1.0)
-        m.add_to_objective(y, -0.5)
-        m.add_constr("c", [(x, 1.0), (y, 1.0)], lo=2.5)
+        x, y = m.add_vars([Cols("x", (0,), lb=2.0, ub=5.0, cost=1.0),
+                           Cols("y", (1,), binary=True, cost=-0.5)])
+        m.add_rows([Rows("c", (0,), terms=[(x, 1.0), (y, 1.0)], lo=2.5)])
         sol = solve(m)
         lb = np.array([2.0, 0.0])
         ub = np.array([5.0, 1.0])
@@ -202,7 +183,7 @@ class TestCheckSolution:
         bad[builder.p[0, 1]] = 0.0
         bad[builder.w[0, 1]] = 1.0
         bad[builder.inj(0, 1)] = 0.0
-        bad[builder.model.var_index("sl_surp[t1]")] = 0.0
+        bad[builder.surp[1]] = 0.0
         sol.values = bad
         report = check_solution(builder.model, sol, tol=1e-6)
         assert report.violations == [("bound:u[g0,t1]", pytest.approx(1.0))]
@@ -218,8 +199,8 @@ class TestCheckSolution:
 
     def test_violation_exactly_at_tol_not_reported(self):
         m = MilpModel()
-        x = m.add_var("x", CONTINUOUS, 0.0, 10.0)
-        m.add_constr("cap", [(x, 1.0)], hi=1.0)
+        x, = m.add_vars([Cols("x", (0,), ub=10.0)])
+        m.add_rows([Rows("cap", (0,), terms=[(x, 1.0)], hi=1.0)])
         sol = MilpSolution(status="optimal", objective=0.0,
                            values=np.array([1.0 + 1e-6]))
         assert check_solution(m, sol, tol=1e-6).ok
@@ -228,7 +209,7 @@ class TestCheckSolution:
 
     def test_missing_values_rejected(self):
         m = MilpModel()
-        m.add_var("x")
+        m.add_vars([Cols("x", (0,))])
         sol = MilpSolution(status="optimal", objective=0.0, values=np.array([np.nan]))
         with pytest.raises(ModelError):
             check_solution(m, sol)

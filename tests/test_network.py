@@ -44,8 +44,9 @@ class TestLoadSystem:
         assert len(system.lines) == 186
         assert len(system.generators) == 51
         assert len(system.solar_units) == 3
-        assert len(system.fast_start_generators()) == 21
-        assert all(g.p_max == 50.0 for g in system.fast_start_generators())
+        fast = [g for g in system.generators if g.is_fast_start]
+        assert len(fast) == 21
+        assert all(g.p_max == 50.0 for g in fast)
         shares = sorted(s.share_of_total for s in system.solar_units)
         assert shares == [0.2, 0.2, 0.6]
         assert validate_system(system) == []
@@ -193,7 +194,7 @@ class TestPtdf:
         inj = rng.normal(0, 50, size=system118.n_buses)
         inj[system118.slack_bus] -= inj.sum()
         np.testing.assert_allclose(
-            ptdf.flows(inj), dc_power_flow(system118, inj), atol=1e-8
+            ptdf.values @ inj, dc_power_flow(system118, inj), atol=1e-8
         )
 
     @settings(max_examples=25, deadline=None)
@@ -208,7 +209,7 @@ class TestPtdf:
             inj[bus] += 1.0
             inj[system.slack_bus] -= 1.0
             np.testing.assert_allclose(
-                ptdf.flows(inj), dc_power_flow(system, inj), atol=1e-8
+                ptdf.values @ inj, dc_power_flow(system, inj), atol=1e-8
             )
 
     def test_bus_reordering_permutes_ptdf(self, rng):

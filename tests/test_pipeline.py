@@ -11,6 +11,7 @@ import pytest
 from frpsim import fmm, learner, pipeline, validation
 from frpsim.cli import main as cli_main
 from frpsim.fmm import HourSolveError
+from frpsim.milp import Rows
 from frpsim.pipeline import ExperimentConfig, StageError, run_pipeline
 from frpsim.scenarios import Scenario
 from util import bottleneck_profile, bottleneck_system, profile_to_dir, system_to_json
@@ -340,8 +341,8 @@ def _infeasible_at_hour_2(build, index):
         horizon = next(a for a in args if isinstance(a, fmm.FmmHorizon))
         scenario = next(a for a in args if isinstance(a, Scenario))
         if horizon.start == 8 and scenario.seed_info.endswith(f"index={index}"):
-            handle.model.add_constr("over_pmax", [(handle.builder.p[0, 0], 1.0)],
-                                    lo=1e6)
+            handle.model.add_rows([Rows("over_pmax", (0,),
+                                        terms=[(handle.builder.p[0, 0], 1.0)], lo=1e6)])
         return handle
     return build_hour
 

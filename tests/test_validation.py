@@ -114,7 +114,8 @@ class TestRtucValidation:
         scn = sample_scenarios(system, profile, big, 1, OUT_OF_SAMPLE)[0]
         res = run_rtuc_validation(system, ptdf, run.awards, da, scn, 0, PROXY)
         _, commitment, _ = executed_rtuc_day(system, ptdf, run.awards, da, scn)
-        counted = sum(int(commitment[g.id].sum()) for g in system.fast_start_generators())
+        counted = sum(int(commitment[g.id].sum()) for g in system.generators
+                      if g.is_fast_start)
         assert counted > 0
         assert res.fs_commitment_count == counted
 
