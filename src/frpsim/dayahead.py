@@ -9,7 +9,6 @@ fast-start units) in every 15-min model of the day.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 
@@ -115,35 +114,3 @@ def initial_state_from_da(system: PowerSystem, da: DaCommitments) -> UnitState:
     on = da.interval_schedule(system)[:, 0] == 1
     power = np.array([da.dispatch_hourly[g.id][0] for g in system.generators], dtype=float)
     return replace(cold_start_state(system), committed=on, power=np.where(on, power, 0.0))
-
-
-# ----------------------------------------------------------------- persist
-
-def write_commitments_csv(da: DaCommitments, path) -> None:
-    # full-precision dispatch so downstream stages reproduce exactly from disk
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["generator", "hour", "u", "dispatch_mw"])
-        for gen_id in sorted(da.u_hourly):
-            for h in range(HOURS_PER_DAY):
-                writer.writerow([
-                    gen_id, h, int(da.u_hourly[gen_id][h]),
-                    repr(float(da.dispatch_hourly[gen_id][h])),
-                ])
-
-
-def read_commitments_csv(path) -> DaCommitments:
-    u: dict[int, list[float]] = {}
-    p: dict[int, list[float]] = {}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            gen_id = int(row["generator"])
-            u.setdefault(gen_id, [0.0] * HOURS_PER_DAY)[int(row["hour"])] = float(row["u"])
-            p.setdefault(gen_id, [0.0] * HOURS_PER_DAY)[int(row["hour"])] = float(
-                row["dispatch_mw"]
-            )
-    return DaCommitments(
-        u_hourly={g: np.asarray(vals) for g, vals in u.items()},
-        dispatch_hourly={g: np.asarray(vals) for g, vals in p.items()},
-        objective=float("nan"),
-    )

@@ -4,6 +4,9 @@ Stages run in order and each persists its artifacts under the output
 directory, so a rerun picks up from whatever already exists: prepare (system,
 day-ahead), train (scenario rolls, regression models), clear (hourly market
 runs per policy), validate (out-of-sample re-dispatch), report (tables).
+Each stage reads what an earlier one produced back from that directory, so a
+fresh and a resumed run take the same path.  This module owns the format of
+every artifact.
 """
 
 from __future__ import annotations
@@ -17,23 +20,21 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 
 from . import learner as learner_mod
-from .dayahead import (DaCommitments, read_commitments_csv, run_da,
-                       write_commitments_csv)
+from .dayahead import DaCommitments, run_da
 from .fmm import FmmAwards, FmmConfig, run_fmm_day, run_training_day
 from .milp import SolveOptions
-from .network import PowerSystem, compute_ptdf, load_system
-from .scenarios import (INTERVALS_PER_DAY, OUT_OF_SAMPLE, TRAINING, UncertaintyConfig,
-                        load_profiles, proxy_envelopes, sample_scenarios,
-                        select_deployment_scenarios, write_scenarios_csv)
-from .validation import (DATADRIVEN, PROXY, MetricsReport, ScenarioResult,
-                         ValidationConfig, aggregate_metrics, compare_policies,
-                         policy_aggregates, run_rtuc_validation, write_interval_csv,
-                         write_results_csv)
+from .network import PowerSystem, SolarUnit, compute_ptdf, load_system
+from .scenarios import (HOURS_PER_DAY, INTERVALS_PER_DAY, OUT_OF_SAMPLE, TRAINING, Scenario,
+                        UncertaintyConfig, load_profiles, proxy_envelopes, sample_scenarios,
+                        select_deployment_scenarios)
+from .validation import (DATADRIVEN, PROXY, ScenarioResult, ValidationConfig,
+                         run_rtuc_validation)
 
 STAGES = ("prepare", "train", "clear", "validate", "report")
 
@@ -147,7 +148,13 @@ class ExperimentConfig:
 
 @dataclass
 class PipelineContext:
-    """Lazily loaded shared artifacts for the stage functions."""
+    """The run's inputs, loaded once, and what this run's stages computed.
+
+    A stage reads what an earlier stage produced from ``out``, whether or
+    not that stage ran in this process; ``da`` holds that read of the
+    day-ahead file.  ``fmm_costs`` and ``results`` collect what this run's
+    clear and validate stages computed, for callers of ``run_pipeline``.
+    """
 
     cfg: ExperimentConfig
     out: Path
@@ -156,9 +163,7 @@ class PipelineContext:
     profile: object = None
     envelope: object = None
     da: DaCommitments | None = None
-    models: dict | None = None
     deployment: object = None
-    awards: dict[str, FmmAwards] = field(default_factory=dict)
     fmm_costs: dict[str, float] = field(default_factory=dict)
     results: dict[str, list[ScenarioResult]] = field(default_factory=dict)
 
@@ -173,10 +178,7 @@ class PipelineContext:
     def load_da(self):
         self.load_inputs()
         if self.da is None:
-            path = self.out / "da_commitments.csv"
-            if not path.exists():
-                raise StageError("prepare", "day-ahead artifacts missing; run prepare")
-            self.da = read_commitments_csv(path)
+            self.da = _read_da_csv(self.out / "da_commitments.csv", self.system)
 
     def load_deployment(self):
         self.load_inputs()
@@ -227,16 +229,19 @@ def stage_prepare(ctx: PipelineContext, force: bool = False) -> None:
     ctx.load_inputs()
     da, _, _ = run_da(ctx.system, ctx.ptdf, ctx.profile,
                       options=ctx.cfg.solve_options, voll=ctx.cfg.voll)
-    write_commitments_csv(da, out)
-    ctx.da = da
+    _write_da_csv(da, out)
 
 
 def stage_train(ctx: PipelineContext, force: bool = False) -> None:
+    """Fit the response models; ``training_meta.json``, written after every
+    model file, marks the stage done."""
     if DATADRIVEN not in ctx.cfg.policies:
         return
-    model_dir = ctx.out / "models"
-    if model_dir.exists() and any(model_dir.glob("gen_*.npz")) and not force:
+    meta_path = ctx.out / "training_meta.json"
+    if meta_path.exists() and not force:
         return
+    # a forced retrain that stops half way must not leave the old marker
+    meta_path.unlink(missing_ok=True)
     ctx.load_da()
     cfg = ctx.cfg
     training = sample_scenarios(ctx.system, ctx.profile, cfg.uncertainty,
@@ -255,11 +260,9 @@ def stage_train(ctx: PipelineContext, force: bool = False) -> None:
         seed=cfg.seed,
     )
     models = learner_mod.train(dataset, train_cfg)
-    learner_mod.save_models(models, model_dir)
-    meta = {g: {"train_mse": m.train_mse, "test_mse": m.test_mse}
-            for g, m in models.items()}
-    (ctx.out / "training_meta.json").write_text(json.dumps(meta, indent=2))
-    ctx.models = models
+    learner_mod.save_models(models, ctx.out / "models")
+    _write_json(meta_path, {g: {"train_mse": m.train_mse, "test_mse": m.test_mse}
+                            for g, m in models.items()})
 
 
 def stage_clear(ctx: PipelineContext, force: bool = False) -> None:
@@ -272,15 +275,14 @@ def stage_clear(ctx: PipelineContext, force: bool = False) -> None:
         try:
             factors = deployment = None
             if policy == DATADRIVEN:
+                if not (ctx.out / "training_meta.json").exists():
+                    raise StageError("clear", "training_meta.json missing; run train")
                 ctx.load_deployment()
                 deployment = ctx.deployment
-                write_scenarios_csv(deployment, ctx.out / "deployment_scenarios.csv",
-                                    ctx.system.solar_units)
-                if ctx.models is None:
-                    ctx.models = learner_mod.load_models(ctx.out / "models")
-                    if not ctx.models:
-                        raise StageError("clear", "no trained models; run train")
-                factors = learner_mod.predict_factors(ctx.models, deployment)
+                _write_scenarios_csv(deployment, ctx.out / "deployment_scenarios.csv",
+                                     ctx.system.solar_units)
+                factors = learner_mod.predict_factors(
+                    learner_mod.load_models(ctx.out / "models"), deployment)
                 _write_factors_csv(factors, ctx.out / "response_factors.csv")
             run = run_fmm_day(ctx.system, ctx.ptdf, ctx.profile, ctx.envelope, ctx.da,
                               policy, cfg.fmm, factors=factors, deployment=deployment,
@@ -291,13 +293,13 @@ def stage_clear(ctx: PipelineContext, force: bool = False) -> None:
             raise
         except Exception as exc:
             raise StageError("clear", f"{policy}: {exc}") from exc
-        _write_awards_csv(run.awards, awards_path)
-        ctx.awards[policy] = run.awards
         ctx.fmm_costs[policy] = run.cost
         costs_path = ctx.out / "fmm_costs.json"
         existing = json.loads(costs_path.read_text()) if costs_path.exists() else {}
         existing[policy] = {"cost": run.cost, "violation_mwh": run.violation_mwh}
-        costs_path.write_text(json.dumps(existing, indent=2))
+        _write_json(costs_path, existing)
+        # the awards file marks the policy cleared, so it goes last
+        _write_awards_csv(run.awards, awards_path)
 
 
 def stage_validate(ctx: PipelineContext, force: bool = False) -> None:
@@ -310,46 +312,80 @@ def stage_validate(ctx: PipelineContext, force: bool = False) -> None:
         results_path = ctx.out / f"results_{policy}.csv"
         if results_path.exists() and not force:
             continue
-        awards = ctx.awards.get(policy)
-        if awards is None:
-            awards_path = ctx.out / f"awards_{policy}.csv"
-            if not awards_path.exists():
-                raise StageError("validate", f"awards for {policy} missing; run clear")
-            awards = _read_awards_csv(awards_path, ctx.system)
-            ctx.awards[policy] = awards
+        awards = _read_awards_csv(ctx.out / f"awards_{policy}.csv", ctx.system)
         results = _roll_days("validate", f"{policy} scenario",
                             partial(run_rtuc_validation, ctx.system, ctx.ptdf, awards,
                                     ctx.da, policy=policy, cfg=vcfg),
                             oos, range(len(oos)))
-        write_results_csv(results, results_path)
-        write_interval_csv(results, ctx.out / f"intervals_{policy}.csv")
+        # the results file marks the policy validated, so it goes last
+        _write_intervals_csv(results, ctx.out / f"intervals_{policy}.csv")
+        _write_results_csv(results, results_path)
         ctx.results[policy] = results
 
 
+# per-scenario metrics, in results-file and report order; the first three
+# also count the scenarios where the data-driven policy is strictly lower
+_METRIC_NAMES = ("rt_cost_excl_violation", "total_violation_mwh", "fs_commitments",
+                 "total_cost")
+_IMPROVABLE = _METRIC_NAMES[:3]
+_STATS = {"avg": np.mean, "sum": np.sum, "max": np.max}
+
+# each comparison table's rows, in order: "<metric>.<stat>" of the policy
+# aggregates, the clearing cost, and the data-driven improvement counts
+# (the proxy column holds the number of scenarios)
+_TABLES = {
+    "table_improvements.csv": [f"scenarios_improved.{m}" for m in _IMPROVABLE],
+    "table_violations.csv": [f"total_violation_mwh.{s}" for s in ("avg", "sum", "max")],
+    "table_costs.csv": ["fmm_operating_cost",
+                        *(f"{m}.{s}" for s in ("avg", "max")
+                          for m in ("rt_cost_excl_violation", "total_cost"))],
+    "table_fs_commitments.csv": [f"fs_commitments.{s}" for s in ("sum", "avg", "max")],
+}
+
+
 def stage_report(ctx: PipelineContext, force: bool = False) -> None:
+    """Aggregate each policy's results; with both policies, compare them
+    scenario by scenario and write the comparison tables."""
     report_path = ctx.out / "report.json"
     if report_path.exists() and not force:
         return
     cfg = ctx.cfg
     costs_path = ctx.out / "fmm_costs.json"
-    fmm_costs = {}
-    if costs_path.exists():
-        fmm_costs = {k: v["cost"] for k, v in json.loads(costs_path.read_text()).items()}
-    per_policy = {}
+    fmm = json.loads(costs_path.read_text()) if costs_path.exists() else {}
+    metrics, interval_cost = {}, {}
     for policy in cfg.policies:
-        results = ctx.results.get(policy)
-        if results is None:
-            results = _read_results(ctx.out, policy)
-            ctx.results[policy] = results
-        per_policy[policy] = policy_aggregates(results)
-    payload = {"config": asdict(cfg), "fmm_costs": fmm_costs,
-               "per_policy": per_policy}
+        if policy not in fmm:
+            raise StageError("report", f"fmm_costs.json has no {policy} cost; run clear")
+        metrics[policy], interval_cost[policy] = _read_results(
+            ctx.out, policy, cfg.n_out_of_sample)
+    fmm_costs = {p: v["cost"] for p, v in fmm.items()}
+    per_policy = {p: {m: {s: float(stat(v)) for s, stat in _STATS.items()}
+                      for m, v in metrics[p].items()}
+                  for p in cfg.policies}
+    payload = {"config": asdict(cfg), "fmm_costs": fmm_costs, "per_policy": per_policy}
     if set(cfg.policies) == {PROXY, DATADRIVEN}:
-        report = aggregate_metrics(ctx.results[PROXY], ctx.results[DATADRIVEN],
-                                   fmm_cost=fmm_costs)
-        payload["improvements"] = report.improvements
-        emit_tables(report, ctx.out)
-    report_path.write_text(json.dumps(payload, indent=2))
+        improved = {m: int(np.sum(metrics[DATADRIVEN][m] < metrics[PROXY][m]))
+                    for m in _IMPROVABLE}
+        payload["improvements"] = improved
+        cells = {p: {"fmm_operating_cost": fmm_costs[p],
+                     **{f"{m}.{s}": x for m, stats in per_policy[p].items()
+                        for s, x in stats.items()}}
+                 for p in (PROXY, DATADRIVEN)}
+        for m, count in improved.items():
+            cells[PROXY][f"scenarios_improved.{m}"] = float(cfg.n_out_of_sample)
+            cells[DATADRIVEN][f"scenarios_improved.{m}"] = float(count)
+        for name, rows in _TABLES.items():
+            _write_csv(ctx.out / name, ["metric", PROXY, DATADRIVEN],
+                       ([r, f"{cells[PROXY][r]:.6f}", f"{cells[DATADRIVEN][r]:.6f}"]
+                        for r in rows))
+        # positive: data-driven cheaper at that interval
+        gains = interval_cost[PROXY] - interval_cost[DATADRIVEN]
+        quartiles = [np.quantile(gains, q, axis=0) for q in (0.25, 0.5, 0.75)]
+        _write_csv(ctx.out / "table_interval_quartiles.csv",
+                   ["interval", "improvement_q1", "improvement_median", "improvement_q3"],
+                   ([t, *(f"{q[t]:.6f}" for q in quartiles)]
+                    for t in range(INTERVALS_PER_DAY)))
+    _write_json(report_path, payload)
 
 
 def _check_resumed_config(path: Path, cfg: ExperimentConfig) -> None:
@@ -385,7 +421,7 @@ def run_pipeline(cfg: ExperimentConfig, stages=None, force: bool = False
     out.mkdir(parents=True, exist_ok=True)
     if not force:
         _check_resumed_config(out / "config_used.json", cfg)
-    (out / "config_used.json").write_text(json.dumps(asdict(cfg), indent=2))
+    _write_json(out / "config_used.json", asdict(cfg))
     ctx = PipelineContext(cfg=cfg, out=out)
     runners = {
         "prepare": stage_prepare,
@@ -405,143 +441,163 @@ def run_pipeline(cfg: ExperimentConfig, stages=None, force: bool = False
     return ctx
 
 
-# ------------------------------------------------------------------- tables
+# --------------------------------------------------------- artifact formats
+# Every file a stage reads back carries full-precision (``repr``) floats, so
+# a stage computes the same from disk as from memory.  The audit-only files
+# (deployment scenarios, response factors, cuts, training dataset) carry six
+# decimals.
 
-def emit_tables(report: MetricsReport, out_dir) -> list[Path]:
-    """Write the comparison tables and the per-interval quartile CSV."""
-    if not report.proxy:
-        raise ValueError("report is empty")
-    out_dir = Path(out_dir)
-    rows = compare_policies(report)
-    written = []
-    tables = {
-        "improvements": "table_improvements.csv",
-        "violations": "table_violations.csv",
-        "costs": "table_costs.csv",
-        "fs_commitments": "table_fs_commitments.csv",
-    }
-    for table, filename in tables.items():
-        path = out_dir / filename
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["metric", "proxy", "datadriven"])
-            for row in rows:
-                if row.table == table:
-                    writer.writerow([row.metric, f"{row.proxy:.6f}",
-                                     f"{row.datadriven:.6f}"])
-        written.append(path)
-    path = out_dir / "table_interval_quartiles.csv"
-    with open(path, "w", newline="") as fh:
+def _replace(path: Path, fill) -> None:
+    """Write ``path`` through ``fill(fh)`` into ``<name>.tmp``, then rename it
+    over ``path``: a write that fails leaves no partial file behind."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fill(fh)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    def fill(fh):
         writer = csv.writer(fh)
-        writer.writerow(["interval", "improvement_q1", "improvement_median",
-                         "improvement_q3"])
-        for t in range(len(report.interval_improvement_median)):
-            writer.writerow([
-                t,
-                f"{report.interval_improvement_q1[t]:.6f}",
-                f"{report.interval_improvement_median[t]:.6f}",
-                f"{report.interval_improvement_q3[t]:.6f}",
-            ])
-    written.append(path)
-    return written
+        writer.writerow(header)
+        writer.writerows(rows)
+    _replace(path, fill)
 
 
-# ------------------------------------------------------------------ persist
-
-def _write_awards_csv(awards: FmmAwards, path) -> None:
-    # full-precision floats so validation reruns from disk reproduce exactly
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["generator", "interval", "p", "u", "ur", "dr"])
-        for g in awards.gen_ids:
-            for t in range(awards.n_intervals):
-                writer.writerow([
-                    g, t, repr(float(awards.p[g][t])), int(awards.u[g][t]),
-                    repr(float(awards.ur[g][t])), repr(float(awards.dr[g][t])),
-                ])
+def _write_json(path: Path, payload) -> None:
+    _replace(path, lambda fh: fh.write(json.dumps(payload, indent=2)))
 
 
-def _read_awards_csv(path, system: PowerSystem) -> FmmAwards:
+def _read_csv(path: Path, made_by: str, keys: tuple[str, ...], cells: list[tuple]
+              ) -> list[dict[str, str]]:
+    """The rows of ``path``, one per cell of ``cells``, in that order.
+
+    ``keys`` are the integer columns that place a row in a cell.  A file
+    that lacks a cell, repeats one or holds one not in ``cells`` is refused,
+    naming the first such cell and ``made_by``, the stage that writes it.
+    """
+    if not path.exists():
+        raise ValueError(f"{path.name} missing; run {made_by}")
+    wanted, rows = set(cells), {}
     with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    n = max(int(r["interval"]) for r in rows) + 1
-    awards = FmmAwards.empty(system, n)
-    for r in rows:
-        g, t = int(r["generator"]), int(r["interval"])
-        awards.p[g][t] = float(r["p"])
-        awards.u[g][t] = float(r["u"])
-        awards.ur[g][t] = float(r["ur"])
-        awards.dr[g][t] = float(r["dr"])
-    return awards
-
-
-def _write_cuts_csv(cuts, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["hour", "line", "t", "scenario", "direction", "bound",
-                         "round"])
-        for hour, cut in cuts:
-            writer.writerow([hour, cut.line_id, cut.t, cut.scenario,
-                             cut.direction, cut.bound, cut.round_added])
-
-
-def _write_factors_csv(factors, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["generator", "move", "scenario", "factor"])
-        for g in factors.gen_ids():
-            arr = factors.values[g]
-            for t in range(arr.shape[0]):
-                for s in range(arr.shape[1]):
-                    writer.writerow([g, t, s, f"{arr[t, s]:.6f}"])
-
-
-def _write_dataset_csv(dataset, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        n_feat = dataset.features.shape[1]
-        writer.writerow(["generator", "interval", "target", "is_test",
-                         *(f"f{i}" for i in range(n_feat))])
-        for i in range(len(dataset)):
-            writer.writerow([
-                dataset.gen_ids[i], dataset.intervals[i],
-                f"{dataset.targets[i]:.6f}", int(dataset.is_test[i]),
-                *(f"{x:.6f}" for x in dataset.features[i]),
-            ])
-
-
-def _read_results(out_dir: Path, policy: str) -> list[ScenarioResult]:
-    results_path = out_dir / f"results_{policy}.csv"
-    intervals_path = out_dir / f"intervals_{policy}.csv"
-    for path in (results_path, intervals_path):
-        if not path.exists():
-            raise StageError("report", f"{path.name} missing; run validate")
-    per_interval: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    with open(intervals_path, newline="") as fh:
         for row in csv.DictReader(fh):
-            sid = int(row["scenario_id"])
-            cost, viol = per_interval.setdefault(
-                sid, (np.zeros(INTERVALS_PER_DAY), np.zeros(INTERVALS_PER_DAY))
-            )
-            t = int(row["interval"])
-            cost[t] = float(row["cost"])
-            viol[t] = float(row["violation_mwh"])
-    out = []
-    with open(results_path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            sid = int(row["scenario_id"])
-            if sid not in per_interval:
-                raise StageError("report", f"{intervals_path.name} has no rows "
-                                           f"for scenario {sid}")
-            cost, viol = per_interval[sid]
-            out.append(ScenarioResult(
-                scenario_id=sid,
-                policy=row["policy"],
-                rt_cost_excl_violation=float(row["rt_cost_excl_violation"]),
-                total_violation_mwh=float(row["total_violation_mwh"]),
-                fs_commitment_count=int(row["fs_commitments"]),
-                total_cost=float(row["total_cost"]),
-                interval_cost=cost,
-                interval_violation_mwh=viol,
-            ))
-    return out
+            cell = tuple(int(row[k]) for k in keys)
+            if cell in rows or cell not in wanted:
+                problem = "repeats" if cell in rows else "has an unexpected"
+                raise ValueError(f"{path.name} {problem} {_cell(keys, cell)}; "
+                                 f"rerun {made_by}")
+            rows[cell] = row
+    for cell in cells:
+        if cell not in rows:
+            raise ValueError(f"{path.name} has no row for {_cell(keys, cell)}; "
+                             f"rerun {made_by}")
+    return [rows[cell] for cell in cells]
+
+
+def _cell(keys, cell) -> str:
+    return ", ".join(f"{k} {v}" for k, v in zip(keys, cell))
+
+
+def _exact(x) -> str:
+    return repr(float(x))
+
+
+def _write_da_csv(da: DaCommitments, path: Path) -> None:
+    _write_csv(path, ["generator", "hour", "u", "dispatch_mw"],
+               ([g, h, int(da.u_hourly[g][h]), _exact(da.dispatch_hourly[g][h])]
+                for g in sorted(da.u_hourly) for h in range(HOURS_PER_DAY)))
+
+
+def _read_da_csv(path: Path, system: PowerSystem) -> DaCommitments:
+    ids = [g.id for g in system.generators]
+    rows = _read_csv(path, "prepare", ("generator", "hour"),
+                     list(product(ids, range(HOURS_PER_DAY))))
+    u, p = (np.array([float(r[k]) for r in rows]).reshape(len(ids), HOURS_PER_DAY)
+            for k in ("u", "dispatch_mw"))
+    return DaCommitments(u_hourly=dict(zip(ids, u)), dispatch_hourly=dict(zip(ids, p)),
+                         objective=float("nan"))
+
+
+def _write_awards_csv(awards: FmmAwards, path: Path) -> None:
+    _write_csv(path, ["generator", "interval", "p", "u", "ur", "dr"],
+               ([g, t, _exact(awards.p[g][t]), int(awards.u[g][t]),
+                 _exact(awards.ur[g][t]), _exact(awards.dr[g][t])]
+                for g in awards.gen_ids for t in range(awards.n_intervals)))
+
+
+def _read_awards_csv(path: Path, system: PowerSystem) -> FmmAwards:
+    ids = [g.id for g in system.generators]
+    rows = _read_csv(path, "clear", ("generator", "interval"),
+                     list(product(ids, range(INTERVALS_PER_DAY))))
+    return FmmAwards(gen_ids=ids, **{
+        k: dict(zip(ids, np.array([float(r[k]) for r in rows])
+                    .reshape(len(ids), INTERVALS_PER_DAY)))
+        for k in ("p", "u", "ur", "dr")})
+
+
+def _write_results_csv(results: list[ScenarioResult], path: Path) -> None:
+    _write_csv(path, ["scenario_id", "policy", *_METRIC_NAMES],
+               ([r.scenario_id, r.policy, _exact(r.rt_cost_excl_violation),
+                 _exact(r.total_violation_mwh), r.fs_commitment_count,
+                 _exact(r.total_cost)] for r in results))
+
+
+def _write_intervals_csv(results: list[ScenarioResult], path: Path) -> None:
+    _write_csv(path, ["scenario_id", "policy", "interval", "cost", "violation_mwh"],
+               ([r.scenario_id, r.policy, t, _exact(r.interval_cost[t]),
+                 _exact(r.interval_violation_mwh[t])]
+                for r in results for t in range(len(r.interval_cost))))
+
+
+def _read_results(out: Path, policy: str, n: int
+                  ) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Each metric of scenarios ``0 .. n-1`` of one policy, and their
+    (n, 96) per-interval costs.
+
+    Both policies' files must hold the same scenarios, so a comparison of
+    them pairs each scenario with itself.
+    """
+    scenario_ids = range(n)
+    rows = _read_csv(out / f"results_{policy}.csv", "validate", ("scenario_id",),
+                     [(s,) for s in scenario_ids])
+    intervals = _read_csv(out / f"intervals_{policy}.csv", "validate",
+                          ("scenario_id", "interval"),
+                          list(product(scenario_ids, range(INTERVALS_PER_DAY))))
+    metrics = {m: np.array([float(r[m]) for r in rows]) for m in _METRIC_NAMES}
+    cost = np.array([float(r["cost"]) for r in intervals]).reshape(n, INTERVALS_PER_DAY)
+    return metrics, cost
+
+
+def _write_scenarios_csv(scenario_set: tuple[Scenario, ...], path: Path,
+                         solar_units: tuple[SolarUnit, ...]) -> None:
+    """Audit dump: one row per (scenario, interval, quantity)."""
+    def rows():
+        for sid, scn in enumerate(scenario_set):
+            for t in range(scn.system_load.shape[0]):
+                yield [sid, t, "load", f"{scn.system_load[t]:.6f}"]
+                for u, unit in enumerate(solar_units):
+                    yield [sid, t, f"solar_{unit.id}", f"{scn.solar[u, t]:.6f}"]
+    _write_csv(path, ["scenario_id", "interval", "quantity", "value"], rows())
+
+
+def _write_cuts_csv(cuts, path: Path) -> None:
+    _write_csv(path, ["hour", "line", "t", "scenario", "direction", "bound", "round"],
+               ([hour, cut.line_id, cut.t, cut.scenario, cut.direction, cut.bound,
+                 cut.round_added] for hour, cut in cuts))
+
+
+def _write_factors_csv(factors, path: Path) -> None:
+    _write_csv(path, ["generator", "move", "scenario", "factor"],
+               ([g, t, s, f"{v:.6f}"]
+                for g in factors.gen_ids() for (t, s), v in np.ndenumerate(factors.values[g])))
+
+
+def _write_dataset_csv(dataset, path: Path) -> None:
+    _write_csv(path, ["generator", "interval", "target", "is_test",
+                      *(f"f{i}" for i in range(dataset.features.shape[1]))],
+               ([dataset.gen_ids[i], dataset.intervals[i], f"{dataset.targets[i]:.6f}",
+                 int(dataset.is_test[i]), *(f"{x:.6f}" for x in dataset.features[i])]
+                for i in range(len(dataset))))

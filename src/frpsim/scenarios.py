@@ -262,20 +262,3 @@ def proxy_envelopes(profile: ForecastProfile, cfg: UncertaintyConfig,
         solar_min=np.maximum(profile.solar15 - z * solar_sigma, 0.0),
         solar_max=np.minimum(profile.solar15 + z * solar_sigma, caps[:, None]),
     )
-
-
-# -------------------------------------------------------------------- persist
-
-def write_scenarios_csv(scenario_set: tuple[Scenario, ...], path,
-                        solar_units: tuple[SolarUnit, ...]) -> None:
-    """Audit dump: one row per (scenario, interval, quantity)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scenario_id", "interval", "quantity", "value"])
-        for sid, scn in enumerate(scenario_set):
-            for t in range(scn.system_load.shape[0]):
-                writer.writerow([sid, t, "load", f"{scn.system_load[t]:.6f}"])
-                for u, unit in enumerate(solar_units):
-                    writer.writerow(
-                        [sid, t, f"solar_{unit.id}", f"{scn.solar[u, t]:.6f}"]
-                    )

@@ -1,4 +1,4 @@
-"""Out-of-sample rolling validation and policy comparison metrics.
+"""Out-of-sample rolling validation of one policy's awards.
 
 One validation run re-dispatches a full day against a realized scenario,
 hour by hour: must-run units keep their day-ahead commitment and may move
@@ -10,7 +10,6 @@ state.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,151 +90,3 @@ def run_rtuc_validation(system: PowerSystem, ptdf: PtdfMatrix, awards: FmmAwards
         interval_cost=traj.cost,
         interval_violation_mwh=traj.violation_mwh,
     )
-
-
-# ------------------------------------------------------------------ metrics
-
-@dataclass
-class MetricsReport:
-    """Paired per-scenario results plus the aggregate comparison statistics."""
-
-    proxy: list[ScenarioResult]
-    datadriven: list[ScenarioResult]
-    improvements: dict[str, int] = field(default_factory=dict)
-    aggregates: dict[str, dict[str, float]] = field(default_factory=dict)
-    interval_improvement_q1: np.ndarray | None = None
-    interval_improvement_median: np.ndarray | None = None
-    interval_improvement_q3: np.ndarray | None = None
-    fmm_cost: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def n_scenarios(self) -> int:
-        return len(self.proxy)
-
-
-_METRICS = {
-    "rt_cost_excl_violation": lambda r: r.rt_cost_excl_violation,
-    "total_violation_mwh": lambda r: r.total_violation_mwh,
-    "fs_commitments": lambda r: float(r.fs_commitment_count),
-    "total_cost": lambda r: r.total_cost,
-}
-
-
-def policy_aggregates(results: list[ScenarioResult]) -> dict[str, dict[str, float]]:
-    """avg/sum/max over scenarios of each per-scenario metric of one policy."""
-    out = {}
-    for name, getter in _METRICS.items():
-        vals = np.array([getter(r) for r in results])
-        out[name] = {"avg": float(vals.mean()), "sum": float(vals.sum()),
-                     "max": float(vals.max())}
-    return out
-
-
-def aggregate_metrics(proxy: list[ScenarioResult], datadriven: list[ScenarioResult],
-                      fmm_cost: dict[str, float] | None = None) -> MetricsReport:
-    """Pairwise comparison of the two policies on identical scenario sets."""
-    if len(proxy) != len(datadriven):
-        raise ValueError("policies were evaluated on different scenario counts")
-    if not proxy:
-        raise ValueError("empty scenario set")
-    for a, b in zip(proxy, datadriven):
-        if a.scenario_id != b.scenario_id:
-            raise ValueError("scenario pairing mismatch between policies")
-    report = MetricsReport(proxy=proxy, datadriven=datadriven,
-                           fmm_cost=dict(fmm_cost or {}))
-    # scenarios where the data-driven policy is strictly lower; total cost
-    # is compared through the aggregates only
-    report.improvements = {
-        name: sum(getter(b) < getter(a) for a, b in zip(proxy, datadriven))
-        for name, getter in list(_METRICS.items())[:3]
-    }
-    for policy, results in ((PROXY, proxy), (DATADRIVEN, datadriven)):
-        for name, stats in policy_aggregates(results).items():
-            report.aggregates[f"{policy}.{name}"] = stats
-    gains = np.stack([
-        a.interval_cost - b.interval_cost for a, b in zip(proxy, datadriven)
-    ])  # positive: data-driven cheaper at that interval
-    report.interval_improvement_q1 = np.quantile(gains, 0.25, axis=0)
-    report.interval_improvement_median = np.quantile(gains, 0.5, axis=0)
-    report.interval_improvement_q3 = np.quantile(gains, 0.75, axis=0)
-    return report
-
-
-@dataclass(frozen=True)
-class ComparisonRow:
-    table: str
-    metric: str
-    proxy: float
-    datadriven: float
-
-
-def compare_policies(report: MetricsReport) -> list[ComparisonRow]:
-    """Flatten the report into the comparison-table families."""
-    if not report.proxy:
-        raise ValueError("report is empty")
-    rows: list[ComparisonRow] = []
-    n = float(report.n_scenarios)
-    for metric, count in report.improvements.items():
-        rows.append(ComparisonRow("improvements", f"scenarios_improved.{metric}",
-                                  n, float(count)))
-    for stat in ("avg", "sum", "max"):
-        rows.append(ComparisonRow(
-            "violations", f"total_violation_mwh.{stat}",
-            report.aggregates[f"{PROXY}.total_violation_mwh"][stat],
-            report.aggregates[f"{DATADRIVEN}.total_violation_mwh"][stat],
-        ))
-    if report.fmm_cost:
-        rows.append(ComparisonRow(
-            "costs", "fmm_operating_cost",
-            report.fmm_cost.get(PROXY, float("nan")),
-            report.fmm_cost.get(DATADRIVEN, float("nan")),
-        ))
-    for stat in ("avg", "max"):
-        rows.append(ComparisonRow(
-            "costs", f"rt_cost_excl_violation.{stat}",
-            report.aggregates[f"{PROXY}.rt_cost_excl_violation"][stat],
-            report.aggregates[f"{DATADRIVEN}.rt_cost_excl_violation"][stat],
-        ))
-        rows.append(ComparisonRow(
-            "costs", f"total_cost.{stat}",
-            report.aggregates[f"{PROXY}.total_cost"][stat],
-            report.aggregates[f"{DATADRIVEN}.total_cost"][stat],
-        ))
-    for stat in ("sum", "avg", "max"):
-        rows.append(ComparisonRow(
-            "fs_commitments", f"fs_commitments.{stat}",
-            report.aggregates[f"{PROXY}.fs_commitments"][stat],
-            report.aggregates[f"{DATADRIVEN}.fs_commitments"][stat],
-        ))
-    return rows
-
-
-# ------------------------------------------------------------------ persist
-
-def write_results_csv(results: list[ScenarioResult], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([
-            "scenario_id", "policy", "rt_cost_excl_violation",
-            "total_violation_mwh", "fs_commitments", "total_cost",
-        ])
-        for r in results:
-            writer.writerow([
-                r.scenario_id, r.policy, f"{r.rt_cost_excl_violation:.6f}",
-                f"{r.total_violation_mwh:.6f}", r.fs_commitment_count,
-                f"{r.total_cost:.6f}",
-            ])
-
-
-def write_interval_csv(results: list[ScenarioResult], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scenario_id", "policy", "interval", "cost",
-                         "violation_mwh"])
-        for r in results:
-            for t in range(len(r.interval_cost)):
-                writer.writerow([
-                    r.scenario_id, r.policy, t,
-                    f"{r.interval_cost[t]:.6f}",
-                    f"{r.interval_violation_mwh[t]:.6f}",
-                ])

@@ -18,14 +18,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from frpsim.dayahead import read_commitments_csv, run_da
+from frpsim.dayahead import run_da
 from frpsim.fmm import (FmmConfig, FmmHorizon, build_fmm_datadriven, build_fmm_proxy,
                         build_fmm_training, compute_frp_requirements, solve_hour,
                         solve_with_cuts)
 from frpsim.learner import Mlp, load_models, predict_factors, train
 from frpsim.milp import check_solution
 from frpsim.network import compute_ptdf
-from frpsim.pipeline import ExperimentConfig, run_pipeline
+from frpsim.pipeline import ExperimentConfig, _read_awards_csv, _read_da_csv, run_pipeline
 from frpsim.scenarios import (OUT_OF_SAMPLE, TRAINING, UncertaintyConfig,
                               proxy_envelopes, sample_scenarios,
                               select_deployment_scenarios)
@@ -260,7 +260,7 @@ def test_criterion_05_cut_loop_convergence(case_study, bottleneck):
     system, ptdf, profile = bottleneck
     ucfg = cfg.uncertainty
     env = proxy_envelopes(profile, ucfg, system.solar_units)
-    da = read_commitments_csv(out / "da_commitments.csv")
+    da = _read_da_csv(out / "da_commitments.csv", system)
     deployment = select_deployment_scenarios(system, profile, ucfg,
                                              cfg.n_deployment)
     models = load_models(out / "models")
@@ -458,8 +458,7 @@ def test_golden_case_study_outputs(case_study):
 def test_criterion_09_validation_cap_semantics(case_study, bottleneck):
     cfg, out = case_study
     system, ptdf, profile = bottleneck
-    da = read_commitments_csv(out / "da_commitments.csv")
-    from frpsim.pipeline import _read_awards_csv
+    da = _read_da_csv(out / "da_commitments.csv", system)
     awards = _read_awards_csv(out / "awards_datadriven.csv", system)
     oos = sample_scenarios(system, profile, cfg.uncertainty, 3, OUT_OF_SAMPLE)
     checked_moves = 0

@@ -3,10 +3,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from frpsim.dayahead import (DaCommitments, read_commitments_csv, run_da,
-                             write_commitments_csv)
+from frpsim.dayahead import DaCommitments, run_da
 from frpsim.milp import SolveOptions, check_solution
 from frpsim.network import compute_ptdf
+from frpsim.pipeline import _read_da_csv, _write_da_csv
 from frpsim.scenarios import window
 from util import duck_profile, make_gen, make_profile, single_bus_system
 
@@ -99,11 +99,12 @@ class TestCommitmentMapping:
         p = {0: rng.uniform(0, 50, 24).round(4), 1: np.full(24, 7.5)}
         da = DaCommitments(u_hourly=u, dispatch_hourly=p, objective=1.0)
         path = tmp_path / "da.csv"
-        write_commitments_csv(da, path)
-        back = read_commitments_csv(path)
+        _write_da_csv(da, path)
+        back = _read_da_csv(path, single_bus_system([make_gen(g, 0, 0.0, 50.0, 20.0)
+                                                     for g in (0, 1)]))
         for g in (0, 1):
             np.testing.assert_array_equal(back.u_hourly[g], u[g])
-            np.testing.assert_allclose(back.dispatch_hourly[g], p[g], atol=1e-6)
+            np.testing.assert_array_equal(back.dispatch_hourly[g], p[g])
 
 
 @pytest.mark.slow

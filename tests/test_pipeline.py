@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pickle
+import re
 import shutil
 
 import pytest
@@ -139,8 +140,8 @@ class TestPipeline:
             "config_used.json", "da_commitments.csv", "training_meta.json",
             "awards_proxy.csv", "awards_datadriven.csv", "cuts_datadriven.csv",
             "deployment_scenarios.csv", "response_factors.csv", "fmm_costs.json",
-            "results_proxy.csv", "results_datadriven.csv", "report.json",
-            *TABLES,
+            "results_proxy.csv", "results_datadriven.csv", "intervals_proxy.csv",
+            "intervals_datadriven.csv", "report.json", *TABLES,
         ]
         missing = [name for name in expected if not (out / name).exists()]
         assert not missing, f"missing artifacts: {missing}"
@@ -223,14 +224,6 @@ class TestSinglePolicy:
             run_pipeline(cfg, stages=["validate"])
 
 
-def test_emit_tables_rejects_empty_report(tmp_path):
-    from frpsim.pipeline import emit_tables
-    from frpsim.validation import MetricsReport
-
-    with pytest.raises(ValueError, match="empty"):
-        emit_tables(MetricsReport(proxy=[], datadriven=[]), tmp_path)
-
-
 class TestCli:
     def test_cli_all_exit_zero(self, toy_inputs, tmp_path, capsys):
         system_path, profile_dir = toy_inputs
@@ -304,8 +297,104 @@ def test_resume_refuses_artifacts_of_a_different_config(completed, toy_inputs, t
     assert info.value.stage == "config"
     assert (copy / "results_proxy.csv").read_bytes() == before
     assert json.loads((copy / "config_used.json").read_text())["seed"] == 5
-    run_pipeline(changed, stages=["report"], force=True)
+    # the report reads scenarios 0 .. n_out_of_sample-1, so keep that count
+    run_pipeline(toy_config(system_path, profile_dir, copy, seed=6), stages=["report"],
+                 force=True)
     assert json.loads((copy / "config_used.json").read_text())["seed"] == 6
+
+
+def test_resumed_report_reproduces_the_run_byte_for_byte(completed, toy_inputs):
+    """The report stage reads the validation results back from disk in a
+    fresh run too, so rerunning it alone over a finished run changes nothing."""
+    _, out, _ = completed
+    system_path, profile_dir = toy_inputs
+    names = ["report.json", *TABLES]
+    before = {name: (out / name).read_bytes() for name in names}
+    run_pipeline(toy_config(system_path, profile_dir, out), stages=["report"], force=True)
+    for name in names:
+        assert (out / name).read_bytes() == before[name], name
+
+
+def _keep_rows(n):
+    """Cut a CSV artifact to its header and first ``n`` rows."""
+    def edit(path):
+        path.write_bytes(b"".join(path.read_bytes().splitlines(keepends=True)[:n + 1]))
+    return edit
+
+
+def _repeat_row(i):
+    def edit(path):
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join([*lines[:i + 2], *lines[i + 1:]]))
+    return edit
+
+
+@pytest.mark.parametrize("name, edit, stage, message", [
+    # 4 generators x 96 intervals; generator 2 stops after interval 6
+    ("awards_proxy.csv", _keep_rows(199), "validate",
+     "awards_proxy.csv has no row for generator 2, interval 7; rerun clear"),
+    ("awards_datadriven.csv", _repeat_row(5), "validate",
+     "awards_datadriven.csv repeats generator 0, interval 5; rerun clear"),
+    # 4 generators x 24 hours; generator 2 stops after hour 0
+    ("da_commitments.csv", _keep_rows(49), "validate",
+     "da_commitments.csv has no row for generator 2, hour 1; rerun prepare"),
+    ("intervals_proxy.csv", _keep_rows(150), "report",
+     "intervals_proxy.csv has no row for scenario_id 1, interval 54; rerun validate"),
+    ("results_datadriven.csv", _keep_rows(0), "report",
+     "results_datadriven.csv has no row for scenario_id 0; rerun validate"),
+    ("fmm_costs.json", lambda path: path.write_text('{"proxy": {"cost": 1.0}}'), "report",
+     "fmm_costs.json has no datadriven cost; run clear"),
+], ids=["awards-prefix", "awards-repeat", "da-prefix", "intervals-prefix", "results-empty",
+        "fmm-costs-policy"])
+def test_incomplete_artifact_refused(completed, toy_inputs, tmp_path, name, edit, stage,
+                                     message):
+    """A reader takes every cell of its file exactly once or fails naming the
+    file and the first missing or repeated cell."""
+    _, out, _ = completed
+    system_path, profile_dir = toy_inputs
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    edit(copy / name)
+    with pytest.raises(StageError, match=rf"^\[{stage}\] {re.escape(message)}$"):
+        run_pipeline(toy_config(system_path, profile_dir, copy), stages=[stage],
+                     force=True)
+
+
+def test_models_without_training_meta_are_retrained(completed, toy_inputs, tmp_path):
+    """``training_meta.json`` marks the train stage done: a models directory
+    left by an interrupted run is refused by clear and retrained by train."""
+    _, out, _ = completed
+    system_path, profile_dir = toy_inputs
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    models = sorted(p.name for p in (copy / "models").glob("gen_*.npz"))
+    assert len(models) > 1
+    (copy / "training_meta.json").unlink()
+    for name in models[1:]:
+        (copy / "models" / name).unlink()
+    cfg = toy_config(system_path, profile_dir, copy)
+    with pytest.raises(StageError, match=r"^\[clear\] training_meta\.json missing; "
+                                         r"run train$"):
+        run_pipeline(cfg, stages=["clear"], force=True)
+    run_pipeline(cfg, stages=["train"])
+    assert sorted(p.name for p in (copy / "models").glob("gen_*.npz")) == models
+    assert (copy / "training_meta.json").read_bytes() == (out / "training_meta.json"
+                                                          ).read_bytes()
+
+
+def test_failed_write_leaves_no_file(tmp_path):
+    def rows():
+        yield [1, 2]
+        raise RuntimeError("disk full")
+    path = tmp_path / "a.csv"
+    with pytest.raises(RuntimeError, match="disk full"):
+        pipeline._write_csv(path, ["x", "y"], rows())
+    assert list(tmp_path.iterdir()) == []
+    path.write_text("old")
+    with pytest.raises(RuntimeError, match="disk full"):
+        pipeline._write_csv(path, ["x", "y"], rows())
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_text() == "old"
 
 
 def test_report_refuses_missing_interval_file(completed, toy_inputs, tmp_path):

@@ -9,10 +9,13 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
+import pytest
 
-from frpsim.pipeline import ExperimentConfig, run_pipeline
+from frpsim import pipeline
+from frpsim.pipeline import ExperimentConfig, StageError, run_pipeline
 from frpsim.validation import DATADRIVEN, PROXY, ScenarioResult
 
 VOLL = 10000.0
@@ -110,3 +113,54 @@ def test_report_tables_pin_row_order_and_format(tmp_path):
     assert report["per_policy"][DATADRIVEN]["fs_commitments"] == {
         "avg": 10 / 3, "sum": 10.0, "max": 5.0}
     assert report["fmm_costs"] == {PROXY: 500.125, DATADRIVEN: 510.5}
+
+
+def test_identical_policies_tie_everywhere(tmp_path):
+    proxy, _ = hand_built()
+    report = run_report(tmp_path, proxy, [replace(r, policy=DATADRIVEN) for r in proxy],
+                        {PROXY: 500.0, DATADRIVEN: 500.0})
+    assert report["improvements"] == dict.fromkeys(
+        ["rt_cost_excl_violation", "total_violation_mwh", "fs_commitments"], 0)
+    assert report["per_policy"][PROXY] == report["per_policy"][DATADRIVEN]
+    for name in ("table_violations.csv", "table_costs.csv", "table_fs_commitments.csv"):
+        for row in csv.DictReader(open(tmp_path / name, newline="")):
+            assert row["proxy"] == row["datadriven"], (name, row["metric"])
+    for row in csv.DictReader(open(tmp_path / "table_interval_quartiles.csv", newline="")):
+        assert {row[k] for k in row if k != "interval"} == {"0.000000"}
+
+
+@pytest.mark.parametrize("proxy_ids, datadriven_ids, message", [
+    ((), (), "results_proxy.csv has no row for scenario_id 0"),
+    ((0, 1, 2), (0, 1), "results_datadriven.csv has no row for scenario_id 2"),
+    ((0, 1, 2), (0, 1, 3), "results_datadriven.csv has an unexpected scenario_id 3"),
+    ((0, 1, 2), (0, 1, 1), "results_datadriven.csv repeats scenario_id 1"),
+], ids=["empty", "count-mismatch", "pairing-mismatch", "repeated"])
+def test_report_refuses_unpaired_results(tmp_path, proxy_ids, datadriven_ids, message):
+    """Each policy's results must hold scenarios 0 .. n-1 exactly once, so
+    the comparison pairs every scenario with itself."""
+    results = hand_built()
+    for policy, ids, days in zip((PROXY, DATADRIVEN), (proxy_ids, datadriven_ids), results):
+        write_results(tmp_path, [replace(days[min(i, 2)], scenario_id=i) for i in ids],
+                      policy)
+    (tmp_path / "fmm_costs.json").write_text(json.dumps(
+        {p: {"cost": 1.0, "violation_mwh": 0.0} for p in (PROXY, DATADRIVEN)}))
+    cfg = ExperimentConfig(system_file="unused.json", profile_dir="unused",
+                           output_dir=str(tmp_path), n_out_of_sample=3)
+    with pytest.raises(StageError, match=r"^\[report\] " + message.replace(".", r"\.")
+                       + "; rerun validate$"):
+        run_pipeline(cfg, stages=["report"], force=True)
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_results_files_round_trip_exactly(tmp_path):
+    """The validate stage's files carry every bit of each float."""
+    proxy, _ = hand_built()
+    proxy = [replace(r, rt_cost_excl_violation=0.1 + 0.2 * r.scenario_id,
+                     interval_cost=r.interval_cost / 3.0) for r in proxy]
+    pipeline._write_results_csv(proxy, tmp_path / f"results_{PROXY}.csv")
+    pipeline._write_intervals_csv(proxy, tmp_path / f"intervals_{PROXY}.csv")
+    metrics, interval_cost = pipeline._read_results(tmp_path, PROXY, len(proxy))
+    assert metrics["rt_cost_excl_violation"].tolist() == [
+        r.rt_cost_excl_violation for r in proxy]
+    assert metrics["fs_commitments"].tolist() == [r.fs_commitment_count for r in proxy]
+    np.testing.assert_array_equal(interval_cost, [r.interval_cost for r in proxy])

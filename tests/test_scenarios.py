@@ -7,10 +7,11 @@ import pytest
 from scipy.stats import norm
 
 from frpsim.network import SolarUnit, nodal_injections
+from frpsim.pipeline import _write_scenarios_csv
 from frpsim.scenarios import (DEPLOYMENT, OUT_OF_SAMPLE, TRAINING, ProfileError,
                               UncertaintyConfig, load_profiles, proxy_envelopes,
                               netload, sample_scenarios, select_deployment_scenarios,
-                              window, write_scenarios_csv)
+                              window)
 from util import bottleneck_system, make_profile
 
 
@@ -259,7 +260,7 @@ def test_write_scenarios_csv(tmp_path):
     profile = make_profile(np.full(96, 100.0), np.full(96, 5.0))
     out = sample_scenarios(system, profile, UncertaintyConfig(seed=1), 2, TRAINING)
     path = tmp_path / "scn.csv"
-    write_scenarios_csv(out, path, system.solar_units)
+    _write_scenarios_csv(out, path, system.solar_units)
     rows = list(csv.DictReader(open(path)))
     assert len(rows) == 2 * 96 * 2  # (load + 1 solar unit) x intervals x scenarios
     assert {r["quantity"] for r in rows} == {"load", "solar_0"}

@@ -7,9 +7,7 @@ from frpsim.dayahead import run_da
 from frpsim.fmm import run_fmm_day
 from frpsim.scenarios import (OUT_OF_SAMPLE, Scenario, UncertaintyConfig,
                               proxy_envelopes, sample_scenarios)
-from frpsim.validation import (DATADRIVEN, PROXY, ScenarioResult,
-                               aggregate_metrics, compare_policies,
-                               run_rtuc_validation, write_results_csv)
+from frpsim.validation import PROXY, run_rtuc_validation
 from util import executed_rtuc_day
 
 
@@ -150,75 +148,3 @@ class TestShutdownGlidepath:
         # the realized trajectory honors the same glidepath
         assert dispatch[0][7] <= gen.ramp_sd + 1e-6
         assert dispatch[0][8:24] == pytest.approx(0.0, abs=1e-9)
-
-
-def result(sid, policy, viol, cost=1000.0, fs=5):
-    return ScenarioResult(
-        scenario_id=sid, policy=policy, rt_cost_excl_violation=cost,
-        total_violation_mwh=viol, fs_commitment_count=fs,
-        total_cost=cost + 10000 * viol,
-        interval_cost=np.full(96, cost / 96),
-        interval_violation_mwh=np.zeros(96),
-    )
-
-
-class TestAggregation:
-    def test_identical_results_zero_improvements(self):
-        a = [result(i, PROXY, 10.0) for i in range(3)]
-        b = [result(i, DATADRIVEN, 10.0) for i in range(3)]
-        rep = aggregate_metrics(a, b)
-        assert rep.improvements == {
-            "rt_cost_excl_violation": 0, "total_violation_mwh": 0,
-            "fs_commitments": 0,
-        }
-        assert np.all(rep.interval_improvement_median == 0.0)
-
-    def test_hand_built_comparison(self):
-        a = [result(0, PROXY, 10.0), result(1, PROXY, 20.0), result(2, PROXY, 30.0)]
-        b = [result(0, DATADRIVEN, 5.0), result(1, DATADRIVEN, 25.0),
-             result(2, DATADRIVEN, 20.0)]
-        rep = aggregate_metrics(a, b)
-        assert rep.improvements["total_violation_mwh"] == 2
-        assert rep.aggregates[f"{PROXY}.total_violation_mwh"]["sum"] == 60.0
-        assert rep.aggregates[f"{DATADRIVEN}.total_violation_mwh"]["sum"] == 50.0
-        assert rep.aggregates[f"{PROXY}.total_violation_mwh"]["max"] == 30.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            aggregate_metrics([], [])
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="different scenario counts"):
-            aggregate_metrics([result(0, PROXY, 1.0)], [])
-
-    def test_pairing_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="pairing"):
-            aggregate_metrics([result(0, PROXY, 1.0)],
-                              [result(1, DATADRIVEN, 1.0)])
-
-
-class TestComparisonRows:
-    def test_row_families_present(self):
-        a = [result(i, PROXY, 10.0 + i, cost=2000.0, fs=7) for i in range(4)]
-        b = [result(i, DATADRIVEN, 8.0, cost=1900.0, fs=3) for i in range(4)]
-        rep = aggregate_metrics(a, b, fmm_cost={PROXY: 500.0, DATADRIVEN: 510.0})
-        rows = compare_policies(rep)
-        tables = {r.table for r in rows}
-        assert tables == {"improvements", "violations", "costs", "fs_commitments"}
-        fmm = [r for r in rows if r.metric == "fmm_operating_cost"]
-        assert fmm[0].proxy == 500.0 and fmm[0].datadriven == 510.0
-
-    def test_identical_policies_zero_deltas(self):
-        a = [result(i, PROXY, 5.0) for i in range(2)]
-        b = [result(i, DATADRIVEN, 5.0) for i in range(2)]
-        rows = compare_policies(aggregate_metrics(a, b))
-        for row in rows:
-            if row.table != "improvements":
-                assert row.proxy == row.datadriven
-
-    def test_results_csv(self, tmp_path):
-        a = [result(i, PROXY, 1.5, cost=123.456) for i in range(2)]
-        path = tmp_path / "res.csv"
-        write_results_csv(a, path)
-        text = path.read_text()
-        assert "scenario_id" in text and "123.456" in text
