@@ -87,12 +87,6 @@ class FmmAwards:
     ur: dict[int, np.ndarray]
     dr: dict[int, np.ndarray]
 
-    @classmethod
-    def empty(cls, system: PowerSystem, n_intervals: int) -> "FmmAwards":
-        ids = [g.id for g in system.generators]
-        zero = lambda: {g: np.zeros(n_intervals) for g in ids}
-        return cls(gen_ids=ids, p=zero(), u=zero(), ur=zero(), dr=zero())
-
     @property
     def n_intervals(self) -> int:
         return len(self.p[self.gen_ids[0]])
