@@ -224,6 +224,26 @@ class TestSinglePolicy:
             run_pipeline(cfg, stages=["validate"])
 
 
+def test_emit_tables_rejects_empty_report(completed, toy_inputs, tmp_path):
+    """A forced report over header-only results fails and leaves the
+    previous report and tables as they were."""
+    _, out, _ = completed
+    system_path, profile_dir = toy_inputs
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    names = ["report.json", *TABLES]
+    before = {name: (copy / name).read_bytes() for name in names}
+    for policy in (validation.PROXY, validation.DATADRIVEN):
+        path = copy / f"results_{policy}.csv"
+        path.write_bytes(path.read_bytes().splitlines(keepends=True)[0])
+    with pytest.raises(StageError, match=r"^\[report\] results_proxy\.csv has no row "
+                                         r"for scenario_id 0; rerun validate$"):
+        run_pipeline(toy_config(system_path, profile_dir, copy), stages=["report"],
+                     force=True)
+    for name in names:
+        assert (copy / name).read_bytes() == before[name], name
+
+
 class TestCli:
     def test_cli_all_exit_zero(self, toy_inputs, tmp_path, capsys):
         system_path, profile_dir = toy_inputs

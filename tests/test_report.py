@@ -115,26 +115,11 @@ def test_report_tables_pin_row_order_and_format(tmp_path):
     assert report["fmm_costs"] == {PROXY: 500.125, DATADRIVEN: 510.5}
 
 
-def test_identical_policies_tie_everywhere(tmp_path):
-    proxy, _ = hand_built()
-    report = run_report(tmp_path, proxy, [replace(r, policy=DATADRIVEN) for r in proxy],
-                        {PROXY: 500.0, DATADRIVEN: 500.0})
-    assert report["improvements"] == dict.fromkeys(
-        ["rt_cost_excl_violation", "total_violation_mwh", "fs_commitments"], 0)
-    assert report["per_policy"][PROXY] == report["per_policy"][DATADRIVEN]
-    for name in ("table_violations.csv", "table_costs.csv", "table_fs_commitments.csv"):
-        for row in csv.DictReader(open(tmp_path / name, newline="")):
-            assert row["proxy"] == row["datadriven"], (name, row["metric"])
-    for row in csv.DictReader(open(tmp_path / "table_interval_quartiles.csv", newline="")):
-        assert {row[k] for k in row if k != "interval"} == {"0.000000"}
-
-
 @pytest.mark.parametrize("proxy_ids, datadriven_ids, message", [
-    ((), (), "results_proxy.csv has no row for scenario_id 0"),
     ((0, 1, 2), (0, 1), "results_datadriven.csv has no row for scenario_id 2"),
     ((0, 1, 2), (0, 1, 3), "results_datadriven.csv has an unexpected scenario_id 3"),
     ((0, 1, 2), (0, 1, 1), "results_datadriven.csv repeats scenario_id 1"),
-], ids=["empty", "count-mismatch", "pairing-mismatch", "repeated"])
+], ids=["count-mismatch", "pairing-mismatch", "repeated"])
 def test_report_refuses_unpaired_results(tmp_path, proxy_ids, datadriven_ids, message):
     """Each policy's results must hold scenarios 0 .. n-1 exactly once, so
     the comparison pairs every scenario with itself."""

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import csv
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +11,9 @@ from frpsim.dayahead import run_da
 from frpsim.fmm import run_fmm_day
 from frpsim.scenarios import (OUT_OF_SAMPLE, Scenario, UncertaintyConfig,
                               proxy_envelopes, sample_scenarios)
-from frpsim.validation import PROXY, run_rtuc_validation
+from frpsim.pipeline import ExperimentConfig, StageError, run_pipeline
+from frpsim.validation import DATADRIVEN, PROXY, run_rtuc_validation
+from test_report import hand_built, result, run_report, write_results
 from util import executed_rtuc_day
 
 
@@ -148,3 +154,75 @@ class TestShutdownGlidepath:
         # the realized trajectory honors the same glidepath
         assert dispatch[0][7] <= gen.ramp_sd + 1e-6
         assert dispatch[0][8:24] == pytest.approx(0.0, abs=1e-9)
+
+
+# The comparison is computed by the report stage; these tests write its
+# inputs by hand and read report.json and the tables it writes.
+
+
+def flat(sid, policy, viol, cost=1000.0, fs=5):
+    return result(sid, policy, cost, viol, fs, lambda t: cost / 96)
+
+
+def read_table(path):
+    return {row["metric"]: (row["proxy"], row["datadriven"])
+            for row in csv.DictReader(open(path, newline=""))}
+
+
+class TestAggregation:
+    def test_identical_results_zero_improvements(self, tmp_path):
+        proxy, _ = hand_built()
+        report = run_report(tmp_path, proxy, [replace(r, policy=DATADRIVEN) for r in proxy],
+                            {PROXY: 500.0, DATADRIVEN: 500.0})
+        assert report["improvements"] == {
+            "rt_cost_excl_violation": 0, "total_violation_mwh": 0,
+            "fs_commitments": 0,
+        }
+        assert report["per_policy"][PROXY] == report["per_policy"][DATADRIVEN]
+        quartiles = open(tmp_path / "table_interval_quartiles.csv", newline="")
+        for row in csv.DictReader(quartiles):
+            assert {row[k] for k in row if k != "interval"} == {"0.000000"}
+
+    def test_hand_built_comparison(self, tmp_path):
+        a = [flat(0, PROXY, 10.0), flat(1, PROXY, 20.0), flat(2, PROXY, 30.0)]
+        b = [flat(0, DATADRIVEN, 5.0), flat(1, DATADRIVEN, 25.0),
+             flat(2, DATADRIVEN, 20.0)]
+        report = run_report(tmp_path, a, b, {PROXY: 500.0, DATADRIVEN: 500.0})
+        assert report["improvements"]["total_violation_mwh"] == 2
+        assert report["per_policy"][PROXY]["total_violation_mwh"]["sum"] == 60.0
+        assert report["per_policy"][DATADRIVEN]["total_violation_mwh"]["sum"] == 50.0
+        assert report["per_policy"][PROXY]["total_violation_mwh"]["max"] == 30.0
+
+    def test_empty_rejected(self, tmp_path):
+        for policy in (PROXY, DATADRIVEN):
+            write_results(tmp_path, [], policy)
+        (tmp_path / "fmm_costs.json").write_text(json.dumps(
+            {p: {"cost": 1.0, "violation_mwh": 0.0} for p in (PROXY, DATADRIVEN)}))
+        cfg = ExperimentConfig(system_file="unused.json", profile_dir="unused",
+                               output_dir=str(tmp_path), n_out_of_sample=3)
+        with pytest.raises(StageError, match=r"^\[report\] results_proxy\.csv has no row "
+                                             r"for scenario_id 0; rerun validate$"):
+            run_pipeline(cfg, stages=["report"], force=True)
+        assert not (tmp_path / "report.json").exists()
+
+
+class TestComparisonRows:
+    def test_row_families_present(self, tmp_path):
+        a = [flat(i, PROXY, 10.0 + i, cost=2000.0, fs=7) for i in range(4)]
+        b = [flat(i, DATADRIVEN, 8.0, cost=1900.0, fs=3) for i in range(4)]
+        run_report(tmp_path, a, b, {PROXY: 500.0, DATADRIVEN: 510.0})
+        tables = {p.name for p in tmp_path.glob("table_*.csv")}
+        assert tables == {"table_improvements.csv", "table_violations.csv",
+                          "table_costs.csv", "table_fs_commitments.csv",
+                          "table_interval_quartiles.csv"}
+        costs = read_table(tmp_path / "table_costs.csv")
+        assert next(iter(costs)) == "fmm_operating_cost"
+        assert costs["fmm_operating_cost"] == ("500.000000", "510.000000")
+
+    def test_identical_policies_zero_deltas(self, tmp_path):
+        proxy, _ = hand_built()
+        run_report(tmp_path, proxy, [replace(r, policy=DATADRIVEN) for r in proxy],
+                   {PROXY: 500.0, DATADRIVEN: 500.0})
+        for name in ("table_violations.csv", "table_costs.csv", "table_fs_commitments.csv"):
+            for metric, (p, d) in read_table(tmp_path / name).items():
+                assert p == d, (name, metric)
