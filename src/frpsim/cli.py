@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .pipeline import STAGES, ExperimentConfig, StageError, run_pipeline
 
@@ -29,17 +30,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    overrides = {"seed": args.seed, "policy": args.policy, "output_dir": args.out}
     try:
-        cfg = ExperimentConfig.from_json(args.config)
+        # replace() checks the overridden config as the constructor does
+        cfg = replace(ExperimentConfig.from_json(args.config),
+                      **{k: v for k, v in overrides.items() if v is not None})
     except (OSError, ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.policy is not None:
-        cfg.policy = args.policy
-    if args.out is not None:
-        cfg.output_dir = args.out
     try:
         run_pipeline(cfg, stages=STAGES if args.command == "all" else [args.command],
                      force=args.force)

@@ -22,7 +22,8 @@ from .ucbase import LineLimitError, UcModelBuilder, UnitState, cold_start_state,
 
 @dataclass(frozen=True)
 class DaCommitments:
-    """Hourly commitment schedule; dispatch is kept only for diagnostics."""
+    """Hourly commitment and dispatch schedule; the hour-0 dispatch is each
+    unit's day-start power (``initial_state_from_da``)."""
 
     u_hourly: dict[int, np.ndarray]        # gen id -> (24,) 0/1
     dispatch_hourly: dict[int, np.ndarray]  # gen id -> (24,) MW

@@ -12,8 +12,8 @@ the analytic gradients can be verified against finite differences.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -88,7 +88,6 @@ def build_targets(pairs: list[tuple[Scenario, DispatchTrajectory]],
     mr = [g for g in system.must_run_generators() if g.ramp_15 > 0]
     skipped = [g.id for g in system.must_run_generators() if g.ramp_15 <= 0]
     if skipped:
-        import warnings
         warnings.warn(f"generators {skipped} excluded from training: zero ramp rate")
     gen_col, t_col, x_col, y_col = [], [], [], []
     for scenario, traj in pairs:
@@ -134,12 +133,15 @@ class Mlp:
             self.weights.append(rng.normal(0.0, scale, size=(fan_in, fan_out)))
             self.biases.append(np.zeros(fan_out))
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        a = np.atleast_2d(np.asarray(x, dtype=float))
+    def _forward(self, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+        """The input and every hidden layer's activation, and the (n,) output."""
+        acts = [np.atleast_2d(np.asarray(x, dtype=float))]
         for wgt, b in zip(self.weights[:-1], self.biases[:-1]):
-            a = np.tanh(a @ wgt + b)
-        out = a @ self.weights[-1] + self.biases[-1]
-        return out[:, 0]
+            acts.append(np.tanh(acts[-1] @ wgt + b))
+        return acts, (acts[-1] @ self.weights[-1] + self.biases[-1])[:, 0]
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        return self._forward(x)[1]
 
     def mse(self, x: np.ndarray, y: np.ndarray) -> float:
         err = self.predict(x) - np.asarray(y, dtype=float)
@@ -148,13 +150,8 @@ class Mlp:
     def mse_gradients(self, x: np.ndarray, y: np.ndarray
                       ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
         """Mean squared error and its analytic gradient for every parameter."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        y = np.asarray(y, dtype=float)
-        acts = [x]
-        for wgt, b in zip(self.weights[:-1], self.biases[:-1]):
-            acts.append(np.tanh(acts[-1] @ wgt + b))
-        pred = (acts[-1] @ self.weights[-1] + self.biases[-1])[:, 0]
-        err = pred - y
+        acts, pred = self._forward(x)
+        err = pred - np.asarray(y, dtype=float)
         loss = float(np.mean(err * err))
         grad_ws: list[np.ndarray] = [np.empty(0)] * len(self.weights)
         grad_bs: list[np.ndarray] = [np.empty(0)] * len(self.biases)
@@ -187,7 +184,6 @@ class TrainConfig:
 class RegressionModel:
     """Trained per-generator model with frozen normalization statistics."""
 
-    gen_id: int
     mlp: Mlp
     mean: np.ndarray
     std: np.ndarray
@@ -232,7 +228,6 @@ def _train_one(x_train, y_train, x_test, y_test, cfg: TrainConfig,
                 hat2 = m2 / (1 - ADAM_BETA2 ** step)
                 p -= cfg.learning_rate * hat1 / (np.sqrt(hat2) + 1e-8)
     return RegressionModel(
-        gen_id=gen_id,
         mlp=mlp,
         mean=mean,
         std=std,
@@ -264,7 +259,6 @@ def train(dataset: TrainingDataset, cfg: TrainConfig | None = None
             x[~test_mask], y[~test_mask], x[test_mask], y[test_mask], cfg, gen_id
         )
     if skipped:
-        import warnings
         detail = ", ".join(f"{g} ({n} rows)" for g, n in skipped)
         warnings.warn(f"too little data to train generators: {detail}")
     if not models:
@@ -296,35 +290,3 @@ def predict_factors(models: dict[int, RegressionModel],
         values[gen_id] = np.column_stack(cols)
     return RampResponseFactors(values=values)
 
-
-# ------------------------------------------------------------------ storage
-
-def save_models(models: dict[int, RegressionModel], directory) -> None:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for gen_id, model in models.items():
-        payload = {"mean": model.mean, "std": model.std,
-                   "train_mse": np.array(model.train_mse),
-                   "test_mse": np.array(model.test_mse)}
-        for i, (wgt, b) in enumerate(zip(model.mlp.weights, model.mlp.biases)):
-            payload[f"w{i}"] = wgt
-            payload[f"b{i}"] = b
-        np.savez(directory / f"gen_{gen_id}.npz", **payload)
-
-
-def load_models(directory) -> dict[int, RegressionModel]:
-    directory = Path(directory)
-    models: dict[int, RegressionModel] = {}
-    for path in sorted(directory.glob("gen_*.npz")):
-        gen_id = int(path.stem.split("_")[1])
-        data = np.load(path)
-        n_layers = sum(1 for key in data.files if key.startswith("w"))
-        hidden = tuple(int(data[f"w{i}"].shape[1]) for i in range(n_layers - 1))
-        mlp = Mlp(int(data["w0"].shape[0]), hidden, seed=0)
-        mlp.weights = [data[f"w{i}"] for i in range(n_layers)]
-        mlp.biases = [data[f"b{i}"] for i in range(n_layers)]
-        models[gen_id] = RegressionModel(
-            gen_id=gen_id, mlp=mlp, mean=data["mean"], std=data["std"],
-            train_mse=float(data["train_mse"]), test_mse=float(data["test_mse"]),
-        )
-    return models

@@ -17,6 +17,7 @@ import math
 import multiprocessing
 import numbers
 import os
+import shutil
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
@@ -91,17 +92,16 @@ class ExperimentConfig:
         self.nn_hidden = tuple(self.nn_hidden)
         if not self.nn_hidden or not all(_is_int(n) and n >= 1 for n in self.nn_hidden):
             raise ValueError(f"nn_hidden must be one or more integers >= 1, got {self.nn_hidden}")
-        for name in ("n_training", "n_out_of_sample"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        # deployment scenarios come in symmetric quantile pairs
-        if self.n_deployment < 2:
-            raise ValueError("n_deployment must be >= 2")
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
         for name, ok, rule in (
+                ("seed", self.seed >= 0, ">= 0"),
+                ("n_training", self.n_training >= 1, ">= 1"),
+                ("n_out_of_sample", self.n_out_of_sample >= 1, ">= 1"),
+                # deployment scenarios come in symmetric quantile pairs
+                ("n_deployment", self.n_deployment >= 2, ">= 2"),
                 ("voll", self.voll > 0, "> 0"),
                 ("sigma_hourly_frac", self.sigma_hourly_frac >= 0, ">= 0"),
                 ("confidence_z", self.confidence_z > 0, "> 0"),
@@ -163,7 +163,6 @@ class PipelineContext:
     profile: object = None
     envelope: object = None
     da: DaCommitments | None = None
-    deployment: object = None
     fmm_costs: dict[str, float] = field(default_factory=dict)
     results: dict[str, list[ScenarioResult]] = field(default_factory=dict)
 
@@ -179,14 +178,6 @@ class PipelineContext:
         self.load_inputs()
         if self.da is None:
             self.da = _read_da_csv(self.out / "da_commitments.csv", self.system)
-
-    def load_deployment(self):
-        self.load_inputs()
-        if self.deployment is None:
-            self.deployment = select_deployment_scenarios(
-                self.system, self.profile, self.cfg.uncertainty,
-                self.cfg.n_deployment,
-            )
 
 
 # ------------------------------------------------------------- scenario-days
@@ -240,8 +231,10 @@ def stage_train(ctx: PipelineContext, force: bool = False) -> None:
     meta_path = ctx.out / "training_meta.json"
     if meta_path.exists() and not force:
         return
-    # a forced retrain that stops half way must not leave the old marker
+    # a retrain that stops half way must not leave the old marker, and one
+    # that fits fewer generators must not leave their old models
     meta_path.unlink(missing_ok=True)
+    shutil.rmtree(ctx.out / "models", ignore_errors=True)
     ctx.load_da()
     cfg = ctx.cfg
     training = sample_scenarios(ctx.system, ctx.profile, cfg.uncertainty,
@@ -259,10 +252,7 @@ def stage_train(ctx: PipelineContext, force: bool = False) -> None:
         batch_size=cfg.nn_batch_size, learning_rate=cfg.nn_learning_rate,
         seed=cfg.seed,
     )
-    models = learner_mod.train(dataset, train_cfg)
-    learner_mod.save_models(models, ctx.out / "models")
-    _write_json(meta_path, {g: {"train_mse": m.train_mse, "test_mse": m.test_mse}
-                            for g, m in models.items()})
+    _write_models(learner_mod.train(dataset, train_cfg), ctx.out)
 
 
 def stage_clear(ctx: PipelineContext, force: bool = False) -> None:
@@ -272,25 +262,21 @@ def stage_clear(ctx: PipelineContext, force: bool = False) -> None:
         awards_path = ctx.out / f"awards_{policy}.csv"
         if awards_path.exists() and not force:
             continue
+        models = _read_models(ctx.out) if policy == DATADRIVEN else None
         try:
             factors = deployment = None
             if policy == DATADRIVEN:
-                if not (ctx.out / "training_meta.json").exists():
-                    raise StageError("clear", "training_meta.json missing; run train")
-                ctx.load_deployment()
-                deployment = ctx.deployment
+                deployment = select_deployment_scenarios(
+                    ctx.system, ctx.profile, cfg.uncertainty, cfg.n_deployment)
                 _write_scenarios_csv(deployment, ctx.out / "deployment_scenarios.csv",
                                      ctx.system.solar_units)
-                factors = learner_mod.predict_factors(
-                    learner_mod.load_models(ctx.out / "models"), deployment)
+                factors = learner_mod.predict_factors(models, deployment)
                 _write_factors_csv(factors, ctx.out / "response_factors.csv")
             run = run_fmm_day(ctx.system, ctx.ptdf, ctx.profile, ctx.envelope, ctx.da,
                               policy, cfg.fmm, factors=factors, deployment=deployment,
                               options=cfg.solve_options)
             if policy == DATADRIVEN:
                 _write_cuts_csv(run.cuts, ctx.out / "cuts_datadriven.csv")
-        except StageError:
-            raise
         except Exception as exc:
             raise StageError("clear", f"{policy}: {exc}") from exc
         ctx.fmm_costs[policy] = run.cost
@@ -445,14 +431,15 @@ def run_pipeline(cfg: ExperimentConfig, stages=None, force: bool = False
 # Every file a stage reads back carries full-precision (``repr``) floats, so
 # a stage computes the same from disk as from memory.  The audit-only files
 # (deployment scenarios, response factors, cuts, training dataset) carry six
-# decimals.
+# decimals.  The model files hold their arrays as written.
 
-def _replace(path: Path, fill) -> None:
-    """Write ``path`` through ``fill(fh)`` into ``<name>.tmp``, then rename it
-    over ``path``: a write that fails leaves no partial file behind."""
+def _replace(path: Path, fill, binary: bool = False) -> None:
+    """Write ``path`` through ``fill(fh)`` into ``<name>.tmp``, opened as
+    text or, if ``binary``, as bytes, then rename it over ``path``: a write
+    that fails leaves no partial file behind."""
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "w", newline="") as fh:
+        with open(tmp, "wb") if binary else open(tmp, "w", newline="") as fh:
             fill(fh)
         os.replace(tmp, path)
     finally:
@@ -471,30 +458,45 @@ def _write_json(path: Path, payload) -> None:
     _replace(path, lambda fh: fh.write(json.dumps(payload, indent=2)))
 
 
-def _read_csv(path: Path, made_by: str, keys: tuple[str, ...], cells: list[tuple]
-              ) -> list[dict[str, str]]:
-    """The rows of ``path``, one per cell of ``cells``, in that order.
+def _read_csv(path: Path, made_by: str, keys: tuple[str, ...], cells: list[tuple],
+              columns: tuple[str, ...]) -> dict[str, np.ndarray]:
+    """Each of ``columns`` of ``path`` as floats, one per cell of ``cells``,
+    in that order.
 
     ``keys`` are the integer columns that place a row in a cell.  A file
-    that lacks a cell, repeats one or holds one not in ``cells`` is refused,
-    naming the first such cell and ``made_by``, the stage that writes it.
+    that lacks a column, holds a cell that does not parse, lacks a cell,
+    repeats one or holds one not in ``cells`` is refused, naming the first
+    such column or cell and ``made_by``, the stage that writes it.
     """
     if not path.exists():
         raise ValueError(f"{path.name} missing; run {made_by}")
+    parsers = [(k, int) for k in keys] + [(c, float) for c in columns]
     wanted, rows = set(cells), {}
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            cell = tuple(int(row[k]) for k in keys)
+        reader = csv.DictReader(fh)
+        absent = [name for name, _ in parsers if name not in (reader.fieldnames or ())]
+        if absent:
+            raise ValueError(f"{path.name} line 1 has no {absent[0]} column; rerun {made_by}")
+        for row in reader:
+            values = []
+            for name, parse in parsers:
+                try:
+                    values.append(parse(row[name]))
+                except (TypeError, ValueError):   # a short row reads None
+                    raise ValueError(f"{path.name} line {reader.line_num}, column {name}: "
+                                     f"cannot read {row[name]!r}; rerun {made_by}") from None
+            cell = tuple(values[:len(keys)])
             if cell in rows or cell not in wanted:
                 problem = "repeats" if cell in rows else "has an unexpected"
                 raise ValueError(f"{path.name} {problem} {_cell(keys, cell)}; "
                                  f"rerun {made_by}")
-            rows[cell] = row
+            rows[cell] = values[len(keys):]
     for cell in cells:
         if cell not in rows:
             raise ValueError(f"{path.name} has no row for {_cell(keys, cell)}; "
                              f"rerun {made_by}")
-    return [rows[cell] for cell in cells]
+    return {name: np.array([rows[cell][i] for cell in cells])
+            for i, name in enumerate(columns)}
 
 
 def _cell(keys, cell) -> str:
@@ -513,10 +515,10 @@ def _write_da_csv(da: DaCommitments, path: Path) -> None:
 
 def _read_da_csv(path: Path, system: PowerSystem) -> DaCommitments:
     ids = [g.id for g in system.generators]
-    rows = _read_csv(path, "prepare", ("generator", "hour"),
-                     list(product(ids, range(HOURS_PER_DAY))))
-    u, p = (np.array([float(r[k]) for r in rows]).reshape(len(ids), HOURS_PER_DAY)
-            for k in ("u", "dispatch_mw"))
+    u, p = (col.reshape(len(ids), HOURS_PER_DAY)
+            for col in _read_csv(path, "prepare", ("generator", "hour"),
+                                 list(product(ids, range(HOURS_PER_DAY))),
+                                 ("u", "dispatch_mw")).values())
     return DaCommitments(u_hourly=dict(zip(ids, u)), dispatch_hourly=dict(zip(ids, p)),
                          objective=float("nan"))
 
@@ -530,12 +532,50 @@ def _write_awards_csv(awards: FmmAwards, path: Path) -> None:
 
 def _read_awards_csv(path: Path, system: PowerSystem) -> FmmAwards:
     ids = [g.id for g in system.generators]
-    rows = _read_csv(path, "clear", ("generator", "interval"),
-                     list(product(ids, range(INTERVALS_PER_DAY))))
+    cols = _read_csv(path, "clear", ("generator", "interval"),
+                     list(product(ids, range(INTERVALS_PER_DAY))), ("p", "u", "ur", "dr"))
     return FmmAwards(gen_ids=ids, **{
-        k: dict(zip(ids, np.array([float(r[k]) for r in rows])
-                    .reshape(len(ids), INTERVALS_PER_DAY)))
-        for k in ("p", "u", "ur", "dr")})
+        k: dict(zip(ids, col.reshape(len(ids), INTERVALS_PER_DAY)))
+        for k, col in cols.items()})
+
+
+def _write_models(models: dict[int, learner_mod.RegressionModel], out: Path) -> None:
+    """One ``models/gen_<id>.npz`` per model with what prediction needs, then
+    ``training_meta.json``: the fitted generators with their fit errors."""
+    (out / "models").mkdir(exist_ok=True)
+    for gen_id, m in models.items():
+        layers = {f"{k}{i}": a for k, arrays in (("w", m.mlp.weights), ("b", m.mlp.biases))
+                  for i, a in enumerate(arrays)}
+        # a handle, since np.savez appends ".npz" to a path without it
+        _replace(out / "models" / f"gen_{gen_id}.npz",
+                 partial(np.savez, mean=m.mean, std=m.std, **layers), binary=True)
+    _write_json(out / "training_meta.json",
+                {g: {"train_mse": m.train_mse, "test_mse": m.test_mse}
+                 for g, m in models.items()})
+
+
+def _read_models(out: Path) -> dict[int, learner_mod.RegressionModel]:
+    """The models of exactly the generators that ``training_meta.json`` lists."""
+    if not (out / "training_meta.json").exists():
+        raise ValueError("training_meta.json missing; run train")
+    fits = json.loads((out / "training_meta.json").read_text())
+    names = {f"gen_{g}.npz": g for g in fits}
+    found = set(os.listdir(out / "models")) if (out / "models").is_dir() else set()
+    mismatched = sorted(names.keys() ^ found)
+    if mismatched:
+        name = mismatched[0]
+        problem = "missing" if name in names else "is not listed in training_meta.json"
+        raise ValueError(f"models/{name} {problem}; rerun train")
+    models = {}
+    for name, gen in names.items():
+        with np.load(out / "models" / name) as data:
+            n_layers = sum(key.startswith("w") for key in data.files)
+            weights, biases = ([data[f"{k}{i}"] for i in range(n_layers)] for k in "wb")
+            mean, std = data["mean"], data["std"]
+        mlp = learner_mod.Mlp(len(mean), tuple(w.shape[1] for w in weights[:-1]))
+        mlp.weights, mlp.biases = weights, biases
+        models[int(gen)] = learner_mod.RegressionModel(mlp, mean, std, **fits[gen])
+    return models
 
 
 def _write_results_csv(results: list[ScenarioResult], path: Path) -> None:
@@ -561,14 +601,12 @@ def _read_results(out: Path, policy: str, n: int
     them pairs each scenario with itself.
     """
     scenario_ids = range(n)
-    rows = _read_csv(out / f"results_{policy}.csv", "validate", ("scenario_id",),
-                     [(s,) for s in scenario_ids])
-    intervals = _read_csv(out / f"intervals_{policy}.csv", "validate",
-                          ("scenario_id", "interval"),
-                          list(product(scenario_ids, range(INTERVALS_PER_DAY))))
-    metrics = {m: np.array([float(r[m]) for r in rows]) for m in _METRIC_NAMES}
-    cost = np.array([float(r["cost"]) for r in intervals]).reshape(n, INTERVALS_PER_DAY)
-    return metrics, cost
+    metrics = _read_csv(out / f"results_{policy}.csv", "validate", ("scenario_id",),
+                        [(s,) for s in scenario_ids], _METRIC_NAMES)
+    cost = _read_csv(out / f"intervals_{policy}.csv", "validate",
+                     ("scenario_id", "interval"),
+                     list(product(scenario_ids, range(INTERVALS_PER_DAY))), ("cost",))
+    return metrics, cost["cost"].reshape(n, INTERVALS_PER_DAY)
 
 
 def _write_scenarios_csv(scenario_set: tuple[Scenario, ...], path: Path,

@@ -22,10 +22,11 @@ from frpsim.dayahead import run_da
 from frpsim.fmm import (FmmConfig, FmmHorizon, build_fmm_datadriven, build_fmm_proxy,
                         build_fmm_training, compute_frp_requirements, solve_hour,
                         solve_with_cuts)
-from frpsim.learner import Mlp, load_models, predict_factors, train
+from frpsim.learner import Mlp, predict_factors, train
 from frpsim.milp import check_solution
 from frpsim.network import compute_ptdf
-from frpsim.pipeline import ExperimentConfig, _read_awards_csv, _read_da_csv, run_pipeline
+from frpsim.pipeline import (ExperimentConfig, _read_awards_csv, _read_da_csv, _read_models,
+                             run_pipeline)
 from frpsim.scenarios import (OUT_OF_SAMPLE, TRAINING, UncertaintyConfig,
                               proxy_envelopes, sample_scenarios,
                               select_deployment_scenarios)
@@ -263,7 +264,7 @@ def test_criterion_05_cut_loop_convergence(case_study, bottleneck):
     da = _read_da_csv(out / "da_commitments.csv", system)
     deployment = select_deployment_scenarios(system, profile, ucfg,
                                              cfg.n_deployment)
-    models = load_models(out / "models")
+    models = _read_models(out)
     factors = predict_factors(models, deployment)
     # evening ramp hour: the congested hour of the day
     horizon = FmmHorizon(start=72, init=cold_start_state(system))

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from frpsim.learner import (DispatchTrajectory, Mlp, RegressionModel, TrainConfig,
-                            TrainingDataset, build_targets, feature_matrix, load_models,
-                            predict_factors, save_models, train)
+                            TrainingDataset, build_targets, feature_matrix, predict_factors,
+                            train)
+from frpsim.pipeline import _read_models, _write_models
 from frpsim.scenarios import DEPLOYMENT, Scenario
 from oracles import gradient_check
 from util import bottleneck_system, make_gen, single_bus_system
@@ -258,7 +259,7 @@ class TestPrediction:
     def test_raw_output_clamped_to_unit_interval(self):
         mlp = Mlp(42, (4,), seed=0)
         mlp.biases[-1][:] = 1.7  # force large raw outputs
-        model = RegressionModel(gen_id=0, mlp=mlp, mean=np.zeros(42),
+        model = RegressionModel(mlp=mlp, mean=np.zeros(42),
                                 std=np.ones(42), train_mse=0.0, test_mse=0.0)
         factors = predict_factors({0: model}, self._deployment_set())
         assert factors.values[0].max() <= 1.0
@@ -267,11 +268,13 @@ class TestPrediction:
     def test_save_load_round_trip(self, tmp_path):
         ds = make_linear_dataset()
         models = train(ds, TrainConfig(hidden=(8, 4), epochs=5, seed=2))
-        save_models(models, tmp_path / "models")
-        back = load_models(tmp_path / "models")
+        _write_models(models, tmp_path)
+        back = _read_models(tmp_path)
+        assert list(back) == list(models)
         x = ds.features[:10]
-        np.testing.assert_allclose(models[0].predict(x), back[0].predict(x),
-                                   atol=1e-12)
+        np.testing.assert_array_equal(models[0].predict(x), back[0].predict(x))
+        assert (back[0].train_mse, back[0].test_mse) == (models[0].train_mse,
+                                                         models[0].test_mse)
 
     def test_memorization_of_training_rows(self):
         # predictions on rows the model trained on stay within a band implied

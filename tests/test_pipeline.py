@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -87,7 +88,7 @@ class TestConfig:
         ("n_training", 2.5), ("n_training", 7.0), ("nn_epochs", 1.5), ("seed", 1.5),
         ("n_out_of_sample", True), ("nn_batch_size", True), ("n_deployment", 2.0),
         ("nn_hidden", ()), ("nn_hidden", (0,)), ("nn_hidden", (16, 2.5)),
-        ("nn_hidden", (16, True))])
+        ("nn_hidden", (16, True)), ("seed", -1)])
     def test_rejects_bad_numbers(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be"):
             ExperimentConfig(system_file="x", profile_dir="y", output_dir="z",
@@ -244,30 +245,38 @@ def test_emit_tables_rejects_empty_report(completed, toy_inputs, tmp_path):
         assert (copy / name).read_bytes() == before[name], name
 
 
+def _config_file(cfg: ExperimentConfig, path) -> str:
+    path.write_text(json.dumps({**cfg.__dict__, "nn_hidden": list(cfg.nn_hidden)}))
+    return str(path)
+
+
 class TestCli:
     def test_cli_all_exit_zero(self, toy_inputs, tmp_path, capsys):
         system_path, profile_dir = toy_inputs
         cfg = toy_config(system_path, profile_dir, tmp_path / "cli_out",
                          policy="proxy")
-        cfg_path = tmp_path / "cfg.json"
-        payload = {k: v for k, v in cfg.__dict__.items()}
-        payload["nn_hidden"] = list(payload["nn_hidden"])
-        cfg_path.write_text(json.dumps(payload))
-        assert cli_main(["all", "--config", str(cfg_path)]) == 0
+        cfg_path = _config_file(cfg, tmp_path / "cfg.json")
+        assert cli_main(["all", "--config", cfg_path]) == 0
         assert (tmp_path / "cli_out" / "report.json").exists()
 
     def test_cli_policy_and_out_overrides(self, toy_inputs, tmp_path):
         system_path, profile_dir = toy_inputs
         cfg = toy_config(system_path, profile_dir, tmp_path / "ignored",
                          policy="proxy")
-        cfg_path = tmp_path / "cfg.json"
-        payload = {k: v for k, v in cfg.__dict__.items()}
-        payload["nn_hidden"] = list(payload["nn_hidden"])
-        cfg_path.write_text(json.dumps(payload))
+        cfg_path = _config_file(cfg, tmp_path / "cfg.json")
         out = tmp_path / "override_out"
-        assert cli_main(["prepare", "--config", str(cfg_path),
-                         "--out", str(out)]) == 0
+        assert cli_main(["prepare", "--config", cfg_path, "--out", str(out)]) == 0
         assert (out / "da_commitments.csv").exists()
+
+    def test_cli_bad_override_exit_two_before_any_file(self, toy_inputs, tmp_path, capsys):
+        """An override goes through the config check, so a negative seed
+        stops the run before it writes anything."""
+        system_path, profile_dir = toy_inputs
+        cfg = toy_config(system_path, profile_dir, tmp_path / "o", policy="proxy")
+        cfg_path = _config_file(cfg, tmp_path / "cfg.json")
+        assert cli_main(["all", "--config", cfg_path, "--seed", "-1"]) == 2
+        assert "config error: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_cli_bad_config_exit_two(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -349,6 +358,15 @@ def _repeat_row(i):
     return edit
 
 
+def _set_line(n, text):
+    """Replace line ``n`` (1-based) of a CSV artifact by ``text``."""
+    def edit(path):
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[n - 1] = text.encode() + b"\r\n"
+        path.write_bytes(b"".join(lines))
+    return edit
+
+
 @pytest.mark.parametrize("name, edit, stage, message", [
     # 4 generators x 96 intervals; generator 2 stops after interval 6
     ("awards_proxy.csv", _keep_rows(199), "validate",
@@ -364,12 +382,20 @@ def _repeat_row(i):
      "results_datadriven.csv has no row for scenario_id 0; rerun validate"),
     ("fmm_costs.json", lambda path: path.write_text('{"proxy": {"cost": 1.0}}'), "report",
      "fmm_costs.json has no datadriven cost; run clear"),
+    ("da_commitments.csv", _set_line(1, "generator,hour,u,dispatch"), "clear",
+     "da_commitments.csv line 1 has no dispatch_mw column; rerun prepare"),
+    ("da_commitments.csv", _set_line(2, "0,0,x,0.0"), "clear",
+     "da_commitments.csv line 2, column u: cannot read 'x'; rerun prepare"),
+    ("awards_proxy.csv", _set_line(3, "0,1"), "validate",
+     "awards_proxy.csv line 3, column p: cannot read None; rerun clear"),
+    ("intervals_datadriven.csv", _set_line(4, "0,datadriven,two,1.0,0.0"), "report",
+     "intervals_datadriven.csv line 4, column interval: cannot read 'two'; rerun validate"),
 ], ids=["awards-prefix", "awards-repeat", "da-prefix", "intervals-prefix", "results-empty",
-        "fmm-costs-policy"])
+        "fmm-costs-policy", "da-column", "da-cell", "awards-short-row", "intervals-key"])
 def test_incomplete_artifact_refused(completed, toy_inputs, tmp_path, name, edit, stage,
                                      message):
     """A reader takes every cell of its file exactly once or fails naming the
-    file and the first missing or repeated cell."""
+    file and the first missing, unreadable or repeated column or cell."""
     _, out, _ = completed
     system_path, profile_dir = toy_inputs
     copy = tmp_path / "out"
@@ -400,6 +426,87 @@ def test_models_without_training_meta_are_retrained(completed, toy_inputs, tmp_p
     assert sorted(p.name for p in (copy / "models").glob("gen_*.npz")) == models
     assert (copy / "training_meta.json").read_bytes() == (out / "training_meta.json"
                                                           ).read_bytes()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda models, first: (models / first).unlink(), "models/{first} missing; rerun train"),
+    (lambda models, first: shutil.copy(models / first, models / "gen_99.npz"),
+     "models/gen_99.npz is not listed in training_meta.json; rerun train"),
+], ids=["missing", "unlisted"])
+def test_clear_reads_exactly_the_listed_models(completed, toy_inputs, tmp_path, edit,
+                                               message):
+    _, out, _ = completed
+    system_path, profile_dir = toy_inputs
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    first = sorted(os.listdir(copy / "models"))[0]
+    edit(copy / "models", first)
+    message = re.escape(message.format(first=first))
+    with pytest.raises(StageError, match=rf"^\[clear\] {message}$"):
+        run_pipeline(toy_config(system_path, profile_dir, copy, policy="datadriven"),
+                     stages=["clear"], force=True)
+
+
+def test_interrupted_train_resumes_to_the_uninterrupted_outputs(completed, toy_inputs,
+                                                                tmp_path, monkeypatch):
+    """A train stage that fails while it writes its second model file leaves
+    no ``training_meta.json``, so a resume fits again and reproduces the
+    models, factors and awards of a run that was never interrupted."""
+    _, out, _ = completed
+    system_path, profile_dir = toy_inputs
+    copy = tmp_path / "out"
+    cfg = toy_config(system_path, profile_dir, copy)
+    replace, written = pipeline._replace, []
+
+    def fail_on_second_model(path, fill, binary=False):
+        if path.suffix == ".npz":
+            written.append(path.name)
+            if len(written) == 2:
+                def fill_then_fail(fh):
+                    fill(fh)
+                    raise OSError("disk full")
+                return replace(path, fill_then_fail, binary)
+        return replace(path, fill, binary)
+    monkeypatch.setattr(pipeline, "_replace", fail_on_second_model)
+    stages = ["prepare", "train", "clear"]
+    with pytest.raises(StageError, match=r"^\[train\] disk full$"):
+        run_pipeline(cfg, stages=stages)
+    assert not (copy / "training_meta.json").exists()
+    assert os.listdir(copy / "models") == written[:1]
+    monkeypatch.setattr(pipeline, "_replace", replace)
+    run_pipeline(cfg, stages=stages)
+    models = sorted(os.listdir(out / "models"))
+    assert sorted(os.listdir(copy / "models")) == models
+    for name in (*(f"models/{m}" for m in models), "training_meta.json",
+                 "response_factors.csv", "awards_datadriven.csv"):
+        assert (copy / name).read_bytes() == (out / name).read_bytes(), name
+
+
+def test_retrain_that_fits_fewer_generators_leaves_no_stale_model(
+        completed, toy_inputs, tmp_path, monkeypatch):
+    """A forced retrain starts from an empty models directory, so clear
+    predicts no factors from the model of a generator the new fit skipped."""
+    _, out, _ = completed
+    system_path, profile_dir = toy_inputs
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    train, kept = learner.train, []
+
+    def train_one_fewer(*args, **kw):
+        models = train(*args, **kw)
+        del models[max(models)]
+        kept.extend(models)
+        return models
+    monkeypatch.setattr(learner, "train", train_one_fewer)
+    before = json.loads((copy / "training_meta.json").read_text())
+    run_pipeline(toy_config(system_path, profile_dir, copy, policy="datadriven"),
+                 stages=["train", "clear"], force=True)
+    assert len(kept) == len(before) - 1 >= 1
+    assert sorted(os.listdir(copy / "models")) == sorted(f"gen_{g}.npz" for g in kept)
+    assert json.loads((copy / "training_meta.json").read_text()).keys() == {
+        str(g) for g in kept}
+    with open(copy / "response_factors.csv", newline="") as fh:
+        assert {int(row["generator"]) for row in csv.DictReader(fh)} == set(kept)
 
 
 def test_failed_write_leaves_no_file(tmp_path):
