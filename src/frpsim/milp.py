@@ -2,9 +2,12 @@
 
 The model is a plain declarative store of variables, ranged linear rows
 (``lo <= a.x <= hi``), and a linear minimization objective.  Solving is
-delegated to the HiGHS backend shipped with scipy; checking a solution never
-touches the solver and simply re-evaluates every row, column bound and
-binary arithmetically.
+delegated to the HiGHS build that scipy ships, driven through scipy's own
+binding (``scipy.optimize._highspy._core._Highs``): ``_highs_milp`` passes
+it the arrays and options ``scipy.optimize.milp`` would, so each solve is
+``milp``'s bit for bit, without ``milp``'s per-column Python loops.
+Checking a solution never touches the solver and simply re-evaluates every
+row, column bound and binary arithmetically.
 """
 
 from __future__ import annotations
@@ -15,13 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import Bounds, LinearConstraint
-from scipy.optimize import milp as _highs_milp
+from scipy.optimize import Bounds, LinearConstraint, OptimizeResult
+from scipy.optimize._highspy import _core as _hc
+from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
 
 # a binary this close to 0 or 1 counts as integral (HiGHS's default
 # mip_feasibility_tolerance)
 INTEGRALITY_TOL = 1e-6
-# scipy.optimize.milp status codes; 4 is also what an unbounded MILP reports
+# the status codes _highs_milp reports, scipy.optimize.milp's; 4 is also
+# what an unbounded MILP reports
 _STATUS = {0: "optimal", 1: "limit", 2: "infeasible", 3: "unbounded", 4: "error"}
 
 
@@ -294,6 +299,64 @@ class ConstraintReport:
 
     def worst(self) -> tuple[str, float] | None:
         return max(self.violations, key=lambda v: v[1]) if self.violations else None
+
+
+# a limit status still carries HiGHS's incumbent, if it found one
+_LIMITS = (_hc.HighsModelStatus.kTimeLimit, _hc.HighsModelStatus.kIterationLimit,
+           _hc.HighsModelStatus.kSolutionLimit)
+
+
+def _highs_milp(*, c, constraints, integrality, bounds, options) -> OptimizeResult:
+    """``scipy.optimize.milp(c=c, constraints=constraints, ...)``, solved the
+    same way: a fresh HiGHS with ``milp``'s options, the same column-wise
+    arrays, and ``milp``'s ``status``, ``message``, ``x``, ``fun`` and MIP
+    fields.  ``constraints`` is one ``LinearConstraint`` or None; ``options``
+    takes ``mip_rel_gap``, ``presolve`` (a bool) and ``time_limit``.
+    """
+    n = len(c)
+    if constraints is None:
+        a, lo, hi = sp.csc_matrix((0, n)), (), ()
+    else:
+        a, lo, hi = sp.csc_matrix(constraints.A), constraints.lb, constraints.ub
+    m = a.shape[0]
+    if a.shape[1] != n:
+        raise ValueError(f"the constraint matrix has {a.shape[1]} columns, c has {n}")
+    integrality = np.broadcast_to(integrality, n)
+    highs = _hc._Highs()
+    highs.setOptionValue("log_to_console", False)
+    for key, value in options.items():
+        highs.setOptionValue(key, ("on" if value else "off") if key == "presolve"
+                             else float(value))
+    res = OptimizeResult(x=None, fun=None, mip_node_count=None, mip_dual_bound=None,
+                         mip_gap=None)
+    # the binding reads n or m entries of each array whatever its length, so
+    # each is broadcast to that length (which raises on a mismatch)
+    cols = [np.broadcast_to(v, n) for v in (c, bounds.lb, bounds.ub)]
+    rows = [np.broadcast_to(v, m) for v in (lo, hi)]
+    if highs.passModel(n, m, a.nnz, _hc.MatrixFormat.kColwise, _hc.ObjSense.kMinimize, 0.0,
+                       *cols, *rows, a.indptr, a.indices, a.data,
+                       integrality) == _hc.HighsStatus.kError:
+        status = _hc.HighsModelStatus.kModelError
+        message = highs.modelStatusToString(status)
+    elif highs.run() == _hc.HighsStatus.kError:
+        status = highs.getModelStatus()
+        message = highs.modelStatusToString(status)
+    else:
+        status, info, is_mip = highs.getModelStatus(), highs.getInfo(), integrality.any()
+        if (status == _hc.HighsModelStatus.kOptimal
+                or (is_mip and status in _LIMITS
+                    and info.objective_function_value != _hc.kHighsInf)):
+            message = highs.modelStatusToString(status)
+            res.update(x=np.array(highs.getSolution().col_value),
+                       fun=info.objective_function_value)
+            if is_mip:
+                res.update(mip_node_count=info.mip_node_count,
+                           mip_dual_bound=info.mip_dual_bound, mip_gap=info.mip_gap)
+        else:
+            message = (f"model_status is {highs.modelStatusToString(status)}; primal_status "
+                       f"is {highs.solutionStatusToString(info.primal_solution_status)}")
+    res.status, res.message = _highs_to_scipy_status_message(status, message)
+    return res
 
 
 def _problem(model: MilpModel, options: SolveOptions):

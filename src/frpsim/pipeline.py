@@ -459,25 +459,34 @@ def _write_json(path: Path, payload) -> None:
 
 
 def _read_csv(path: Path, made_by: str, keys: tuple[str, ...], cells: list[tuple],
-              columns: tuple[str, ...]) -> dict[str, np.ndarray]:
+              columns: tuple[str, ...], labels: dict[str, str] | None = None
+              ) -> dict[str, np.ndarray]:
     """Each of ``columns`` of ``path`` as floats, one per cell of ``cells``,
     in that order.
 
-    ``keys`` are the integer columns that place a row in a cell.  A file
-    that lacks a column, holds a cell that does not parse, lacks a cell,
-    repeats one or holds one not in ``cells`` is refused, naming the first
-    such column or cell and ``made_by``, the stage that writes it.
+    ``keys`` are the integer columns that place a row in a cell, and
+    ``labels`` maps a text column to the value every row must hold.  A file
+    that lacks a column, holds a cell that does not parse or a row with
+    another label, lacks a cell, repeats one or holds one not in ``cells``
+    is refused, naming the first such column, row or cell and ``made_by``,
+    the stage that writes it.
     """
     if not path.exists():
         raise ValueError(f"{path.name} missing; run {made_by}")
+    labels = labels or {}
     parsers = [(k, int) for k in keys] + [(c, float) for c in columns]
     wanted, rows = set(cells), {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        absent = [name for name, _ in parsers if name not in (reader.fieldnames or ())]
+        absent = [name for name in [*keys, *labels, *columns]
+                  if name not in (reader.fieldnames or ())]
         if absent:
             raise ValueError(f"{path.name} line 1 has no {absent[0]} column; rerun {made_by}")
         for row in reader:
+            for name, label in labels.items():
+                if row[name] != label:
+                    raise ValueError(f"{path.name} line {reader.line_num}, column {name}: "
+                                     f"{row[name]!r} is not {label!r}; rerun {made_by}")
             values = []
             for name, parse in parsers:
                 try:
@@ -598,14 +607,16 @@ def _read_results(out: Path, policy: str, n: int
     (n, 96) per-interval costs.
 
     Both policies' files must hold the same scenarios, so a comparison of
-    them pairs each scenario with itself.
+    them pairs each scenario with itself, and every row must name
+    ``policy``, so neither policy is compared with a copy of the other.
     """
     scenario_ids = range(n)
     metrics = _read_csv(out / f"results_{policy}.csv", "validate", ("scenario_id",),
-                        [(s,) for s in scenario_ids], _METRIC_NAMES)
+                        [(s,) for s in scenario_ids], _METRIC_NAMES, {"policy": policy})
     cost = _read_csv(out / f"intervals_{policy}.csv", "validate",
                      ("scenario_id", "interval"),
-                     list(product(scenario_ids, range(INTERVALS_PER_DAY))), ("cost",))
+                     list(product(scenario_ids, range(INTERVALS_PER_DAY))), ("cost",),
+                     {"policy": policy})
     return metrics, cost["cost"].reshape(n, INTERVALS_PER_DAY)
 
 

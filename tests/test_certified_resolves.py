@@ -67,12 +67,13 @@ def limit_a(model, p, hi):
 @pytest.fixture()
 def highs_calls(monkeypatch):
     """Integrality count of every backend call ``milp.relax`` and
-    ``milp.solve`` make."""
+    ``milp.solve`` make, each made through ``milp._highs_milp``."""
     calls = []
+    highs_milp = milp._highs_milp
 
     def counted(**kw):
         calls.append(int(np.count_nonzero(kw["integrality"])))
-        return scipy_milp(**kw)
+        return highs_milp(**kw)
 
     monkeypatch.setattr(milp, "_highs_milp", counted)
     return calls

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import Bounds
+from scipy.optimize import milp as scipy_milp
 
+from frpsim import milp
 from frpsim.milp import (Cols, MilpModel, MilpSolution, ModelError, Rows, SolveOptions,
                          check_solution, solve)
 from frpsim.ucbase import UcModelBuilder, cold_start_state
@@ -149,6 +152,107 @@ class TestSolve:
         ub = np.array([5.0, 1.0])
         assert (sol.values >= lb - 1e-9).all()
         assert (sol.values <= ub + 1e-9).all()
+
+
+def knapsack():
+    """A MIP over 60 binaries with 30 random capacity rows: minimise minus
+    the value packed."""
+    rng, n, m = np.random.default_rng(0), 60, 30
+    model = MilpModel()
+    x, = model.add_vars([Cols("x_{}", (np.arange(n),), (np.arange(n),), binary=True,
+                              cost=-rng.integers(1, 100, n).astype(float))])
+    weights = rng.integers(1, 50, (m, n)).astype(float)
+    model.add_rows([Rows("cap_{}", (np.arange(m),), (np.arange(m),),
+                         terms=[(np.broadcast_to(x, (m, n)), weights)],
+                         hi=weights.sum(axis=1) / 3)])
+    return model
+
+
+def uc_model():
+    """A three-unit, four-interval single-bus commitment model."""
+    system = single_bus_system([make_gen(0, 0, 10.0, 100.0, 20.0, ramp=40.0),
+                                make_gen(1, 0, 5.0, 80.0, 40.0, ramp=80.0, startup=50.0),
+                                make_gen(2, 0, 20.0, 60.0, 30.0, ramp=30.0)])
+    loads = np.array([40.0, 90.0, 150.0, 95.0])
+    builder = UcModelBuilder(system, len(loads), 0.25, cold_start_state(system))
+    builder.add_commitment(np.zeros((3, 4)), np.ones((3, 4)),
+                           min_updown=np.ones(3, dtype=bool))
+    builder.add_dispatch()
+    builder.add_ramps()
+    builder.add_network(loads.reshape(1, -1), np.zeros((1, 4)))
+    return builder.model
+
+
+def infeasible_model():
+    m = MilpModel()
+    x, y = m.add_vars([Cols("x", (0,), lb=-math.inf), Cols("y", (1,), binary=True)])
+    m.add_rows([Rows("lo", (0,), terms=[(x, 1.0), (y, 1.0)], lo=3.0),
+                Rows("hi", (1,), terms=[(x, 1.0)], hi=1.0)])
+    return m
+
+
+def unbounded_model(binary):
+    """x free at cost 1 with no rows; with ``binary`` a binary y joins."""
+    m = MilpModel()
+    m.add_vars([Cols("x", (0,), lb=-math.inf, cost=1.0)]
+               + [Cols("y", (1,), binary=True, cost=1.0)] * binary)
+    return m
+
+
+def same_bits(a, b):
+    """Both None, or equal as float64 arrays bit for bit."""
+    if a is None or b is None:
+        return a is None and b is None
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestScipyEquivalence:
+    """``milp._highs_milp`` drives scipy's HiGHS object directly; on the
+    same arguments it returns what ``scipy.optimize.milp`` does, bit for bit."""
+
+    @pytest.mark.parametrize("case, relaxed, options, status", [
+        ("uc", True, SolveOptions(), 0),
+        ("uc", False, EXACT, 0),
+        ("knapsack", False, SolveOptions(mip_rel_gap=1e-3), 0),
+        ("infeasible", False, SolveOptions(), 2),
+        ("infeasible", True, SolveOptions(), 2),
+        ("unbounded", True, SolveOptions(), 3),
+        ("unbounded-milp", False, SolveOptions(), 4),
+        ("knapsack", False, SolveOptions(mip_rel_gap=1e-9, time_limit=0.0), 1),
+    ], ids=["optimal-lp", "optimal-mip", "optimal-mip-gap", "infeasible-mip",
+            "infeasible-lp", "unbounded-lp", "unbounded-milp", "time-limit"])
+    def test_same_result_as_scipy_milp(self, case, relaxed, options, status):
+        model = {"uc": uc_model, "knapsack": knapsack, "infeasible": infeasible_model,
+                 "unbounded": lambda: unbounded_model(False),
+                 "unbounded-milp": lambda: unbounded_model(True)}[case]()
+        c, constraints, binary, lb, ub, opts = milp._problem(model, options)
+        integrality = np.zeros(len(c)) if relaxed else binary.astype(int)
+        ref, got = (f(c=c, constraints=constraints, integrality=integrality,
+                      bounds=Bounds(lb, ub), options=dict(opts))
+                    for f in (scipy_milp, milp._highs_milp))
+        assert (got.status, got.message) == (ref.status, ref.message)
+        assert got.status == status
+        for field in ("x", "fun", "mip_gap", "mip_dual_bound", "mip_node_count"):
+            assert same_bits(got[field], ref[field]), field
+        assert (got.x is None) == (status != 0)
+
+    def test_refuses_arrays_of_the_wrong_length(self):
+        """HiGHS reads as many entries as the model has columns or rows, so
+        a shorter array is refused rather than read past its end."""
+        c, constraints, binary, lb, ub, opts = milp._problem(uc_model(), SolveOptions())
+        args = dict(c=c, constraints=constraints, integrality=binary, options=opts)
+        with pytest.raises(ValueError):
+            milp._highs_milp(**args, bounds=Bounds(lb[:-1], ub[:-1]))
+        with pytest.raises(ValueError, match="columns"):
+            milp._highs_milp(**{**args, "c": c[:-1], "integrality": binary[:-1]},
+                             bounds=Bounds(lb[:-1], ub[:-1]))
+
+    def test_time_limit_reports_limit(self):
+        sol = solve(knapsack(), SolveOptions(mip_rel_gap=1e-9, time_limit=0.0))
+        assert sol.status == "limit"
+        assert sol.message.startswith("Time limit reached.")
+        assert np.isnan(sol.values).all() and math.isnan(sol.objective)
 
 
 class TestCheckSolution:

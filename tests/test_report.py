@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -133,6 +134,25 @@ def test_report_refuses_unpaired_results(tmp_path, proxy_ids, datadriven_ids, me
                            output_dir=str(tmp_path), n_out_of_sample=3)
     with pytest.raises(StageError, match=r"^\[report\] " + message.replace(".", r"\.")
                        + "; rerun validate$"):
+        run_pipeline(cfg, stages=["report"], force=True)
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("kind", ["results", "intervals"])
+def test_report_refuses_the_other_policys_rows(tmp_path, kind):
+    """A results or intervals file copied from the other policy would be
+    compared with itself; the report names the file and its first row."""
+    proxy, datadriven = hand_built()
+    write_results(tmp_path, proxy, PROXY)
+    write_results(tmp_path, datadriven, DATADRIVEN)
+    name = f"{kind}_{DATADRIVEN}.csv"
+    (tmp_path / name).write_bytes((tmp_path / f"{kind}_{PROXY}.csv").read_bytes())
+    (tmp_path / "fmm_costs.json").write_text(json.dumps(
+        {p: {"cost": 1.0, "violation_mwh": 0.0} for p in (PROXY, DATADRIVEN)}))
+    cfg = ExperimentConfig(system_file="unused.json", profile_dir="unused",
+                           output_dir=str(tmp_path), n_out_of_sample=3)
+    message = f"[report] {name} line 2, column policy: '{PROXY}' is not '{DATADRIVEN}'"
+    with pytest.raises(StageError, match=f"^{re.escape(message)}; rerun validate$"):
         run_pipeline(cfg, stages=["report"], force=True)
     assert not (tmp_path / "report.json").exists()
 
