@@ -6,7 +6,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .pipeline import STAGES, ExperimentConfig, StageError, run_pipeline
+from .pipeline import POLICIES, STAGES, ExperimentConfig, StageError, run_pipeline
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -20,7 +20,7 @@ def build_parser() -> argparse.ArgumentParser:
                            else "run every stage in order")
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--policy", choices=["proxy", "datadriven", "both"],
+        p.add_argument("--policy", choices=POLICIES,
                        default=None, help="override policy selection")
         p.add_argument("--out", default=None, help="override output directory")
         p.add_argument("--force", action="store_true",

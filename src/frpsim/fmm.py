@@ -37,6 +37,8 @@ from .scenarios import (DEPLOYMENT, HOURS_PER_DAY, INTERVALS_PER_DAY, ForecastPr
 from .ucbase import (LINE_COEF_EPS, LineLimitError, UcModelBuilder, UnitState, advance_state,
                      solve_lazy)
 
+PROXY = "proxy"            # the two FRP policies
+DATADRIVEN = "datadriven"
 UP = "up"
 DOWN = "down"
 SIGN = {UP: 1.0, DOWN: -1.0}   # sign of the netload move of each direction
@@ -574,11 +576,11 @@ def run_fmm_day(system: PowerSystem, ptdf: PtdfMatrix, profile: ForecastProfile,
                 n_intervals: int = INTERVALS_PER_DAY) -> FmmDayRun:
     """Clear every trading hour of the day under one FRP policy."""
     cfg = cfg or FmmConfig()
-    if policy == "datadriven" and (factors is None or deployment is None):
+    if policy == DATADRIVEN and (factors is None or deployment is None):
         raise ValueError("data-driven clearing needs response factors and scenarios")
 
     def build_hour(horizon):
-        if policy == "datadriven":
+        if policy == DATADRIVEN:
             return build_fmm_datadriven(system, ptdf, profile, envelope, da, horizon,
                                         factors, deployment, cfg)
         return build_fmm_proxy(system, ptdf, profile, envelope, da, horizon, cfg)

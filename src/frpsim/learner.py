@@ -89,30 +89,28 @@ def build_targets(pairs: list[tuple[Scenario, DispatchTrajectory]],
     skipped = [g.id for g in system.must_run_generators() if g.ramp_15 <= 0]
     if skipped:
         warnings.warn(f"generators {skipped} excluded from training: zero ramp rate")
-    gen_col, t_col, x_col, y_col = [], [], [], []
-    for scenario, traj in pairs:
-        feats = feature_matrix(scenario)
-        for gen in mr:
-            p = traj.dispatch[gen.id]
-            u = traj.commitment[gen.id]
-            for t in range(len(p) - 1):
-                if u[t] >= 0.5 and u[t + 1] >= 0.5:
-                    response = (p[t + 1] - p[t]) / gen.ramp_15
-                    gen_col.append(gen.id)
-                    t_col.append(t)
-                    x_col.append(feats[t])
-                    y_col.append(min(max(response, -1.0), 1.0))
-    if not y_col:
+    ids = np.array([g.id for g in mr])
+    ramp = np.array([g.ramp_15 for g in mr])
+    gen_ids, intervals, features, targets = [], [], [], []
+    for scenario, traj in pairs if mr else ():
+        p = np.array([traj.dispatch[g.id] for g in mr])             # (units, T)
+        on = np.array([traj.commitment[g.id] for g in mr]) >= 0.5
+        unit, t = np.nonzero(on[:, :-1] & on[:, 1:])     # committed on both sides
+        gen_ids.append(ids[unit])
+        intervals.append(t)
+        features.append(feature_matrix(scenario)[t])
+        targets.append(np.clip((p[unit, t + 1] - p[unit, t]) / ramp[unit], -1.0, 1.0))
+    n = sum(map(len, targets))
+    if not n:
         raise ValueError("no training rows: no must-run unit is ever committed")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(77,)))
-    n = len(y_col)
     test = np.zeros(n, dtype=bool)
     test[rng.permutation(n)[: int(round(TEST_FRACTION * n))]] = True
     return TrainingDataset(
-        gen_ids=np.asarray(gen_col),
-        intervals=np.asarray(t_col),
-        features=np.asarray(x_col),
-        targets=np.asarray(y_col),
+        gen_ids=np.concatenate(gen_ids),
+        intervals=np.concatenate(intervals),
+        features=np.concatenate(features),
+        targets=np.concatenate(targets),
         is_test=test,
     )
 

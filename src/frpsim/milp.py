@@ -2,10 +2,11 @@
 
 The model is a plain declarative store of variables, ranged linear rows
 (``lo <= a.x <= hi``), and a linear minimization objective.  Solving is
-delegated to the HiGHS build that scipy ships, driven through scipy's own
+delegated to the HiGHS build that scipy ships, driven through scipy's
 binding (``scipy.optimize._highspy._core._Highs``): ``_highs_milp`` passes
-it the arrays and options ``scipy.optimize.milp`` would, so each solve is
-``milp``'s bit for bit, without ``milp``'s per-column Python loops.
+the model's own arrays to a fresh HiGHS with the options
+``scipy.optimize.milp`` sets, and returns a ``MilpSolution`` whose status,
+message and numbers are the ones ``milp`` would report, bit for bit.
 Checking a solution never touches the solver and simply re-evaluates every
 row, column bound and binary arithmetically.
 """
@@ -18,16 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import Bounds, LinearConstraint, OptimizeResult
 from scipy.optimize._highspy import _core as _hc
-from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
 
 # a binary this close to 0 or 1 counts as integral (HiGHS's default
 # mip_feasibility_tolerance)
 INTEGRALITY_TOL = 1e-6
-# the status codes _highs_milp reports, scipy.optimize.milp's; 4 is also
-# what an unbounded MILP reports
-_STATUS = {0: "optimal", 1: "limit", 2: "infeasible", 3: "unbounded", 4: "error"}
 
 
 class ModelError(ValueError):
@@ -272,16 +268,17 @@ class MilpSolution:
     """Outcome of one solve; values indexed like the model's variables."""
 
     # "optimal" | "infeasible" | "unbounded" | "limit" (time or iteration
-    # limit) | "error" (anything else, e.g. an unbounded or infeasible MILP);
-    # ``message`` keeps the backend's explanation
+    # limit) | "error" (anything else, e.g. an unbounded or infeasible MILP)
     status: str
-    objective: float
+    objective: float       # NaN, as is every value, when there is no solution
     values: np.ndarray
+    # "<sentence> (HiGHS Status <n>: <detail>)", or "certified: <why>"
     message: str = ""
     mip_gap: float = float("nan")
-    # HiGHS's lower bound on the optimum; NaN when it reports none (an LP, an
-    # infeasible MIP)
+    # a lower bound on the optimum (HiGHS's, or an optimal relaxation's
+    # objective); NaN when there is none (an LP, an infeasible MIP)
     dual_bound: float = float("nan")
+    mip_node_count: int = 0   # branch-and-bound nodes; 0 for an LP
 
     def value(self, var: int) -> float:
         return float(self.values[var])
@@ -301,75 +298,62 @@ class ConstraintReport:
         return max(self.violations, key=lambda v: v[1]) if self.violations else None
 
 
-# a limit status still carries HiGHS's incumbent, if it found one
-_LIMITS = (_hc.HighsModelStatus.kTimeLimit, _hc.HighsModelStatus.kIterationLimit,
-           _hc.HighsModelStatus.kSolutionLimit)
+_S = _hc.HighsModelStatus
+# HiGHS's model status -> status and the message's first sentence; any other
+# status is an "error" whose code "was not recognized"
+_STATUS = {
+    _S.kOptimal: ("optimal", "Optimization terminated successfully. "),
+    _S.kTimeLimit: ("limit", "Time limit reached. "),
+    _S.kIterationLimit: ("limit", "Iteration limit reached. "),
+    _S.kInfeasible: ("infeasible", "The problem is infeasible. "),
+    _S.kModelError: ("infeasible", ""),
+    _S.kUnbounded: ("unbounded", "The problem is unbounded. "),
+    _S.kUnboundedOrInfeasible: ("error", "The problem is unbounded or infeasible. "),
+} | dict.fromkeys((_S.kNotset, _S.kLoadError, _S.kPresolveError, _S.kSolveError,
+                   _S.kPostsolveError, _S.kModelEmpty, _S.kObjectiveBound,
+                   _S.kObjectiveTarget), ("error", ""))
+# a limit stop of a MIP still carries HiGHS's incumbent, if it found one
+_LIMITS = (_S.kTimeLimit, _S.kIterationLimit, _S.kSolutionLimit)
 
 
-def _highs_milp(*, c, constraints, integrality, bounds, options) -> OptimizeResult:
-    """``scipy.optimize.milp(c=c, constraints=constraints, ...)``, solved the
-    same way: a fresh HiGHS with ``milp``'s options, the same column-wise
-    arrays, and ``milp``'s ``status``, ``message``, ``x``, ``fun`` and MIP
-    fields.  ``constraints`` is one ``LinearConstraint`` or None; ``options``
-    takes ``mip_rel_gap``, ``presolve`` (a bool) and ``time_limit``.
-    """
-    n = len(c)
-    if constraints is None:
-        a, lo, hi = sp.csc_matrix((0, n)), (), ()
-    else:
-        a, lo, hi = sp.csc_matrix(constraints.A), constraints.lb, constraints.ub
-    m = a.shape[0]
-    if a.shape[1] != n:
-        raise ValueError(f"the constraint matrix has {a.shape[1]} columns, c has {n}")
-    integrality = np.broadcast_to(integrality, n)
+def _highs_milp(model: MilpModel, integrality: np.ndarray, lb: np.ndarray, ub: np.ndarray,
+                options: SolveOptions) -> MilpSolution:
+    """A fresh HiGHS run on the model's rows and costs, with column bounds
+    ``lb``/``ub`` and ``integrality`` (nonzero for an integer column); the
+    MIP fields are set only for a MIP that carries a solution."""
+    a, lo, hi = model._matrix()
+    a, n = a.tocsc(), model.n_vars
     highs = _hc._Highs()
     highs.setOptionValue("log_to_console", False)
-    for key, value in options.items():
-        highs.setOptionValue(key, ("on" if value else "off") if key == "presolve"
-                             else float(value))
-    res = OptimizeResult(x=None, fun=None, mip_node_count=None, mip_dual_bound=None,
-                         mip_gap=None)
-    # the binding reads n or m entries of each array whatever its length, so
-    # each is broadcast to that length (which raises on a mismatch)
-    cols = [np.broadcast_to(v, n) for v in (c, bounds.lb, bounds.ub)]
-    rows = [np.broadcast_to(v, m) for v in (lo, hi)]
-    if highs.passModel(n, m, a.nnz, _hc.MatrixFormat.kColwise, _hc.ObjSense.kMinimize, 0.0,
-                       *cols, *rows, a.indptr, a.indices, a.data,
-                       integrality) == _hc.HighsStatus.kError:
-        status = _hc.HighsModelStatus.kModelError
-        message = highs.modelStatusToString(status)
-    elif highs.run() == _hc.HighsStatus.kError:
-        status = highs.getModelStatus()
-        message = highs.modelStatusToString(status)
-    else:
-        status, info, is_mip = highs.getModelStatus(), highs.getInfo(), integrality.any()
-        if (status == _hc.HighsModelStatus.kOptimal
+    highs.setOptionValue("mip_rel_gap", float(options.mip_rel_gap))
+    highs.setOptionValue("presolve", "on")
+    if options.time_limit is not None:
+        highs.setOptionValue("time_limit", float(options.time_limit))
+    sol = MilpSolution(status="", objective=math.nan, values=np.full(n, np.nan))
+    loaded = highs.passModel(n, len(lo), a.nnz, _hc.MatrixFormat.kColwise,
+                             _hc.ObjSense.kMinimize, 0.0, model._cost, lb, ub, lo, hi,
+                             a.indptr, a.indices, a.data,
+                             integrality) != _hc.HighsStatus.kError
+    ran = loaded and highs.run() != _hc.HighsStatus.kError
+    status = highs.getModelStatus() if loaded else _S.kModelError
+    detail = highs.modelStatusToString(status)
+    if ran:
+        info, is_mip = highs.getInfo(), np.any(integrality)
+        if (status == _S.kOptimal
                 or (is_mip and status in _LIMITS
                     and info.objective_function_value != _hc.kHighsInf)):
-            message = highs.modelStatusToString(status)
-            res.update(x=np.array(highs.getSolution().col_value),
-                       fun=info.objective_function_value)
+            sol.values = np.array(highs.getSolution().col_value)
+            sol.objective = info.objective_function_value
             if is_mip:
-                res.update(mip_node_count=info.mip_node_count,
-                           mip_dual_bound=info.mip_dual_bound, mip_gap=info.mip_gap)
+                sol.mip_gap, sol.dual_bound = info.mip_gap, info.mip_dual_bound
+                sol.mip_node_count = info.mip_node_count
         else:
-            message = (f"model_status is {highs.modelStatusToString(status)}; primal_status "
-                       f"is {highs.solutionStatusToString(info.primal_solution_status)}")
-    res.status, res.message = _highs_to_scipy_status_message(status, message)
-    return res
-
-
-def _problem(model: MilpModel, options: SolveOptions):
-    """The model's arrays and the backend options, as ``_highs_milp`` takes them."""
-    model.validate()
-    constraints = None
-    if model.n_constrs:
-        a, lo, hi = model._matrix()
-        constraints = LinearConstraint(a, lo, hi)
-    opts = {"mip_rel_gap": options.mip_rel_gap, "presolve": True}
-    if options.time_limit is not None:
-        opts["time_limit"] = options.time_limit
-    return model.objective_vector(), constraints, model._binary, model._lb, model._ub, opts
+            detail = (f"model_status is {detail}; primal_status is "
+                      f"{highs.solutionStatusToString(info.primal_solution_status)}")
+    sol.status, first = _STATUS.get(status, ("error", "The HiGHS status code was not "
+                                                      "recognized. "))
+    sol.message = f"{first}(HiGHS Status {int(status)}: {detail})"
+    return sol
 
 
 def _integral(values: np.ndarray) -> np.ndarray:
@@ -385,19 +369,14 @@ def relax(model: MilpModel, options: SolveOptions | None = None) -> MilpSolution
     that optimum: ``mip_gap`` is 0 and ``message`` starts with
     ``certified``.  A fractional relaxation has a NaN ``mip_gap``.
     """
-    c, constraints, binary, lb, ub, opts = _problem(model, options or SolveOptions())
-    res = _highs_milp(c=c, constraints=constraints, integrality=np.zeros(len(c)),
-                      bounds=Bounds(lb, ub), options=opts)
-    if res.status != 0:
-        return MilpSolution(status=_STATUS.get(res.status, "error"), objective=math.nan,
-                            values=np.full(model.n_vars, np.nan), message=str(res.message))
-    values = np.asarray(res.x, dtype=float)
-    if _integral(values[binary]).all():
-        return MilpSolution(status="optimal", objective=float(res.fun), values=values,
-                            message="certified: the LP relaxation is integral",
-                            mip_gap=0.0, dual_bound=float(res.fun))
-    return MilpSolution(status="optimal", objective=float(res.fun), values=values,
-                        message=str(res.message), dual_bound=float(res.fun))
+    sol = _highs_milp(model, np.zeros(model.n_vars, dtype=np.int32), model._lb, model._ub,
+                      options or SolveOptions())
+    if sol.status != "optimal":
+        return sol
+    sol.dual_bound = sol.objective
+    if _integral(sol.values[model._binary]).all():
+        sol.mip_gap, sol.message = 0.0, "certified: the LP relaxation is integral"
+    return sol
 
 
 def solve(model: MilpModel, options: SolveOptions | None = None,
@@ -415,37 +394,23 @@ def solve(model: MilpModel, options: SolveOptions | None = None,
     outcome falls back to the full MIP, solved cold.
     """
     options = options or SolveOptions()
-    c, constraints, binary, lb, ub, opts = _problem(model, options)
+    binary = model._binary
     if previous is not None and math.isfinite(previous.dual_bound):
         if previous.values.shape != (model.n_vars,):
             raise ModelError("previous solution does not match the model's columns")
         bound = previous.dual_bound
         fixed = np.rint(previous.values)
         pin = binary & _integral(previous.values)
-        res = _highs_milp(c=c, constraints=constraints,
-                          integrality=(binary & ~pin).astype(int),
-                          bounds=Bounds(np.where(pin, fixed, lb), np.where(pin, fixed, ub)),
-                          options=opts)
-        if res.status == 0 and abs(res.fun - bound) <= options.mip_rel_gap * abs(res.fun):
-            return MilpSolution(
-                status="optimal", objective=float(res.fun),
-                values=np.asarray(res.x, dtype=float),
-                message="certified: the binaries integral in the previous solution, "
-                        "fixed, leave a cost within mip_rel_gap of its dual bound",
-                mip_gap=abs(res.fun - bound) / abs(res.fun) if res.fun else 0.0,
-                dual_bound=bound)
-    res = _highs_milp(c=c, constraints=constraints, integrality=binary.astype(int),
-                      bounds=Bounds(lb, ub), options=opts)
-    values = res.x if res.x is not None else np.full(model.n_vars, np.nan)
-    gap, bound = getattr(res, "mip_gap", None), getattr(res, "mip_dual_bound", None)
-    return MilpSolution(
-        status=_STATUS.get(res.status, "error"),
-        objective=float(res.fun) if res.fun is not None else float("nan"),
-        values=np.asarray(values, dtype=float),
-        message=str(res.message),
-        mip_gap=float("nan") if gap is None else float(gap),
-        dual_bound=float("nan") if bound is None else float(bound),
-    )
+        sol = _highs_milp(model, binary & ~pin, np.where(pin, fixed, model._lb),
+                          np.where(pin, fixed, model._ub), options)
+        cost = sol.objective
+        if sol.status == "optimal" and abs(cost - bound) <= options.mip_rel_gap * abs(cost):
+            sol.message = ("certified: the binaries integral in the previous solution, "
+                           "fixed, leave a cost within mip_rel_gap of its dual bound")
+            sol.mip_gap = abs(cost - bound) / abs(cost) if cost else 0.0
+            sol.dual_bound = bound
+            return sol
+    return _highs_milp(model, binary, model._lb, model._ub, options)
 
 
 def check_solution(model: MilpModel, solution: MilpSolution,

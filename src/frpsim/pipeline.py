@@ -28,16 +28,16 @@ import numpy as np
 
 from . import learner as learner_mod
 from .dayahead import DaCommitments, run_da
-from .fmm import FmmAwards, FmmConfig, run_fmm_day, run_training_day
+from .fmm import DATADRIVEN, PROXY, FmmAwards, FmmConfig, run_fmm_day, run_training_day
 from .milp import SolveOptions
 from .network import PowerSystem, SolarUnit, compute_ptdf, load_system
 from .scenarios import (HOURS_PER_DAY, INTERVALS_PER_DAY, OUT_OF_SAMPLE, TRAINING, Scenario,
                         UncertaintyConfig, load_profiles, proxy_envelopes, sample_scenarios,
                         select_deployment_scenarios)
-from .validation import (DATADRIVEN, PROXY, ScenarioResult, ValidationConfig,
-                         run_rtuc_validation)
+from .validation import ScenarioResult, ValidationConfig, run_rtuc_validation
 
 STAGES = ("prepare", "train", "clear", "validate", "report")
+POLICIES = (PROXY, DATADRIVEN, "both")   # the config's policy choices
 
 
 class StageError(RuntimeError):
@@ -83,7 +83,7 @@ class ExperimentConfig:
     persist_training_data: bool = True
 
     def __post_init__(self):
-        if self.policy not in ("proxy", "datadriven", "both"):
+        if self.policy not in POLICIES:
             raise ValueError(f"unknown policy {self.policy!r}")
         for name in ("seed", "n_training", "n_out_of_sample", "n_deployment", "nn_epochs",
                      "nn_batch_size"):

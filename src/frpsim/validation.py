@@ -15,13 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dayahead import DaCommitments
+from .fmm import DATADRIVEN, PROXY  # noqa: F401  (the policy names, also read from here)
 from .fmm import FmmAwards, FmmConfig, FmmHandle, FmmHorizon, _base_builder, roll_day
 from .milp import SolveOptions
 from .network import PowerSystem, PtdfMatrix
 from .scenarios import INTERVALS_PER_DAY, OUT_OF_SAMPLE, Scenario, window
-
-PROXY = "proxy"
-DATADRIVEN = "datadriven"
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Independent oracles the tests check the program against.
 
-Neither shares code with the path it checks: ``brute_force_uc`` never goes
-through ``MilpModel``, and ``gradient_check`` differentiates ``Mlp.mse``
-numerically.
+None shares code with the path it checks: ``brute_force_uc`` never goes
+through ``MilpModel``, ``gradient_check`` differentiates ``Mlp.mse``
+numerically, and ``build_targets_loop`` builds the regression rows one
+(day, generator, interval) at a time.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 import numpy as np
 from scipy.optimize import linprog
 
-from frpsim.learner import Mlp
+from frpsim.learner import TEST_FRACTION, Mlp, TrainingDataset, feature_matrix
 
 
 def gradient_check(mlp: Mlp, x: np.ndarray, y: np.ndarray,
@@ -35,6 +36,32 @@ def gradient_check(mlp: Mlp, x: np.ndarray, y: np.ndarray,
             denom = max(abs(gflat[i]) + abs(numeric), 1e-8)
             worst = max(worst, abs(gflat[i] - numeric) / denom)
     return worst
+
+
+def build_targets_loop(pairs, system, seed: int = 0) -> TrainingDataset:
+    """``learner.build_targets`` written as a loop over every (day, generator,
+    interval) move, one Python row at a time."""
+    mr = [g for g in system.must_run_generators() if g.ramp_15 > 0]
+    gen_col, t_col, x_col, y_col = [], [], [], []
+    for scenario, traj in pairs:
+        feats = feature_matrix(scenario)
+        for gen in mr:
+            p = traj.dispatch[gen.id]
+            u = traj.commitment[gen.id]
+            for t in range(len(p) - 1):
+                if u[t] >= 0.5 and u[t + 1] >= 0.5:
+                    response = (p[t + 1] - p[t]) / gen.ramp_15
+                    gen_col.append(gen.id)
+                    t_col.append(t)
+                    x_col.append(feats[t])
+                    y_col.append(min(max(response, -1.0), 1.0))
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(77,)))
+    n = len(y_col)
+    test = np.zeros(n, dtype=bool)
+    test[rng.permutation(n)[: int(round(TEST_FRACTION * n))]] = True
+    return TrainingDataset(gen_ids=np.asarray(gen_col), intervals=np.asarray(t_col),
+                           features=np.asarray(x_col), targets=np.asarray(y_col),
+                           is_test=test)
 
 
 # --------------------------------------------------------------------------

@@ -66,3 +66,28 @@ def test_workloads_set_up_against_the_program():
             assert workload.units(), name
         finally:
             workload.teardown()
+
+
+def test_highs_result_carries_an_int_node_count(tracing):
+    # the tracer adds each _highs_milp result's mip_node_count, read by name
+    # with a default of 0, to milp.mip_nodes: a renamed field would zero it
+    import numpy as np
+
+    from frpsim import milp
+    from frpsim.milp import Cols, MilpModel, Rows, SolveOptions
+
+    rng, n = np.random.default_rng(1), 12
+    model = MilpModel()
+    x, = model.add_vars([Cols("x_{}", (np.arange(n),), (np.arange(n),), binary=True,
+                              cost=-rng.integers(10, 100, n).astype(float))])
+    weights = rng.integers(10, 50, (2, n)).astype(float)
+    model.add_rows([Rows("cap_{}", (np.arange(2),), (np.arange(2),),
+                         terms=[(np.broadcast_to(x, (2, n)), weights)],
+                         hi=weights.sum(axis=1) / 3)])
+    sol = milp._highs_milp(model, model.integrality, *model.col_bounds, SolveOptions())
+    assert sol.status == "optimal"
+    assert type(sol.mip_node_count) is int
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        traced = milp.solve(model, SolveOptions())
+    assert tracer.counts["milp.mip_nodes"] == traced.mip_node_count

@@ -71,9 +71,9 @@ def highs_calls(monkeypatch):
     calls = []
     highs_milp = milp._highs_milp
 
-    def counted(**kw):
-        calls.append(int(np.count_nonzero(kw["integrality"])))
-        return highs_milp(**kw)
+    def counted(model, integrality, *args):
+        calls.append(int(np.count_nonzero(integrality)))
+        return highs_milp(model, integrality, *args)
 
     monkeypatch.setattr(milp, "_highs_milp", counted)
     return calls

@@ -8,7 +8,7 @@ from frpsim.learner import (DispatchTrajectory, Mlp, RegressionModel, TrainConfi
                             train)
 from frpsim.pipeline import _read_models, _write_models
 from frpsim.scenarios import DEPLOYMENT, Scenario
-from oracles import gradient_check
+from oracles import build_targets_loop, gradient_check
 from util import bottleneck_system, make_gen, single_bus_system
 
 
@@ -132,6 +132,29 @@ class TestTargets:
         ds = build_targets(pairs, system=system, seed=3)
         frac = ds.is_test.mean()
         assert abs(frac - 0.25) < 0.01
+
+    def test_same_rows_as_the_loop(self, system118):
+        """Every array equals, dtype and bits, the one the row-by-row loop
+        builds, on synthetic 118-bus days with units switching on and off."""
+        n = 96
+        rng = np.random.default_rng(5)
+        pairs = []
+        for _ in range(3):
+            traj = DispatchTrajectory(
+                dispatch={g.id: rng.uniform(-1.5, 1.5, n) * g.ramp_15 + g.p_min
+                          for g in system118.generators},
+                commitment={g.id: (rng.random(n) < 0.9).astype(float)
+                            for g in system118.generators},
+            )
+            solar = rng.uniform(0, 50, (len(system118.solar_units), n))
+            pairs.append((scenario_from(rng.uniform(3000, 4000, n), solar), traj))
+        got = build_targets(pairs, system=system118, seed=4)
+        ref = build_targets_loop(pairs, system118, seed=4)
+        assert len(got) > 1000
+        for name in ("gen_ids", "intervals", "features", "targets", "is_test"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+            assert a.tobytes() == b.tobytes(), name
 
 
 def _two_mr_system():

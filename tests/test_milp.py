@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import Bounds
+from scipy.optimize import Bounds, LinearConstraint
 from scipy.optimize import milp as scipy_milp
 
 from frpsim import milp
@@ -200,53 +200,54 @@ def unbounded_model(binary):
 
 
 def same_bits(a, b):
-    """Both None, or equal as float64 arrays bit for bit."""
-    if a is None or b is None:
-        return a is None and b is None
+    """Equal as float64 arrays bit for bit."""
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+# scipy.optimize.milp's status codes, by the status name MilpSolution carries
+SCIPY_STATUS = {0: "optimal", 1: "limit", 2: "infeasible", 3: "unbounded", 4: "error"}
+
+
 class TestScipyEquivalence:
     """``milp._highs_milp`` drives scipy's HiGHS object directly; on the
-    same arguments it returns what ``scipy.optimize.milp`` does, bit for bit."""
+    model's own arrays it reports what ``scipy.optimize.milp`` does, bit for
+    bit."""
 
     @pytest.mark.parametrize("case, relaxed, options, status", [
-        ("uc", True, SolveOptions(), 0),
-        ("uc", False, EXACT, 0),
-        ("knapsack", False, SolveOptions(mip_rel_gap=1e-3), 0),
-        ("infeasible", False, SolveOptions(), 2),
-        ("infeasible", True, SolveOptions(), 2),
-        ("unbounded", True, SolveOptions(), 3),
-        ("unbounded-milp", False, SolveOptions(), 4),
-        ("knapsack", False, SolveOptions(mip_rel_gap=1e-9, time_limit=0.0), 1),
+        ("uc", True, SolveOptions(), "optimal"),
+        ("uc", False, EXACT, "optimal"),
+        ("knapsack", False, SolveOptions(mip_rel_gap=1e-3), "optimal"),
+        ("infeasible", False, SolveOptions(), "infeasible"),
+        ("infeasible", True, SolveOptions(), "infeasible"),
+        ("unbounded", True, SolveOptions(), "unbounded"),
+        ("unbounded-milp", False, SolveOptions(), "error"),
+        ("knapsack", False, SolveOptions(mip_rel_gap=1e-9, time_limit=0.0), "limit"),
     ], ids=["optimal-lp", "optimal-mip", "optimal-mip-gap", "infeasible-mip",
             "infeasible-lp", "unbounded-lp", "unbounded-milp", "time-limit"])
     def test_same_result_as_scipy_milp(self, case, relaxed, options, status):
         model = {"uc": uc_model, "knapsack": knapsack, "infeasible": infeasible_model,
                  "unbounded": lambda: unbounded_model(False),
                  "unbounded-milp": lambda: unbounded_model(True)}[case]()
-        c, constraints, binary, lb, ub, opts = milp._problem(model, options)
-        integrality = np.zeros(len(c)) if relaxed else binary.astype(int)
-        ref, got = (f(c=c, constraints=constraints, integrality=integrality,
-                      bounds=Bounds(lb, ub), options=dict(opts))
-                    for f in (scipy_milp, milp._highs_milp))
-        assert (got.status, got.message) == (ref.status, ref.message)
+        integrality = np.zeros(model.n_vars, dtype=int) if relaxed else model.integrality
+        lb, ub = model.col_bounds
+        opts = {"mip_rel_gap": options.mip_rel_gap, "presolve": True}
+        if options.time_limit is not None:
+            opts["time_limit"] = options.time_limit
+        ref = scipy_milp(c=model.objective_vector(),
+                         constraints=LinearConstraint(*model._matrix()),
+                         integrality=integrality, bounds=Bounds(lb, ub), options=opts)
+        got = milp._highs_milp(model, integrality, lb, ub, options)
+        assert (got.status, got.message) == (SCIPY_STATUS[ref.status], ref.message)
         assert got.status == status
-        for field in ("x", "fun", "mip_gap", "mip_dual_bound", "mip_node_count"):
-            assert same_bits(got[field], ref[field]), field
-        assert (got.x is None) == (status != 0)
-
-    def test_refuses_arrays_of_the_wrong_length(self):
-        """HiGHS reads as many entries as the model has columns or rows, so
-        a shorter array is refused rather than read past its end."""
-        c, constraints, binary, lb, ub, opts = milp._problem(uc_model(), SolveOptions())
-        args = dict(c=c, constraints=constraints, integrality=binary, options=opts)
-        with pytest.raises(ValueError):
-            milp._highs_milp(**args, bounds=Bounds(lb[:-1], ub[:-1]))
-        with pytest.raises(ValueError, match="columns"):
-            milp._highs_milp(**{**args, "c": c[:-1], "integrality": binary[:-1]},
-                             bounds=Bounds(lb[:-1], ub[:-1]))
+        none = np.full(model.n_vars, np.nan)
+        assert same_bits(got.values, none if ref.x is None else ref.x)
+        for mine, theirs in ((got.objective, ref.fun), (got.mip_gap, ref.mip_gap),
+                             (got.dual_bound, ref.mip_dual_bound)):
+            assert same_bits(mine, np.nan if theirs is None else theirs)
+        assert type(got.mip_node_count) is int
+        assert got.mip_node_count == (ref.mip_node_count or 0)
+        assert (ref.x is None) == (status != "optimal")
 
     def test_time_limit_reports_limit(self):
         sol = solve(knapsack(), SolveOptions(mip_rel_gap=1e-9, time_limit=0.0))
