@@ -516,7 +516,6 @@ def roll_day(system: PowerSystem, da: DaCommitments, build_hour, policy: str,
         raise ValueError(f"n_intervals must be a multiple of 4 in 4..{INTERVALS_PER_DAY}, "
                          f"got {n_intervals}")
     n_gens = len(system.generators)
-    frp_prices = np.array([[g.frp_up_cost, g.frp_down_cost] for g in system.generators])
     traj = DayTrajectory(**{k: np.zeros((n_gens, n_intervals))
                             for k in ("p", "u", "ur", "dr")},
                          cost=np.zeros(n_intervals),
@@ -547,8 +546,11 @@ def roll_day(system: PowerSystem, da: DaCommitments, build_hour, policy: str,
         if handle.ur is not None:
             traj.ur[:, now] = sol.values[handle.ur[:, :nb]]
             traj.dr[:, now] = sol.values[handle.dr[:, :nb]]
-            # a running sum in the order up0, down0, up1, down1, ...
-            paid = frp_prices[:, :, None] * np.stack([traj.ur[:, now], traj.dr[:, now]], axis=1)
+            # the awards at the objective's prices, summed in the order up0,
+            # down0, up1, down1, ...
+            c = handle.model.objective_vector()
+            paid = np.stack([c[handle.ur[:, :nb]] * traj.ur[:, now],
+                             c[handle.dr[:, :nb]] * traj.dr[:, now]], axis=1)
             traj.frp_cost[now] += np.cumsum(paid.reshape(2 * n_gens, nb), axis=0)[-1]
         state = advance_state(state, traj.u[:, now], traj.p[:, now])
         # free this hour's model before the next one is built

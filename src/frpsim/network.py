@@ -8,12 +8,16 @@ the README).  All power quantities are MW; reactances are per unit.
 from __future__ import annotations
 
 import json
+import sys
 import warnings
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 PARTICIPATION_TOL = 1e-9
 PTDF_ENTRY_TOL = 1e-9
@@ -88,7 +92,6 @@ class PowerSystem:
         return [g for g in self.generators if not g.is_fast_start]
 
 
-
 def nodal_injections(system: PowerSystem, load: np.ndarray,
                      solar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nodal load and solar, each (n_buses, T) MW, from the system load (T,)
@@ -111,21 +114,56 @@ class PtdfMatrix:
 
 # ----------------------------------------------------------------------- load
 
-def _req(mapping: dict, key: str, where: str):
-    if key not in mapping:
-        raise SystemDataError(f"{where}: missing field {key!r}")
-    return mapping[key]
+def _is_finite(value) -> bool:
+    # JSON's true and false load as bools, which are ints; a huge int is no float
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
-def _num(mapping: dict, key: str, where: str) -> float:
-    value = _req(mapping, key, where)
-    try:
-        out = float(value)
-    except (TypeError, ValueError):
-        raise SystemDataError(f"{where}: field {key!r} is not numeric: {value!r}") from None
-    if not np.isfinite(out):
-        raise SystemDataError(f"{where}: field {key!r} is not finite")
+def _cost_blocks(value):
+    ok = isinstance(value, list) and all(
+        isinstance(b, list) and len(b) == 2 and all(map(_is_finite, b)) for b in value)
+    return tuple((float(w), float(s)) for w, s in value) if ok else None
+
+
+# a field's annotation -> what its value must be, and a parser returning None to refuse it
+_PARSERS = {
+    "int": ("a whole number",
+            lambda v: int(v) if _is_finite(v) and float(v).is_integer() else None),
+    "float": ("a finite number", lambda v: float(v) if _is_finite(v) else None),
+    "bool": ("a JSON boolean", lambda v: v if isinstance(v, bool) else None),
+    "str": ("a JSON string", lambda v: v if isinstance(v, str) else None),
+    "tuple[tuple[float, float], ...]": ("a list of finite [width, slope] pairs", _cost_blocks),
+}
+_SECTIONS = dict(buses=list, lines=list, generators=list, solar=list, participation=dict)
+
+
+def _parse(where: str, name: str, annotation: str, value):
+    what, parser = _PARSERS[annotation]
+    out = parser(value)
+    if out is None:
+        raise SystemDataError(f"{where}: field {name!r} must be {what}, got {value!r}")
     return out
+
+
+def _records(raw: dict, section: str, cls, **defaults) -> tuple:
+    """The section's rows as ``cls`` records; ``defaults``: field -> f(row index)."""
+    kinds = {f.name: f.type for f in fields(cls)}
+    out = []
+    for i, row in enumerate(raw[section]):
+        where = f"{section}[{i}]"
+        if not isinstance(row, dict):
+            raise SystemDataError(f"{where}: not a JSON object")
+        values = {name: default(i) for name, default in defaults.items()}
+        for name, value in row.items():
+            if name not in kinds:
+                raise SystemDataError(f"{where}: unknown field {name!r}")
+            values[name] = _parse(where, name, kinds[name], value)
+        for f in fields(cls):
+            if f.name not in values and f.default is MISSING:
+                raise SystemDataError(f"{where}: missing field {f.name!r}")
+        out.append(cls(**values))
+    return tuple(out)
 
 
 def load_system(path) -> PowerSystem:
@@ -135,82 +173,26 @@ def load_system(path) -> PowerSystem:
         raise SystemDataError(f"system file not found: {path}")
     with open(path) as fh:
         raw = json.load(fh)
-
-    buses = tuple(
-        Bus(id=int(_req(b, "id", f"buses[{i}]")), name=str(b.get("name", f"bus{i}")))
-        for i, b in enumerate(_req(raw, "buses", "file"))
-    )
-    ids = [b.id for b in buses]
-    if ids != list(range(len(buses))):
-        raise SystemDataError("buses: ids must be contiguous 0..N-1 in order")
-    known = set(ids)
-
-    def _bus_ref(section: str, row: int, value) -> int:
-        bus = int(value)
-        if bus not in known:
-            raise SystemDataError(f"{section}[{row}]: unknown bus {bus}")
-        return bus
-
-    lines = []
-    for i, ln in enumerate(_req(raw, "lines", "file")):
-        where = f"lines[{i}]"
-        lines.append(TransmissionLine(
-            id=int(ln.get("id", i)),
-            from_bus=_bus_ref("lines", i, _req(ln, "from_bus", where)),
-            to_bus=_bus_ref("lines", i, _req(ln, "to_bus", where)),
-            reactance=_num(ln, "reactance", where),
-            rating=_num(ln, "rating", where),
-        ))
-
-    generators = []
-    for i, g in enumerate(_req(raw, "generators", "file")):
-        where = f"generators[{i}]"
-        blocks = tuple(
-            (float(w), float(s)) for w, s in _req(g, "cost_blocks", where)
-        )
-        generators.append(GenerationResource(
-            id=int(g.get("id", i)),
-            bus=_bus_ref("generators", i, _req(g, "bus", where)),
-            p_min=_num(g, "p_min", where),
-            p_max=_num(g, "p_max", where),
-            cost_blocks=blocks,
-            no_load_cost=_num(g, "no_load_cost", where),
-            startup_cost=_num(g, "startup_cost", where),
-            shutdown_cost=_num(g, "shutdown_cost", where),
-            ramp_15=_num(g, "ramp_15", where),
-            ramp_su=_num(g, "ramp_su", where),
-            ramp_sd=_num(g, "ramp_sd", where),
-            min_up=int(_req(g, "min_up", where)),
-            min_down=int(_req(g, "min_down", where)),
-            frp_up_cost=float(g.get("frp_up_cost", 0.5)),
-            frp_down_cost=float(g.get("frp_down_cost", 0.5)),
-            is_fast_start=bool(g.get("is_fast_start", False)),
-        ))
-
-    solar_units = []
-    for i, s in enumerate(raw.get("solar", [])):
-        where = f"solar[{i}]"
-        solar_units.append(SolarUnit(
-            id=int(s.get("id", i)),
-            bus=_bus_ref("solar", i, _req(s, "bus", where)),
-            capacity=_num(s, "capacity", where),
-            share_of_total=_num(s, "share_of_total", where),
-        ))
-
+    raw = ({"solar": [], "slack_bus": 0, "name": path.stem, **raw}
+           if isinstance(raw, dict) else {})  # a file that is no JSON object has no sections
+    if unknown := raw.keys() - {*_SECTIONS, "slack_bus", "name"}:
+        raise SystemDataError(f"file: unknown section {sorted(unknown)[0]!r}")
+    for key, kind in _SECTIONS.items():
+        if not isinstance(raw.get(key), kind):
+            raise SystemDataError(f"file: section {key!r} is missing or not a {kind.__name__}")
+    buses = _records(raw, "buses", Bus, name="bus{}".format)
     participation = np.zeros(len(buses))
-    for key, frac in _req(raw, "participation", "file").items():
-        bus = _bus_ref("participation", 0, key)
-        participation[bus] = float(frac)
-
+    for key, frac in raw["participation"].items():
+        # the key indexes the array, so the loader checks it, not validate_system
+        if not (key.isascii() and key.isdigit() and int(key) < len(buses)):
+            raise SystemDataError(f"participation: key {key!r} is not a bus index < {len(buses)}")
+        participation[int(key)] = _parse("participation", key, "float", frac)
     system = PowerSystem(
-        buses=buses,
-        lines=tuple(lines),
-        generators=tuple(generators),
-        solar_units=tuple(solar_units),
-        load_participation=participation,
-        slack_bus=int(raw.get("slack_bus", 0)),
-        name=str(raw.get("name", path.stem)),
-    )
+        buses=buses, lines=_records(raw, "lines", TransmissionLine, id=int),
+        generators=_records(raw, "generators", GenerationResource, id=int),
+        solar_units=_records(raw, "solar", SolarUnit, id=int), load_participation=participation,
+        slack_bus=_parse("file", "slack_bus", "int", raw["slack_bus"]),
+        name=_parse("file", "name", "str", raw["name"]))
     problems = validate_system(system)
     if problems:
         raise SystemDataError("; ".join(problems))
@@ -220,20 +202,11 @@ def load_system(path) -> PowerSystem:
 # ------------------------------------------------------------------- validate
 
 def _connected(system: PowerSystem) -> bool:
-    if system.n_buses <= 1:
-        return True
-    adj: list[list[int]] = [[] for _ in range(system.n_buses)]
-    for ln in system.lines:
-        adj[ln.from_bus].append(ln.to_bus)
-        adj[ln.to_bus].append(ln.from_bus)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for nxt in adj[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return len(seen) == system.n_buses
+    n = system.n_buses
+    ends = np.array([(ln.from_bus, ln.to_bus) for ln in system.lines], dtype=int).reshape(-1, 2)
+    ends = ends[((ends >= 0) & (ends < n)).all(axis=1)]  # the rest are reported as unknown
+    graph = coo_matrix((np.ones(len(ends)), (ends[:, 0], ends[:, 1])), shape=(n, n))
+    return connected_components(graph, directed=False)[0] <= 1
 
 
 def validate_system(system: PowerSystem) -> list[str]:
@@ -242,6 +215,10 @@ def validate_system(system: PowerSystem) -> list[str]:
     n = system.n_buses
     if [b.id for b in system.buses] != list(range(n)):
         problems.append("bus ids are not contiguous 0..N-1")
+    for label, records in (("line", system.lines), ("generator", system.generators),
+                           ("solar unit", system.solar_units)):
+        if repeated := sorted(k for k, c in Counter(r.id for r in records).items() if c > 1):
+            problems.append(f"{label} ids repeat: {repeated}")
     if not 0 <= system.slack_bus < n:
         problems.append(f"slack bus {system.slack_bus} does not exist")
     for ln in system.lines:

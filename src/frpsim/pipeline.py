@@ -59,6 +59,13 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+# a config field's annotation -> what its value must be, and the types that are
+_FIELD_TYPES = {"str": ("a string", str), "bool": ("a boolean", bool),
+                "int": ("an integer", numbers.Integral), "float": ("a number", numbers.Real),
+                "float | None": ("a number or None", (numbers.Real, type(None))),
+                "tuple[int, ...]": ("one or more integers >= 1", (tuple, list))}
+
+
 @dataclass
 class ExperimentConfig:
     system_file: str
@@ -83,19 +90,19 @@ class ExperimentConfig:
     persist_training_data: bool = True
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            what, kinds = _FIELD_TYPES[f.type]
+            # a bool is an int, and JSON's true loads as one
+            if not isinstance(value, kinds) or isinstance(value, bool) and kinds is not bool:
+                raise ValueError(f"{f.name} must be {what}, got {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.policy not in POLICIES:
             raise ValueError(f"unknown policy {self.policy!r}")
-        for name in ("seed", "n_training", "n_out_of_sample", "n_deployment", "nn_epochs",
-                     "nn_batch_size"):
-            if not _is_int(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         self.nn_hidden = tuple(self.nn_hidden)
         if not self.nn_hidden or not all(_is_int(n) and n >= 1 for n in self.nn_hidden):
             raise ValueError(f"nn_hidden must be one or more integers >= 1, got {self.nn_hidden}")
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
         for name, ok, rule in (
                 ("seed", self.seed >= 0, ">= 0"),
                 ("n_training", self.n_training >= 1, ">= 1"),

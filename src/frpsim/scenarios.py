@@ -112,16 +112,25 @@ class ProxyEnvelope:
 
 # ---------------------------------------------------------------------- load
 
+_COLUMNS = ("interval_index", "load_mw", "solar_total_mw")
+
+
 def _read_profile_csv(path: Path, rows_expected: int) -> tuple[np.ndarray, np.ndarray]:
     if not path.exists():
         raise ProfileError(f"profile file not found: {path}")
     loads, solars = [], []
     with open(path, newline="") as fh:
         for i, row in enumerate(csv.DictReader(fh)):
+            cells = [row.get(k) for k in _COLUMNS]
+            if None in cells:  # a short row, or a missing column
+                raise ProfileError(f"{path} row {i}: no value for {_COLUMNS[cells.index(None)]!r}")
             try:
-                load, solar = float(row["load_mw"]), float(row["solar_total_mw"])
-            except (KeyError, ValueError) as exc:
+                index, load, solar = int(cells[0]), float(cells[1]), float(cells[2])
+            except ValueError as exc:
                 raise ProfileError(f"{path} row {i}: {exc}") from None
+            if index != i:
+                raise ProfileError(f"{path} row {i}: interval_index {index} is not the "
+                                   f"row's position {i}")
             if not np.isfinite([load, solar]).all():
                 raise ProfileError(f"{path} row {i}: non-finite value")
             loads.append(load)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,10 @@ from hypothesis import strategies as st
 from frpsim.network import (Bus, PowerSystem, SystemDataError, TransmissionLine,
                             compute_ptdf, load_system, validate_system)
 from util import dc_power_flow, make_gen, random_connected_system
+
+ROOT = Path(__file__).resolve().parents[1]
+BUNDLED_SYSTEMS = [ROOT / "src" / "frpsim" / "data" / "ieee118.json",
+                   ROOT / "perfbench" / "data" / "case5" / "system.json"]
 
 
 def write_system_json(path, doc):
@@ -76,14 +81,15 @@ class TestLoadSystem:
         doc = minimal_doc()
         doc["generators"][0][field] = value
         path = write_system_json(tmp_path / "bad.json", doc)
-        with pytest.raises(SystemDataError, match="generator 0: non-finite cost"):
+        with pytest.raises(SystemDataError, match=rf"^generators\[0\]: field '{field}' must be"):
             load_system(path)
 
     def test_non_finite_participation_refused(self, tmp_path):
         doc = minimal_doc()
         doc["participation"] = {"0": float("nan"), "1": 1.0}
         path = write_system_json(tmp_path / "bad.json", doc)
-        with pytest.raises(SystemDataError, match="participation is not finite"):
+        with pytest.raises(SystemDataError,
+                           match="^participation: field '0' must be a finite number, got nan$"):
             load_system(path)
 
     def test_invalid_numeric_field_reports_location(self, tmp_path):
@@ -91,6 +97,150 @@ class TestLoadSystem:
         doc["lines"][0]["reactance"] = "abc"
         path = write_system_json(tmp_path / "bad.json", doc)
         with pytest.raises(SystemDataError, match=r"lines\[0\]"):
+            load_system(path)
+
+    @pytest.mark.parametrize("path", BUNDLED_SYSTEMS, ids=lambda p: p.parent.name)
+    def test_bundled_files_load_every_field_as_written(self, path):
+        # each field holds the file's value, as the type its annotation names
+        raw = json.loads(path.read_text())
+        system = load_system(path)
+        for section, records in (("buses", system.buses), ("lines", system.lines),
+                                 ("generators", system.generators),
+                                 ("solar", system.solar_units)):
+            assert len(records) == len(raw[section])
+            for row, record in zip(raw[section], records):
+                kinds = {f.name: f.type for f in dataclasses.fields(record)}
+                assert set(row) == set(kinds)
+                for name, value in row.items():
+                    got = getattr(record, name)
+                    if name == "cost_blocks":
+                        assert got == tuple(map(tuple, value))
+                        assert all(type(v) is float for block in got for v in block)
+                    else:
+                        assert got == value and type(got).__name__ == kinds[name]
+        assert all(type(g.min_up) is int and type(g.min_down) is int
+                   for g in system.generators)
+        assert type(system.slack_bus) is int and system.slack_bus == raw["slack_bus"]
+        assert system.name == raw["name"]
+        expected = np.zeros(len(raw["buses"]))
+        for key, frac in raw["participation"].items():
+            expected[int(key)] = frac
+        np.testing.assert_array_equal(system.load_participation, expected)
+
+    def test_absent_fields_take_defaults(self, tmp_path):
+        doc = minimal_doc()
+        doc["lines"].append({"from_bus": 1, "to_bus": 0, "reactance": 0.2, "rating": 50})
+        system = load_system(write_system_json(tmp_path / "mini.json", doc))
+        assert [ln.id for ln in system.lines] == [0, 1]
+        assert system.lines[1].rating == 50.0 and type(system.lines[1].rating) is float
+        assert [b.name for b in system.buses] == ["bus0", "bus1"]
+        gen = system.generators[0]
+        assert (gen.id, gen.frp_up_cost, gen.frp_down_cost, gen.is_fast_start) == (
+            0, 0.5, 0.5, False)
+        assert (system.slack_bus, system.name) == (0, "mini")
+
+    def test_integral_float_reads_as_int(self, tmp_path):
+        doc = minimal_doc()
+        doc["generators"][0]["min_up"] = 4.0
+        system = load_system(write_system_json(tmp_path / "ok.json", doc))
+        assert system.generators[0].min_up == 4 and type(system.generators[0].min_up) is int
+
+    @pytest.mark.parametrize("section, field, value, rule", [
+        ("generators", "min_up", 2.7, "a whole number"),
+        ("generators", "min_up", "4", "a whole number"),
+        ("generators", "min_up", True, "a whole number"),
+        ("generators", "id", "g0", "a whole number"),
+        ("generators", "is_fast_start", "false", "a JSON boolean"),
+        ("generators", "is_fast_start", 0, "a JSON boolean"),
+        ("generators", "p_max", None, "a finite number"),
+        ("generators", "frp_up_cost", "0.5", "a finite number"),
+        ("generators", "cost_blocks", [40.0, 25.0], "a list of finite"),
+        ("generators", "cost_blocks", [[40.0]], "a list of finite"),
+        ("generators", "cost_blocks", [[40.0, "25"]], "a list of finite"),
+        ("generators", "cost_blocks", [[40.0, 25.0, 1.0]], "a list of finite"),
+        ("lines", "id", [0], "a whole number"),
+        ("lines", "from_bus", 0.5, "a whole number"),
+        ("buses", "name", 7, "a JSON string")])
+    def test_bad_field_value_names_section_row_and_field(self, tmp_path, section, field,
+                                                         value, rule):
+        doc = minimal_doc()
+        doc[section][0][field] = value
+        path = write_system_json(tmp_path / "bad.json", doc)
+        with pytest.raises(SystemDataError,
+                           match=rf"^{section}\[0\]: field '{field}' must be {rule}"):
+            load_system(path)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("slack_bus", "0", r"^file: field 'slack_bus' must be a whole number, got '0'$"),
+        ("slack_bus", 0.5, r"^file: field 'slack_bus' must be a whole number"),
+        ("name", 5, r"^file: field 'name' must be a JSON string"),
+        ("participation", {"1": "1.0"}, r"^participation: field '1' must be a finite number"),
+        ("participation", {"2": 1.0}, r"^participation: key '2' is not a bus index < 2$"),
+        ("participation", {"b1": 1.0}, r"^participation: key 'b1' is not a bus index"),
+        ("participation", {"-1": 1.0}, r"^participation: key '-1' is not a bus index"),
+        ("participation", [1.0], r"^file: section 'participation' is missing or not a dict"),
+        ("lines", {}, r"^file: section 'lines' is missing or not a list"),
+        ("slak_bus", 1, r"^file: unknown section 'slak_bus'$")])
+    def test_bad_top_level_value_is_located(self, tmp_path, key, value, message):
+        doc = minimal_doc()
+        doc[key] = value
+        path = write_system_json(tmp_path / "bad.json", doc)
+        with pytest.raises(SystemDataError, match=message):
+            load_system(path)
+
+    def test_unknown_field_refused(self, tmp_path):
+        # a misspelt optional field would otherwise take its default silently
+        doc = minimal_doc()
+        doc["generators"][0]["frp_up_cst"] = 0.1
+        path = write_system_json(tmp_path / "bad.json", doc)
+        with pytest.raises(SystemDataError, match=r"^generators\[0\]: unknown field 'frp_up_cst'$"):
+            load_system(path)
+
+    @pytest.mark.parametrize("section, field", [
+        ("generators", "min_down"), ("lines", "rating"), ("buses", "id")])
+    def test_missing_field_is_located(self, tmp_path, section, field):
+        doc = minimal_doc()
+        del doc[section][0][field]
+        path = write_system_json(tmp_path / "bad.json", doc)
+        with pytest.raises(SystemDataError, match=rf"^{section}\[0\]: missing field '{field}'$"):
+            load_system(path)
+
+    @pytest.mark.parametrize("section", ["buses", "generators", "participation"])
+    def test_missing_section_refused(self, tmp_path, section):
+        doc = minimal_doc()
+        del doc[section]
+        path = write_system_json(tmp_path / "bad.json", doc)
+        with pytest.raises(SystemDataError, match=f"^file: section '{section}' is missing"):
+            load_system(path)
+
+    def test_non_object_row_refused(self, tmp_path):
+        doc = minimal_doc()
+        doc["buses"][1] = 1
+        path = write_system_json(tmp_path / "bad.json", doc)
+        with pytest.raises(SystemDataError, match=r"^buses\[1\]: not a JSON object$"):
+            load_system(path)
+
+    def test_line_to_unknown_bus_refused(self, tmp_path):
+        doc = minimal_doc()
+        doc["lines"][0]["to_bus"] = 7
+        path = write_system_json(tmp_path / "bad.json", doc)
+        with pytest.raises(SystemDataError, match="line 0: unknown bus"):
+            load_system(path)
+
+    @pytest.mark.parametrize("section, label", [
+        ("lines", "line"), ("generators", "generator"), ("solar", "solar unit")])
+    def test_repeated_ids_refused(self, tmp_path, section, label):
+        # two generators with one id would share one day-ahead schedule, one
+        # model file and one response factor
+        doc = minimal_doc()
+        doc["solar"] = [{"id": 0, "bus": 1, "capacity": 10.0, "share_of_total": 1.0}]
+        row = dict(doc[section][0], id=0)
+        doc[section] = [row, dict(row)]
+        if section == "solar":
+            for s in doc["solar"]:
+                s["share_of_total"] = 0.5
+        path = write_system_json(tmp_path / "bad.json", doc)
+        with pytest.raises(SystemDataError, match=rf"{label} ids repeat: \[0\]"):
             load_system(path)
 
 
@@ -123,6 +273,16 @@ class TestValidateSystem:
     def test_disconnected_network(self):
         system = dataclasses.replace(self._system(), lines=())
         assert any("not connected" in p for p in validate_system(system))
+
+    def test_line_to_unknown_bus_reported(self):
+        system = dataclasses.replace(self._system(),
+                                     lines=(TransmissionLine(0, 0, 5, 0.1, 100.0),))
+        assert "line 0: unknown bus" in validate_system(system)
+
+    def test_repeated_generator_ids_reported(self):
+        gen = self._system().generators[0]
+        system = dataclasses.replace(self._system(), generators=(gen, gen))
+        assert validate_system(system) == ["generator ids repeat: [0]"]
 
 
 class TestPtdf:

@@ -88,7 +88,11 @@ class TestConfig:
         ("n_training", 2.5), ("n_training", 7.0), ("nn_epochs", 1.5), ("seed", 1.5),
         ("n_out_of_sample", True), ("nn_batch_size", True), ("n_deployment", 2.0),
         ("nn_hidden", ()), ("nn_hidden", (0,)), ("nn_hidden", (16, 2.5)),
-        ("nn_hidden", (16, True)), ("seed", -1)])
+        ("nn_hidden", (16, True)), ("seed", -1),
+        # no value is converted: a string is refused, whatever it spells
+        ("persist_training_data", "false"), ("persist_training_data", 0),
+        ("voll", "abc"), ("voll", True), ("mip_rel_gap", "0.001"), ("time_limit", "10"),
+        ("n_training", "10"), ("policy", 1), ("nn_hidden", True), ("nn_hidden", 16)])
     def test_rejects_bad_numbers(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be"):
             ExperimentConfig(system_file="x", profile_dir="y", output_dir="z",
@@ -103,6 +107,8 @@ class TestConfig:
             ExperimentConfig.from_json(path)
 
     @pytest.mark.parametrize("field, value", [("n_training", "2.5"), ("seed", "true"),
+                                              ("persist_training_data", '"false"'),
+                                              ("voll", '"abc"'), ("time_limit", '"10"'),
                                               ("nn_hidden", "[]"), ("nn_hidden", "[8, 0]")])
     def test_rejects_bad_counts_from_json(self, tmp_path, field, value):
         path = tmp_path / "cfg.json"
@@ -110,6 +116,11 @@ class TestConfig:
                         f'"{field}": {value}}}')
         with pytest.raises(ValueError, match=f"^{field} must be"):
             ExperimentConfig.from_json(path)
+
+    def test_accepts_ints_for_floats_unconverted(self):
+        cfg = ExperimentConfig(system_file="x", profile_dir="y", output_dir="z",
+                               voll=500, mip_rel_gap=0, time_limit=60)
+        assert [type(v) for v in (cfg.voll, cfg.mip_rel_gap, cfg.time_limit)] == [int] * 3
 
     def test_accepts_edge_values(self):
         cfg = ExperimentConfig(system_file="x", profile_dir="y", output_dir="z",

@@ -84,6 +84,36 @@ class TestLoadProfiles:
         with pytest.raises(ProfileError, match=r"fifteen_min\.csv row 5: non-finite"):
             load_profiles(d, ())
 
+    @pytest.mark.parametrize("line, missing", [("5,1000.0", "solar_total_mw"),
+                                               ("5", "load_mw")])
+    def test_short_row_names_file_and_row(self, tmp_path, line, missing):
+        d = write_profile_dir(tmp_path, np.full(96, 1000.0), np.zeros(96))
+        rows = (d / "fifteen_min.csv").read_text().splitlines()
+        rows[6] = line                       # interval 5, after the header
+        (d / "fifteen_min.csv").write_text("\n".join(rows) + "\n")
+        with pytest.raises(ProfileError,
+                           match=rf"fifteen_min\.csv row 5: no value for '{missing}'$"):
+            load_profiles(d, ())
+
+    def test_out_of_place_interval_index_refused(self, tmp_path):
+        # rows 4 and 5 swapped: each would load into the other's interval
+        d = write_profile_dir(tmp_path, np.arange(96.0), np.zeros(96))
+        rows = (d / "fifteen_min.csv").read_text().splitlines()
+        rows[5], rows[6] = rows[6], rows[5]
+        (d / "fifteen_min.csv").write_text("\n".join(rows) + "\n")
+        with pytest.raises(ProfileError, match=r"fifteen_min\.csv row 4: interval_index 5 "
+                                               r"is not the row's position 4$"):
+            load_profiles(d, ())
+
+    @pytest.mark.parametrize("value", ["", "1.0", "x"])
+    def test_unreadable_interval_index_refused(self, tmp_path, value):
+        d = write_profile_dir(tmp_path, np.full(96, 1000.0), np.zeros(96))
+        rows = (d / "hourly.csv").read_text().splitlines()
+        rows[2] = value + rows[2][1:]        # hour 1, after the header
+        (d / "hourly.csv").write_text("\n".join(rows) + "\n")
+        with pytest.raises(ProfileError, match=r"hourly\.csv row 1: "):
+            load_profiles(d, ())
+
     def test_solar_capacity_violation(self, tmp_path):
         d = write_profile_dir(tmp_path, np.full(96, 1000.0), np.full(96, 100.0))
         units = (SolarUnit(0, 0, 50.0, 1.0),)
