@@ -184,7 +184,7 @@ def load_system(path) -> PowerSystem:
     participation = np.zeros(len(buses))
     for key, frac in raw["participation"].items():
         # the key indexes the array, so the loader checks it, not validate_system
-        if not (key.isascii() and key.isdigit() and int(key) < len(buses)):
+        if key not in map(str, range(len(buses))):
             raise SystemDataError(f"participation: key {key!r} is not a bus index < {len(buses)}")
         participation[int(key)] = _parse("participation", key, "float", frac)
     system = PowerSystem(

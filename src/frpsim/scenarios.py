@@ -124,6 +124,8 @@ def _read_profile_csv(path: Path, rows_expected: int) -> tuple[np.ndarray, np.nd
             cells = [row.get(k) for k in _COLUMNS]
             if None in cells:  # a short row, or a missing column
                 raise ProfileError(f"{path} row {i}: no value for {_COLUMNS[cells.index(None)]!r}")
+            if None in row:  # a long row: a cell split in two, say "1,000.0"
+                raise ProfileError(f"{path} row {i}: more cells than columns")
             try:
                 index, load, solar = int(cells[0]), float(cells[1]), float(cells[2])
             except ValueError as exc:

@@ -178,6 +178,8 @@ class TestLoadSystem:
         ("participation", {"2": 1.0}, r"^participation: key '2' is not a bus index < 2$"),
         ("participation", {"b1": 1.0}, r"^participation: key 'b1' is not a bus index"),
         ("participation", {"-1": 1.0}, r"^participation: key '-1' is not a bus index"),
+        # "01" would otherwise overwrite bus 1's entry
+        ("participation", {"1": 0.5, "01": 0.5}, r"^participation: key '01' is not a bus"),
         ("participation", [1.0], r"^file: section 'participation' is missing or not a dict"),
         ("lines", {}, r"^file: section 'lines' is missing or not a list"),
         ("slak_bus", 1, r"^file: unknown section 'slak_bus'$")])

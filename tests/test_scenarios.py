@@ -84,15 +84,16 @@ class TestLoadProfiles:
         with pytest.raises(ProfileError, match=r"fifteen_min\.csv row 5: non-finite"):
             load_profiles(d, ())
 
-    @pytest.mark.parametrize("line, missing", [("5,1000.0", "solar_total_mw"),
-                                               ("5", "load_mw")])
-    def test_short_row_names_file_and_row(self, tmp_path, line, missing):
+    @pytest.mark.parametrize("line, message", [
+        ("5,1000.0", "no value for 'solar_total_mw'"), ("5", "no value for 'load_mw'"),
+        # "1,000.0" read as two cells would otherwise load 1 MW
+        ("5,1,000.0,0.0", "more cells than columns")])
+    def test_short_or_long_row_names_file_and_row(self, tmp_path, line, message):
         d = write_profile_dir(tmp_path, np.full(96, 1000.0), np.zeros(96))
         rows = (d / "fifteen_min.csv").read_text().splitlines()
         rows[6] = line                       # interval 5, after the header
         (d / "fifteen_min.csv").write_text("\n".join(rows) + "\n")
-        with pytest.raises(ProfileError,
-                           match=rf"fifteen_min\.csv row 5: no value for '{missing}'$"):
+        with pytest.raises(ProfileError, match=rf"fifteen_min\.csv row 5: {message}$"):
             load_profiles(d, ())
 
     def test_out_of_place_interval_index_refused(self, tmp_path):
