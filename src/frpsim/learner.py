@@ -193,8 +193,21 @@ class RegressionModel:
         return self.mlp.predict(x)
 
 
+def _flat_views(buffer: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive views of ``buffer`` in ``shapes``."""
+    ends = np.cumsum([math.prod(s) for s in shapes])
+    return [buffer[end - math.prod(s): end].reshape(s) for s, end in zip(shapes, ends)]
+
+
 def _train_one(x_train, y_train, x_test, y_test, cfg: TrainConfig,
                gen_id: int) -> RegressionModel:
+    """Fit one generator's MLP by minibatch Adam.
+
+    Every parameter is a view of one flat buffer, so each step copies the
+    gradients into one flat buffer and runs one Adam update over the whole
+    of it, in place.  Adam is elementwise, so the layout leaves every bit as
+    a per-array update would.
+    """
     mean = x_train.mean(axis=0)
     std = x_train.std(axis=0)
     std[std < 1e-8] = 1.0
@@ -204,8 +217,11 @@ def _train_one(x_train, y_train, x_test, y_test, cfg: TrainConfig,
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=cfg.seed, spawn_key=(23, gen_id))
     )
-    moments1 = [np.zeros_like(p) for p in mlp.parameters()]
-    moments2 = [np.zeros_like(p) for p in mlp.parameters()]
+    params = np.concatenate([p.ravel() for p in mlp.parameters()])
+    views = _flat_views(params, [p.shape for p in mlp.parameters()])
+    mlp.weights, mlp.biases = views[:len(mlp.weights)], views[len(mlp.weights):]
+    grads, scratch = np.empty_like(params), np.empty_like(params)
+    moment1, moment2 = np.zeros_like(params), np.zeros_like(params)
     step = 0
     for _ in range(cfg.epochs):
         order = rng.permutation(len(xn))
@@ -218,13 +234,24 @@ def _train_one(x_train, y_train, x_test, y_test, cfg: TrainConfig,
                     f"loss={loss}"
                 )
             step += 1
-            grads = [*grad_ws, *grad_bs]
-            for p, g, m1, m2 in zip(mlp.parameters(), grads, moments1, moments2):
-                m1 += (1 - ADAM_BETA1) * (g - m1)
-                m2 += (1 - ADAM_BETA2) * (g * g - m2)
-                hat1 = m1 / (1 - ADAM_BETA1 ** step)
-                hat2 = m2 / (1 - ADAM_BETA2 ** step)
-                p -= cfg.learning_rate * hat1 / (np.sqrt(hat2) + 1e-8)
+            np.concatenate([g.ravel() for g in (*grad_ws, *grad_bs)], out=grads)
+            # m1 += (1 - b1) (g - m1), m2 += (1 - b2) (g g - m2) and
+            # p -= lr (m1 / c1) / (sqrt(m2 / c2) + 1e-8), operation for
+            # operation, in two preallocated buffers
+            np.subtract(grads, moment1, out=scratch)
+            scratch *= 1 - ADAM_BETA1
+            moment1 += scratch
+            np.multiply(grads, grads, out=scratch)
+            scratch -= moment2
+            scratch *= 1 - ADAM_BETA2
+            moment2 += scratch
+            np.divide(moment2, 1 - ADAM_BETA2 ** step, out=scratch)
+            np.sqrt(scratch, out=scratch)
+            scratch += 1e-8
+            np.divide(moment1, 1 - ADAM_BETA1 ** step, out=grads)
+            grads *= cfg.learning_rate
+            grads /= scratch
+            params -= grads
     return RegressionModel(
         mlp=mlp,
         mean=mean,

@@ -5,8 +5,11 @@ The model is a plain declarative store of variables, ranged linear rows
 delegated to the HiGHS build that scipy ships, driven through scipy's
 binding (``scipy.optimize._highspy._core._Highs``): ``_highs_milp`` passes
 the model's own arrays to a fresh HiGHS with the options
-``scipy.optimize.milp`` sets, and returns a ``MilpSolution`` whose status,
-message and numbers are the ones ``milp`` would report, bit for bit.
+``scipy.optimize.milp`` sets, except that HiGHS's feasibility-jump heuristic
+is off, and returns a ``MilpSolution`` whose status, message and numbers are
+the ones ``milp`` given that one option would report, bit for bit.  The
+heuristic runs at the start of every MIP and costs several times a small
+hour model's whole solve.
 Checking a solution never touches the solver and simply re-evaluates every
 row, column bound and binary arithmetically.
 """
@@ -320,13 +323,20 @@ def _highs_milp(model: MilpModel, integrality: np.ndarray, lb: np.ndarray, ub: n
                 options: SolveOptions) -> MilpSolution:
     """A fresh HiGHS run on the model's rows and costs, with column bounds
     ``lb``/``ub`` and ``integrality`` (nonzero for an integer column); the
-    MIP fields are set only for a MIP that carries a solution."""
+    MIP fields are set only for a MIP that carries a solution.
+
+    HiGHS gets ``scipy.optimize.milp``'s options and one more:
+    ``mip_heuristic_run_feasibility_jump`` off.  A HiGHS too old to know the
+    option has no such heuristic and refuses the name without raising.
+    """
     a, lo, hi = model._matrix()
     a, n = a.tocsc(), model.n_vars
     highs = _hc._Highs()
     highs.setOptionValue("log_to_console", False)
     highs.setOptionValue("mip_rel_gap", float(options.mip_rel_gap))
     highs.setOptionValue("presolve", "on")
+    # not milp's (see the docstring); the status is ignored on purpose
+    highs.setOptionValue("mip_heuristic_run_feasibility_jump", False)
     if options.time_limit is not None:
         highs.setOptionValue("time_limit", float(options.time_limit))
     sol = MilpSolution(status="", objective=math.nan, values=np.full(n, np.nan))

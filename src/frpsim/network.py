@@ -166,13 +166,32 @@ def _records(raw: dict, section: str, cls, **defaults) -> tuple:
     return tuple(out)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's members, refusing a key the object repeats."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"key {key!r} repeated within one object")
+        out[key] = value
+    return out
+
+
+def read_json(path, error: type[Exception] = ValueError):
+    """The JSON document at ``path``; malformed JSON, or a key repeated
+    within one object, raises ``error`` naming the path."""
+    try:
+        with open(path) as fh:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+    except ValueError as exc:   # json.JSONDecodeError is one
+        raise error(f"{path}: {exc}") from exc
+
+
 def load_system(path) -> PowerSystem:
     """Load and validate a PowerSystem from a JSON system file."""
     path = Path(path)
     if not path.exists():
         raise SystemDataError(f"system file not found: {path}")
-    with open(path) as fh:
-        raw = json.load(fh)
+    raw = read_json(path, SystemDataError)
     raw = ({"solar": [], "slack_bus": 0, "name": path.stem, **raw}
            if isinstance(raw, dict) else {})  # a file that is no JSON object has no sections
     if unknown := raw.keys() - {*_SECTIONS, "slack_bus", "name"}:

@@ -30,7 +30,7 @@ from . import learner as learner_mod
 from .dayahead import DaCommitments, run_da
 from .fmm import DATADRIVEN, PROXY, FmmAwards, FmmConfig, run_fmm_day, run_training_day
 from .milp import SolveOptions
-from .network import PowerSystem, SolarUnit, compute_ptdf, load_system
+from .network import PowerSystem, SolarUnit, compute_ptdf, load_system, read_json
 from .scenarios import (HOURS_PER_DAY, INTERVALS_PER_DAY, OUT_OF_SAMPLE, TRAINING, Scenario,
                         UncertaintyConfig, load_profiles, proxy_envelopes, sample_scenarios,
                         select_deployment_scenarios)
@@ -125,8 +125,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            raw = json.load(fh)
+        raw = read_json(path)
+        if not isinstance(raw, dict):
+            raise ValueError(f"{path}: the top level is not a JSON object")
         return cls(**raw)
 
     @property

@@ -2,8 +2,9 @@
 
 None shares code with the path it checks: ``brute_force_uc`` never goes
 through ``MilpModel``, ``gradient_check`` differentiates ``Mlp.mse``
-numerically, and ``build_targets_loop`` builds the regression rows one
-(day, generator, interval) at a time.
+numerically, ``build_targets_loop`` builds the regression rows one
+(day, generator, interval) at a time, and ``train_one_loop`` runs Adam one
+parameter array at a time.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import math
 import numpy as np
 from scipy.optimize import linprog
 
-from frpsim.learner import TEST_FRACTION, Mlp, TrainingDataset, feature_matrix
+from frpsim.learner import (ADAM_BETA1, ADAM_BETA2, TEST_FRACTION, Mlp, RegressionModel,
+                            TrainingDataset, feature_matrix)
 
 
 def gradient_check(mlp: Mlp, x: np.ndarray, y: np.ndarray,
@@ -62,6 +64,40 @@ def build_targets_loop(pairs, system, seed: int = 0) -> TrainingDataset:
     return TrainingDataset(gen_ids=np.asarray(gen_col), intervals=np.asarray(t_col),
                            features=np.asarray(x_col), targets=np.asarray(y_col),
                            is_test=test)
+
+
+def train_one_loop(x_train, y_train, x_test, y_test, cfg, gen_id: int) -> RegressionModel:
+    """``learner._train_one`` with its own moments per parameter array and one
+    Adam update per array and step."""
+    mean = x_train.mean(axis=0)
+    std = x_train.std(axis=0)
+    std[std < 1e-8] = 1.0
+    xn = (x_train - mean) / std
+    xt = (x_test - mean) / std if len(x_test) else x_test
+    mlp = Mlp(xn.shape[1], cfg.hidden, seed=cfg.seed + gen_id)
+    rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=cfg.seed, spawn_key=(23, gen_id))
+    )
+    moments1 = [np.zeros_like(p) for p in mlp.parameters()]
+    moments2 = [np.zeros_like(p) for p in mlp.parameters()]
+    step = 0
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(xn))
+        for lo in range(0, len(order), cfg.batch_size):
+            batch = order[lo: lo + cfg.batch_size]
+            _, grad_ws, grad_bs = mlp.mse_gradients(xn[batch], y_train[batch])
+            step += 1
+            grads = [*grad_ws, *grad_bs]
+            for p, g, m1, m2 in zip(mlp.parameters(), grads, moments1, moments2):
+                m1 += (1 - ADAM_BETA1) * (g - m1)
+                m2 += (1 - ADAM_BETA2) * (g * g - m2)
+                hat1 = m1 / (1 - ADAM_BETA1 ** step)
+                hat2 = m2 / (1 - ADAM_BETA2 ** step)
+                p -= cfg.learning_rate * hat1 / (np.sqrt(hat2) + 1e-8)
+    return RegressionModel(
+        mlp=mlp, mean=mean, std=std, train_mse=mlp.mse(xn, y_train),
+        test_mse=mlp.mse(xt, y_test) if len(x_test) else float("nan"),
+    )
 
 
 # --------------------------------------------------------------------------

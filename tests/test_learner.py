@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from frpsim.learner import (DispatchTrajectory, Mlp, RegressionModel, TrainConfig,
-                            TrainingDataset, build_targets, feature_matrix, predict_factors,
-                            train)
+                            TrainingDataset, _train_one, build_targets, feature_matrix,
+                            predict_factors, train)
 from frpsim.pipeline import _read_models, _write_models
 from frpsim.scenarios import DEPLOYMENT, Scenario
-from oracles import build_targets_loop, gradient_check
+from oracles import build_targets_loop, gradient_check, train_one_loop
 from util import bottleneck_system, make_gen, single_bus_system
 
 
@@ -261,6 +261,34 @@ class TestTraining:
         models = train(ds, TrainConfig(hidden=(32, 16), epochs=60, seed=5))
         m = models[0]
         assert m.test_mse <= 3.0 * m.train_mse
+
+    def test_flat_adam_same_bits_as_per_array_loop(self):
+        ds = make_linear_dataset(n_rows=700, n_feat=70, noise=0.05, seed=11)
+        train_rows, test = ~ds.is_test, ds.is_test
+        args = (ds.features[train_rows], ds.targets[train_rows], ds.features[test],
+                ds.targets[test], TrainConfig(epochs=3, seed=4), 5)
+        got, ref = _train_one(*args), train_one_loop(*args)
+        for mine, theirs in zip(got.mlp.parameters(), ref.mlp.parameters()):
+            assert mine.shape == theirs.shape
+            assert mine.tobytes() == theirs.tobytes()
+        assert np.float64(got.train_mse).tobytes() == np.float64(ref.train_mse).tobytes()
+        assert np.float64(got.test_mse).tobytes() == np.float64(ref.test_mse).tobytes()
+
+    def test_one_gradient_call_per_step(self, monkeypatch):
+        calls = []
+        orig = Mlp.mse_gradients
+
+        def counted(self, x, y):
+            calls.append(len(x))
+            return orig(self, x, y)
+
+        monkeypatch.setattr(Mlp, "mse_gradients", counted)
+        ds = make_linear_dataset(n_rows=300)
+        model = train(ds, TrainConfig(hidden=(8,), epochs=4, batch_size=64, seed=0))[0]
+        n_train = int((~ds.is_test).sum())
+        assert calls == ([64] * (n_train // 64) + [n_train % 64]) * 4
+        # every parameter is a view of the same buffer
+        assert len({id(p.base) for p in model.mlp.parameters()}) == 1
 
     def test_divergence_detected(self):
         ds = make_linear_dataset()

@@ -211,8 +211,12 @@ SCIPY_STATUS = {0: "optimal", 1: "limit", 2: "infeasible", 3: "unbounded", 4: "e
 
 class TestScipyEquivalence:
     """``milp._highs_milp`` drives scipy's HiGHS object directly; on the
-    model's own arrays it reports what ``scipy.optimize.milp`` does, bit for
-    bit."""
+    model's own arrays it reports what ``scipy.optimize.milp`` does, given the
+    one option that differs from milp's, bit for bit."""
+
+    # milp passes an option it does not own to HiGHS verbatim, with a
+    # RuntimeWarning; a HiGHS that lacks it is warned about and skips it
+    @pytest.mark.filterwarnings("ignore:Unrecognized options detected")
 
     @pytest.mark.parametrize("case, relaxed, options, status", [
         ("uc", True, SolveOptions(), "optimal"),
@@ -231,7 +235,8 @@ class TestScipyEquivalence:
                  "unbounded-milp": lambda: unbounded_model(True)}[case]()
         integrality = np.zeros(model.n_vars, dtype=int) if relaxed else model.integrality
         lb, ub = model.col_bounds
-        opts = {"mip_rel_gap": options.mip_rel_gap, "presolve": True}
+        opts = {"mip_rel_gap": options.mip_rel_gap, "presolve": True,
+                "mip_heuristic_run_feasibility_jump": False}
         if options.time_limit is not None:
             opts["time_limit"] = options.time_limit
         ref = scipy_milp(c=model.objective_vector(),
@@ -248,6 +253,26 @@ class TestScipyEquivalence:
         assert type(got.mip_node_count) is int
         assert got.mip_node_count == (ref.mip_node_count or 0)
         assert (ref.x is None) == (status != "optimal")
+
+    def test_every_call_turns_feasibility_jump_off(self, monkeypatch):
+        made = []
+
+        class Recording(milp._hc._Highs):
+            def __init__(self):
+                super().__init__()
+                self.options = {}
+                made.append(self)
+
+            def setOptionValue(self, name, value):
+                self.options[name] = value
+                return super().setOptionValue(name, value)
+
+        monkeypatch.setattr(milp._hc, "_Highs", Recording)
+        model = uc_model()
+        solve(model)
+        solve(model, previous=milp.relax(model))
+        assert len(made) >= 3
+        assert all(h.options["mip_heuristic_run_feasibility_jump"] is False for h in made)
 
     def test_time_limit_reports_limit(self):
         sol = solve(knapsack(), SolveOptions(mip_rel_gap=1e-9, time_limit=0.0))

@@ -92,6 +92,22 @@ class TestLoadSystem:
                            match="^participation: field '0' must be a finite number, got nan$"):
             load_system(path)
 
+    def test_repeated_key_refused(self, tmp_path):
+        # a plain json.load keeps the last value: min_up would load as 1
+        text = json.dumps(minimal_doc()).replace('"min_up": 1', '"min_up": 0, "min_up": 1')
+        assert text.count('"min_up"') == 2
+        path = tmp_path / "dup.json"
+        path.write_text(text)
+        with pytest.raises(SystemDataError,
+                           match=rf"^{path}: key 'min_up' repeated within one object$"):
+            load_system(path)
+
+    def test_malformed_json_names_the_file(self, tmp_path):
+        path = tmp_path / "cut.json"
+        path.write_text('{"buses": ')
+        with pytest.raises(SystemDataError, match=rf"^{path}: Expecting value: line 1"):
+            load_system(path)
+
     def test_invalid_numeric_field_reports_location(self, tmp_path):
         doc = minimal_doc()
         doc["lines"][0]["reactance"] = "abc"

@@ -117,6 +117,20 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{field} must be"):
             ExperimentConfig.from_json(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"system_file": "x", "profile_dir": "y", "output_dir": "z", "seed": 1, "seed": 2}',
+         "key 'seed' repeated within one object$"),
+        ('{"system_file": "x", "profile_dir": "y", "output_dir": "z", "nn_hidden": [8, ',
+         "Expecting value: line 1"),
+        ('["system_file", "x"]', "the top level is not a JSON object$"),
+        ("7", "the top level is not a JSON object$")])
+    def test_rejects_bad_json_naming_the_file(self, tmp_path, text, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{path}: {message}") as err:
+            ExperimentConfig.from_json(path)
+        assert type(err.value) is ValueError
+
     def test_accepts_ints_for_floats_unconverted(self):
         cfg = ExperimentConfig(system_file="x", profile_dir="y", output_dir="z",
                                voll=500, mip_rel_gap=0, time_limit=60)
