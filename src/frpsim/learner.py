@@ -193,12 +193,6 @@ class RegressionModel:
         return self.mlp.predict(x)
 
 
-def _flat_views(buffer: np.ndarray, shapes) -> list[np.ndarray]:
-    """Consecutive views of ``buffer`` in ``shapes``."""
-    ends = np.cumsum([math.prod(s) for s in shapes])
-    return [buffer[end - math.prod(s): end].reshape(s) for s, end in zip(shapes, ends)]
-
-
 def _train_one(x_train, y_train, x_test, y_test, cfg: TrainConfig,
                gen_id: int) -> RegressionModel:
     """Fit one generator's MLP by minibatch Adam.
@@ -217,8 +211,10 @@ def _train_one(x_train, y_train, x_test, y_test, cfg: TrainConfig,
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=cfg.seed, spawn_key=(23, gen_id))
     )
-    params = np.concatenate([p.ravel() for p in mlp.parameters()])
-    views = _flat_views(params, [p.shape for p in mlp.parameters()])
+    initial = mlp.parameters()
+    params = np.concatenate([p.ravel() for p in initial])
+    views = [v.reshape(p.shape) for v, p in
+             zip(np.split(params, np.cumsum([p.size for p in initial])[:-1]), initial)]
     mlp.weights, mlp.biases = views[:len(mlp.weights)], views[len(mlp.weights):]
     grads, scratch = np.empty_like(params), np.empty_like(params)
     moment1, moment2 = np.zeros_like(params), np.zeros_like(params)
