@@ -217,7 +217,6 @@ class TestScipyEquivalence:
     # milp passes an option it does not own to HiGHS verbatim, with a
     # RuntimeWarning; a HiGHS that lacks it is warned about and skips it
     @pytest.mark.filterwarnings("ignore:Unrecognized options detected")
-
     @pytest.mark.parametrize("case, relaxed, options, status", [
         ("uc", True, SolveOptions(), "optimal"),
         ("uc", False, EXACT, "optimal"),

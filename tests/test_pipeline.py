@@ -127,7 +127,7 @@ class TestConfig:
     def test_rejects_bad_json_naming_the_file(self, tmp_path, text, message):
         path = tmp_path / "cfg.json"
         path.write_text(text)
-        with pytest.raises(ValueError, match=f"^{path}: {message}") as err:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}") as err:
             ExperimentConfig.from_json(path)
         assert type(err.value) is ValueError
 
