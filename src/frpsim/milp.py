@@ -8,8 +8,8 @@ the model's own arrays to a fresh HiGHS with the options
 ``scipy.optimize.milp`` sets, except that HiGHS's feasibility-jump heuristic
 is off, and returns a ``MilpSolution`` whose status, message and numbers are
 the ones ``milp`` given that one option would report, bit for bit.  The
-heuristic runs at the start of every MIP and costs several times a small
-hour model's whole solve.
+heuristic runs at the start of every MIP and costs more than the rest of a
+5-bus hour model's solve.
 Checking a solution never touches the solver and simply re-evaluates every
 row, column bound and binary arithmetically.
 """
