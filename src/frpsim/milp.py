@@ -39,7 +39,6 @@ class SolveOptions:
     """Backend knobs; defaults match the precision the rest of the suite assumes."""
 
     mip_rel_gap: float = 1e-4
-    time_limit: float | None = None
 
 
 @dataclass(frozen=True)
@@ -315,15 +314,13 @@ _STATUS = {
 } | dict.fromkeys((_S.kNotset, _S.kLoadError, _S.kPresolveError, _S.kSolveError,
                    _S.kPostsolveError, _S.kModelEmpty, _S.kObjectiveBound,
                    _S.kObjectiveTarget), ("error", ""))
-# a limit stop of a MIP still carries HiGHS's incumbent, if it found one
-_LIMITS = (_S.kTimeLimit, _S.kIterationLimit, _S.kSolutionLimit)
 
 
 def _highs_milp(model: MilpModel, integrality: np.ndarray, lb: np.ndarray, ub: np.ndarray,
                 options: SolveOptions) -> MilpSolution:
     """A fresh HiGHS run on the model's rows and costs, with column bounds
     ``lb``/``ub`` and ``integrality`` (nonzero for an integer column); the
-    MIP fields are set only for a MIP that carries a solution.
+    MIP fields are set only for an optimal MIP.
 
     HiGHS gets ``scipy.optimize.milp``'s options and one more:
     ``mip_heuristic_run_feasibility_jump`` off.  A HiGHS too old to know the
@@ -337,8 +334,6 @@ def _highs_milp(model: MilpModel, integrality: np.ndarray, lb: np.ndarray, ub: n
     highs.setOptionValue("presolve", "on")
     # not milp's (see the docstring); the status is ignored on purpose
     highs.setOptionValue("mip_heuristic_run_feasibility_jump", False)
-    if options.time_limit is not None:
-        highs.setOptionValue("time_limit", float(options.time_limit))
     sol = MilpSolution(status="", objective=math.nan, values=np.full(n, np.nan))
     loaded = highs.passModel(n, len(lo), a.nnz, _hc.MatrixFormat.kColwise,
                              _hc.ObjSense.kMinimize, 0.0, model._cost, lb, ub, lo, hi,
@@ -348,13 +343,11 @@ def _highs_milp(model: MilpModel, integrality: np.ndarray, lb: np.ndarray, ub: n
     status = highs.getModelStatus() if loaded else _S.kModelError
     detail = highs.modelStatusToString(status)
     if ran:
-        info, is_mip = highs.getInfo(), np.any(integrality)
-        if (status == _S.kOptimal
-                or (is_mip and status in _LIMITS
-                    and info.objective_function_value != _hc.kHighsInf)):
+        info = highs.getInfo()
+        if status == _S.kOptimal:
             sol.values = np.array(highs.getSolution().col_value)
             sol.objective = info.objective_function_value
-            if is_mip:
+            if np.any(integrality):
                 sol.mip_gap, sol.dual_bound = info.mip_gap, info.mip_dual_bound
                 sol.mip_node_count = info.mip_node_count
         else:
@@ -371,16 +364,17 @@ def _integral(values: np.ndarray) -> np.ndarray:
     return np.abs(values - np.rint(values)) <= INTEGRALITY_TOL
 
 
-def relax(model: MilpModel, options: SolveOptions | None = None) -> MilpSolution:
+def relax(model: MilpModel) -> MilpSolution:
     """Solve the model's LP relaxation: every binary may take any value in [0, 1].
 
     An optimal relaxation carries its objective as ``dual_bound``, a lower
     bound on the model's optimum.  When its binaries are all integral it is
     that optimum: ``mip_gap`` is 0 and ``message`` starts with
-    ``certified``.  A fractional relaxation has a NaN ``mip_gap``.
+    ``certified``.  A fractional relaxation has a NaN ``mip_gap``.  An LP
+    has no option to take: HiGHS ignores ``mip_rel_gap`` on it.
     """
     sol = _highs_milp(model, np.zeros(model.n_vars, dtype=np.int32), model._lb, model._ub,
-                      options or SolveOptions())
+                      SolveOptions())
     if sol.status != "optimal":
         return sol
     sol.dual_bound = sol.objective

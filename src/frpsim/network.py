@@ -11,6 +11,7 @@ import json
 import sys
 import warnings
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
@@ -176,9 +177,9 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return out
 
 
-def read_json(path, error: type[Exception] = ValueError):
+def read_json(path, error: Callable[[str], Exception] = ValueError):
     """The JSON document at ``path``; malformed JSON, or a key repeated
-    within one object, raises ``error`` naming the path."""
+    within one object, raises ``error(message)``, the message naming the path."""
     try:
         with open(path) as fh:
             return json.load(fh, object_pairs_hook=_unique_keys)

@@ -62,7 +62,6 @@ def _is_int(value) -> bool:
 # a config field's annotation -> what its value must be, and the types that are
 _FIELD_TYPES = {"str": ("a string", str), "bool": ("a boolean", bool),
                 "int": ("an integer", numbers.Integral), "float": ("a number", numbers.Real),
-                "float | None": ("a number or None", (numbers.Real, type(None))),
                 "tuple[int, ...]": ("one or more integers >= 1", (tuple, list))}
 
 
@@ -86,7 +85,6 @@ class ExperimentConfig:
     nn_batch_size: int = 128
     nn_learning_rate: float = 1e-3
     mip_rel_gap: float = 1e-4
-    time_limit: float | None = None
     persist_training_data: bool = True
 
     def __post_init__(self):
@@ -114,8 +112,6 @@ class ExperimentConfig:
                 ("confidence_z", self.confidence_z > 0, "> 0"),
                 ("truncation_sigmas", self.truncation_sigmas > 0, "> 0"),
                 ("mip_rel_gap", 0 <= self.mip_rel_gap < 1, "in [0, 1)"),
-                ("time_limit", self.time_limit is None or self.time_limit > 0,
-                 "None or > 0"),
                 ("nn_learning_rate", self.nn_learning_rate > 0, "> 0"),
                 ("nn_epochs", self.nn_epochs >= 1, ">= 1"),
                 ("nn_batch_size", self.nn_batch_size >= 1, ">= 1"),
@@ -128,6 +124,8 @@ class ExperimentConfig:
         raw = read_json(path)
         if not isinstance(raw, dict):
             raise ValueError(f"{path}: the top level is not a JSON object")
+        if unknown := raw.keys() - {f.name for f in fields(cls)}:
+            raise ValueError(f"{path}: unknown field {sorted(unknown)[0]!r}")
         return cls(**raw)
 
     @property
@@ -141,7 +139,7 @@ class ExperimentConfig:
 
     @property
     def solve_options(self) -> SolveOptions:
-        return SolveOptions(mip_rel_gap=self.mip_rel_gap, time_limit=self.time_limit)
+        return SolveOptions(mip_rel_gap=self.mip_rel_gap)
 
     @property
     def fmm(self) -> FmmConfig:
@@ -289,7 +287,7 @@ def stage_clear(ctx: PipelineContext, force: bool = False) -> None:
             raise StageError("clear", f"{policy}: {exc}") from exc
         ctx.fmm_costs[policy] = run.cost
         costs_path = ctx.out / "fmm_costs.json"
-        existing = json.loads(costs_path.read_text()) if costs_path.exists() else {}
+        existing = read_json(costs_path) if costs_path.exists() else {}
         existing[policy] = {"cost": run.cost, "violation_mwh": run.violation_mwh}
         _write_json(costs_path, existing)
         # the awards file marks the policy cleared, so it goes last
@@ -345,7 +343,7 @@ def stage_report(ctx: PipelineContext, force: bool = False) -> None:
         return
     cfg = ctx.cfg
     costs_path = ctx.out / "fmm_costs.json"
-    fmm = json.loads(costs_path.read_text()) if costs_path.exists() else {}
+    fmm = read_json(costs_path) if costs_path.exists() else {}
     metrics, interval_cost = {}, {}
     for policy in cfg.policies:
         if policy not in fmm:
@@ -390,11 +388,12 @@ def _check_resumed_config(path: Path, cfg: ExperimentConfig) -> None:
     """
     if not path.exists():
         return
-    old = json.loads(path.read_text())
+    old = read_json(path, partial(StageError, "config"))
     new = json.loads(json.dumps(asdict(cfg)))
-    changed = [f"{k}: {old.get(k, '<missing>')!r} -> {new.get(k, '<missing>')!r}"
-               for k in [*new, *(k for k in old if k not in new)]
-               if k not in ("output_dir", "policy") and old.get(k) != new.get(k)]
+    # a field only one side has differs, even where the other reads null
+    pairs = {k: (old.get(k, "<missing>"), new.get(k, "<missing>")) for k in [*new, *old]}
+    changed = [f"{k}: {a!r} -> {b!r}" for k, (a, b) in pairs.items()
+               if k not in ("output_dir", "policy") and a != b]
     if changed:
         raise StageError("config", f"{path} was written by a different config "
                                    f"({'; '.join(changed)}); use --force to recompute")
@@ -575,7 +574,7 @@ def _read_models(out: Path) -> dict[int, learner_mod.RegressionModel]:
     """The models of exactly the generators that ``training_meta.json`` lists."""
     if not (out / "training_meta.json").exists():
         raise ValueError("training_meta.json missing; run train")
-    fits = json.loads((out / "training_meta.json").read_text())
+    fits = read_json(out / "training_meta.json")
     names = {f"gen_{g}.npz": g for g in fits}
     found = set(os.listdir(out / "models")) if (out / "models").is_dir() else set()
     mismatched = sorted(names.keys() ^ found)

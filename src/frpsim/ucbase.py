@@ -373,9 +373,9 @@ def solve_lazy(builder: UcModelBuilder, ptdf: PtdfMatrix,
     hands ``solve`` the round before it, so a round whose rows leave the last
     commitment within the gap costs one LP.
     """
-    sol = relax(builder.model, options)
+    sol = relax(builder.model)
     while sol.status == "optimal" and builder.add_overloaded_lines(sol, ptdf):
-        sol = relax(builder.model, options)
+        sol = relax(builder.model)
     if sol.mip_gap != 0.0:
         # fractional or not solved: the MIP over the fractional binaries, or cold
         sol = solve(builder.model, options, sol)

@@ -155,9 +155,9 @@ class TestSolve:
 
 
 def knapsack():
-    """A MIP over 60 binaries with 30 random capacity rows: minimise minus
+    """A MIP over 30 binaries with 15 random capacity rows: minimise minus
     the value packed."""
-    rng, n, m = np.random.default_rng(0), 60, 30
+    rng, n, m = np.random.default_rng(0), 30, 15
     model = MilpModel()
     x, = model.add_vars([Cols("x_{}", (np.arange(n),), (np.arange(n),), binary=True,
                               cost=-rng.integers(1, 100, n).astype(float))])
@@ -225,9 +225,8 @@ class TestScipyEquivalence:
         ("infeasible", True, SolveOptions(), "infeasible"),
         ("unbounded", True, SolveOptions(), "unbounded"),
         ("unbounded-milp", False, SolveOptions(), "error"),
-        ("knapsack", False, SolveOptions(mip_rel_gap=1e-9, time_limit=0.0), "limit"),
     ], ids=["optimal-lp", "optimal-mip", "optimal-mip-gap", "infeasible-mip",
-            "infeasible-lp", "unbounded-lp", "unbounded-milp", "time-limit"])
+            "infeasible-lp", "unbounded-lp", "unbounded-milp"])
     def test_same_result_as_scipy_milp(self, case, relaxed, options, status):
         model = {"uc": uc_model, "knapsack": knapsack, "infeasible": infeasible_model,
                  "unbounded": lambda: unbounded_model(False),
@@ -236,8 +235,6 @@ class TestScipyEquivalence:
         lb, ub = model.col_bounds
         opts = {"mip_rel_gap": options.mip_rel_gap, "presolve": True,
                 "mip_heuristic_run_feasibility_jump": False}
-        if options.time_limit is not None:
-            opts["time_limit"] = options.time_limit
         ref = scipy_milp(c=model.objective_vector(),
                          constraints=LinearConstraint(*model._matrix()),
                          integrality=integrality, bounds=Bounds(lb, ub), options=opts)
@@ -252,6 +249,8 @@ class TestScipyEquivalence:
         assert type(got.mip_node_count) is int
         assert got.mip_node_count == (ref.mip_node_count or 0)
         assert (ref.x is None) == (status != "optimal")
+        if case == "knapsack":
+            assert got.mip_node_count > 1   # the gap case branches
 
     def test_every_call_turns_feasibility_jump_off(self, monkeypatch):
         made = []
@@ -272,12 +271,6 @@ class TestScipyEquivalence:
         solve(model, previous=milp.relax(model))
         assert len(made) >= 3
         assert all(h.options["mip_heuristic_run_feasibility_jump"] is False for h in made)
-
-    def test_time_limit_reports_limit(self):
-        sol = solve(knapsack(), SolveOptions(mip_rel_gap=1e-9, time_limit=0.0))
-        assert sol.status == "limit"
-        assert sol.message.startswith("Time limit reached.")
-        assert np.isnan(sol.values).all() and math.isnan(sol.objective)
 
 
 class TestCheckSolution:

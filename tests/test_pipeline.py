@@ -7,6 +7,7 @@ import os
 import pickle
 import re
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,7 @@ from frpsim.pipeline import ExperimentConfig, StageError, run_pipeline
 from frpsim.scenarios import Scenario
 from util import bottleneck_profile, bottleneck_system, profile_to_dir, system_to_json
 
+ROOT = Path(__file__).resolve().parents[1]
 TABLES = ["table_improvements.csv", "table_violations.csv", "table_costs.csv",
           "table_fs_commitments.csv", "table_interval_quartiles.csv"]
 
@@ -80,19 +82,20 @@ class TestConfig:
         ("sigma_hourly_frac", -0.01), ("sigma_hourly_frac", math.inf),
         ("confidence_z", 0.0), ("truncation_sigmas", -1.0),
         ("mip_rel_gap", -1.0), ("mip_rel_gap", 1.0), ("mip_rel_gap", math.nan),
-        ("time_limit", 0.0), ("time_limit", -5.0), ("time_limit", math.inf),
         ("nn_learning_rate", 0.0), ("nn_epochs", 0), ("nn_batch_size", 0),
         ("response_threshold", -0.1), ("response_threshold", 1.5),
-        ("n_training", math.nan),
+        ("n_training", math.nan), ("seed", -1),
         # counts are integers, and a bool is not one
         ("n_training", 2.5), ("n_training", 7.0), ("nn_epochs", 1.5), ("seed", 1.5),
         ("n_out_of_sample", True), ("nn_batch_size", True), ("n_deployment", 2.0),
+        # pytest names the tuples below by position (value26-29): keep them there
+        ("nn_hidden", True), ("nn_hidden", 16),
         ("nn_hidden", ()), ("nn_hidden", (0,)), ("nn_hidden", (16, 2.5)),
-        ("nn_hidden", (16, True)), ("seed", -1),
+        ("nn_hidden", (16, True)),
         # no value is converted: a string is refused, whatever it spells
         ("persist_training_data", "false"), ("persist_training_data", 0),
-        ("voll", "abc"), ("voll", True), ("mip_rel_gap", "0.001"), ("time_limit", "10"),
-        ("n_training", "10"), ("policy", 1), ("nn_hidden", True), ("nn_hidden", 16)])
+        ("voll", "abc"), ("voll", True), ("mip_rel_gap", "0.001"),
+        ("n_training", "10"), ("policy", 1)])
     def test_rejects_bad_numbers(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be"):
             ExperimentConfig(system_file="x", profile_dir="y", output_dir="z",
@@ -108,7 +111,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("field, value", [("n_training", "2.5"), ("seed", "true"),
                                               ("persist_training_data", '"false"'),
-                                              ("voll", '"abc"'), ("time_limit", '"10"'),
+                                              ("voll", '"abc"'),
                                               ("nn_hidden", "[]"), ("nn_hidden", "[8, 0]")])
     def test_rejects_bad_counts_from_json(self, tmp_path, field, value):
         path = tmp_path / "cfg.json"
@@ -122,6 +125,10 @@ class TestConfig:
          "key 'seed' repeated within one object$"),
         ('{"system_file": "x", "profile_dir": "y", "output_dir": "z", "nn_hidden": [8, ',
          "Expecting value: line 1"),
+        ('{"system_file": "x", "profile_dir": "y", "output_dir": "z", "time_limit": null}',
+         "unknown field 'time_limit'$"),
+        ('{"system_file": "x", "profile_dir": "y", "output_dir": "z", '
+         '"persist_scenarios": false}', "unknown field 'persist_scenarios'$"),
         ('["system_file", "x"]', "the top level is not a JSON object$"),
         ("7", "the top level is not a JSON object$")])
     def test_rejects_bad_json_naming_the_file(self, tmp_path, text, message):
@@ -133,14 +140,21 @@ class TestConfig:
 
     def test_accepts_ints_for_floats_unconverted(self):
         cfg = ExperimentConfig(system_file="x", profile_dir="y", output_dir="z",
-                               voll=500, mip_rel_gap=0, time_limit=60)
-        assert [type(v) for v in (cfg.voll, cfg.mip_rel_gap, cfg.time_limit)] == [int] * 3
+                               voll=500, mip_rel_gap=0)
+        assert [type(v) for v in (cfg.voll, cfg.mip_rel_gap)] == [int] * 2
 
     def test_accepts_edge_values(self):
         cfg = ExperimentConfig(system_file="x", profile_dir="y", output_dir="z",
-                               sigma_hourly_frac=0.0, mip_rel_gap=0.0, time_limit=None,
+                               sigma_hourly_frac=0.0, mip_rel_gap=0.0,
                                response_threshold=1.0, nn_epochs=1, nn_batch_size=1)
         assert cfg.mip_rel_gap == 0.0 and cfg.response_threshold == 1.0
+
+    @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.json")),
+                             ids=lambda path: path.name)
+    def test_bundled_config_loads(self, path):
+        cfg = ExperimentConfig.from_json(path)
+        # its paths are relative to the repository root
+        assert (ROOT / cfg.system_file).is_file() and (ROOT / cfg.profile_dir).is_dir()
 
     def test_rejects_single_deployment_scenario(self):
         # the clear stage places deployment scenarios in symmetric pairs
@@ -324,6 +338,17 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("key", ["time_limit", "persist_scenarios"])
+    def test_cli_unknown_field_exit_two(self, toy_inputs, tmp_path, capsys, key):
+        system_path, profile_dir = toy_inputs
+        cfg = toy_config(system_path, profile_dir, tmp_path / "o", policy="proxy")
+        path = tmp_path / "cfg.json"
+        _config_file(cfg, path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), key: None}))
+        assert cli_main(["all", "--config", str(path)]) == 2
+        assert f"unknown field '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_cli_missing_system_file_stage_error(self, tmp_path, toy_inputs):
         _, profile_dir = toy_inputs
         path = tmp_path / "cfg.json"
@@ -355,6 +380,40 @@ def test_resume_refuses_artifacts_of_a_different_config(completed, toy_inputs, t
     run_pipeline(toy_config(system_path, profile_dir, copy, seed=6), stages=["report"],
                  force=True)
     assert json.loads((copy / "config_used.json").read_text())["seed"] == 6
+
+
+def test_resume_refuses_a_removed_field(completed, toy_inputs, tmp_path):
+    """An output directory written while ``time_limit`` was a config field
+    carries it in ``config_used.json``: a resume names it, ``force`` runs."""
+    _, out, _ = completed
+    system_path, profile_dir = toy_inputs
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    used = copy / "config_used.json"
+    used.write_text(json.dumps({**json.loads(used.read_text()), "time_limit": None}))
+    cfg = toy_config(system_path, profile_dir, copy)
+    with pytest.raises(StageError, match=r"^\[config\] .*\(time_limit: None -> "
+                                         r"'<missing>'\); use --force"):
+        run_pipeline(cfg, stages=["report"])
+    run_pipeline(cfg, stages=["report"], force=True)
+    assert "time_limit" not in json.loads(used.read_text())
+
+
+@pytest.mark.parametrize("name, stage, policy", [
+    ("fmm_costs.json", "report", "both"), ("fmm_costs.json", "clear", "proxy"),
+    ("training_meta.json", "clear", "datadriven"), ("config_used.json", "config", "both")])
+def test_truncated_json_artifact_named(completed, toy_inputs, tmp_path, name, stage, policy):
+    """A JSON artifact that does not parse fails its stage naming the file."""
+    _, out, _ = completed
+    system_path, profile_dir = toy_inputs
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    data = (copy / name).read_bytes()
+    (copy / name).write_bytes(data[:len(data) // 2])
+    with pytest.raises(StageError, match=rf"^\[{stage}\] {re.escape(str(copy / name))}: "):
+        run_pipeline(toy_config(system_path, profile_dir, copy, policy=policy),
+                     stages=[stage if stage != "config" else "report"],
+                     force=stage != "config")
 
 
 def test_resumed_report_reproduces_the_run_byte_for_byte(completed, toy_inputs):
