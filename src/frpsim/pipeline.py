@@ -19,7 +19,7 @@ import numbers
 import os
 import shutil
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import partial
 from itertools import product
 from pathlib import Path
@@ -121,11 +121,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        raw = read_json(path)
-        if not isinstance(raw, dict):
-            raise ValueError(f"{path}: the top level is not a JSON object")
+        raw = _read_object(path)
         if unknown := raw.keys() - {f.name for f in fields(cls)}:
             raise ValueError(f"{path}: unknown field {sorted(unknown)[0]!r}")
+        for f in fields(cls):
+            if f.default is MISSING and f.name not in raw:
+                raise ValueError(f"{path}: missing field {f.name!r}")
         return cls(**raw)
 
     @property
@@ -287,7 +288,7 @@ def stage_clear(ctx: PipelineContext, force: bool = False) -> None:
             raise StageError("clear", f"{policy}: {exc}") from exc
         ctx.fmm_costs[policy] = run.cost
         costs_path = ctx.out / "fmm_costs.json"
-        existing = read_json(costs_path) if costs_path.exists() else {}
+        existing = _read_object(costs_path) if costs_path.exists() else {}
         existing[policy] = {"cost": run.cost, "violation_mwh": run.violation_mwh}
         _write_json(costs_path, existing)
         # the awards file marks the policy cleared, so it goes last
@@ -343,7 +344,7 @@ def stage_report(ctx: PipelineContext, force: bool = False) -> None:
         return
     cfg = ctx.cfg
     costs_path = ctx.out / "fmm_costs.json"
-    fmm = read_json(costs_path) if costs_path.exists() else {}
+    fmm = _read_object(costs_path) if costs_path.exists() else {}
     metrics, interval_cost = {}, {}
     for policy in cfg.policies:
         if policy not in fmm:
@@ -388,7 +389,7 @@ def _check_resumed_config(path: Path, cfg: ExperimentConfig) -> None:
     """
     if not path.exists():
         return
-    old = read_json(path, partial(StageError, "config"))
+    old = _read_object(path, partial(StageError, "config"))
     new = json.loads(json.dumps(asdict(cfg)))
     # a field only one side has differs, even where the other reads null
     pairs = {k: (old.get(k, "<missing>"), new.get(k, "<missing>")) for k in [*new, *old]}
@@ -439,6 +440,15 @@ def run_pipeline(cfg: ExperimentConfig, stages=None, force: bool = False
 # a stage computes the same from disk as from memory.  The audit-only files
 # (deployment scenarios, response factors, cuts, training dataset) carry six
 # decimals.  The model files hold their arrays as written.
+
+def _read_object(path, error=ValueError) -> dict:
+    """The JSON object at ``path``; malformed JSON or any other top-level
+    value raises ``error(message)``, the message naming the path."""
+    raw = read_json(path, error)
+    if not isinstance(raw, dict):
+        raise error(f"{path}: the top level is not a JSON object")
+    return raw
+
 
 def _replace(path: Path, fill, binary: bool = False) -> None:
     """Write ``path`` through ``fill(fh)`` into ``<name>.tmp``, opened as
@@ -574,7 +584,7 @@ def _read_models(out: Path) -> dict[int, learner_mod.RegressionModel]:
     """The models of exactly the generators that ``training_meta.json`` lists."""
     if not (out / "training_meta.json").exists():
         raise ValueError("training_meta.json missing; run train")
-    fits = read_json(out / "training_meta.json")
+    fits = _read_object(out / "training_meta.json")
     names = {f"gen_{g}.npz": g for g in fits}
     found = set(os.listdir(out / "models")) if (out / "models").is_dir() else set()
     mismatched = sorted(names.keys() ^ found)

@@ -1,10 +1,12 @@
 """Forecast profiles, Monte Carlo scenario sampling, and forecast envelopes.
 
 Errors are independent truncated Gaussians per interval and per quantity with
-standard deviation proportional to the forecast value.  The hourly fraction is
-twice the 15-min fraction, so the sum of four independent 15-min errors has
-the hourly spread.  Nodal loads are a fixed participation split of the system
-load, so load errors are perfectly correlated across buses.
+standard deviation proportional to the forecast value.  Each error is the
+truncated Gaussian's inverse CDF at one uniform draw: a scenario's generator
+gives its 96 load errors, then its solar errors unit by unit.  The hourly
+fraction is twice the 15-min fraction, so the sum of four independent 15-min
+errors has the hourly spread.  Nodal loads are a fixed participation split of
+the system load, so load errors are perfectly correlated across buses.
 
 Every per-interval series of the day is a plain ``(..., 96)`` array; the
 markets read a stretch of one through ``window``, which holds the rule for
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import norm, truncnorm
+from scipy.special import log1p, log_ndtr, ndtr, ndtri, ndtri_exp
 
 from .network import PowerSystem, SolarUnit
 
@@ -183,9 +185,22 @@ def load_profiles(path, solar_units: tuple[SolarUnit, ...]) -> ForecastProfile:
 # -------------------------------------------------------------------- sample
 
 def _truncated_normal(rng: np.random.Generator, shape, cutoff: float) -> np.ndarray:
+    """Standard normals truncated to [-cutoff, cutoff]: one uniform ``q`` per
+    entry through the inverse CDF, in log space in the left tail.
+
+    The arithmetic is scipy 1.17's ``truncnorm.rvs(-cutoff, cutoff)`` step for
+    step, so the draws and the generator's state after them match it bit for
+    bit without importing ``scipy.stats`` (0.3 s and ~20 MB per process).
+    """
     if cutoff <= 0:
         return np.zeros(shape)
-    return truncnorm.rvs(-cutoff, cutoff, size=shape, random_state=rng)
+    tail = log_ndtr(-cutoff)                            # log P(Z < -cutoff)
+    # log(q * P(|Z| <= cutoff)), one per entry; the mass takes scipy.special's
+    # log1p, as truncnorm does, and the sum below numpy's, as logsumexp does
+    log_q_mass = np.log(rng.uniform(size=shape)) + log1p(-ndtr(-cutoff) - ndtr(-cutoff))
+    # log P(Z < z) = log(P(Z < -cutoff) + q P(|Z| <= cutoff))
+    hi, lo = np.maximum(tail, log_q_mass), np.minimum(tail, log_q_mass)
+    return ndtri_exp(np.log1p(np.exp(lo - hi)) + hi) + 0.0   # + loc: -0.0 reads 0.0
 
 
 def _scenario_seed(cfg: UncertaintyConfig, kind: str, index: int) -> np.random.Generator:
@@ -242,9 +257,9 @@ def select_deployment_scenarios(system: PowerSystem, profile: ForecastProfile,
         raise ValueError("need at least 2 deployment scenarios")
     frac = cfg.sigma_15min_frac
     caps = np.array([u.capacity for u in system.solar_units])
-    p_outer = float(norm.cdf(cfg.confidence_z))
+    p_outer = float(ndtr(cfg.confidence_z))
     levels = np.linspace(1.0 - p_outer, p_outer, count)
-    zs = norm.ppf(levels)
+    zs = ndtri(levels)
     scenarios = []
     for j, z in enumerate(zs):
         load = np.maximum(profile.load15 * (1.0 + frac * z), 0.0)

@@ -130,7 +130,9 @@ class TestConfig:
         ('{"system_file": "x", "profile_dir": "y", "output_dir": "z", '
          '"persist_scenarios": false}', "unknown field 'persist_scenarios'$"),
         ('["system_file", "x"]', "the top level is not a JSON object$"),
-        ("7", "the top level is not a JSON object$")])
+        ("7", "the top level is not a JSON object$"),
+        # the first of the three required fields, in field order
+        ('{"output_dir": "z", "profile_dir": "y"}', "missing field 'system_file'$")])
     def test_rejects_bad_json_naming_the_file(self, tmp_path, text, message):
         path = tmp_path / "cfg.json"
         path.write_text(text)
@@ -322,6 +324,12 @@ class TestCli:
         path.write_text("{\"policy\": \"zonal\"}")
         assert cli_main(["all", "--config", str(path)]) == 2
 
+    def test_cli_missing_field_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"system_file": "x", "output_dir": "z"}')
+        assert cli_main(["all", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {path}: missing field 'profile_dir'\n"
+
     def test_cli_single_deployment_scenario_exit_two(self, toy_inputs, tmp_path, capsys):
         system_path, profile_dir = toy_inputs
         path = tmp_path / "cfg.json"
@@ -414,6 +422,38 @@ def test_truncated_json_artifact_named(completed, toy_inputs, tmp_path, name, st
         run_pipeline(toy_config(system_path, profile_dir, copy, policy=policy),
                      stages=[stage if stage != "config" else "report"],
                      force=stage != "config")
+
+
+@pytest.mark.parametrize("name, stage, policy", [
+    ("fmm_costs.json", "report", "both"), ("fmm_costs.json", "clear", "proxy"),
+    ("training_meta.json", "clear", "datadriven"), ("config_used.json", "config", "both")])
+def test_non_object_json_artifact_named(completed, toy_inputs, tmp_path, name, stage, policy):
+    """A JSON artifact that parses to something other than an object fails
+    its stage naming the file."""
+    _, out, _ = completed
+    system_path, profile_dir = toy_inputs
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    (copy / name).write_text("[1, 2]")
+    with pytest.raises(StageError, match=rf"^\[{stage}\] {re.escape(str(copy / name))}: "
+                                         r"the top level is not a JSON object$"):
+        run_pipeline(toy_config(system_path, profile_dir, copy, policy=policy),
+                     stages=[stage if stage != "config" else "report"],
+                     force=stage != "config")
+
+
+def test_cli_non_object_config_used_exit_three(completed, toy_inputs, tmp_path, capsys):
+    """A resumed ``config_used.json`` that is no object is a stage error
+    (exit 3), not an unexpected failure (exit 4)."""
+    _, out, _ = completed
+    system_path, profile_dir = toy_inputs
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    (copy / "config_used.json").write_text("[1, 2]")
+    path = tmp_path / "cfg.json"
+    _config_file(toy_config(system_path, profile_dir, copy), path)
+    assert cli_main(["report", "--config", str(path)]) == 3
+    assert capsys.readouterr().err.startswith(f"[config] {copy / 'config_used.json'}: ")
 
 
 def test_resumed_report_reproduces_the_run_byte_for_byte(completed, toy_inputs):

@@ -1,17 +1,21 @@
 from __future__ import annotations
 
 import csv
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from scipy.stats import norm
+# oracles only: frpsim itself computes both from scipy.special
+from scipy.stats import norm, truncnorm
 
 from frpsim.network import SolarUnit, nodal_injections
 from frpsim.pipeline import _write_scenarios_csv
 from frpsim.scenarios import (DEPLOYMENT, OUT_OF_SAMPLE, TRAINING, ProfileError,
-                              UncertaintyConfig, load_profiles, proxy_envelopes,
-                              netload, sample_scenarios, select_deployment_scenarios,
-                              window)
+                              UncertaintyConfig, _scenario_seed, _truncated_normal,
+                              load_profiles, proxy_envelopes, netload, sample_scenarios,
+                              select_deployment_scenarios, window)
 from util import bottleneck_system, make_profile
 
 
@@ -133,6 +137,46 @@ class TestLoadProfiles:
             load_profiles(d, units)
 
 
+class TestTruncatedNormal:
+    def test_same_bits_and_generator_state_as_scipy_truncnorm(self):
+        # 20 seeds x 20 cutoffs x 3 shapes: 1,200 cases, deep tails included
+        for seed in range(20):
+            for cutoff in np.geomspace(0.1, 30.0, 20):
+                for shape in (1, 96, (3, 96)):
+                    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+                    z = _truncated_normal(ours, shape, float(cutoff))
+                    ref = truncnorm.rvs(-cutoff, cutoff, size=shape, random_state=theirs)
+                    case = (seed, cutoff, shape)
+                    assert z.shape == ref.shape and z.tobytes() == ref.tobytes(), case
+                    assert ours.bit_generator.state == theirs.bit_generator.state, case
+
+    @pytest.mark.parametrize("cutoff, expected", [
+        (3.0, ["0x1.cfb88bdb056a4p-3", "0x1.0ae8eb39878a4p-6", "0x1.73f036597d1a5p-1",
+               "-0x1.c65c381110feep-1"]),
+        (0.25, ["0x1.6c2cde564cde3p-5", "0x1.a6a7798d06ce5p-9"]),
+        (30.0, ["0x1.d0ff7c4807b9bp-3", "0x1.0ba1e8a810709p-6"])])
+    def test_seed_7_draws_pinned(self, cutoff, expected):
+        # training scenario 0's stream: its first load errors at cutoff 3
+        rng = _scenario_seed(UncertaintyConfig(seed=7), TRAINING, 0)
+        z = _truncated_normal(rng, len(expected), cutoff)
+        assert [float(x).hex() for x in z] == expected
+
+    def test_zero_cutoff_draws_nothing(self):
+        rng = np.random.default_rng(7)
+        state = rng.bit_generator.state
+        assert _truncated_normal(rng, (2, 3), 0.0).tolist() == [[0.0] * 3] * 2
+        assert rng.bit_generator.state == state
+
+    def test_cli_import_loads_no_scipy_stats(self):
+        # scipy.stats costs a fresh process ~0.3 s and ~20 MB to import
+        script = ("import sys, frpsim.cli; "
+                  "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        assert out.stdout.strip() == "[]"
+
+
 class TestSampleScenarios:
     def setup_method(self):
         self.system = bottleneck_system()
@@ -229,6 +273,17 @@ class TestDeploymentScenarios:
         np.testing.assert_allclose(zs, expected, atol=1e-9)
         assert zs[0] == pytest.approx(-1.96, abs=5e-3)
         assert np.allclose(zs, -zs[::-1], atol=1e-12)  # symmetric pairs
+
+    @pytest.mark.parametrize("count", range(2, 10))
+    def test_quantiles_equal_scipy_norm(self, count):
+        out = select_deployment_scenarios(self.system, self.profile, self.cfg, count)
+        p_outer = norm.cdf(self.cfg.confidence_z)
+        levels = np.linspace(1 - p_outer, p_outer, count)
+        expected = norm.ppf(levels)
+        assert [s.quantile_z for s in out] == expected.tolist()
+        if count % 2:   # the middle level is 0.5 itself, and its z a plain 0.0
+            assert levels[count // 2] == 0.5
+            assert out[count // 2].seed_info == "quantile z=+0.000000"
 
     def test_needs_at_least_two(self):
         with pytest.raises(ValueError):
