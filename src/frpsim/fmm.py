@@ -532,7 +532,8 @@ def roll_day(system: PowerSystem, da: DaCommitments, build_hour, policy: str,
         except (CutLoopError, LineLimitError) as exc:
             raise HourSolveError(policy, hour, scenario, str(exc)) from exc
         if sol.status != "optimal":
-            raise HourSolveError(policy, hour, scenario, f"solve ended {sol.status}")
+            raise HourSolveError(policy, hour, scenario,
+                                 f"solve ended {sol.status} ({sol.message})")
         traj.cuts.extend((hour, c) for c in handle.cuts)
         lines |= handle.builder.lines
         nb = horizon.n_binding

@@ -3,11 +3,17 @@
 The system file is a single JSON document with sections ``buses``, ``lines``,
 ``generators``, ``solar``, ``participation`` and a ``slack_bus`` (schema in
 the README).  All power quantities are MW; reactances are per unit.
+
+Every text file frpsim reads goes through one of two strict readers here,
+each refusal naming the path: ``read_json`` (system, config, JSON artifacts)
+and ``read_csv`` (profiles, CSV artifacts).
 """
 
 from __future__ import annotations
 
+import csv
 import json
+import math
 import sys
 import warnings
 from collections import Counter
@@ -185,6 +191,58 @@ def read_json(path, error: Callable[[str], Exception] = ValueError):
             return json.load(fh, object_pairs_hook=_unique_keys)
     except ValueError as exc:   # json.JSONDecodeError is one
         raise error(f"{path}: {exc}") from exc
+
+
+def read_csv(path, keys: tuple[str, ...], cells: list[tuple[int, ...]],
+             columns: tuple[str, ...], labels: dict[str, str] | None = None,
+             error: Callable[[str], Exception] = ValueError) -> dict[str, np.ndarray]:
+    """Each of ``columns`` of the CSV file at ``path`` as floats, one per row.
+
+    Row i must hold ``cells[i]`` in its integer ``keys`` columns, so the rows
+    come in that order and each once, and ``labels`` maps a text column to
+    the value every row must hold.  Every value must parse and be finite,
+    and every row must have as many cells as the header.  Anything else
+    raises ``error(message)``, the message naming the path and the first
+    line, column or cell at fault.
+    """
+    labels = labels or {}
+
+    def name(cell):
+        return ", ".join(f"{k} {v}" for k, v in zip(keys, cell))
+
+    rows = []
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            if absent := [c for c in (*keys, *labels, *columns) if c not in header]:
+                raise error(f"{path} line 1 has no {absent[0]} column")
+            for row in reader:
+                where, text = f"{path} line {reader.line_num}", dict(zip(header, row))
+                if len(row) != len(header):
+                    raise error(f"{where}: row length {len(row)}, header length {len(header)}")
+                for c, label in labels.items():
+                    if text[c] != label:
+                        raise error(f"{where}, column {c}: {text[c]!r} is not {label!r}")
+                values = []
+                for c in (*keys, *columns):
+                    try:
+                        values.append((int if c in keys else float)(text[c]))
+                    except ValueError:
+                        raise error(f"{where}, column {c}: cannot read {text[c]!r}") from None
+                    if not math.isfinite(values[-1]):
+                        raise error(f"{where}, column {c}: {text[c]!r} is not finite")
+                cell, i = tuple(values[:len(keys)]), len(rows)
+                if i == len(cells) or cell != cells[i]:
+                    belongs = f"{name(cells[i])} belongs" if i < len(cells) else "no row belongs"
+                    raise error(f"{where} holds {name(cell)} where {belongs}")
+                rows.append(values[len(keys):])
+    except (OSError, csv.Error, UnicodeDecodeError) as exc:   # no such file, not text, ...
+        raise error(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
+    if len(rows) < len(cells):
+        raise error(f"{path} has no row for {name(cells[len(rows)])}")
+    table = np.array(rows, dtype=float).reshape(len(cells), len(columns))
+    return dict(zip(columns, table.T.copy()))
 
 
 def load_system(path) -> PowerSystem:

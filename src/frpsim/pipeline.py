@@ -30,7 +30,7 @@ from . import learner as learner_mod
 from .dayahead import DaCommitments, run_da
 from .fmm import DATADRIVEN, PROXY, FmmAwards, FmmConfig, run_fmm_day, run_training_day
 from .milp import SolveOptions
-from .network import PowerSystem, SolarUnit, compute_ptdf, load_system, read_json
+from .network import PowerSystem, SolarUnit, compute_ptdf, load_system, read_csv, read_json
 from .scenarios import (HOURS_PER_DAY, INTERVALS_PER_DAY, OUT_OF_SAMPLE, TRAINING, Scenario,
                         UncertaintyConfig, load_profiles, proxy_envelopes, sample_scenarios,
                         select_deployment_scenarios)
@@ -227,7 +227,7 @@ def stage_prepare(ctx: PipelineContext, force: bool = False) -> None:
     ctx.load_inputs()
     da, _, _ = run_da(ctx.system, ctx.ptdf, ctx.profile,
                       options=ctx.cfg.solve_options, voll=ctx.cfg.voll)
-    _write_da_csv(da, out)
+    _write_da_csv(da, out, ctx.system)
 
 
 def stage_train(ctx: PipelineContext, force: bool = False) -> None:
@@ -345,13 +345,13 @@ def stage_report(ctx: PipelineContext, force: bool = False) -> None:
     cfg = ctx.cfg
     costs_path = ctx.out / "fmm_costs.json"
     fmm = _read_object(costs_path) if costs_path.exists() else {}
-    metrics, interval_cost = {}, {}
+    metrics, interval_cost, fmm_costs = {}, {}, {}
     for policy in cfg.policies:
         if policy not in fmm:
             raise StageError("report", f"fmm_costs.json has no {policy} cost; run clear")
+        fmm_costs[policy] = _numbers(costs_path, policy, fmm[policy], ("cost",))["cost"]
         metrics[policy], interval_cost[policy] = _read_results(
             ctx.out, policy, cfg.n_out_of_sample)
-    fmm_costs = {p: v["cost"] for p, v in fmm.items()}
     per_policy = {p: {m: {s: float(stat(v)) for s, stat in _STATS.items()}
                       for m, v in metrics[p].items()}
                   for p in cfg.policies}
@@ -450,6 +450,19 @@ def _read_object(path, error=ValueError) -> dict:
     return raw
 
 
+def _numbers(path, key: str, entry, names: tuple[str, ...], nan: tuple[str, ...] = ()
+             ) -> dict[str, float]:
+    """The numbers ``names`` of ``entry``, the object under ``key`` in the
+    JSON file ``path``; each must be finite, or NaN for a name in ``nan``."""
+    for name in names:
+        x = entry.get(name) if isinstance(entry, dict) else None
+        if not (isinstance(x, numbers.Real) and not isinstance(x, bool)
+                and (math.isfinite(x) or name in nan and math.isnan(x))):
+            what = "a finite number or NaN" if name in nan else "a finite number"
+            raise ValueError(f"{path}: {key!r} is not an object whose {name} is {what}")
+    return {name: entry[name] for name in names}
+
+
 def _replace(path: Path, fill, binary: bool = False) -> None:
     """Write ``path`` through ``fill(fh)`` into ``<name>.tmp``, opened as
     text or, if ``binary``, as bytes, then rename it over ``path``: a write
@@ -475,68 +488,22 @@ def _write_json(path: Path, payload) -> None:
     _replace(path, lambda fh: fh.write(json.dumps(payload, indent=2)))
 
 
-def _read_csv(path: Path, made_by: str, keys: tuple[str, ...], cells: list[tuple],
-              columns: tuple[str, ...], labels: dict[str, str] | None = None
-              ) -> dict[str, np.ndarray]:
-    """Each of ``columns`` of ``path`` as floats, one per cell of ``cells``,
-    in that order.
-
-    ``keys`` are the integer columns that place a row in a cell, and
-    ``labels`` maps a text column to the value every row must hold.  A file
-    that lacks a column, holds a cell that does not parse or a row with
-    another label, lacks a cell, repeats one or holds one not in ``cells``
-    is refused, naming the first such column, row or cell and ``made_by``,
-    the stage that writes it.
-    """
+def _read_csv(path: Path, made_by: str, *args) -> dict[str, np.ndarray]:
+    """``network.read_csv(path, *args)`` of an artifact that stage ``made_by``
+    writes: a missing file says to run that stage, a refused one to rerun it."""
     if not path.exists():
         raise ValueError(f"{path.name} missing; run {made_by}")
-    labels = labels or {}
-    parsers = [(k, int) for k in keys] + [(c, float) for c in columns]
-    wanted, rows = set(cells), {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        absent = [name for name in [*keys, *labels, *columns]
-                  if name not in (reader.fieldnames or ())]
-        if absent:
-            raise ValueError(f"{path.name} line 1 has no {absent[0]} column; rerun {made_by}")
-        for row in reader:
-            for name, label in labels.items():
-                if row[name] != label:
-                    raise ValueError(f"{path.name} line {reader.line_num}, column {name}: "
-                                     f"{row[name]!r} is not {label!r}; rerun {made_by}")
-            values = []
-            for name, parse in parsers:
-                try:
-                    values.append(parse(row[name]))
-                except (TypeError, ValueError):   # a short row reads None
-                    raise ValueError(f"{path.name} line {reader.line_num}, column {name}: "
-                                     f"cannot read {row[name]!r}; rerun {made_by}") from None
-            cell = tuple(values[:len(keys)])
-            if cell in rows or cell not in wanted:
-                problem = "repeats" if cell in rows else "has an unexpected"
-                raise ValueError(f"{path.name} {problem} {_cell(keys, cell)}; "
-                                 f"rerun {made_by}")
-            rows[cell] = values[len(keys):]
-    for cell in cells:
-        if cell not in rows:
-            raise ValueError(f"{path.name} has no row for {_cell(keys, cell)}; "
-                             f"rerun {made_by}")
-    return {name: np.array([rows[cell][i] for cell in cells])
-            for i, name in enumerate(columns)}
-
-
-def _cell(keys, cell) -> str:
-    return ", ".join(f"{k} {v}" for k, v in zip(keys, cell))
+    return read_csv(path, *args, error=lambda message: ValueError(f"{message}; rerun {made_by}"))
 
 
 def _exact(x) -> str:
     return repr(float(x))
 
 
-def _write_da_csv(da: DaCommitments, path: Path) -> None:
+def _write_da_csv(da: DaCommitments, path: Path, system: PowerSystem) -> None:
     _write_csv(path, ["generator", "hour", "u", "dispatch_mw"],
-               ([g, h, int(da.u_hourly[g][h]), _exact(da.dispatch_hourly[g][h])]
-                for g in sorted(da.u_hourly) for h in range(HOURS_PER_DAY)))
+               ([g.id, h, int(da.u_hourly[g.id][h]), _exact(da.dispatch_hourly[g.id][h])]
+                for g in system.generators for h in range(HOURS_PER_DAY)))
 
 
 def _read_da_csv(path: Path, system: PowerSystem) -> DaCommitments:
@@ -582,9 +549,10 @@ def _write_models(models: dict[int, learner_mod.RegressionModel], out: Path) -> 
 
 def _read_models(out: Path) -> dict[int, learner_mod.RegressionModel]:
     """The models of exactly the generators that ``training_meta.json`` lists."""
-    if not (out / "training_meta.json").exists():
+    if not (meta := out / "training_meta.json").exists():
         raise ValueError("training_meta.json missing; run train")
-    fits = _read_object(out / "training_meta.json")
+    fits = {g: _numbers(meta, g, fit, ("train_mse", "test_mse"), nan=("test_mse",))
+            for g, fit in _read_object(meta).items()}
     names = {f"gen_{g}.npz": g for g in fits}
     found = set(os.listdir(out / "models")) if (out / "models").is_dir() else set()
     mismatched = sorted(names.keys() ^ found)

@@ -15,14 +15,13 @@ indices before the first interval or past the last.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy.special import log1p, log_ndtr, ndtr, ndtri, ndtri_exp
 
-from .network import PowerSystem, SolarUnit
+from .network import PowerSystem, SolarUnit, read_csv
 
 HOURS_PER_DAY = 24
 INTERVALS_PER_DAY = 96
@@ -114,37 +113,9 @@ class ProxyEnvelope:
 
 # ---------------------------------------------------------------------- load
 
-_COLUMNS = ("interval_index", "load_mw", "solar_total_mw")
-
-
 def _read_profile_csv(path: Path, rows_expected: int) -> tuple[np.ndarray, np.ndarray]:
-    if not path.exists():
-        raise ProfileError(f"profile file not found: {path}")
-    loads, solars = [], []
-    with open(path, newline="") as fh:
-        for i, row in enumerate(csv.DictReader(fh)):
-            cells = [row.get(k) for k in _COLUMNS]
-            if None in cells:  # a short row, or a missing column
-                raise ProfileError(f"{path} row {i}: no value for {_COLUMNS[cells.index(None)]!r}")
-            if None in row:  # a long row: a cell split in two, say "1,000.0"
-                raise ProfileError(f"{path} row {i}: more cells than columns")
-            try:
-                index, load, solar = int(cells[0]), float(cells[1]), float(cells[2])
-            except ValueError as exc:
-                raise ProfileError(f"{path} row {i}: {exc}") from None
-            if index != i:
-                raise ProfileError(f"{path} row {i}: interval_index {index} is not the "
-                                   f"row's position {i}")
-            if not np.isfinite([load, solar]).all():
-                raise ProfileError(f"{path} row {i}: non-finite value")
-            loads.append(load)
-            solars.append(solar)
-    if len(loads) != rows_expected:
-        raise ProfileError(
-            f"{path}: expected {rows_expected} rows, found {len(loads)}"
-        )
-    load = np.asarray(loads)
-    solar = np.asarray(solars)
+    load, solar = read_csv(path, ("interval_index",), [(i,) for i in range(rows_expected)],
+                           ("load_mw", "solar_total_mw"), error=ProfileError).values()
     if (load < 0).any():
         raise ProfileError(f"{path}: negative load")
     if (solar < 0).any():

@@ -99,9 +99,9 @@ class TestCommitmentMapping:
         p = {0: rng.uniform(0, 50, 24).round(4), 1: np.full(24, 7.5)}
         da = DaCommitments(u_hourly=u, dispatch_hourly=p, objective=1.0)
         path = tmp_path / "da.csv"
-        _write_da_csv(da, path)
-        back = _read_da_csv(path, single_bus_system([make_gen(g, 0, 0.0, 50.0, 20.0)
-                                                     for g in (0, 1)]))
+        system = single_bus_system([make_gen(g, 0, 0.0, 50.0, 20.0) for g in (0, 1)])
+        _write_da_csv(da, path, system)
+        back = _read_da_csv(path, system)
         for g in (0, 1):
             np.testing.assert_array_equal(back.u_hourly[g], u[g])
             np.testing.assert_array_equal(back.dispatch_hourly[g], p[g])

@@ -752,8 +752,9 @@ class TestRollDay:
                                             terms=[(handle.builder.p[0, 0], 1.0)], lo=1000.0)])
             return handle
 
-        with pytest.raises(HourSolveError, match="training hour 2, scenario s7: "
-                                                 "solve ended infeasible"):
+        with pytest.raises(HourSolveError, match=r"training hour 2, scenario s7: solve "
+                                                 r"ended infeasible \(The problem is "
+                                                 r"infeasible\. \(HiGHS Status 8: "):
             roll_day(system, da, build_hour, "training", scenario="s7")
 
     def test_only_whole_hours_of_one_day_roll(self):

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frpsim.network import (Bus, PowerSystem, SystemDataError, TransmissionLine,
-                            compute_ptdf, load_system, validate_system)
+                            compute_ptdf, load_system, read_csv, validate_system)
 from util import dc_power_flow, make_gen, random_connected_system
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -414,3 +414,69 @@ class TestPtdf:
         )
         ptdf2 = compute_ptdf(remapped)
         np.testing.assert_allclose(ptdf2.values[:, inv], ptdf.values, atol=1e-10)
+
+
+class TestReadCsv:
+    """The one CSV reader: row i holds cell i, each label matches, each value
+    is a finite number, and each row is as long as the header."""
+
+    KEYS, CELLS, COLUMNS = ("g", "t"), [(3, 0), (3, 1), (1, 0), (1, 1)], ("x", "y")
+
+    def write(self, tmp_path, *lines):
+        path = tmp_path / "a.csv"
+        path.write_text("".join(f"{line}\r\n" for line in ("g,t,kind,x,y,z", *lines)))
+        return path
+
+    def rows(self):
+        return [f"{g},{t},a,{g + t / 4},{-t},note" for g, t in self.CELLS]
+
+    def read(self, path, **kw):
+        return read_csv(path, self.KEYS, self.CELLS, self.COLUMNS, {"kind": "a"}, **kw)
+
+    def test_columns_in_cell_order(self, tmp_path):
+        cols = self.read(self.write(tmp_path, *self.rows()))
+        assert list(cols) == ["x", "y"]
+        assert cols["x"].tolist() == [3.0, 3.25, 1.0, 1.25]
+        assert cols["y"].tolist() == [0.0, -1.0, 0.0, -1.0]
+        assert cols["x"].flags.c_contiguous
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda r: [r[1], r[0], *r[2:]], "line 2 holds g 3, t 1 where g 3, t 0 belongs"),
+        (lambda r: [*r[:2], r[1], *r[2:]], "line 4 holds g 3, t 1 where g 1, t 0 belongs"),
+        (lambda r: [*r, r[-1]], "line 6 holds g 1, t 1 where no row belongs"),
+        (lambda r: r[:3], "has no row for g 1, t 1"),
+        (lambda r: [r[0], "3,1,b,1.0,0.0,note", *r[2:]], "line 3, column kind: 'b' is not 'a'"),
+        (lambda r: [r[0], "3,1.0,a,1.0,0.0,note", *r[2:]], "line 3, column t: cannot read '1.0'"),
+        (lambda r: [r[0], "3,1,a,,0.0,note", *r[2:]], "line 3, column x: cannot read ''"),
+        (lambda r: [r[0], "3,1,a,1.0,-inf,note", *r[2:]],
+         "line 3, column y: '-inf' is not finite"),
+        (lambda r: [r[0], "3,1,a,NaN,0.0,note", *r[2:]], "line 3, column x: 'NaN' is not finite"),
+        (lambda r: [r[0], "3,1,a,1,000.5,0.0,note", *r[2:]],
+         "line 3: row length 7, header length 6"),
+        (lambda r: [r[0], "3,1,a,1.0,0.0", *r[2:]], "line 3: row length 5, header length 6"),
+        (lambda r: [r[0], "", *r[1:]], "line 3: row length 0, header length 6"),
+    ], ids=["swapped", "repeated", "extra", "truncated", "label", "key", "empty-value",
+            "infinite", "nan", "long-row", "short-row", "blank-line"])
+    def test_refusal_names_path_and_place(self, tmp_path, edit, message):
+        path = self.write(tmp_path, *edit(self.rows()))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path} {message}')}$"):
+            self.read(path)
+
+    def test_missing_column_file_or_text(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("g,t,kind,x\r\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} line 1 has no y column$"):
+            self.read(path)
+        path.write_text("")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} line 1 has no g column$"):
+            self.read(path)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path / 'b.csv'))}: No such"):
+            self.read(tmp_path / "b.csv")
+        path.write_bytes(b"g,t,kind,x,y\r\n\xff\xfe\r\n")       # not text
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*codec can't decode"):
+            self.read(path)
+
+    def test_error_type_is_the_callers(self, tmp_path):
+        path = self.write(tmp_path, *self.rows()[:1])
+        with pytest.raises(SystemDataError, match=r"has no row for g 3, t 1; see here$"):
+            self.read(path, error=lambda message: SystemDataError(f"{message}; see here"))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import re
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from frpsim import fmm, learner, pipeline, validation
@@ -241,6 +243,61 @@ class TestPipeline:
             assert (out2 / name).read_bytes() == (out / name).read_bytes()
 
 
+class TestTrainingDataset:
+    """``persist_training_data`` (true by default) writes the regression rows
+    that ``learner.build_targets`` built, to six decimals."""
+
+    def test_written_when_persisted(self, toy_inputs, tmp_path, monkeypatch):
+        system_path, profile_dir = toy_inputs
+        build, built = learner.build_targets, []
+
+        def keep(*args, **kw):
+            built.append(build(*args, **kw))
+            return built[-1]
+        monkeypatch.setattr(learner, "build_targets", keep)
+        cfg = toy_config(system_path, profile_dir, tmp_path / "out", persist_training_data=True)
+        run_pipeline(cfg, stages=["prepare", "train"])
+        (dataset,) = built
+        with open(tmp_path / "out" / "training_dataset.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        dim = dataset.features.shape[1]
+        assert header == ["generator", "interval", "target", "is_test",
+                          *(f"f{i}" for i in range(dim))]
+        assert len(rows) == len(dataset) > 0
+        assert [int(r[0]) for r in rows] == dataset.gen_ids.tolist()
+        assert [int(r[1]) for r in rows] == dataset.intervals.tolist()
+        assert [int(r[3]) for r in rows] == dataset.is_test.astype(int).tolist()
+        values = np.array([[float(x) for x in (r[2], *r[4:])] for r in rows])
+        np.testing.assert_allclose(values[:, 0], dataset.targets, rtol=0, atol=5e-7)
+        np.testing.assert_allclose(values[:, 1:], dataset.features, rtol=0, atol=5e-7)
+
+    def test_not_written_otherwise(self, completed):
+        cfg, out, _ = completed
+        assert not cfg.persist_training_data
+        assert (out / "training_meta.json").exists()
+        assert not (out / "training_dataset.csv").exists()
+
+
+def test_generator_ids_out_of_ascending_order(completed, tmp_path):
+    """Generator ids label rows only: with the toy system's ids 3, 1, 2, 0 in
+    ``system.generators`` order, a proxy run reads its day-ahead and awards
+    back in that order and gives the results of ids 0, 1, 2, 3."""
+    _, out, _ = completed
+    system = bottleneck_system()
+    system = dataclasses.replace(system, generators=tuple(
+        dataclasses.replace(g, id=i) for g, i in zip(system.generators, (3, 1, 2, 0))))
+    system_path = system_to_json(system, tmp_path / "system.json")
+    profile_dir = profile_to_dir(bottleneck_profile(), tmp_path / "day")
+    copy = tmp_path / "out"
+    run_pipeline(toy_config(system_path, profile_dir, copy, policy="proxy"),
+                 stages=["prepare", "clear", "validate", "report"])
+    with open(copy / "da_commitments.csv", newline="") as fh:
+        ids = [int(row["generator"]) for row in csv.DictReader(fh)]
+    assert ids == [g for g in (3, 1, 2, 0) for _ in range(24)]
+    for name in ("results_proxy.csv", "intervals_proxy.csv"):
+        assert (copy / name).read_bytes() == (out / name).read_bytes(), name
+
+
 class TestSinglePolicy:
     def test_proxy_only_produces_no_learner_artifacts(self, toy_inputs, tmp_path):
         system_path, profile_dir = toy_inputs
@@ -278,8 +335,8 @@ def test_emit_tables_rejects_empty_report(completed, toy_inputs, tmp_path):
     for policy in (validation.PROXY, validation.DATADRIVEN):
         path = copy / f"results_{policy}.csv"
         path.write_bytes(path.read_bytes().splitlines(keepends=True)[0])
-    with pytest.raises(StageError, match=r"^\[report\] results_proxy\.csv has no row "
-                                         r"for scenario_id 0; rerun validate$"):
+    message = f"[report] {copy / 'results_proxy.csv'} has no row for scenario_id 0"
+    with pytest.raises(StageError, match=f"^{re.escape(message)}; rerun validate$"):
         run_pipeline(toy_config(system_path, profile_dir, copy), stages=["report"],
                      force=True)
     for name in names:
@@ -442,6 +499,65 @@ def test_non_object_json_artifact_named(completed, toy_inputs, tmp_path, name, s
                      force=stage != "config")
 
 
+@pytest.mark.parametrize("name, edit, stage, policy, message", [
+    ("fmm_costs.json", lambda d: {**d, "proxy": 1}, "report", "both",
+     "'proxy' is not an object whose cost is a finite number"),
+    ("fmm_costs.json", lambda d: {**d, "datadriven": {"cost": math.inf}}, "report", "both",
+     "'datadriven' is not an object whose cost is a finite number"),
+    ("training_meta.json", lambda d: dict.fromkeys(d, 1), "clear", "datadriven",
+     "'{first}' is not an object whose train_mse is a finite number"),
+    ("training_meta.json", lambda d: {g: {**v, "train_mse": math.nan} for g, v in d.items()},
+     "clear", "datadriven", "'{first}' is not an object whose train_mse is a finite number"),
+    ("training_meta.json", lambda d: {g: {**v, "test_mse": "0.1"} for g, v in d.items()},
+     "clear", "datadriven",
+     "'{first}' is not an object whose test_mse is a finite number or NaN"),
+], ids=["cost-not-object", "cost-infinite", "fit-not-object", "train-mse-nan",
+        "test-mse-string"])
+def test_json_artifact_entry_named(completed, toy_inputs, tmp_path, name, edit, stage,
+                                   policy, message):
+    """An entry of a JSON artifact that its stage reads must be an object
+    holding finite numbers; the refusal names the file and the entry."""
+    _, out, _ = completed
+    system_path, profile_dir = toy_inputs
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    raw = json.loads((copy / name).read_text())
+    (copy / name).write_text(json.dumps(edit(raw)))
+    message = re.escape(f"{copy / name}: " + message.format(first=next(iter(raw))))
+    with pytest.raises(StageError, match=rf"^\[{stage}\] {message}$"):
+        run_pipeline(toy_config(system_path, profile_dir, copy, policy=policy),
+                     stages=[stage], force=True)
+
+
+def test_training_meta_keeps_nan_test_mse(completed, tmp_path):
+    """A generator with no test rows has a NaN test error, which clear reads."""
+    _, out, _ = completed
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    meta = json.loads((copy / "training_meta.json").read_text())
+    (copy / "training_meta.json").write_text(json.dumps(
+        {g: {**v, "test_mse": math.nan} for g, v in meta.items()}))
+    models = pipeline._read_models(copy)
+    assert sorted(models) == sorted(map(int, meta))
+    assert all(math.isnan(m.test_mse) for m in models.values())
+    assert [m.train_mse for m in models.values()] == [v["train_mse"] for v in meta.values()]
+
+
+def test_report_lists_only_the_runs_fmm_costs(completed, toy_inputs, tmp_path):
+    """A proxy-only report over a directory that cleared both policies does
+    not carry the data-driven clearing cost left in ``fmm_costs.json``."""
+    _, out, _ = completed
+    system_path, profile_dir = toy_inputs
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    run_pipeline(toy_config(system_path, profile_dir, copy, policy="proxy"),
+                 stages=["report"], force=True)
+    report = json.loads((copy / "report.json").read_text())
+    costs = json.loads((copy / "fmm_costs.json").read_text())
+    assert list(costs) == ["proxy", "datadriven"]
+    assert report["fmm_costs"] == {"proxy": costs["proxy"]["cost"]}
+
+
 def test_cli_non_object_config_used_exit_three(completed, toy_inputs, tmp_path, capsys):
     """A resumed ``config_used.json`` that is no object is a stage error
     (exit 3), not an unexpected failure (exit 4)."""
@@ -491,41 +607,68 @@ def _set_line(n, text):
     return edit
 
 
+def _swap_lines(n):
+    """Swap lines ``n`` and ``n + 1`` (1-based) of a CSV artifact."""
+    def edit(path):
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[n - 1], lines[n] = lines[n], lines[n - 1]
+        path.write_bytes(b"".join(lines))
+    return edit
+
+
 @pytest.mark.parametrize("name, edit, stage, message", [
     # 4 generators x 96 intervals; generator 2 stops after interval 6
     ("awards_proxy.csv", _keep_rows(199), "validate",
-     "awards_proxy.csv has no row for generator 2, interval 7; rerun clear"),
+     "{path} has no row for generator 2, interval 7; rerun clear"),
     ("awards_datadriven.csv", _repeat_row(5), "validate",
-     "awards_datadriven.csv repeats generator 0, interval 5; rerun clear"),
+     "{path} line 8 holds generator 0, interval 5 where generator 0, interval 6 belongs; "
+     "rerun clear"),
     # 4 generators x 24 hours; generator 2 stops after hour 0
     ("da_commitments.csv", _keep_rows(49), "validate",
-     "da_commitments.csv has no row for generator 2, hour 1; rerun prepare"),
+     "{path} has no row for generator 2, hour 1; rerun prepare"),
     ("intervals_proxy.csv", _keep_rows(150), "report",
-     "intervals_proxy.csv has no row for scenario_id 1, interval 54; rerun validate"),
+     "{path} has no row for scenario_id 1, interval 54; rerun validate"),
     ("results_datadriven.csv", _keep_rows(0), "report",
-     "results_datadriven.csv has no row for scenario_id 0; rerun validate"),
+     "{path} has no row for scenario_id 0; rerun validate"),
     ("fmm_costs.json", lambda path: path.write_text('{"proxy": {"cost": 1.0}}'), "report",
      "fmm_costs.json has no datadriven cost; run clear"),
     ("da_commitments.csv", _set_line(1, "generator,hour,u,dispatch"), "clear",
-     "da_commitments.csv line 1 has no dispatch_mw column; rerun prepare"),
+     "{path} line 1 has no dispatch_mw column; rerun prepare"),
     ("da_commitments.csv", _set_line(2, "0,0,x,0.0"), "clear",
-     "da_commitments.csv line 2, column u: cannot read 'x'; rerun prepare"),
+     "{path} line 2, column u: cannot read 'x'; rerun prepare"),
     ("awards_proxy.csv", _set_line(3, "0,1"), "validate",
-     "awards_proxy.csv line 3, column p: cannot read None; rerun clear"),
+     "{path} line 3: row length 2, header length 6; rerun clear"),
     ("intervals_datadriven.csv", _set_line(4, "0,datadriven,two,1.0,0.0"), "report",
-     "intervals_datadriven.csv line 4, column interval: cannot read 'two'; rerun validate"),
+     "{path} line 4, column interval: cannot read 'two'; rerun validate"),
+    # refused for the first time by the one CSV reader
+    ("awards_proxy.csv", _set_line(2, "0,0,nan,1,0.0,0.0"), "validate",
+     "{path} line 2, column p: 'nan' is not finite; rerun clear"),
+    ("results_datadriven.csv", _set_line(3, "1,datadriven,inf,0.0,0,1.0"), "report",
+     "{path} line 3, column rt_cost_excl_violation: 'inf' is not finite; rerun validate"),
+    # an unquoted "1,000.5" read as two cells would load 1 MW
+    ("da_commitments.csv", _set_line(2, "0,0,1,1,000.5"), "clear",
+     "{path} line 2: row length 5, header length 4; rerun prepare"),
+    ("intervals_proxy.csv", _swap_lines(2), "report",
+     "{path} line 2 holds scenario_id 0, interval 1 where scenario_id 0, interval 0 "
+     "belongs; rerun validate"),
+    ("results_proxy.csv", lambda path: path.write_bytes(
+        path.read_bytes() + path.read_bytes().splitlines(keepends=True)[-1]), "report",
+     "{path} line 4 holds scenario_id 1 where no row belongs; rerun validate"),
 ], ids=["awards-prefix", "awards-repeat", "da-prefix", "intervals-prefix", "results-empty",
-        "fmm-costs-policy", "da-column", "da-cell", "awards-short-row", "intervals-key"])
+        "fmm-costs-policy", "da-column", "da-cell", "awards-short-row", "intervals-key",
+        "awards-nan", "results-inf", "da-long-row", "intervals-order", "results-extra-row"])
 def test_incomplete_artifact_refused(completed, toy_inputs, tmp_path, name, edit, stage,
                                      message):
-    """A reader takes every cell of its file exactly once or fails naming the
-    file and the first missing, unreadable or repeated column or cell."""
+    """A reader takes every cell of its file exactly once, in order, or fails
+    naming the file and the first missing, unreadable, non-finite or
+    misplaced column, line or cell."""
     _, out, _ = completed
     system_path, profile_dir = toy_inputs
     copy = tmp_path / "out"
     shutil.copytree(out, copy)
     edit(copy / name)
-    with pytest.raises(StageError, match=rf"^\[{stage}\] {re.escape(message)}$"):
+    message = re.escape(message.format(path=copy / name))
+    with pytest.raises(StageError, match=rf"^\[{stage}\] {message}$"):
         run_pipeline(toy_config(system_path, profile_dir, copy), stages=[stage],
                      force=True)
 
@@ -687,6 +830,11 @@ def _infeasible_at_hour_2(build, index):
     return build_hour
 
 
+# HiGHS's status, which a failed hour carries as the day-ahead's failure does
+_INFEASIBLE = (r" \(The problem is infeasible\. \(HiGHS Status 8: model_status is "
+               r"Infeasible; primal_status is None\)\)$")
+
+
 def test_pool_size_follows_usable_cpus():
     assert pipeline._pool_size(1) == 1
     assert pipeline._pool_size(10**6) == len(os.sched_getaffinity(0))
@@ -702,7 +850,8 @@ def test_failing_validation_day_names_stage_policy_and_scenario(
                         _infeasible_at_hour_2(validation.build_rtuc_hour, 1))
     monkeypatch.setattr(pipeline, "_pool_size", lambda n: 2)
     with pytest.raises(StageError, match=r"^\[validate\] proxy scenario 1: proxy hour 2, "
-                                         r"scenario 1: solve ended infeasible$") as info:
+                                         r"scenario 1: solve ended infeasible"
+                                         + _INFEASIBLE) as info:
         run_pipeline(toy_config(system_path, profile_dir, copy),
                      stages=["validate"], force=True)
     assert info.value.stage == "validate"
@@ -722,7 +871,7 @@ def test_failing_training_day_names_its_scenario(completed, toy_inputs, tmp_path
     monkeypatch.setattr(pipeline, "_pool_size", lambda n: 2)
     with pytest.raises(StageError, match=r"^\[train\] training scenario 2: training hour 2, "
                                          r"scenario seed=5 kind=training index=2: "
-                                         r"solve ended infeasible$") as info:
+                                         r"solve ended infeasible" + _INFEASIBLE) as info:
         run_pipeline(toy_config(system_path, profile_dir, copy),
                      stages=["train"], force=True)
     assert info.value.stage == "train"

@@ -117,9 +117,9 @@ def test_report_tables_pin_row_order_and_format(tmp_path):
 
 
 @pytest.mark.parametrize("proxy_ids, datadriven_ids, message", [
-    ((0, 1, 2), (0, 1), "results_datadriven.csv has no row for scenario_id 2"),
-    ((0, 1, 2), (0, 1, 3), "results_datadriven.csv has an unexpected scenario_id 3"),
-    ((0, 1, 2), (0, 1, 1), "results_datadriven.csv repeats scenario_id 1"),
+    ((0, 1, 2), (0, 1), "has no row for scenario_id 2"),
+    ((0, 1, 2), (0, 1, 3), "line 4 holds scenario_id 3 where scenario_id 2 belongs"),
+    ((0, 1, 2), (0, 1, 1), "line 4 holds scenario_id 1 where scenario_id 2 belongs"),
 ], ids=["count-mismatch", "pairing-mismatch", "repeated"])
 def test_report_refuses_unpaired_results(tmp_path, proxy_ids, datadriven_ids, message):
     """Each policy's results must hold scenarios 0 .. n-1 exactly once, so
@@ -132,8 +132,8 @@ def test_report_refuses_unpaired_results(tmp_path, proxy_ids, datadriven_ids, me
         {p: {"cost": 1.0, "violation_mwh": 0.0} for p in (PROXY, DATADRIVEN)}))
     cfg = ExperimentConfig(system_file="unused.json", profile_dir="unused",
                            output_dir=str(tmp_path), n_out_of_sample=3)
-    with pytest.raises(StageError, match=r"^\[report\] " + message.replace(".", r"\.")
-                       + "; rerun validate$"):
+    message = f"[report] {tmp_path / 'results_datadriven.csv'} {message}; rerun validate"
+    with pytest.raises(StageError, match=f"^{re.escape(message)}$"):
         run_pipeline(cfg, stages=["report"], force=True)
     assert not (tmp_path / "report.json").exists()
 
@@ -151,7 +151,7 @@ def test_report_refuses_the_other_policys_rows(tmp_path, kind):
         {p: {"cost": 1.0, "violation_mwh": 0.0} for p in (PROXY, DATADRIVEN)}))
     cfg = ExperimentConfig(system_file="unused.json", profile_dir="unused",
                            output_dir=str(tmp_path), n_out_of_sample=3)
-    message = f"[report] {name} line 2, column policy: '{PROXY}' is not '{DATADRIVEN}'"
+    message = f"[report] {tmp_path / name} line 2, column policy: '{PROXY}' is not '{DATADRIVEN}'"
     with pytest.raises(StageError, match=f"^{re.escape(message)}; rerun validate$"):
         run_pipeline(cfg, stages=["report"], force=True)
     assert not (tmp_path / "report.json").exists()

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import os
+import re
 import subprocess
 import sys
 
@@ -67,7 +68,8 @@ class TestLoadProfiles:
 
     def test_wrong_length_errors(self, tmp_path):
         d = write_profile_dir(tmp_path, np.full(96, 1000.0), np.zeros(96), n_15=95)
-        with pytest.raises(ProfileError, match="expected 96 rows"):
+        with pytest.raises(ProfileError, match=r"fifteen_min\.csv has no row for "
+                                               r"interval_index 95$"):
             load_profiles(d, ())
 
     def test_negative_load_errors(self, tmp_path):
@@ -85,19 +87,22 @@ class TestLoadProfiles:
         fields[column] = value
         rows[6] = ",".join(fields)
         (d / "fifteen_min.csv").write_text("\n".join(rows) + "\n")
-        with pytest.raises(ProfileError, match=r"fifteen_min\.csv row 5: non-finite"):
+        name = ("interval_index", "load_mw", "solar_total_mw")[column]
+        with pytest.raises(ProfileError, match=rf"fifteen_min\.csv line 7, column {name}: "
+                                               rf"'{value}' is not finite$"):
             load_profiles(d, ())
 
     @pytest.mark.parametrize("line, message", [
-        ("5,1000.0", "no value for 'solar_total_mw'"), ("5", "no value for 'load_mw'"),
+        ("5,1000.0", "row length 2"), ("5", "row length 1"), ("", "row length 0"),
         # "1,000.0" read as two cells would otherwise load 1 MW
-        ("5,1,000.0,0.0", "more cells than columns")])
+        ("5,1,000.0,0.0", "row length 4")], ids=["short", "one-cell", "blank", "long"])
     def test_short_or_long_row_names_file_and_row(self, tmp_path, line, message):
         d = write_profile_dir(tmp_path, np.full(96, 1000.0), np.zeros(96))
         rows = (d / "fifteen_min.csv").read_text().splitlines()
         rows[6] = line                       # interval 5, after the header
         (d / "fifteen_min.csv").write_text("\n".join(rows) + "\n")
-        with pytest.raises(ProfileError, match=rf"fifteen_min\.csv row 5: {message}$"):
+        with pytest.raises(ProfileError, match=rf"fifteen_min\.csv line 7: {message}, "
+                                               r"header length 3$"):
             load_profiles(d, ())
 
     def test_out_of_place_interval_index_refused(self, tmp_path):
@@ -106,8 +111,8 @@ class TestLoadProfiles:
         rows = (d / "fifteen_min.csv").read_text().splitlines()
         rows[5], rows[6] = rows[6], rows[5]
         (d / "fifteen_min.csv").write_text("\n".join(rows) + "\n")
-        with pytest.raises(ProfileError, match=r"fifteen_min\.csv row 4: interval_index 5 "
-                                               r"is not the row's position 4$"):
+        with pytest.raises(ProfileError, match=r"fifteen_min\.csv line 6 holds interval_index "
+                                               r"5 where interval_index 4 belongs$"):
             load_profiles(d, ())
 
     @pytest.mark.parametrize("value", ["", "1.0", "x"])
@@ -116,7 +121,23 @@ class TestLoadProfiles:
         rows = (d / "hourly.csv").read_text().splitlines()
         rows[2] = value + rows[2][1:]        # hour 1, after the header
         (d / "hourly.csv").write_text("\n".join(rows) + "\n")
-        with pytest.raises(ProfileError, match=r"hourly\.csv row 1: "):
+        with pytest.raises(ProfileError, match=rf"hourly\.csv line 3, column interval_index: "
+                                               rf"cannot read '{value}'$"):
+            load_profiles(d, ())
+
+    @pytest.mark.parametrize("name", ["hourly.csv", "fifteen_min.csv"])
+    def test_missing_file_named(self, tmp_path, name):
+        d = write_profile_dir(tmp_path, np.full(96, 1000.0), np.zeros(96))
+        (d / name).unlink()
+        with pytest.raises(ProfileError, match=f"^{re.escape(str(d / name))}: "):
+            load_profiles(d, ())
+
+    def test_missing_column_named(self, tmp_path):
+        d = write_profile_dir(tmp_path, np.full(96, 1000.0), np.zeros(96))
+        text = (d / "hourly.csv").read_text()
+        (d / "hourly.csv").write_text(text.replace("solar_total_mw", "solar_mw", 1))
+        with pytest.raises(ProfileError, match=r"hourly\.csv line 1 has no solar_total_mw "
+                                               r"column$"):
             load_profiles(d, ())
 
     def test_solar_capacity_violation(self, tmp_path):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -200,8 +201,8 @@ class TestAggregation:
             {p: {"cost": 1.0, "violation_mwh": 0.0} for p in (PROXY, DATADRIVEN)}))
         cfg = ExperimentConfig(system_file="unused.json", profile_dir="unused",
                                output_dir=str(tmp_path), n_out_of_sample=3)
-        with pytest.raises(StageError, match=r"^\[report\] results_proxy\.csv has no row "
-                                             r"for scenario_id 0; rerun validate$"):
+        message = f"[report] {tmp_path / 'results_proxy.csv'} has no row for scenario_id 0"
+        with pytest.raises(StageError, match=f"^{re.escape(message)}; rerun validate$"):
             run_pipeline(cfg, stages=["report"], force=True)
         assert not (tmp_path / "report.json").exists()
 
