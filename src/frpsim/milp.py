@@ -9,13 +9,18 @@ the model's own arrays to a fresh HiGHS with the options
 is off, and returns a ``MilpSolution`` whose status, message and numbers are
 the ones ``milp`` given that one option would report, bit for bit.  The
 heuristic runs at the start of every MIP and costs more than the rest of a
-5-bus hour model's solve.
+5-bus hour model's solve.  Inside ``warm_lps`` an LP after the model's first
+instead re-runs the HiGHS that solved the LP before it, on the rows added
+since and the new column bounds, from the basis it holds; a MIP drops that
+HiGHS first.  A warm LP solves the same LP, but where that LP has several
+optima it may return another one than a fresh run would.
 Checking a solution never touches the solver and simply re-evaluates every
 row, column bound and binary arithmetically.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -134,6 +139,7 @@ class MilpModel:
         self._name_cache: dict[str, tuple[int, list[str]]] = {}
         self._matrix_cache: tuple[tuple[int, int], sp.csr_matrix, np.ndarray,
                                   np.ndarray] | None = None
+        self._warm: _WarmLp | None = None   # set by warm_lps
 
     # ------------------------------------------------------------------ build
     @property
@@ -316,16 +322,49 @@ _STATUS = {
                    _S.kObjectiveTarget), ("error", ""))
 
 
+@dataclass
+class _WarmLp:
+    """The HiGHS that solved a model's last LP, kept while ``warm_lps`` runs:
+    None before the first LP and after a MIP."""
+
+    highs: _hc._Highs | None = None
+
+
+@contextlib.contextmanager
+def warm_lps(model: MilpModel):
+    """Within the block, run each LP of ``model`` after the first on the
+    HiGHS that solved the LP before it.
+
+    That HiGHS takes only the rows added since and the new column bounds,
+    and runs again from the basis it holds, skipping presolve.  A MIP, a
+    changed column count or a warm run that does not end optimal drops it,
+    and the next run is fresh.  Nothing is kept after the block.
+    """
+    model._warm = _WarmLp()
+    try:
+        yield
+    finally:
+        model._warm = None
+
+
 def _highs_milp(model: MilpModel, integrality: np.ndarray, lb: np.ndarray, ub: np.ndarray,
                 options: SolveOptions) -> MilpSolution:
-    """A fresh HiGHS run on the model's rows and costs, with column bounds
+    """One HiGHS run on the model's rows and costs, with column bounds
     ``lb``/``ub`` and ``integrality`` (nonzero for an integer column); the
     MIP fields are set only for an optimal MIP.
 
-    HiGHS gets ``scipy.optimize.milp``'s options and one more:
+    The run is fresh unless ``warm_lps`` holds the HiGHS of the model's last
+    LP and this is an LP on as many columns: then that HiGHS re-runs, and a
+    re-run that does not end optimal is run again fresh.  A fresh HiGHS gets
+    ``scipy.optimize.milp``'s options and one more:
     ``mip_heuristic_run_feasibility_jump`` off.  A HiGHS too old to know the
     option has no such heuristic and refuses the name without raising.
     """
+    warm, lp = model._warm, not np.any(integrality)
+    if warm is not None:
+        sol = _warm_lp(model, warm, lp, lb, ub)
+        if sol is not None:
+            return sol
     a, lo, hi = model._matrix()
     a, n = a.tocsc(), model.n_vars
     highs = _hc._Highs()
@@ -334,12 +373,45 @@ def _highs_milp(model: MilpModel, integrality: np.ndarray, lb: np.ndarray, ub: n
     highs.setOptionValue("presolve", "on")
     # not milp's (see the docstring); the status is ignored on purpose
     highs.setOptionValue("mip_heuristic_run_feasibility_jump", False)
-    sol = MilpSolution(status="", objective=math.nan, values=np.full(n, np.nan))
     loaded = highs.passModel(n, len(lo), a.nnz, _hc.MatrixFormat.kColwise,
                              _hc.ObjSense.kMinimize, 0.0, model._cost, lb, ub, lo, hi,
                              a.indptr, a.indices, a.data,
                              integrality) != _hc.HighsStatus.kError
     ran = loaded and highs.run() != _hc.HighsStatus.kError
+    sol = _read(highs, loaded, ran, lp, n)
+    if warm is not None and lp and sol.status == "optimal":
+        warm.highs = highs
+    return sol
+
+
+def _warm_lp(model: MilpModel, warm: _WarmLp, lp: bool, lb: np.ndarray,
+             ub: np.ndarray) -> MilpSolution | None:
+    """Re-run ``warm``'s HiGHS on the rows added since it last ran and on
+    column bounds ``lb``/``ub``; None, with the HiGHS dropped, for a MIP, a
+    changed column count or a run that does not end optimal."""
+    highs, warm.highs = warm.highs, None
+    n = model.n_vars
+    if highs is None or not lp or highs.getNumCol() != n:
+        return None
+    a, lo, hi = model._matrix()
+    held = highs.getNumRow()
+    new = a[held:]
+    ran = (highs.addRows(new.shape[0], lo[held:], hi[held:], new.nnz, new.indptr[:-1],
+                         new.indices, new.data) != _hc.HighsStatus.kError
+           and highs.changeColsBounds(n, np.arange(n, dtype=np.int32), lb, ub)
+           != _hc.HighsStatus.kError
+           and highs.run() != _hc.HighsStatus.kError)
+    if not ran or highs.getModelStatus() != _S.kOptimal:
+        return None
+    warm.highs = highs
+    return _read(highs, loaded=True, ran=True, lp=True, n=n)
+
+
+def _read(highs: _hc._Highs, loaded: bool, ran: bool, lp: bool, n: int) -> MilpSolution:
+    """The ``MilpSolution`` of a HiGHS run: ``loaded`` if the model was
+    passed, ``ran`` if the run returned no error, ``lp`` if no column is
+    integer."""
+    sol = MilpSolution(status="", objective=math.nan, values=np.full(n, np.nan))
     status = highs.getModelStatus() if loaded else _S.kModelError
     detail = highs.modelStatusToString(status)
     if ran:
@@ -347,7 +419,7 @@ def _highs_milp(model: MilpModel, integrality: np.ndarray, lb: np.ndarray, ub: n
         if status == _S.kOptimal:
             sol.values = np.array(highs.getSolution().col_value)
             sol.objective = info.objective_function_value
-            if np.any(integrality):
+            if not lp:
                 sol.mip_gap, sol.dual_bound = info.mip_gap, info.mip_dual_bound
                 sol.mip_node_count = info.mip_node_count
         else:

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .milp import Cols, MilpModel, MilpSolution, Rows, SolveOptions, relax, solve
+from .milp import (Cols, MilpModel, MilpSolution, Rows, SolveOptions, relax, solve,
+                   warm_lps)
 from .network import PowerSystem, PtdfMatrix
 
 LINE_COEF_EPS = 1e-10  # PTDF entries below this are dropped from line rows
@@ -371,20 +372,24 @@ def solve_lazy(builder: UcModelBuilder, ptdf: PtdfMatrix,
     add rows not yet in the model, so the loop ends.  A non-optimal solve
     ends it at once and is returned for the caller to judge.  Every round
     hands ``solve`` the round before it, so a round whose rows leave the last
-    commitment within the gap costs one LP.
+    commitment within the gap costs one LP.  That LP, and every relaxation
+    after the first, is warm (``milp.warm_lps``): it re-runs the HiGHS that
+    solved the LP before it, unless a MIP ran in between.  No HiGHS outlives
+    the call.
     """
-    sol = relax(builder.model)
-    while sol.status == "optimal" and builder.add_overloaded_lines(sol, ptdf):
+    with warm_lps(builder.model):
         sol = relax(builder.model)
-    if sol.mip_gap != 0.0:
-        # fractional or not solved: the MIP over the fractional binaries, or cold
-        sol = solve(builder.model, options, sol)
-    while True:
-        if sol.status != "optimal":
-            return sol
-        added = builder.add_overloaded_lines(sol, ptdf)
-        if not added and more_rows is not None:
-            added = more_rows(sol)
-        if not added:
-            return sol
-        sol = solve(builder.model, options, sol)
+        while sol.status == "optimal" and builder.add_overloaded_lines(sol, ptdf):
+            sol = relax(builder.model)
+        if sol.mip_gap != 0.0:
+            # fractional or not solved: the MIP over the fractional binaries, or cold
+            sol = solve(builder.model, options, sol)
+        while True:
+            if sol.status != "optimal":
+                return sol
+            added = builder.add_overloaded_lines(sol, ptdf)
+            if not added and more_rows is not None:
+                added = more_rows(sol)
+            if not added:
+                return sol
+            sol = solve(builder.model, options, sol)

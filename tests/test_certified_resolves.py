@@ -6,8 +6,10 @@ fractional one goes to ``milp.solve(model, options, previous)``, which fixes
 the binaries integral in ``previous``, solves a MIP over the rest and
 returns it as optimal when its cost is within ``mip_rel_gap`` of
 ``previous.dual_bound``; otherwise it solves the MIP cold.  A round that
-adds rows hands ``solve`` the round before it the same way.  Hand-built
-models cover each branch.  Rolled 5-bus days and one 118-bus training hour
+adds rows hands ``solve`` the round before it the same way.  Within one
+``solve_lazy`` every LP after the first re-runs the HiGHS that solved the
+LP before it (``milp.warm_lps``) until a MIP drops it.  Hand-built models
+cover each branch.  Rolled 5-bus days and one 118-bus training hour
 check every result against ``check_solution`` and a cold
 ``scipy.optimize.milp`` solve of the same arrays.
 """
@@ -16,7 +18,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -213,6 +217,139 @@ class TestRelaxationStart:
         assert highs_calls[:2] == [0, 0] and 0 < highs_calls[2] <= 2
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(cold_objective(m, 1e-9))
+
+
+# ------------------------------------------------------------ warm LP rounds
+
+@pytest.fixture()
+def highs_made(monkeypatch):
+    """Every ``_Highs`` built, held weakly (``made``), with the runs of each
+    (``runs``) and, for every MIP run, how many other instances were alive
+    (``others_at_mip``)."""
+    record = SimpleNamespace(made=[], runs=[], others_at_mip=[])
+
+    class Recording(milp._hc._Highs):
+        def __init__(self):
+            super().__init__()
+            self.index, self.mip = len(record.made), False
+            record.made.append(weakref.ref(self))
+            record.runs.append(0)
+
+        def passModel(self, *args):
+            self.mip = bool(np.any(args[-1]))
+            return super().passModel(*args)
+
+        def run(self):
+            record.runs[self.index] += 1
+            if self.mip:
+                record.others_at_mip.append(sum(h() not in (None, self) for h in record.made))
+            return super().run()
+
+    monkeypatch.setattr(milp._hc, "_Highs", Recording)
+    return record
+
+
+def alive(record):
+    return sum(h() is not None for h in record.made)
+
+
+class TestWarmLps:
+    def test_one_highs_for_every_lp_of_a_loop(self, highs_calls, highs_made):
+        # 100 MW fills unit a, so every relaxation is integral: a line round
+        # on the relaxation, then a cut round re-solved as one LP
+        m, p = two_units(load=100.0)
+
+        class OneLine(NoLines):
+            def add_overloaded_lines(self, sol, ptdf):
+                if "line" in m.constr_names:
+                    return 0
+                m.add_rows([Rows("line", (0,), terms=[(p[0], 1.0)], hi=100.0)])
+                return 1
+
+        def one_cut(sol):
+            if "cut" in m.constr_names:
+                return 0
+            m.add_rows([Rows("cut", (1,), terms=[(p[1], 1.0)], hi=50.0)])
+            return 1
+
+        sol = ucbase.solve_lazy(OneLine(m), None, GAP, one_cut)
+        assert highs_calls == [0, 0, 0]
+        assert len(highs_made.made) == 1 and highs_made.runs == [3]
+        assert sol.status == "optimal" and sol.message.startswith("certified")
+        assert sol.objective == pytest.approx(cold_objective(m, 1e-9))
+        assert check_solution(m, sol).ok
+        assert alive(highs_made) == 0
+
+    def test_every_warm_lp_of_a_datadriven_clearing_day_equals_a_fresh_run(
+            self, bottleneck, highs_made, monkeypatch):
+        system, ptdf, profile = bottleneck
+        ucfg = UncertaintyConfig(seed=3)
+        env = proxy_envelopes(profile, ucfg, system.solar_units)
+        da, _, _ = run_da(system, ptdf, profile)
+        warm = []
+        highs_milp = milp._highs_milp
+
+        def compared(model, integrality, lb, ub, options):
+            before = len(highs_made.made)
+            sol = highs_milp(model, integrality, lb, ub, options)
+            if len(highs_made.made) == before:
+                # no HiGHS was built: the run was warm
+                with monkeypatch.context() as fresh_only:
+                    fresh_only.setattr(model, "_warm", None)
+                    fresh = highs_milp(model, integrality, lb, ub, options)
+                warm.append((sol, fresh, check_solution(model, sol),
+                             float(np.maximum(lb - sol.values, sol.values - ub).max())))
+            return sol
+
+        monkeypatch.setattr(milp, "_highs_milp", compared)
+        run_fmm_day(system, ptdf, profile, env, da, "datadriven",
+                    factors=zero_factors(system, 2),
+                    deployment=select_deployment_scenarios(system, profile, ucfg, 2),
+                    options=SolveOptions(mip_rel_gap=5e-3))
+        assert len(warm) >= 10
+        for sol, fresh, report, outside in warm:
+            assert sol.status == fresh.status == "optimal"
+            assert sol.objective == pytest.approx(fresh.objective, rel=1e-9, abs=0.0)
+            assert report.ok, report.worst()
+            assert outside <= 1e-6
+
+    def test_lp_made_infeasible_by_its_rows_returns_the_fresh_result(self, highs_made):
+        m, p = two_units()
+        with milp.warm_lps(m):
+            assert milp.relax(m).status == "optimal"
+            m.add_rows([Rows("too_much", (0,), terms=[(p, 1.0)], lo=300.0)])
+            sol = milp.relax(m)
+        # the first HiGHS ran twice, then a fresh one once
+        assert highs_made.runs == [2, 1]
+        fresh = milp.relax(m)
+        assert highs_made.runs == [2, 1, 1]
+        assert (sol.status, sol.message) == (fresh.status, fresh.message)
+        assert sol.status == "infeasible"
+        assert math.isnan(sol.objective) and np.isnan(sol.values).all()
+
+    def test_no_highs_outlives_solve_lazy_or_runs_beside_a_mip(self, bottleneck, highs_made,
+                                                               monkeypatch):
+        """At gap 1e-4 the day's cut rounds fall back to the cold MIP after
+        their LP."""
+        system, ptdf, profile = bottleneck
+        ucfg = UncertaintyConfig(seed=3)
+        env = proxy_envelopes(profile, ucfg, system.solar_units)
+        da, _, _ = run_da(system, ptdf, profile)
+        returned = []
+
+        def checked(*args, **kwargs):
+            sol = ucbase.solve_lazy(*args, **kwargs)
+            returned.append(alive(highs_made))
+            return sol
+
+        monkeypatch.setattr(fmm, "solve_lazy", checked)
+        run_fmm_day(system, ptdf, profile, env, da, "datadriven",
+                    factors=zero_factors(system, 2),
+                    deployment=select_deployment_scenarios(system, profile, ucfg, 2),
+                    options=SolveOptions(mip_rel_gap=1e-4))
+        assert len(returned) == 24 and set(returned) == {0}
+        assert highs_made.others_at_mip and set(highs_made.others_at_mip) == {0}
+        assert max(highs_made.runs) > 1   # some LPs ran warm
 
 
 # ------------------------------------------------- rolled bottleneck days
