@@ -17,7 +17,7 @@ import numpy as np
 from .milp import MilpSolution, SolveOptions
 from .network import PowerSystem, PtdfMatrix, nodal_injections
 from .scenarios import HOURS_PER_DAY, INTERVALS_PER_DAY, ForecastProfile
-from .ucbase import LineLimitError, UcModelBuilder, UnitState, cold_start_state, solve_lazy
+from .ucbase import SolveError, UcModelBuilder, UnitState, cold_start_state, solve_lazy
 
 
 @dataclass(frozen=True)
@@ -95,10 +95,8 @@ def run_da(system: PowerSystem, ptdf: PtdfMatrix, profile: ForecastProfile,
     builder = build_da_model(system, profile, voll=voll)
     try:
         sol = solve_lazy(builder, ptdf, options)
-    except LineLimitError as exc:
+    except SolveError as exc:
         raise RuntimeError(f"day-ahead solve failed: {exc}") from exc
-    if sol.status != "optimal":
-        raise RuntimeError(f"day-ahead solve failed: {sol.status} ({sol.message})")
     u, p = builder.commitment_values(sol), builder.dispatch_values(sol)
     u_hourly = {g.id: u[i] for i, g in enumerate(system.generators)}
     dispatch = {g.id: p[i] for i, g in enumerate(system.generators)}

@@ -34,7 +34,7 @@ from .milp import solve  # noqa: F401  (fmm.solve stays the one milp.solve)
 from .network import PowerSystem, PtdfMatrix, nodal_injections
 from .scenarios import (DEPLOYMENT, HOURS_PER_DAY, INTERVALS_PER_DAY, ForecastProfile,
                         ProxyEnvelope, Scenario, netload, window)
-from .ucbase import (LINE_COEF_EPS, LineLimitError, UcModelBuilder, UnitState, advance_state,
+from .ucbase import (LINE_COEF_EPS, SolveError, UcModelBuilder, UnitState, advance_state,
                      solve_lazy)
 
 PROXY = "proxy"            # the two FRP policies
@@ -43,6 +43,7 @@ UP = "up"
 DOWN = "down"
 SIGN = {UP: 1.0, DOWN: -1.0}   # sign of the netload move of each direction
 INTERVAL_HOURS = HOURS_PER_DAY / INTERVALS_PER_DAY
+MAX_CUT_ROUNDS = 20   # cut rounds an hour may take before its solve fails
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,6 @@ class FmmConfig:
     voll: float = 10000.0            # $/MWh on balance and requirement slack
     response_threshold: float = 0.05     # qualification floor for predicted responders
     cut_tol_mw: float = 1e-4
-    max_cut_rounds: int = 20
 
 
 @dataclass(frozen=True)
@@ -102,10 +102,6 @@ class PostDeploymentCut:
     direction: str    # up | down
     bound: str        # upper | lower (the side that triggered the cut)
     round_added: int
-
-
-class CutLoopError(RuntimeError):
-    """Cut generation failed to converge or the model became infeasible."""
 
 
 # ------------------------------------------------------------------ helpers
@@ -406,10 +402,9 @@ def solve_with_cuts(handle: FmmHandle, options: SolveOptions | None = None
     solve that overloads no line in the base case, and each check that adds
     cuts is one cut round.  Terminates when a solve leaves every
     post-deployment flow within rating plus ``cfg.cut_tol_mw``.  Raises
-    CutLoopError when ``cfg.max_cut_rounds`` rounds are exhausted with
-    violations remaining or the model becomes infeasible after cuts.
+    SolveError when ``MAX_CUT_ROUNDS`` rounds are exhausted with violations
+    remaining, or when ``solve_lazy`` does.
     """
-    max_rounds = handle.cfg.max_cut_rounds
     rounds = 0
 
     def cut_round(sol: MilpSolution) -> int:
@@ -417,10 +412,10 @@ def solve_with_cuts(handle: FmmHandle, options: SolveOptions | None = None
         cells, excess = _violations(handle, sol)
         if not len(excess):
             return 0
-        if rounds == max_rounds:
+        if rounds == MAX_CUT_ROUNDS:
             worst = int(np.argmax(excess))
-            raise CutLoopError(
-                f"cut loop exhausted {max_rounds} rounds with {len(excess)} "
+            raise SolveError(
+                f"cut loop exhausted {MAX_CUT_ROUNDS} rounds with {len(excess)} "
                 f"violations remaining (worst {excess[worst]:.4f} MW on line "
                 f"{cells[3][worst]})"
             )
@@ -428,7 +423,7 @@ def solve_with_cuts(handle: FmmHandle, options: SolveOptions | None = None
         s, _, _, k, t = cells
         new = ~handle.cut_rows[k, t, s]
         if not new.any():
-            raise CutLoopError(
+            raise SolveError(
                 "violations persist but all corresponding constraints are "
                 "already present; residuals exceed the solve tolerance"
             )
@@ -436,13 +431,6 @@ def solve_with_cuts(handle: FmmHandle, options: SolveOptions | None = None
         return int(new.sum())
 
     sol = solve_lazy(handle.builder, handle.ptdf, options, cut_round)
-    if sol.status != "optimal":
-        if not handle.cuts:
-            raise CutLoopError(f"solve ended with status {sol.status}")
-        raise CutLoopError(
-            f"model became {sol.status} after adding {len(handle.cuts)} "
-            "post-deployment constraints: no deliverable allocation exists"
-        )
     return sol, list(handle.cuts)
 
 
@@ -460,7 +448,7 @@ def solve_hour(handle: FmmHandle, options: SolveOptions | None = None) -> MilpSo
 # ---------------------------------------------------------------- day rolls
 
 class HourSolveError(RuntimeError):
-    """A rolled hour found no optimal solution or kept a line overloaded.
+    """A rolled hour's solve raised SolveError, labelled with the hour.
 
     Every constructor argument is in ``args``, so the error survives the
     pickling that carries it out of a pool worker.
@@ -529,11 +517,8 @@ def roll_day(system: PowerSystem, da: DaCommitments, build_hour, policy: str,
         handle.builder.add_line_limits(handle.ptdf, sorted(lines))
         try:
             sol = solve_hour(handle, options)
-        except (CutLoopError, LineLimitError) as exc:
+        except SolveError as exc:
             raise HourSolveError(policy, hour, scenario, str(exc)) from exc
-        if sol.status != "optimal":
-            raise HourSolveError(policy, hour, scenario,
-                                 f"solve ended {sol.status} ({sol.message})")
         traj.cuts.extend((hour, c) for c in handle.cuts)
         lines |= handle.builder.lines
         nb = horizon.n_binding

@@ -201,9 +201,9 @@ def read_csv(path, keys: tuple[str, ...], cells: list[tuple[int, ...]],
     Row i must hold ``cells[i]`` in its integer ``keys`` columns, so the rows
     come in that order and each once, and ``labels`` maps a text column to
     the value every row must hold.  Every value must parse and be finite,
-    and every row must have as many cells as the header.  Anything else
-    raises ``error(message)``, the message naming the path and the first
-    line, column or cell at fault.
+    every row must have as many cells as the header, and the header must
+    name each column once.  Anything else raises ``error(message)``, the
+    message naming the path and the first line, column or cell at fault.
     """
     labels = labels or {}
 
@@ -215,6 +215,8 @@ def read_csv(path, keys: tuple[str, ...], cells: list[tuple[int, ...]],
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, [])
+            if repeated := [c for i, c in enumerate(header) if c in header[:i]]:
+                raise error(f"{path} line 1 names column {repeated[0]} twice")
             if absent := [c for c in (*keys, *labels, *columns) if c not in header]:
                 raise error(f"{path} line 1 has no {absent[0]} column")
             for row in reader:

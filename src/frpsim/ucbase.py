@@ -10,7 +10,7 @@ into a MilpModel; callers layer policy-specific structure on top.
 Base-case line limits are lazy: a model starts with the rows of the lines
 its caller lists, and ``solve_lazy`` adds the rows of every line a solution
 overloads, re-solving until none is.  Every market solve goes through that
-loop.
+loop, which returns an optimum or raises SolveError.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ LINE_TOL_MW = 1e-6
 LONG_AGO = 10_000  # up/down time of a unit whose last switch is out of sight
 
 
-class LineLimitError(RuntimeError):
-    """A line is over its rating although its limit rows are in the model."""
+class SolveError(RuntimeError):
+    """A market solve found no optimum whose flows stay within ratings."""
 
 
 @dataclass(frozen=True)
@@ -309,7 +309,7 @@ class UcModelBuilder:
 
         A line is overloaded when its base-case flow from the full PTDF
         exceeds its rating by more than ``LINE_TOL_MW`` at some interval.
-        Raises LineLimitError, naming the line, if its rows are already in.
+        Raises SolveError, naming the line, if its rows are already in.
         """
         ratings = np.array([ln.rating for ln in self.system.lines])
         excess = np.abs(self.base_flows(sol, ptdf)) - ratings[:, None]
@@ -317,7 +317,7 @@ class UcModelBuilder:
         for k in over:
             if k in self._lines:
                 t = int(np.argmax(excess[k]))
-                raise LineLimitError(
+                raise SolveError(
                     f"line {self.system.lines[k].id} exceeds its rating by "
                     f"{excess[k, t]:.3g} MW at interval {t} with its limit rows "
                     "in the model")
@@ -369,13 +369,14 @@ def solve_lazy(builder: UcModelBuilder, ptdf: PtdfMatrix,
     rows of every line the solution overloads, and re-solve until a solve
     overloads none.  Then ``more_rows(sol)``, if given, may add further rows
     and return how many; any addition starts another round.  Each round must
-    add rows not yet in the model, so the loop ends.  A non-optimal solve
-    ends it at once and is returned for the caller to judge.  Every round
-    hands ``solve`` the round before it, so a round whose rows leave the last
-    commitment within the gap costs one LP.  That LP, and every relaxation
-    after the first, is warm (``milp.warm_lps``): it re-runs the HiGHS that
-    solved the LP before it, unless a MIP ran in between.  No HiGHS outlives
-    the call.
+    add rows not yet in the model, so the loop ends.  It returns only an
+    optimum: a solve that ends otherwise raises SolveError with its status
+    and HiGHS's message, and so does a line overloaded with its rows in;
+    ``more_rows`` may raise it too.  Every round hands ``solve`` the round
+    before it, so a round whose rows leave the last commitment within the
+    gap costs one LP.  That LP, and every relaxation after the first, is
+    warm (``milp.warm_lps``): it re-runs the HiGHS that solved the LP before
+    it, unless a MIP ran in between.  No HiGHS outlives the call.
     """
     with warm_lps(builder.model):
         sol = relax(builder.model)
@@ -386,7 +387,7 @@ def solve_lazy(builder: UcModelBuilder, ptdf: PtdfMatrix,
             sol = solve(builder.model, options, sol)
         while True:
             if sol.status != "optimal":
-                return sol
+                raise SolveError(f"solve ended {sol.status} ({sol.message})")
             added = builder.add_overloaded_lines(sol, ptdf)
             if not added and more_rows is not None:
                 added = more_rows(sol)

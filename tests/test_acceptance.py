@@ -18,8 +18,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from frpsim import fmm
 from frpsim.dayahead import run_da
-from frpsim.fmm import (FmmConfig, FmmHorizon, build_fmm_datadriven, build_fmm_proxy,
+from frpsim.fmm import (FmmHorizon, build_fmm_datadriven, build_fmm_proxy,
                         build_fmm_training, compute_frp_requirements, solve_hour,
                         solve_with_cuts)
 from frpsim.learner import Mlp, predict_factors, train
@@ -256,7 +257,7 @@ def test_criterion_04_bottleneck_case_study(case_study, bottleneck):
            f"cost better {cost_better}/{N_OOS}")
 
 
-def test_criterion_05_cut_loop_convergence(case_study, bottleneck):
+def test_criterion_05_cut_loop_convergence(case_study, bottleneck, monkeypatch):
     cfg, out = case_study
     system, ptdf, profile = bottleneck
     ucfg = cfg.uncertainty
@@ -269,7 +270,8 @@ def test_criterion_05_cut_loop_convergence(case_study, bottleneck):
     # evening ramp hour: the congested hour of the day
     horizon = FmmHorizon(start=72, init=cold_start_state(system))
     handle = build_fmm_datadriven(system, ptdf, profile, env, da, horizon,
-                                  factors, deployment, FmmConfig(max_cut_rounds=10))
+                                  factors, deployment)
+    monkeypatch.setattr(fmm, "MAX_CUT_ROUNDS", 10)
     sol, cuts = solve_with_cuts(handle)
     rounds = max((c.round_added for c in cuts), default=0)
     assert rounds <= 10

@@ -10,6 +10,7 @@ never modified.
 from __future__ import annotations
 
 import importlib
+import inspect
 import os
 import sys
 from pathlib import Path
@@ -54,6 +55,23 @@ def test_rolling_solves_go_through_wrapped_solve(tracing):
     from frpsim import fmm, milp
 
     assert fmm.solve is milp.solve
+
+
+def test_names_called_only_while_a_unit_runs_resolve():
+    # the set-up test below never reaches these: a rename would surface
+    # only when a unit checks its output or a hook takes its counts
+    from frpsim import fmm
+    from frpsim.dayahead import DaCommitments
+    from frpsim.ucbase import UcModelBuilder
+
+    for fn, args in [
+        (DaCommitments.commitment_at, ("da", 0, 0)),      # workloads.Rolls118._check_training
+        (UcModelBuilder.inj, ("builder", 0, 0)),          # tracing._Hooks.line_limits
+        (fmm.post_deployment_flows, ("handle", "sol", 0, fmm.UP)),   # tracing._Hooks._cut_loop
+    ]:
+        inspect.signature(fn).bind(*args)
+    # workloads.Checks.cut_loop compares post-deployment overloads with it
+    assert isinstance(fmm.FmmConfig().cut_tol_mw, float)
 
 
 def test_workloads_set_up_against_the_program():

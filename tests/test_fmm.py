@@ -7,7 +7,7 @@ import pytest
 
 from frpsim import fmm
 from frpsim.dayahead import DaCommitments, initial_state_from_da, run_da
-from frpsim.fmm import (DOWN, UP, CutLoopError, FmmAwards, FmmConfig, FmmHorizon,
+from frpsim.fmm import (DOWN, UP, FmmAwards, FmmConfig, FmmHorizon,
                         HourSolveError, build_fmm_datadriven, build_fmm_proxy,
                         build_fmm_training, compute_frp_requirements, delta_netload,
                         post_deployment_flows, run_fmm_day, solve_hour, solve_with_cuts)
@@ -18,7 +18,7 @@ from frpsim.network import (Bus, PowerSystem, SolarUnit, TransmissionLine,
 from frpsim.scenarios import (DEPLOYMENT, OUT_OF_SAMPLE, TRAINING, Scenario,
                               UncertaintyConfig, proxy_envelopes, sample_scenarios,
                               select_deployment_scenarios)
-from frpsim.ucbase import solve_lazy
+from frpsim.ucbase import SolveError, solve_lazy
 from frpsim.validation import build_rtuc_hour
 from util import (bottleneck_profile, bottleneck_system, make_gen, make_profile,
                   post_deployment_oracle, single_bus_system)
@@ -284,8 +284,7 @@ class TestDeltaNetload:
             delta_netload(profile, scn, 0, 7)
 
 
-def build_dd_fixture(system, profile, factors=None, cfg=None, start=36,
-                     ucfg=None, n_dep=2):
+def build_dd_fixture(system, profile, factors=None, start=36, ucfg=None, n_dep=2):
     ptdf = compute_ptdf(system)
     ucfg = ucfg or UncertaintyConfig(seed=3)
     env = proxy_envelopes(profile, ucfg, system.solar_units)
@@ -294,9 +293,8 @@ def build_dd_fixture(system, profile, factors=None, cfg=None, start=36,
     horizon = FmmHorizon(start=start, init=initial_state_from_da(system, da))
     factors = factors or zero_factors(system, n_dep)
     handle = build_fmm_datadriven(system, ptdf, profile, env, da, horizon,
-                                  factors, deployment, cfg or FmmConfig())
-    proxy = build_fmm_proxy(system, ptdf, profile, env, da, horizon,
-                            cfg or FmmConfig())
+                                  factors, deployment)
+    proxy = build_fmm_proxy(system, ptdf, profile, env, da, horizon)
     return handle, proxy
 
 
@@ -496,7 +494,7 @@ class TestCutLoop:
 
     @pytest.mark.parametrize("other_rating, n_dep", [(None, 2), (600.0, 4)])
     def test_exhausted_round_budget_names_budget_count_and_worst_line(
-            self, bottleneck, other_rating, n_dep):
+            self, bottleneck, other_rating, n_dep, monkeypatch):
         system, _, profile = bottleneck
         system = capped_lines(system, other_rating)
         # the same hour solved without cuts shows the violations the loop meets
@@ -511,9 +509,9 @@ class TestCutLoop:
                 found += [(excess[k, t], k) for k, t in np.argwhere(excess > 1e-4)]
         assert found
         worst, line = max(found)
-        handle, _ = build_dd_fixture(system, profile, start=72, n_dep=n_dep,
-                                     cfg=FmmConfig(max_cut_rounds=0))
-        with pytest.raises(CutLoopError,
+        handle, _ = build_dd_fixture(system, profile, start=72, n_dep=n_dep)
+        monkeypatch.setattr(fmm, "MAX_CUT_ROUNDS", 0)
+        with pytest.raises(SolveError,
                            match=rf"exhausted 0 rounds with {len(found)} violations remaining "
                                  rf"\(worst {worst:.4f} MW on line {line}\)"):
             solve_with_cuts(handle)
@@ -530,7 +528,7 @@ class TestCutLoop:
         def no_rounds_at_hour_18(*args):
             handle = build(*args)
             if handle.horizon.start == 72:
-                handle.cfg = FmmConfig(max_cut_rounds=0)
+                monkeypatch.setattr(fmm, "MAX_CUT_ROUNDS", 0)
             return handle
 
         monkeypatch.setattr(fmm, "build_fmm_datadriven", no_rounds_at_hour_18)
@@ -540,7 +538,45 @@ class TestCutLoop:
                         factors=zero_factors(system, 2),
                         deployment=select_deployment_scenarios(system, profile, ucfg, 2),
                         n_intervals=76)
-        assert isinstance(info.value.__cause__, CutLoopError)
+        assert isinstance(info.value.__cause__, SolveError)
+
+    @staticmethod
+    def mark_without_rows(handle, cells, round_no):
+        """``_add_cuts`` that marks its cells as cut but adds no row."""
+        s, _, _, k, t = cells
+        handle.cut_rows[k, t, s] = True
+
+    def test_violation_whose_cut_is_in_is_refused(self, bottleneck, monkeypatch):
+        system, _, profile = bottleneck
+        handle, _ = build_dd_fixture(system, profile, start=72)
+        monkeypatch.setattr(fmm, "_add_cuts", self.mark_without_rows)
+        with pytest.raises(SolveError, match=r"^violations persist but all corresponding "
+                                             r"constraints are already present"):
+            solve_with_cuts(handle)
+        assert handle.cuts == [] and handle.cut_rows.any()
+
+    def test_violation_whose_cut_is_in_in_a_rolled_day_names_policy_and_hour(
+            self, bottleneck, monkeypatch):
+        system, ptdf, profile = bottleneck
+        ucfg = UncertaintyConfig(seed=3)
+        env = proxy_envelopes(profile, ucfg, system.solar_units)
+        da, _, _ = run_da(system, ptdf, profile)
+        add = fmm._add_cuts
+
+        def no_rows_at_hour_18(handle, cells, round_no):
+            if handle.horizon.start == 72:
+                self.mark_without_rows(handle, cells, round_no)
+            else:
+                add(handle, cells, round_no)
+
+        monkeypatch.setattr(fmm, "_add_cuts", no_rows_at_hour_18)
+        with pytest.raises(HourSolveError, match=r"^datadriven hour 18, scenario forecast: "
+                                                 r"violations persist") as info:
+            run_fmm_day(system, ptdf, profile, env, da, "datadriven",
+                        factors=zero_factors(system, 2),
+                        deployment=select_deployment_scenarios(system, profile, ucfg, 2),
+                        n_intervals=76)
+        assert isinstance(info.value.__cause__, SolveError)
 
     @pytest.mark.parametrize("other_rating, n_dep, groups", [(None, 2, 1), (600.0, 4, 3)])
     def test_cut_records_match_cut_rows_in_order(self, bottleneck, other_rating, n_dep,
@@ -670,7 +706,7 @@ class TestPolicyCostOrdering:
             handle, proxy = build_dd_fixture(
                 system, profile, factors=RampResponseFactors(values=factor_vals),
                 start=int(rng.integers(0, 24)) * 4,
-                ucfg=UncertaintyConfig(seed=seed), cfg=FmmConfig(max_cut_rounds=30),
+                ucfg=UncertaintyConfig(seed=seed),
             )
         except ValueError:
             pytest.skip("random instance infeasible at build time")

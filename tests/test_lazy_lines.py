@@ -22,7 +22,7 @@ from frpsim.milp import MilpSolution, SolveOptions, solve
 from frpsim.network import PtdfMatrix, compute_ptdf, nodal_injections
 from frpsim.scenarios import (OUT_OF_SAMPLE, TRAINING, UncertaintyConfig, load_profiles,
                               proxy_envelopes, sample_scenarios)
-from frpsim.ucbase import LineLimitError, UcModelBuilder, cold_start_state
+from frpsim.ucbase import SolveError, UcModelBuilder, cold_start_state
 from frpsim.validation import build_rtuc_hour
 from test_fmm import build_dd_fixture
 from util import worst_line_overload
@@ -111,7 +111,7 @@ class TestAddLineLimits:
         values[b.inj(1, 2)] += 100.0
         values[b.inj(0, 2)] -= 100.0
         forged = MilpSolution(status="optimal", objective=sol.objective, values=values)
-        with pytest.raises(LineLimitError, match="line 0 exceeds its rating by .* "
+        with pytest.raises(SolveError, match="line 0 exceeds its rating by .* "
                                                  "at interval 2"):
             b.add_overloaded_lines(forged, ptdf)
 

@@ -470,6 +470,11 @@ class TestReadCsv:
         path.write_text("")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))} line 1 has no g column$"):
             self.read(path)
+        # dict(zip(header, row)) would keep the last x and load it silently
+        path.write_text("g,t,kind,x,y,x\r\n3,0,a,3.0,0.0,9.0\r\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} line 1 names column x "
+                                             "twice$"):
+            self.read(path)
         with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path / 'b.csv'))}: No such"):
             self.read(tmp_path / "b.csv")
         path.write_bytes(b"g,t,kind,x,y\r\n\xff\xfe\r\n")       # not text

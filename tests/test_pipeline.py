@@ -607,6 +607,12 @@ def _set_line(n, text):
     return edit
 
 
+def _repeat_last_column(path):
+    """Give every line of a CSV artifact a second copy of its last cell."""
+    lines = path.read_bytes().splitlines()
+    path.write_bytes(b"".join(ln + b"," + ln.rsplit(b",", 1)[-1] + b"\r\n" for ln in lines))
+
+
 def _swap_lines(n):
     """Swap lines ``n`` and ``n + 1`` (1-based) of a CSV artifact."""
     def edit(path):
@@ -654,14 +660,18 @@ def _swap_lines(n):
     ("results_proxy.csv", lambda path: path.write_bytes(
         path.read_bytes() + path.read_bytes().splitlines(keepends=True)[-1]), "report",
      "{path} line 4 holds scenario_id 1 where no row belongs; rerun validate"),
+    # read by name, the last copy of a repeated column would load silently
+    ("da_commitments.csv", _repeat_last_column, "clear",
+     "{path} line 1 names column dispatch_mw twice; rerun prepare"),
 ], ids=["awards-prefix", "awards-repeat", "da-prefix", "intervals-prefix", "results-empty",
         "fmm-costs-policy", "da-column", "da-cell", "awards-short-row", "intervals-key",
-        "awards-nan", "results-inf", "da-long-row", "intervals-order", "results-extra-row"])
+        "awards-nan", "results-inf", "da-long-row", "intervals-order", "results-extra-row",
+        "da-repeated-column"])
 def test_incomplete_artifact_refused(completed, toy_inputs, tmp_path, name, edit, stage,
                                      message):
     """A reader takes every cell of its file exactly once, in order, or fails
-    naming the file and the first missing, unreadable, non-finite or
-    misplaced column, line or cell."""
+    naming the file and the first missing, repeated, unreadable, non-finite
+    or misplaced column, line or cell."""
     _, out, _ = completed
     system_path, profile_dir = toy_inputs
     copy = tmp_path / "out"

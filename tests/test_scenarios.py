@@ -140,6 +140,16 @@ class TestLoadProfiles:
                                                r"column$"):
             load_profiles(d, ())
 
+    def test_repeated_column_named(self, tmp_path):
+        # read by name, the second load_mw would load 999 MW in every interval
+        d = write_profile_dir(tmp_path, np.full(96, 100.0), np.zeros(96))
+        rows = ["interval_index,load_mw,load_mw,solar_total_mw",
+                *(f"{t},100.0,999.0,0.0" for t in range(96))]
+        (d / "fifteen_min.csv").write_text("\n".join(rows) + "\n")
+        with pytest.raises(ProfileError, match=r"fifteen_min\.csv line 1 names column load_mw "
+                                               r"twice$"):
+            load_profiles(d, ())
+
     def test_solar_capacity_violation(self, tmp_path):
         d = write_profile_dir(tmp_path, np.full(96, 1000.0), np.full(96, 100.0))
         units = (SolarUnit(0, 0, 50.0, 1.0),)
